@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two result sets of the benchmark: parent and change.
 
-    python3 perfbench/run.py --workload table1 --seed 1 --seconds 12 \\
+    python3 perfbench/run.py --workload table1 --seed 1 --seconds 50 \\
         --trace 0 --record parent.jsonl        # on the parent commit
     python3 perfbench/run.py ... --record change.jsonl   # on the change
     python3 perfbench/compare.py parent.jsonl change.jsonl
@@ -20,7 +20,8 @@ from ``BENCHMARK.json``:
   is wider than the bound and not every change run beats every parent run;
 * **unchanged** -- otherwise.
 
-Per-layer metrics (``--trace 1`` runs) are listed as medians, without a
+Every layer value of the ``--trace 1`` runs -- the ``per_layer`` metrics
+and the values printed beside them -- is listed as medians, without a
 verdict.  Exits 1 when any pairing regressed.
 """
 
@@ -33,15 +34,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def load(path):
-    """``{(trace, workload): {seed: metrics}}`` of one result set."""
+    """``{(trace, workload): {seed: metrics}}`` of one result set; the
+    metrics of a traced run are all its recorded layer values."""
     runs = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             if line.strip():
                 record = json.loads(line)
                 key = (record["trace"], record["workload"])
-                runs.setdefault(key, {})[record["seed"]] = \
-                    record["result"]["metrics"]
+                runs.setdefault(key, {})[record["seed"]] = record.get(
+                    "layers", record["result"]["metrics"])
     return runs
 
 
@@ -100,20 +102,21 @@ def main(argv):
             result, detail = verdict(p, c, metric["better"], metric["bound"])
             regressed |= result == "regressed"
             print(f"{name:<12} {workload['name']:<14} {result:<12} {detail}")
-    for metric in config["per_layer"]:
-        for workload in config["workloads"]:
-            key = (1, workload["name"])
-            name = metric["name"]
-            sides = []
-            for runs in (parent.get(key, {}), change.get(key, {})):
+    for workload in config["workloads"]:
+        key = (1, workload["name"])
+        sides = (parent.get(key, {}), change.get(key, {}))
+        units = {name: metric["unit"] for runs in sides
+                 for metrics in runs.values()
+                 for name, metric in metrics.items()}
+        for name, unit in units.items():
+            medians = []
+            for runs in sides:
                 values = [m[name]["value"] for m in runs.values()
                           if name in m]
-                sides.append(f"{statistics.median(values):.4g}"
-                             if values else "-")
-            if sides != ["-", "-"]:
-                print(f"  {name:<40} {workload['name']:<14} parent "
-                      f"{sides[0]:>10} change {sides[1]:>10} "
-                      f"{metric['unit']}")
+                medians.append(f"{statistics.median(values):.4g}"
+                               if values else "-")
+            print(f"  {name:<40} {workload['name']:<14} parent "
+                  f"{medians[0]:>10} change {medians[1]:>10} {unit}")
     return 1 if regressed else 0
 
 

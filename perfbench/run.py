@@ -1,32 +1,39 @@
 #!/usr/bin/env python3
 """SymBIST study benchmark: the paper's two end-to-end runs, cold and warm.
 
-    python3 perfbench/run.py --workload table1 --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload table1 --seed 1 --seconds 50 --trace 0
 
 Every measured run is a fresh ``perfbench/study.py`` process driving the
 public study path of ``repro-campaign run`` (see ``study.py``).  A run of
 this script, for one workload and seed:
 
-1. spawns set-up probes (process start until the study is compiled);
-2. until ``--seconds`` have passed (at least once): a **cold** run into an
-   empty cache directory, then warm **replays**, each a fresh process
-   against the cache the cold run wrote;
-3. runs the workload's serial **reference** once and checks every cold
-   JSON against it, and every replay against its cold run (0 executed,
-   100% cached, identical JSON);
-4. prints the simulated statistics beside the paper's Table I, then the
+1. a **cold** run into an empty cache directory, then warm **replays**,
+   each a fresh process against the cache the cold run wrote;
+2. the workload's serial **reference**, once;
+3. more cycles of step 1 while one more, as long as the last, still fits
+   in ``--seconds`` counted from the start; then more replays of the last
+   cache while they fit;
+4. checks every cold JSON against the reference, and every replay against
+   its cold run (0 executed, 100% cached, identical JSON);
+5. prints the simulated statistics beside the paper's Table I, then the
    metrics, and as its last line one JSON object
    ``{"correct", "attempted", "failed", "metrics"}``.
 
-``--trace 1`` replaces step 2 with one untraced cold run plus a traced
-serial cold run and replay (per-layer spans from ``layers.py``), and for
-``table1`` a cold run on the shared-memory pool with the engine's JSONL
-telemetry; it reports the per-layer metrics and a reconciliation of the
+Every set-up time (process start until the study is compiled) comes from
+the cold and warm processes.
+
+``--trace 1`` replaces steps 1 and 3 with one untraced cold run plus a
+traced serial cold run and replay (per-layer spans from ``layers.py``),
+and for ``table1`` a cold run on the shared-memory pool with the engine's
+JSONL telemetry; it reports the per-layer metrics and a reconciliation of the
 layer times against the engine's execute and wall time.
+
+The listed metric names and units come from ``BENCHMARK.json``.
 
 Load is closed-loop and batch: one study at a time from this process;
 only the traced pool run uses worker processes (two).  All times are
-host time.  The exit code is non-zero when any output check fails or the program is missing.
+host time.  The exit code is non-zero when any output check fails or the
+program is missing.
 """
 
 import argparse
@@ -58,14 +65,20 @@ WORKLOADS = {
                      "reference": ("yield-loss-study", [])},
 }
 
-#: Set-up-only probes per run, and warm replays per cold run.
-N_SETUP_PROBES = 5
+#: Warm replays per cold run.
 N_REPLAYS = 3
 #: Seconds one study process may take before it counts as failed.
 CHILD_TIMEOUT = 170
 
-END_TO_END_UNITS = {"setup_s": "s", "wall_s": "s", "replay_s": "s",
-                    "peak_rss_mb": "MB"}
+
+def load_config():
+    """Metric name -> unit of ``BENCHMARK.json``'s ``end_to_end`` and
+    ``per_layer`` lists."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), "r",
+              encoding="utf-8") as handle:
+        config = json.load(handle)
+    return tuple({metric["name"]: metric["unit"] for metric in config[kind]}
+                 for kind in ("end_to_end", "per_layer"))
 
 
 class Bench:
@@ -94,9 +107,9 @@ class Bench:
         return path
 
     def spawn(self, study, sets, cache_dir, backend="serial", workers=1,
-              setup_only=False, layers=False, telemetry=None):
-        """One study process; returns its stamps with ``setup_s``, and for
-        full runs ``wall_s`` and the loaded study ``payload``."""
+              layers=False, telemetry=None):
+        """One study process; returns its stamps with ``setup_s``,
+        ``wall_s`` and the loaded study ``payload``."""
         json_path = os.path.join(self.work, f"out-{self.n_runs}.json")
         argv = [sys.executable, os.path.join(HERE, "study.py"),
                 "--study", study, "--seed", str(self.seed),
@@ -104,8 +117,6 @@ class Bench:
                 "--backend", backend, "--workers", str(workers)]
         for entry in list(sets) + self.extra_sets:
             argv += ["--set", entry]
-        if setup_only:
-            argv.append("--setup-only")
         if layers:
             argv.append("--layers")
         if telemetry:
@@ -119,8 +130,6 @@ class Bench:
                 f"{' '.join(sets)}\n{proc.stderr[-4000:]}")
         stamps = json.loads(proc.stdout.strip().splitlines()[-1])
         stamps["setup_s"] = stamps["t_compiled"] - spawned
-        if setup_only:
-            return stamps
         stamps["wall_s"] = stamps["t_written"] - spawned
         with open(json_path, "r", encoding="utf-8") as handle:
             stamps["payload"] = json.load(handle)
@@ -276,40 +285,56 @@ def median(values):
 
 
 def end_to_end(bench, seconds):
-    """Set-up probes, then cold runs each followed by warm replays until
-    ``seconds`` pass; returns the samples of every end-to-end metric."""
-    samples = {name: [] for name in END_TO_END_UNITS}
-    for _ in range(N_SETUP_PROBES):
-        cache_dir = bench.fresh_dir("probe")
-        samples["setup_s"].append(
-            bench.workload_run(cache_dir, setup_only=True)["setup_s"])
-    colds = []
+    """Timed cycles -- a cold run, then warm replays of its cache -- and the
+    reference, within ``seconds``; returns the samples of every end-to-end
+    metric and the first cold run.
+
+    The first cycle always runs, and the reference runs after it.  Further
+    cycles run while one more, as long as the last, fits before the
+    deadline; the time left then goes to more replays of the last cache, so
+    the replay and set-up samples spread over the whole run.
+    """
     deadline = time.monotonic() + seconds
+    samples = {name: [] for name in ("setup_s", "wall_s", "replay_s",
+                                     "peak_rss_mb")}
+    colds = []
+    reference = cache_dir = None
+
+    def replay(cold):
+        run = bench.workload_run(cache_dir)
+        samples["replay_s"].append(run["wall_s"])
+        samples["setup_s"].append(run["setup_s"])
+        bench.check_replay(run, cold, f"cold #{len(colds)} replay "
+                                      f"#{len(samples['replay_s'])}")
+
     while True:
+        began = time.monotonic()
+        if cache_dir is not None:
+            shutil.rmtree(cache_dir, ignore_errors=True)
         cache_dir = bench.fresh_dir("cache")
         cold = bench.workload_run(cache_dir)
         colds.append(cold)
         samples["wall_s"].append(cold["wall_s"])
         samples["setup_s"].append(cold["setup_s"])
         samples["peak_rss_mb"].append(cold["peak_rss_mb"])
-        for index in range(N_REPLAYS):
-            replay = bench.workload_run(cache_dir)
-            samples["replay_s"].append(replay["wall_s"])
-            samples["setup_s"].append(replay["setup_s"])
-            bench.check_replay(replay, cold,
-                               f"cold #{len(colds)} replay #{index + 1}")
-        shutil.rmtree(cache_dir, ignore_errors=True)
-        if time.monotonic() >= deadline:
+        for _ in range(N_REPLAYS):
+            replay(cold)
+        cycle_s = time.monotonic() - began
+        if reference is None:
+            reference = bench.reference()
+        if time.monotonic() + cycle_s > deadline:
             break
-    reference = bench.reference()
+    while time.monotonic() + samples["replay_s"][-1] <= deadline:
+        replay(cold)
+    shutil.rmtree(cache_dir, ignore_errors=True)
     for index, cold in enumerate(colds):
         bench.check(cold, reference, f"cold #{index + 1} vs reference")
     return samples, colds[0]
 
 
-def print_end_to_end(name, samples):
+def print_end_to_end(name, samples, units):
     print(f"end-to-end metrics ({name}; medians, host time):")
-    for metric, unit in END_TO_END_UNITS.items():
+    for metric, unit in units.items():
         values = samples[metric]
         print(f"  {metric:<12} {median(values):>10.4f} {unit:<3} "
               f"(n={len(values)}, min {min(values):.4f}, "
@@ -318,13 +343,15 @@ def print_end_to_end(name, samples):
 
 # ================================================================== traced
 
-PER_LAYER_UNITS = {
-    "import.s": "s", "engine.spec.compile_s": "s",
-    "engine.spec.n_tasks": "count", "dut.build_s": "s",
-    "core.calibration.s": "s", "core.calibration.instance_p50_ms": "ms",
+#: Units of the layer values that the traced run prints but leaves out of
+#: its result line.  ``BENCHMARK.json`` lists only values measured, and
+#: never 0, on both workloads; these belong to layers that only one
+#: workload runs, so they read exactly 0 on every run of the other one
+#: (the pool values are not measured there at all).  They go into
+#: ``--record`` files, where ``compare.py`` lists them too.
+PRINTED_ONLY_UNITS = {
     "core.controller.calls": "count", "core.controller.s": "s",
     "core.controller.p50_ms": "ms", "core.controller.p98_ms": "ms",
-    "defects.simulator.s": "s", "defects.simulator.defects_per_s": "1/s",
     "defects.batching.golden_traces": "count",
     "defects.batching.golden_s": "s",
     "defects.batching.evaluate_calls": "count",
@@ -339,33 +366,10 @@ PER_LAYER_UNITS = {
     "adc.sar_adc.convert_many.samples": "count",
     "adc.sar_adc.convert_many.us_per_sample": "us",
     "analysis.yield_loss.s": "s",
-    "engine.cache.put.calls": "count", "engine.cache.put.s": "s",
-    "engine.cache.put.bytes": "B",
-    "engine.cache.get.calls": "count", "engine.cache.get.hits": "count",
-    "engine.cache.get.s": "s", "engine.cache.get.hit_ratio": "ratio",
-    "engine.executor.tasks": "count", "engine.executor.execute_s": "s",
-    "engine.executor.overhead_s": "s",
-    "engine.executor.replay_overhead_s": "s",
     "engine.backends.ship_s": "s", "engine.backends.deserialize_s": "s",
     "engine.backends.payload_bytes_per_task": "B",
     "engine.backends.worker_busy_s": "s",
     "engine.backends.worker_idle_s": "s",
-    "engine.cli.emit_s": "s", "trace.overhead_frac": "ratio",
-}
-
-#: Times of layers that only one workload runs.  They read exactly 0 on
-#: every run of the other workload, so the traced run prints them but
-#: leaves them out of its result line; the calls and sample counts of the
-#: same layers stay in it and show the split, and ``defects.simulator.s``
-#: and ``engine.executor.execute_s`` carry the time on both workloads.
-PRINTED_ONLY = {
-    "core.controller.s", "core.controller.p50_ms", "core.controller.p98_ms",
-    "defects.batching.golden_s", "defects.batching.evaluate_s",
-    "analysis.escape_analysis.s", "functional_test.baseline.s",
-    "functional_test.baseline.p50_ms",
-    "adc.sar_adc.convert_many.us_per_sample", "analysis.yield_loss.s",
-    "engine.backends.ship_s", "engine.backends.deserialize_s",
-    "engine.backends.worker_busy_s", "engine.backends.worker_idle_s",
 }
 
 
@@ -426,9 +430,11 @@ def pool_spans(trace_path):
 def traced(bench):
     """The ``--trace 1`` run: per-layer metrics and the reconciliation."""
     spec = bench.spec
+    reference = bench.reference()
     cache_dir = bench.fresh_dir("cache")
     untraced = bench.workload_run(cache_dir)
     shutil.rmtree(cache_dir, ignore_errors=True)
+    bench.check(untraced, reference, "untraced cold vs reference")
 
     # Model and engine layers, wrapped in-process.
     cache_dir = bench.fresh_dir("cache")
@@ -497,11 +503,6 @@ def traced(bench):
         "engine.executor.overhead_s": engine["wall_s"] - engine["execute_s"],
         "engine.executor.replay_overhead_s":
             replay["engine"]["wall_s"] - replay["engine"]["execute_s"],
-        "engine.backends.ship_s": 0.0,
-        "engine.backends.deserialize_s": 0.0,
-        "engine.backends.payload_bytes_per_task": 0.0,
-        "engine.backends.worker_busy_s": 0.0,
-        "engine.backends.worker_idle_s": 0.0,
         "engine.cli.emit_s": cold["emit_s"],
         "trace.overhead_frac": _ratio(cold["wall_s"], untraced["wall_s"]),
     }
@@ -580,8 +581,9 @@ def parse_args(argv):
                         help="extra study override for every run of the "
                              "workload and its reference (self-test)")
     parser.add_argument("--record", default=None, metavar="FILE.jsonl",
-                        help="append {workload, seed, trace, result} to this "
-                             "file (input of compare.py)")
+                        help="append {workload, seed, trace, result} (and "
+                             "with --trace 1 every printed layer value) to "
+                             "this file (input of compare.py)")
     return parser.parse_args(argv)
 
 
@@ -594,19 +596,22 @@ def main(argv):
               f"(expected src/repro and tools/diff_study_json.py)",
               file=sys.stderr)
         return 2
+    end_to_end_units, per_layer_units = load_config()
     bench = Bench(args.workload, args.seed, args.set)
     try:
         if args.trace:
             layer_values = traced(bench)
-            metrics = {name: {"value": layer_values[name], "unit": unit}
-                       for name, unit in PER_LAYER_UNITS.items()
-                       if name not in PRINTED_ONLY}
+            printed = {name: {"value": layer_values[name], "unit": unit}
+                       for name, unit in {**per_layer_units,
+                                          **PRINTED_ONLY_UNITS}.items()
+                       if name in layer_values}
+            metrics = {name: printed[name] for name in per_layer_units}
             first_cold = bench.traced_cold
         else:
             samples, first_cold = end_to_end(bench, args.seconds)
-            print_end_to_end(args.workload, samples)
+            print_end_to_end(args.workload, samples, end_to_end_units)
             metrics = {name: {"value": median(samples[name]), "unit": unit}
-                       for name, unit in END_TO_END_UNITS.items()}
+                       for name, unit in end_to_end_units.items()}
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 1
@@ -619,17 +624,20 @@ def main(argv):
     print(f"  {'failed_ratio':<12} {failed_ratio:>10.4f} ratio "
           f"({bench.failed} of {bench.attempted} tasks attempted)")
     if args.trace:
-        for name, unit in PER_LAYER_UNITS.items():
-            note = "  (printed only)" if name in PRINTED_ONLY else ""
-            print(f"  {name:<40} {layer_values[name]:>14.6g} {unit}{note}")
+        for name, metric in printed.items():
+            note = "" if name in per_layer_units else "  (printed only)"
+            print(f"  {name:<40} {metric['value']:>14.6g} "
+                  f"{metric['unit']}{note}")
     result = {"correct": not bench.problems and bench.failed == 0,
               "attempted": bench.attempted, "failed": bench.failed,
               "metrics": metrics}
     if args.record:
+        record = {"workload": args.workload, "seed": args.seed,
+                  "trace": args.trace, "result": result}
+        if args.trace:
+            record["layers"] = printed
         with open(args.record, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"workload": args.workload,
-                                     "seed": args.seed, "trace": args.trace,
-                                     "result": result}) + "\n")
+            handle.write(json.dumps(record) + "\n")
     print(json.dumps(result))
     return 0 if result["correct"] else 1
 

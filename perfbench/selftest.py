@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Fast self-test of the benchmark (about a minute on two CPUs).
+"""Fast self-test of the benchmark (about 25 s on two CPUs).
 
     python3 perfbench/selftest.py
 
 1. Runs ``run.py`` on every workload, untraced and traced, with ``--set``
    overrides that shrink the study to a tiny calibration and campaign, and
    checks that the last line names every metric of ``BENCHMARK.json`` with
-   its unit and reports the outputs correct.
+   its unit and reports the outputs correct, and that the ``--record`` line
+   holds the result and, for traced runs, the printed-only layer values.
 2. Doctors a real study JSON and checks that the correctness gate trips,
    while the untouched JSON passes.
 3. Checks the compare command's verdicts on synthetic result sets.
@@ -28,6 +29,8 @@ sys.path.insert(0, HERE)
 import compare  # noqa: E402
 import run  # noqa: E402
 
+#: The ``--record`` file of the metric checks.
+RECORD = os.path.join(ROOT, ".perfbench-work", "selftest-record.jsonl")
 TINY = ["calibrate.n_monte_carlo=4", "campaign.samples=3",
         "campaign.blocks=rs_latch,vcm_generator"]
 #: Workload -> the overrides that shrink it.
@@ -51,7 +54,8 @@ def check_metrics(config):
     for workload in config["workloads"]:
         for trace, kind in ((0, "end_to_end"), (1, "per_layer")):
             argv = ["--workload", workload["name"], "--seed", "5",
-                    "--seconds", "1", "--trace", str(trace)]
+                    "--seconds", "1", "--trace", str(trace),
+                    "--record", RECORD]
             for entry in TINY_SETS[workload["name"]]:
                 argv += ["--set", entry]
             proc = _bench(argv)
@@ -70,6 +74,14 @@ def check_metrics(config):
                       f"{sorted(set(printed) ^ set(expected))} differ")
             if trace == 0 and "failed_ratio" not in proc.stdout:
                 _fail("failed_ratio not printed")
+            with open(RECORD, "r", encoding="utf-8") as handle:
+                recorded = json.loads(handle.read().splitlines()[-1])
+            if recorded["result"] != result or (trace == 1 and not (
+                    set(expected) | {"analysis.escape_analysis.s",
+                                     "core.controller.s"})
+                    <= set(recorded["layers"])):
+                _fail(f"{workload['name']} trace {trace}: the --record line "
+                      f"lacks the result or the printed-only layer values")
             print(f"selftest: {workload['name']} trace {trace}: "
                   f"{len(printed)} metrics with units, correct")
 
@@ -138,7 +150,11 @@ def main():
     check_gate()
     check_compare()
     check_bare_directory()
-    check_metrics(config)
+    try:
+        check_metrics(config)
+    finally:
+        if os.path.exists(RECORD):
+            os.unlink(RECORD)
     print("selftest: ok")
     return 0
 

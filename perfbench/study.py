@@ -1,7 +1,7 @@
 """One study run in a fresh process, timed from the outside.
 
 This is the process the benchmark entry point (``run.py``) spawns for every
-cold run, warm replay and set-up probe.  It drives the public path that
+cold run, warm replay and reference run.  It drives the public path that
 ``repro-campaign run`` takes -- ``load_study`` -> ``StudySpec.override``
 -> ``build_study`` -> ``StudyPlan.run`` -> ``study_payload`` -> JSON
 written with the CLI's own formatting -- and prints, as its last stdout
@@ -11,7 +11,7 @@ own spawn stamp to get times "from process start".
 
     python3 perfbench/study.py --study block-study --seed 1 \\
         --cache-dir CACHE --json OUT.json [--set campaign.batch_size=16] \\
-        [--backend shm --workers 2] [--setup-only] [--layers] \\
+        [--backend shm --workers 2] [--layers] \\
         [--telemetry TRACE.jsonl]
 
 ``--layers`` wraps the model and engine layers (see ``layers.py``) and
@@ -38,7 +38,6 @@ def _parse_args(argv):
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--cache-dir", required=True)
     parser.add_argument("--json", dest="json_path", required=True)
-    parser.add_argument("--setup-only", action="store_true")
     parser.add_argument("--layers", action="store_true")
     parser.add_argument("--telemetry", default=None)
     return parser.parse_args(argv)
@@ -78,10 +77,6 @@ def main(argv):
     out = {"t_compiled": t_compiled, "import_s": t_imported - t_import,
            "compile_s": t_compiled - t_imported,
            "n_tasks": len(plan.pipeline)}
-    if args.setup_only:
-        print(json.dumps(out))
-        return 0
-
     if args.backend == "shm":
         backend = SharedMemoryBackend(max_workers=args.workers,
                                       measure_payload=bool(args.telemetry))
