@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two result sets of the benchmark: parent and change.
 
-    python3 perfbench/run.py --workload table1 --seed 1 --seconds 50 \\
+    python3 perfbench/run.py --workload table1 --seed 1 --seconds 60 \\
         --trace 0 --record parent.jsonl        # on the parent commit
     python3 perfbench/run.py ... --record change.jsonl   # on the change
     python3 perfbench/compare.py parent.jsonl change.jsonl

@@ -108,7 +108,8 @@ def main(argv):
                    "n_failed": report.n_failed,
                    "n_skipped": report.n_skipped,
                    "wall_s": report.wall_time,
-                   "execute_s": sum(report.task_durations.values())},
+                   "execute_s": sum(report.task_durations.values()),
+                   "task_s": dict(report.task_durations)},
         # The timed runs are serial: this process is the whole run.
         "peak_rss_mb":
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
