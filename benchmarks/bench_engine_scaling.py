@@ -1,16 +1,15 @@
 """Engine scaling -- campaign throughput at workers=1 versus workers=N.
 
 Measures the defect-campaign throughput of the execution engine
-(:mod:`repro.engine`) on the serial backend and on sharded process pools
-(multiprocess and shared-memory transports), plus the warm-cache replay
-rate, compares the one-graph per-block sweep (the block-study shape) against
-the historical one-engine-run-per-block loop, checks that compiling the
-declarative block-study spec (``build_study``) costs under 1% of running
-it, and compares the bytes each pool transport ships per task.  On
-multi-core runners the pools should approach linear speedup (the per-defect
-simulations are independent, exactly like the per-defect SPICE jobs an
-industrial DefectSim farm distributes); on single-CPU runners the
-wall-clock scaling cases are skipped but the payload comparison still runs.
+(:mod:`repro.engine`) on the serial backend and on the process pool, plus
+the warm-cache replay rate, compares the one-graph per-block sweep (the
+block-study shape) against the historical one-engine-run-per-block loop,
+and checks that compiling the declarative block-study spec
+(``build_study``) costs under 1% of running it.  On multi-core runners the
+pool should approach linear speedup (the per-defect simulations are
+independent, exactly like the per-defect SPICE jobs an industrial DefectSim
+farm distributes); on single-CPU runners the wall-clock scaling cases are
+skipped.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ import pytest
 from repro.adc import SarAdc
 from repro.core import format_table
 from repro.defects import DefectCampaign, SamplingPlan
-from repro.engine import (MultiprocessBackend, ResultCache, SerialBackend,
-                          SharedMemoryBackend)
+from repro.engine import ResultCache, SerialBackend, SharedMemoryBackend
 
 BENCHMARK_SEED = 20200309
 
@@ -59,18 +57,11 @@ def test_engine_scaling(benchmark, deltas, tmp_path):
              f"{serial.engine_report.tasks_per_second:.1f}"]]
 
     if N_WORKERS > 1:
-        parallel = _run(campaign, MultiprocessBackend(max_workers=N_WORKERS))
-        assert _coverage_key(parallel) == _coverage_key(serial)
-        rows.append(["multiprocess", N_WORKERS,
-                     parallel.engine_report.n_executed,
-                     f"{parallel.engine_report.wall_time:.2f}",
-                     f"{parallel.engine_report.tasks_per_second:.1f}"])
-
-        shm = _run(campaign, SharedMemoryBackend(max_workers=N_WORKERS))
-        assert _coverage_key(shm) == _coverage_key(serial)
-        rows.append(["shm", N_WORKERS, shm.engine_report.n_executed,
-                     f"{shm.engine_report.wall_time:.2f}",
-                     f"{shm.engine_report.tasks_per_second:.1f}"])
+        pool = _run(campaign, SharedMemoryBackend(max_workers=N_WORKERS))
+        assert _coverage_key(pool) == _coverage_key(serial)
+        rows.append(["pool (shm)", N_WORKERS, pool.engine_report.n_executed,
+                     f"{pool.engine_report.wall_time:.2f}",
+                     f"{pool.engine_report.tasks_per_second:.1f}"])
 
     cache = ResultCache(str(tmp_path / "cache"), namespace="defects")
     cold = _run(campaign, SerialBackend(), cache=cache)
@@ -176,7 +167,7 @@ def test_block_study_beats_sequential_per_block_loop(deltas):
     pooled = campaign.run_per_block(
         n_samples_per_block=BLOCK_SAMPLES, seed=BENCHMARK_SEED,
         exhaustive_threshold=BLOCK_EXHAUSTIVE_THRESHOLD,
-        backend=MultiprocessBackend(max_workers=N_WORKERS))
+        backend=SharedMemoryBackend(max_workers=N_WORKERS))
     pooled_key = [entry for block in blocks
                   for entry in _coverage_key(pooled[block])]
     report = next(iter(pooled.values())).engine_report
@@ -248,7 +239,7 @@ def test_variant_sweep_beats_sequential_single_variant_runs():
                          seed=variant_seed(BENCHMARK_SEED, name),
                          stages=_sweep_stages(), dut=dut).validated()
         outcome = build_study(spec).run(
-            backend=MultiprocessBackend(max_workers=N_WORKERS))
+            backend=SharedMemoryBackend(max_workers=N_WORKERS))
         assert outcome.ok
         sequential_wall += outcome.report.wall_time
         n_sequential_tasks += outcome.report.n_tasks
@@ -260,7 +251,7 @@ def test_variant_sweep_beats_sequential_single_variant_runs():
         variants=tuple(VariantSpec(name=name, dut=dut)
                        for name, dut in SWEEP_VARIANTS)).validated()
     swept = build_study(sweep_spec).run(
-        backend=MultiprocessBackend(max_workers=N_WORKERS))
+        backend=SharedMemoryBackend(max_workers=N_WORKERS))
     assert swept.ok
 
     for name, _ in SWEEP_VARIANTS:
@@ -379,45 +370,6 @@ def test_telemetry_overhead_under_five_percent(deltas):
         title=f"telemetry overhead ({N_DEFECTS} LWRS defects, "
               f"min of {rounds} rounds)"))
     assert overhead < 5.0
-
-
-def test_payload_bytes_multiprocess_vs_shm(deltas):
-    """Bytes shipped per task: re-pickled context versus shared segment.
-
-    The multiprocess backend re-pickles the work function -- and the
-    campaign context it closes over (the behavioral ADC, windows, defect
-    universe) -- into every chunk submission; the shared-memory backend
-    ships the context once through a segment and submits bare items.  On
-    the default campaign the per-task payload must shrink by >=10x.
-    """
-    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
-    workers = max(2, N_WORKERS)
-    mp_backend = MultiprocessBackend(max_workers=workers,
-                                     measure_payload=True)
-    shm_backend = SharedMemoryBackend(max_workers=workers,
-                                      measure_payload=True)
-    mp_result = _run(campaign, mp_backend)
-    shm_result = _run(campaign, shm_backend)
-    assert _coverage_key(shm_result) == _coverage_key(mp_result)
-
-    mp_payload = mp_backend.last_payload
-    shm_payload = shm_backend.last_payload
-    rows = [
-        ["multiprocess", mp_payload.n_items,
-         f"{mp_payload.per_task_bytes:,.0f}", f"{mp_payload.task_bytes:,}",
-         f"{mp_payload.context_bytes:,}"],
-        ["shm", shm_payload.n_items,
-         f"{shm_payload.per_task_bytes:,.0f}", f"{shm_payload.task_bytes:,}",
-         f"{shm_payload.context_bytes:,}"],
-    ]
-    print()
-    print(format_table(
-        ["backend", "#tasks", "bytes/task", "task bytes total",
-         "shared context bytes"],
-        rows, title=f"pool payload bytes ({N_DEFECTS} LWRS defects)"))
-    ratio = mp_payload.per_task_bytes / shm_payload.per_task_bytes
-    print(f"per-task payload ratio (multiprocess / shm): {ratio:.1f}x")
-    assert ratio >= 10.0
 
 
 #: Artifact count of the warehouse-vs-crawl comparison (paper-scale: an

@@ -32,7 +32,7 @@ import numpy as np
 from repro.adc import SarAdc
 from repro.core import calibrate_windows, format_confidence, format_table
 from repro.defects import DefectCampaign, SamplingPlan
-from repro.engine import MultiprocessBackend, SerialBackend
+from repro.engine import SerialBackend, SharedMemoryBackend
 
 
 def main() -> None:
@@ -49,7 +49,7 @@ def main() -> None:
                         help="restrict the campaign to these block paths")
     args = parser.parse_args()
     backend = SerialBackend() if args.workers <= 1 \
-        else MultiprocessBackend(max_workers=args.workers)
+        else SharedMemoryBackend(max_workers=args.workers)
 
     print("calibrating comparison windows (delta = 5 sigma)...")
     calibration = calibrate_windows(n_monte_carlo=args.monte_carlo,

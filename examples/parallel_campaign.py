@@ -11,7 +11,7 @@ Demonstrates the dependency-aware pipeline executor (:mod:`repro.engine`):
 * the same workflow run the historical way (two separate invocations with
   hand-carried state), asserting the two are **bit-identical**: same window
   deltas, same per-defect detections, same coverage;
-* a sharded multiprocess run and a warm cache replay, both again
+* a run on the process pool and a warm cache replay, both again
   bit-identical, with cached calibration parents unblocking the campaign
   stage immediately.
 
@@ -42,7 +42,7 @@ import numpy as np
 from repro.adc import SarAdc
 from repro.core import calibrate_windows, format_confidence, format_table
 from repro.defects import DefectCampaign, SamplingPlan, block_seed_sequence
-from repro.engine import (MultiprocessBackend, ResultCache,
+from repro.engine import (ResultCache, SharedMemoryBackend,
                           calibrate_then_campaign)
 
 
@@ -124,7 +124,7 @@ def main() -> None:
     cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-cache-")
     print(f"3) sharded across {args.workers} workers, cold cache...")
     parallel = calibrate_then_campaign(
-        backend=MultiprocessBackend(max_workers=args.workers),
+        backend=SharedMemoryBackend(max_workers=args.workers),
         cache=ResultCache(cache_dir, namespace="pipeline"),
         **pipeline_kwargs)
     print(f"   {parallel.report.summary()}")

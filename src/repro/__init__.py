@@ -28,7 +28,7 @@ Subpackages
 ``repro.analysis``
     Monte Carlo driver, statistics helpers and the yield-loss-versus-k model.
 ``repro.engine``
-    Campaign-execution engine: task graphs, serial/multiprocess backends,
+    Campaign-execution engine: task graphs, serial/process-pool backends,
     deterministic per-task seeding, content-addressed result caching, the
     declarative study layer (``StudySpec`` documents compiled against a
     stage registry) and the ``repro-campaign`` CLI (``repro-campaign run
@@ -52,8 +52,8 @@ Every heavyweight workload (window calibration, defect campaigns, Monte
 Carlo analyses, the yield-loss sweep) routes through the campaign engine and
 accepts ``backend=`` / ``cache=`` arguments:
 
->>> from repro.engine import MultiprocessBackend, ResultCache
->>> backend = MultiprocessBackend(max_workers=4)        # shard over 4 procs
+>>> from repro.engine import ResultCache, SharedMemoryBackend
+>>> backend = SharedMemoryBackend(max_workers=4)        # pool of 4 procs
 >>> cache = ResultCache(".repro-cache", namespace="calibration")
 >>> calibration = calibrate_windows(n_monte_carlo=25,
 ...                                 rng=np.random.default_rng(0),
@@ -77,15 +77,15 @@ from .circuit import ReproError
 from .core import (SymBistController, SymBistResult, SymBistStimulus,
                    WindowCalibration, calibrate_windows, run_symbist)
 from .defects import DefectCampaign, SamplingPlan, build_defect_universe
-from .engine import (CampaignEngine, CampaignReport, MultiprocessBackend,
-                     ResultCache, SerialBackend, Task, TaskGraph)
+from .engine import (CampaignEngine, CampaignReport, ResultCache,
+                     SerialBackend, SharedMemoryBackend, Task, TaskGraph)
 
 __version__ = "1.1.0"
 
 __all__ = [
-    "CampaignEngine", "CampaignReport", "DefectCampaign",
-    "MultiprocessBackend", "ReproError", "ResultCache", "SamplingPlan",
-    "SarAdc", "SerialBackend", "SymBistController", "SymBistResult",
+    "CampaignEngine", "CampaignReport", "DefectCampaign", "ReproError",
+    "ResultCache", "SamplingPlan", "SarAdc", "SerialBackend",
+    "SharedMemoryBackend", "SymBistController", "SymBistResult",
     "SymBistStimulus", "Task", "TaskGraph", "WindowCalibration",
     "__version__", "adc", "analysis", "build_defect_universe",
     "calibrate_windows", "circuit", "core", "defects", "digital", "engine",

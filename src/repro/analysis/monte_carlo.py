@@ -19,11 +19,10 @@ runs seeded under that scheme produce different -- equally valid -- values.)
 Scaling
 -------
 The runner executes through :class:`repro.engine.CampaignEngine`; pass
-``backend=MultiprocessBackend(max_workers=N)`` to shard samples across
-processes, or ``SharedMemoryBackend(max_workers=N)`` to additionally ship
-the evaluation context to the workers once through shared memory
-(``evaluate`` and ``adc_factory`` must then be picklable, i.e. module-level
-callables rather than lambdas).
+``backend=SharedMemoryBackend(max_workers=N)`` to shard samples across a
+process pool, which ships the evaluation context to the workers once
+through shared memory (``evaluate`` and ``adc_factory`` must then be
+picklable, i.e. module-level callables rather than lambdas).
 """
 
 from __future__ import annotations
@@ -60,7 +59,8 @@ class MonteCarloResult(Generic[ResultT]):
 
 
 def _sample_worker(context: Mapping[str, Any], task: Task,
-                   rng: np.random.Generator) -> Any:
+                   rng: np.random.Generator,
+                   inputs: Mapping[str, Any]) -> Any:
     """Engine worker: build one IP instance, vary it, evaluate it."""
     adc = context["adc_factory"]()
     adc.sample_variation(rng, context["variation_spec"])

@@ -119,7 +119,8 @@ def empirical_yield_loss(calibration: WindowCalibration, k: float,
 
 
 def _yield_loss_worker(context: Mapping[str, Any], task: Task,
-                       rng: np.random.Generator) -> YieldLossPoint:
+                       rng: np.random.Generator,
+                       inputs: Mapping[str, Any]) -> YieldLossPoint:
     """Engine worker: one ``(k, yield)`` point of the sweep."""
     calibration: Optional[WindowCalibration] = context["calibration"]
     if calibration is not None and calibration.residual_pools:
@@ -158,8 +159,7 @@ def yield_loss_sweep(calibration: Optional[WindowCalibration] = None,
     backend:
         Campaign-engine execution backend (see :mod:`repro.engine`); the
         default serial backend reproduces the historical loop exactly, and
-        ``MultiprocessBackend(max_workers=N)`` or
-        ``SharedMemoryBackend(max_workers=N)`` shard the ``k`` points
+        ``SharedMemoryBackend(max_workers=N)`` shards the ``k`` points
         across processes with identical results.
     cache:
         Optional :class:`~repro.engine.ResultCache`; per-``k`` points are

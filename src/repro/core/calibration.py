@@ -19,7 +19,7 @@ checks have zero variance when defect-free).
 The Monte Carlo sweep executes through the campaign engine
 (:mod:`repro.engine`): each process-variation instance is one task with its
 own per-sample seed, so a calibration sharded across a
-:class:`~repro.engine.MultiprocessBackend` pool is bit-identical to the
+:class:`~repro.engine.SharedMemoryBackend` pool is bit-identical to the
 serial run, and repeated calibrations against a
 :class:`~repro.engine.ResultCache` replay the stored residuals instead of
 re-simulating.
@@ -93,7 +93,8 @@ class WindowCalibration:
 
 
 def _residual_worker(context: Mapping[str, Any], task: Task,
-                     rng: np.random.Generator) -> Dict[str, List[float]]:
+                     rng: np.random.Generator,
+                     inputs: Mapping[str, Any]) -> Dict[str, List[float]]:
     """Engine worker: per-cycle residuals of one defect-free MC instance."""
     stimulus: SymBistStimulus = context["stimulus"]
     invariances: Sequence[Invariance] = context["invariances"]
@@ -168,8 +169,7 @@ def collect_defect_free_residuals(
     backend:
         Campaign-engine execution backend (see :mod:`repro.engine`); the
         default serial backend reproduces the historical loop exactly, and
-        ``MultiprocessBackend(max_workers=N)`` or
-        ``SharedMemoryBackend(max_workers=N)`` shard the Monte Carlo
+        ``SharedMemoryBackend(max_workers=N)`` shards the Monte Carlo
         instances across processes with bit-identical pools.
     cache:
         Optional :class:`~repro.engine.ResultCache`; per-instance residual

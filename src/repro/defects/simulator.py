@@ -22,7 +22,7 @@ reproduced.
 
 Campaigns execute through the campaign engine (:mod:`repro.engine`): each
 defect is one deterministic task, so passing
-``backend=MultiprocessBackend(max_workers=N)`` to :meth:`DefectCampaign.run`
+``backend=SharedMemoryBackend(max_workers=N)`` to :meth:`DefectCampaign.run`
 shards the defect list across a process pool with byte-identical coverage
 results, and passing a :class:`~repro.engine.ResultCache` makes repeated
 campaigns replay stored per-defect records instead of re-simulating.  A
@@ -246,7 +246,7 @@ def _worker_campaign(context: Mapping[str, Any]) -> "DefectCampaign":
 
 
 def _defect_worker(context: Mapping[str, Any], task: Task,
-                   rng: np.random.Generator):
+                   rng: np.random.Generator, inputs: Mapping[str, Any]):
     """Engine worker: inject one defect (or a batch) and run the SymBIST test.
 
     A list payload is a defect batch; the worker returns the ordered list of
@@ -500,11 +500,9 @@ class DefectCampaign:
         backend:
             Campaign-engine execution backend; the default serial backend
             reproduces the historical in-process loop exactly, while a
-            :class:`~repro.engine.MultiprocessBackend` shards the defects
-            across worker processes with identical results and a
-            :class:`~repro.engine.SharedMemoryBackend` additionally ships
-            the campaign context (ADC, windows, universe) only once per run
-            instead of once per shard.
+            :class:`~repro.engine.SharedMemoryBackend` shards the defects
+            across worker processes with identical results, shipping the
+            campaign context (ADC, windows, universe) only once per run.
         cache:
             Optional :class:`~repro.engine.ResultCache`; per-defect records
             are stored as JSON artifacts keyed by the full campaign spec, so

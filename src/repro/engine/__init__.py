@@ -9,19 +9,17 @@ executes such workloads:
 * :mod:`repro.engine.task` -- :class:`Task`/:class:`TaskGraph`, describing
   the units of work and the dependency edges between them (a DAG by
   construction: parents are added before children);
-* :mod:`repro.engine.backends` -- pluggable executors:
-  :class:`SerialBackend` (default, bit-identical to the historical loops),
-  :class:`MultiprocessBackend` (chunked sharding over a process pool) and
-  :class:`SharedMemoryBackend` (process pool whose campaign context is
-  pickled once into a shared-memory segment instead of re-shipped per
-  shard), each offering batch (``map_items``) and incremental (``stream``)
-  interfaces;
+* :mod:`repro.engine.backends` -- pluggable executors behind one
+  incremental ``stream`` interface: :class:`SerialBackend` (default,
+  bit-identical to the historical loops) and :class:`SharedMemoryBackend`
+  (the process pool, whose campaign context is pickled once into a
+  shared-memory segment instead of re-shipped per task);
 * :mod:`repro.engine.executor` -- :class:`CampaignEngine`, which adds
   deterministic per-task seeding (``SeedSequence`` children by task index;
   results do not depend on worker count or completion order),
-  content-addressed result caching, topological scheduling of dependency
-  graphs (no stage barriers; failed tasks skip their descendants; cached
-  parents unblock children immediately) and :class:`CampaignReport`
+  content-addressed result caching, one topological scheduler for every
+  task graph (no stage barriers; failed tasks skip their descendants;
+  cached parents unblock children immediately) and :class:`CampaignReport`
   instrumentation;
 * :mod:`repro.engine.cache` -- :class:`ResultCache`, the JSON-on-disk
   artifact store keyed by task spec + seed + code version, with optional
@@ -49,13 +47,13 @@ executes such workloads:
 The drivers in :mod:`repro.analysis.monte_carlo`,
 :mod:`repro.core.calibration`, :mod:`repro.defects.simulator` and
 :mod:`repro.analysis.yield_loss` all route their work through this engine;
-passing ``backend=MultiprocessBackend(max_workers=N)`` and/or a
+passing ``backend=SharedMemoryBackend(max_workers=N)`` and/or a
 :class:`ResultCache` to any of them parallelises/caches that workload without
 changing its results.
 """
 
-from .backends import (ExecutionBackend, MultiprocessBackend, PayloadReport,
-                       SerialBackend, SharedMemoryBackend, WorkStream)
+from .backends import (ExecutionBackend, PayloadReport, SerialBackend,
+                       SharedMemoryBackend, WorkStream)
 from .cache import (MISS, ResultCache, callable_token, canonical_json,
                     factory_token)
 from .executor import (CampaignEngine, CampaignReport, EngineRun,
@@ -94,7 +92,7 @@ __all__ = [
     "CalibrateCampaignOutcome", "CalibrateCampaignPlan", "CampaignEngine",
     "CampaignReport", "ChromeTraceSink", "EVENT_TYPES", "EngineRun",
     "ExecutionBackend", "IDENTITY_CODEC", "JsonlTraceSink", "MISS",
-    "MetricsRegistry", "MetricsSink", "MultiprocessBackend", "PayloadReport",
+    "MetricsRegistry", "MetricsSink", "PayloadReport",
     "Pipeline", "PipelineResult", "PipelineStage", "ProgressSink",
     "ResultCache", "ResultCodec",
     "STATUS_CACHED", "STATUS_EXECUTED", "STATUS_FAILED", "STATUS_SKIPPED",

@@ -1,42 +1,28 @@
 """Execution backends of the campaign engine.
 
-A backend runs a picklable function over work items.  It offers two
-interfaces:
+A backend runs a picklable function over work items through one interface:
+:meth:`ExecutionBackend.stream` opens a :class:`WorkStream` that accepts
+items one at a time and yields outcomes as they complete.  The topological
+scheduler of :mod:`repro.engine.executor` submits a task the moment its
+parents finish -- for an edge-free graph, every task up front.
 
-* :meth:`ExecutionBackend.map_items` -- batch mode: map the function over a
-  fixed list of independent items and return the results *in submission
-  order*, whatever order the items actually complete in.  Used for flat
-  (edge-free) task graphs, where the full work list is known up front and
-  chunking can amortise per-item overhead.
-* :meth:`ExecutionBackend.stream` -- incremental mode: open a
-  :class:`WorkStream` that accepts items one at a time and yields outcomes
-  as they complete.  Used by the dependency-aware graph scheduler
-  (:mod:`repro.engine.executor`), which only learns that a task is runnable
-  when its parents finish.
-
-Three backends are provided:
+Two local backends are provided:
 
 * :class:`SerialBackend` -- runs items one by one in the calling process; the
   default, bit-identical to the historical serial loops of the drivers.
-* :class:`MultiprocessBackend` -- executes on a
-  :class:`concurrent.futures.ProcessPoolExecutor`; chunked sharding in batch
-  mode, per-item submission in stream mode.  Each batch-mode chunk submission
-  re-pickles the work function -- and therefore the whole campaign context it
-  closes over (the behavioral ADC, the calibrated windows, ...) -- through
-  the pool's pipe.
-* :class:`SharedMemoryBackend` -- like the multiprocess backend, but the work
-  function (with its captured campaign context) is pickled **once** into a
-  ``multiprocessing.shared_memory`` segment at pool startup; each worker
-  rehydrates it read-only in the pool initializer, so per-task submissions
-  shrink to the bare work items (task id, seed material, small spec dict).
-  At realistic campaign sizes this removes the context re-pickling that
-  dominates the multiprocess backend's dispatch cost.
+* :class:`SharedMemoryBackend` -- the process-pool backend: one
+  :class:`concurrent.futures.ProcessPoolExecutor` future per item.  The work
+  function -- with the campaign context it closes over (the behavioral ADC,
+  the calibrated windows, ...) -- is pickled **once** into a
+  ``multiprocessing.shared_memory`` segment when the pool starts; each
+  worker rehydrates it read-only in the pool initializer, so submissions
+  carry only the bare work items (task id, seed material, small spec dict).
 
 Because every task carries its own seed material (see
-:mod:`repro.engine.executor`) the pool backends produce results identical to
-the serial backend regardless of worker count, chunking or completion order.
+:mod:`repro.engine.executor`) the pool backend produces results identical to
+the serial backend regardless of worker count or completion order.
 
-Workers and their context must be picklable for the pool backends
+Workers and their context must be picklable for the pool backend
 (module-level functions, dataclasses, numpy objects); closures and lambdas
 only work with the serial backend.
 """
@@ -44,7 +30,6 @@ only work with the serial backend.
 from __future__ import annotations
 
 import atexit
-import math
 import os
 import pickle
 import signal
@@ -54,24 +39,22 @@ import threading
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from ..circuit.errors import EngineError
 
-#: Pickle protocol of every payload shipped to pool workers (submissions,
-#: shared segments, and the opt-in payload measurements -- one protocol so
-#: measured bytes match shipped bytes).
+#: Pickle protocol of every payload shipped to pool workers (the shared
+#: segment, and the opt-in payload measurements -- one protocol so measured
+#: bytes match shipped bytes).
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: An item handed to a backend: ``(index, task, seed_material)`` in batch
-#: mode, ``(index, task, seed_material, inputs)`` in stream (graph) mode.
+#: An item handed to a backend; the engine submits
+#: ``(index, task, seed_material, inputs)``.
 WorkItem = Any
 #: ``fn(item) -> (index, result, duration_seconds, task_span)`` -- the
 #: :class:`~repro.engine.telemetry.TaskSpan` carries the worker-side clock
 #: readings back for telemetry; backends treat the tuple opaquely.
 WorkFn = Callable[[WorkItem], Any]
-#: Optional per-completion callback ``on_result(outcome_tuple)``.
-ResultCallback = Optional[Callable[[Any], None]]
 #: A stream outcome: ``(item, ok, value)`` where ``value`` is ``fn(item)``'s
 #: return value when ``ok`` and the raised exception otherwise.
 StreamOutcome = Tuple[WorkItem, bool, Any]
@@ -80,7 +63,7 @@ StreamOutcome = Tuple[WorkItem, bool, Any]
 class WorkStream(ABC):
     """Incremental submission channel opened by :meth:`ExecutionBackend.stream`.
 
-    The graph scheduler submits items as their dependencies resolve and
+    The engine's scheduler submits items as their dependencies resolve and
     drains completions one at a time; a stream therefore never sees the whole
     work list and must not reorder bookkeeping around it.  Item failures are
     *reported*, not raised: :meth:`next_outcome` returns ``(item, ok, value)``
@@ -136,19 +119,13 @@ class _SerialWorkStream(WorkStream):
 class PayloadReport:
     """Bytes pickled to pool workers during one backend run (opt-in).
 
-    Populated on :attr:`MultiprocessBackend.last_payload` when the backend is
-    constructed with ``measure_payload=True``; measuring re-pickles every
+    Populated on :attr:`SharedMemoryBackend.last_payload` when the backend
+    is constructed with ``measure_payload=True``; measuring re-pickles every
     submission, so it is meant for benchmarks, not production runs.
 
-    ``task_bytes`` counts the per-submission payloads.  For the multiprocess
-    backend every batch chunk re-pickles the work function -- hence the whole
-    campaign context it closes over -- alongside its items; for the
-    shared-memory backend submissions carry the bare items only.
-    ``context_bytes`` counts what ships up front instead of per submission:
-    the one-time shared segment for the shm backend, and the
-    once-per-worker initializer pickling of the function for the
-    multiprocess backend's stream mode (zero in its batch mode, where the
-    function rides inside every ``task_bytes`` submission).
+    ``task_bytes`` counts the per-submission payloads (the bare work items);
+    ``context_bytes`` counts the one-time shared segment holding the work
+    function and the campaign context it closes over.
     """
 
     n_items: int = 0
@@ -162,21 +139,14 @@ class PayloadReport:
 
 
 # Per-process slot for the pool work function, installed once per worker by
-# the pool initializer so submissions only pickle the (small) items instead
-# of re-shipping the function + campaign context every time.  The
-# multiprocess backend ships the function through the initializer arguments
-# (pickled once per worker process); the shared-memory backend ships only a
-# segment name and the initializer rehydrates the function from the segment.
+# the pool initializer from the shared segment, so submissions only pickle
+# the (small) items instead of re-shipping the function + campaign context.
 _WORKER_FN: Optional[WorkFn] = None
 
 
-def _install_fn(fn: WorkFn) -> None:
-    global _WORKER_FN
-    _WORKER_FN = fn
-
-
 def _install_shared_fn(segment_name: str) -> None:
-    _install_fn(_SharedObject.load(segment_name))
+    global _WORKER_FN
+    _WORKER_FN = _SharedObject.load(segment_name)
 
 
 def _run_installed_item(item: WorkItem) -> Tuple[bool, Any]:
@@ -184,10 +154,6 @@ def _run_installed_item(item: WorkItem) -> Tuple[bool, Any]:
         return True, _WORKER_FN(item)
     except Exception as exc:
         return False, exc
-
-
-def _run_installed_chunk(chunk: List[WorkItem]) -> List[Any]:
-    return _run_chunk(_WORKER_FN, chunk)
 
 
 # Live shared-memory segments owned by this process, so an asynchronous
@@ -316,24 +282,29 @@ class _SharedObject:
 class _PoolWorkStream(WorkStream):
     """Stream over a :class:`ProcessPoolExecutor`, one future per item.
 
-    The work function reaches the workers through the pool initializer
-    (``pool_kwargs``); submissions pickle only the item and invoke
-    ``run_item``, which resolves the per-process function slot.  ``on_close``
-    releases whatever shipped the function (e.g. the shared-memory segment).
+    The work function reaches the workers through a shared segment that the
+    pool initializer rehydrates; submissions pickle only the item.  Closing
+    the stream shuts the pool down and unlinks the segment.
     """
 
-    def __init__(self, max_workers: int, pool_kwargs: Dict[str, Any],
-                 run_item: Callable[[WorkItem], Tuple[bool, Any]],
+    def __init__(self, fn: WorkFn, max_workers: int,
                  report: Optional[PayloadReport] = None,
-                 on_close: Optional[Callable[[], None]] = None,
                  mp_context: Any = None) -> None:
         from concurrent.futures import ProcessPoolExecutor
-        self._pool = ProcessPoolExecutor(max_workers=max_workers,
-                                         mp_context=mp_context,
-                                         **pool_kwargs)
-        self._run_item = run_item
+        self._segment = _SharedObject(fn)
+        if report is not None:
+            report.context_bytes = self._segment.nbytes
+        try:
+            self._pool = ProcessPoolExecutor(
+                max_workers=max_workers, mp_context=mp_context,
+                initializer=_install_shared_fn,
+                initargs=(self._segment.name,))
+        except BaseException:
+            # Pool construction failed; nobody will ever call close(), so
+            # the segment must be unlinked here or it outlives the engine.
+            self._segment.destroy()
+            raise
         self._report = report
-        self._on_close = on_close
         self._items: dict = {}
         self._pending: set = set()
         self._ready: deque = deque()
@@ -343,7 +314,7 @@ class _PoolWorkStream(WorkStream):
             self._report.n_items += 1
             self._report.task_bytes += len(
                 pickle.dumps(item, protocol=_PICKLE_PROTOCOL))
-        future = self._pool.submit(self._run_item, item)
+        future = self._pool.submit(_run_installed_item, item)
         self._items[future] = item
         self._pending.add(future)
 
@@ -383,7 +354,7 @@ class _PoolWorkStream(WorkStream):
                 # A consumer-side interrupt (e.g. a KeyboardInterrupt
                 # delivered while the pool drains, or a second Ctrl-C during
                 # the graceful shutdown above) must not leave the pool -- or
-                # the shared segment released by on_close below -- behind:
+                # the shared segment unlinked below -- behind:
                 # give up on the workers without blocking and re-raise.
                 # cancel_futures only exists on Python >= 3.9; the explicit
                 # cancel loop above already covered the pending futures.
@@ -394,14 +365,13 @@ class _PoolWorkStream(WorkStream):
                 raise
         finally:
             # Covers every exit path, including consumer-side interrupts:
-            # whatever shipped the work function (e.g. the /dev/shm segment
-            # of the shared-memory backend) is unlinked exactly once.
-            if self._on_close is not None:
-                self._on_close()
+            # the /dev/shm segment is unlinked exactly once (destroy is
+            # idempotent), after the pool no longer reads it.
+            self._segment.destroy()
 
 
 class ExecutionBackend(ABC):
-    """Maps a function over work items, in batch or incremental mode."""
+    """Runs a function over work items submitted through a stream."""
 
     #: Short name used in reports.
     name: str = "backend"
@@ -410,22 +380,8 @@ class ExecutionBackend(ABC):
     workers: int = 1
 
     @abstractmethod
-    def map_items(self, fn: WorkFn, items: Sequence[WorkItem],
-                  on_result: ResultCallback = None) -> List[Any]:
-        """Apply ``fn`` to every item; results returned in item order.
-
-        ``on_result`` is invoked in the calling process once per completed
-        item, in completion order (== submission order for the serial
-        backend).
-        """
-
     def stream(self, fn: WorkFn) -> WorkStream:
-        """Open an incremental :class:`WorkStream` executing ``fn``.
-
-        The default runs items in the calling process (correct for any
-        backend); pool backends override it to fan submissions out.
-        """
-        return _SerialWorkStream(fn)
+        """Open an incremental :class:`WorkStream` executing ``fn``."""
 
 
 class SerialBackend(ExecutionBackend):
@@ -434,98 +390,28 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
     workers = 1
 
-    def map_items(self, fn: WorkFn, items: Sequence[WorkItem],
-                  on_result: ResultCallback = None) -> List[Any]:
-        results = []
-        for item in items:
-            outcome = fn(item)
-            if on_result is not None:
-                on_result(outcome)
-            results.append(outcome)
-        return results
+    def stream(self, fn: WorkFn) -> WorkStream:
+        return _SerialWorkStream(fn)
 
 
-def _run_chunk(fn: WorkFn, chunk: List[WorkItem]) -> List[Any]:
-    """Executed inside a pool worker: run one shard of items.
+class SharedMemoryBackend(ExecutionBackend):
+    """The process-pool backend, with the campaign context shared, not shipped.
 
-    Each item is reported as an ``(ok, value)`` pair rather than letting the
-    first failure abort the shard, so items completed before a failing
-    chunk-mate still reach the parent (and e.g. its result cache).
-    """
-    outcomes = []
-    for item in chunk:
-        try:
-            outcomes.append((True, fn(item)))
-        except Exception as exc:
-            outcomes.append((False, exc))
-    return outcomes
-
-
-class _FnShipment:
-    """Batch-mode shipping strategy of :class:`MultiprocessBackend`.
-
-    The work function travels inside every chunk submission, so each shard
-    re-pickles it (and the campaign context it closes over) through the
-    pool's pipe.
-    """
-
-    pool_kwargs: Dict[str, Any] = {}
-
-    def __init__(self, fn: WorkFn,
-                 report: Optional[PayloadReport] = None) -> None:
-        self._fn = fn
-        self._report = report
-
-    def submit(self, pool: Any, chunk: List[WorkItem]) -> Any:
-        if self._report is not None:
-            self._report.n_items += len(chunk)
-            self._report.task_bytes += len(
-                pickle.dumps((self._fn, chunk), protocol=_PICKLE_PROTOCOL))
-        return pool.submit(_run_chunk, self._fn, chunk)
-
-    def close(self) -> None:
-        pass
-
-
-class _SharedShipment:
-    """Batch-mode shipping strategy of :class:`SharedMemoryBackend`.
-
-    The work function is pickled once into a shared-memory segment; the pool
-    initializer rehydrates it per worker, and chunk submissions carry only
-    the items.
-    """
-
-    def __init__(self, fn: WorkFn,
-                 report: Optional[PayloadReport] = None) -> None:
-        self._segment = _SharedObject(fn)
-        self.pool_kwargs = {"initializer": _install_shared_fn,
-                            "initargs": (self._segment.name,)}
-        self._report = report
-        if report is not None:
-            report.context_bytes = self._segment.nbytes
-
-    def submit(self, pool: Any, chunk: List[WorkItem]) -> Any:
-        if self._report is not None:
-            self._report.n_items += len(chunk)
-            self._report.task_bytes += len(
-                pickle.dumps(chunk, protocol=_PICKLE_PROTOCOL))
-        return pool.submit(_run_installed_chunk, chunk)
-
-    def close(self) -> None:
-        self._segment.destroy()
-
-
-class MultiprocessBackend(ExecutionBackend):
-    """Chunked fan-out over a :class:`ProcessPoolExecutor`.
+    Each :meth:`stream` starts a :class:`ProcessPoolExecutor`.  The work
+    function -- together with the campaign context it closes over (the
+    behavioral ADC spec, calibration windows, defect universe, ...) -- is
+    pickled **once** into a ``multiprocessing.shared_memory`` segment, and
+    every worker rehydrates it read-only in its pool initializer.
+    Submissions then carry only the bare work items.  The segment is
+    unlinked when the stream closes, so no ``/dev/shm`` entries outlive the
+    engine.  Results are bit-identical to the serial backend under the same
+    seed: the transport never touches seeding or completion-order
+    bookkeeping.
 
     Parameters
     ----------
     max_workers:
         Pool size; defaults to ``os.cpu_count()``.
-    chunk_size:
-        Items per shard.  Defaults to ``ceil(n / (4 * workers))`` so each
-        worker receives ~4 shards -- large enough to amortise the per-shard
-        pickling of the worker context, small enough to balance load.
     measure_payload:
         When True, every run records the bytes shipped to the pool on
         :attr:`last_payload` (a :class:`PayloadReport`).  Measuring
@@ -534,23 +420,17 @@ class MultiprocessBackend(ExecutionBackend):
         Worker start method: ``"fork"``, ``"spawn"`` or ``"forkserver"``
         (whatever :func:`multiprocessing.get_all_start_methods` offers on
         this platform).  ``None`` (the default) keeps the interpreter's
-        default start method -- the historical behaviour.  ``"forkserver"``
-        amortises worker startup across pools on platforms where ``fork``
-        is unsafe; results are identical under any start method because
-        every task carries its own seed material.
+        default start method.  Results are identical under any start method
+        because every task carries its own seed material.
     """
 
-    name = "multiprocess"
+    name = "shm"
 
     def __init__(self, max_workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
                  measure_payload: bool = False,
                  mp_context: Optional[str] = None) -> None:
-        import os
         if max_workers is not None and max_workers <= 0:
             raise EngineError(f"max_workers must be positive, got {max_workers}")
-        if chunk_size is not None and chunk_size <= 0:
-            raise EngineError(f"chunk_size must be positive, got {chunk_size}")
         if mp_context is not None:
             import multiprocessing
             valid = multiprocessing.get_all_start_methods()
@@ -559,7 +439,6 @@ class MultiprocessBackend(ExecutionBackend):
                     f"mp_context must be one of {sorted(valid)} on this "
                     f"platform, got {mp_context!r}")
         self.workers = max_workers or (os.cpu_count() or 1)
-        self.chunk_size = chunk_size
         self.measure_payload = measure_payload
         self.mp_context = mp_context
         #: Payload measurement of the most recent run (None unless
@@ -573,144 +452,7 @@ class MultiprocessBackend(ExecutionBackend):
         import multiprocessing
         return multiprocessing.get_context(self.mp_context)
 
-    def _chunks(self, items: Sequence[WorkItem]) -> List[List[WorkItem]]:
-        size = self.chunk_size or max(
-            1, math.ceil(len(items) / (4 * self.workers)))
-        return [list(items[i:i + size]) for i in range(0, len(items), size)]
-
-    def _new_report(self) -> Optional[PayloadReport]:
+    def stream(self, fn: WorkFn) -> WorkStream:
         self.last_payload = PayloadReport() if self.measure_payload else None
-        return self.last_payload
-
-    # ------------------------------------------------------ shipping strategy
-    def _shipment(self, fn: WorkFn) -> Any:
-        """Batch-mode shipping strategy; overridden by the shm backend."""
-        return _FnShipment(fn, self._new_report())
-
-    def stream(self, fn: WorkFn) -> WorkStream:
-        report = self._new_report()
-        if report is not None:
-            # The initializer arguments re-pickle the function (and its
-            # captured campaign context) once per worker process.
-            report.context_bytes = self.workers * len(
-                pickle.dumps(fn, protocol=_PICKLE_PROTOCOL))
-        return _PoolWorkStream(self.workers,
-                               {"initializer": _install_fn, "initargs": (fn,)},
-                               _run_installed_item,
-                               report=report,
+        return _PoolWorkStream(fn, self.workers, report=self.last_payload,
                                mp_context=self._pool_context())
-
-    def map_items(self, fn: WorkFn, items: Sequence[WorkItem],
-                  on_result: ResultCallback = None) -> List[Any]:
-        if not items:
-            return []
-        # Lazy import: keeps the serial path free of multiprocessing plumbing.
-        from concurrent.futures import (CancelledError, FIRST_COMPLETED,
-                                        ProcessPoolExecutor, wait)
-        from concurrent.futures.process import BrokenProcessPool
-
-        chunks = self._chunks(items)
-        ordered: List[Any] = [None] * len(items)
-        offsets = {}
-        start = 0
-        shipment = self._shipment(fn)
-        try:
-            with ProcessPoolExecutor(max_workers=self.workers,
-                                     mp_context=self._pool_context(),
-                                     **shipment.pool_kwargs) as pool:
-                pending = set()
-                for chunk in chunks:
-                    future = shipment.submit(pool, chunk)
-                    offsets[future] = (start, len(chunk))
-                    pending.add(future)
-                    start += len(chunk)
-                try:
-                    failure: Optional[BaseException] = None
-                    while pending:
-                        done, pending = wait(pending,
-                                             return_when=FIRST_COMPLETED)
-                        for future in done:
-                            offset, _ = offsets[future]
-                            try:
-                                outcomes = future.result()
-                            except CancelledError:
-                                continue
-                            except Exception as exc:
-                                if failure is None:
-                                    failure = exc
-                                continue
-                            for position, (ok, value) in enumerate(outcomes):
-                                if not ok:
-                                    if failure is None:
-                                        failure = value
-                                    continue
-                                ordered[offset + position] = value
-                                if on_result is not None:
-                                    on_result(value)
-                        if failure is not None and pending:
-                            # Stop chunks that have not started, but keep
-                            # draining the ones already running: their
-                            # completed work must still reach on_result
-                            # (which e.g. persists results to the cache)
-                            # before the failure propagates.
-                            pending = {f for f in pending if not f.cancel()}
-                    if failure is not None:
-                        raise failure
-                except BrokenProcessPool as exc:
-                    raise EngineError(
-                        "a campaign worker process died unexpectedly "
-                        "(crashed or was killed); rerun serially to locate "
-                        "the failing task") from exc
-                finally:
-                    for future in pending:
-                        future.cancel()
-        finally:
-            # After the pool has fully shut down (the `with` exit waits), so
-            # no worker can still be attached to a shared segment.
-            shipment.close()
-        return ordered
-
-
-class SharedMemoryBackend(MultiprocessBackend):
-    """Multiprocess execution with the campaign context shared, not shipped.
-
-    Identical scheduling, chunking and failure semantics to
-    :class:`MultiprocessBackend`; only the transport differs.  The work
-    function -- together with the campaign context it closes over (the
-    behavioral ADC spec, calibration windows, defect universe, ...) -- is
-    pickled **once** into a ``multiprocessing.shared_memory`` segment when
-    the pool starts, and every worker rehydrates it read-only in its pool
-    initializer.  Submissions then carry only the bare work items (task id,
-    seed material, small spec dict), so per-task payload bytes shrink by the
-    size of the context times the number of shards.
-
-    The owning process unlinks the segment when the run finishes (batch
-    mode) or the stream is closed, so no ``/dev/shm`` entries outlive the
-    engine.  Results are bit-identical to the serial and multiprocess
-    backends under the same seed: the transport never touches seeding or
-    completion-order bookkeeping.
-    """
-
-    name = "shm"
-
-    def _shipment(self, fn: WorkFn) -> Any:
-        return _SharedShipment(fn, self._new_report())
-
-    def stream(self, fn: WorkFn) -> WorkStream:
-        report = self._new_report()
-        segment = _SharedObject(fn)
-        if report is not None:
-            report.context_bytes = segment.nbytes
-        try:
-            return _PoolWorkStream(self.workers,
-                                   {"initializer": _install_shared_fn,
-                                    "initargs": (segment.name,)},
-                                   _run_installed_item,
-                                   report=report,
-                                   on_close=segment.destroy,
-                                   mp_context=self._pool_context())
-        except BaseException:
-            # Pool construction failed; nobody will ever call close(), so
-            # the segment must be unlinked here or it outlives the engine.
-            segment.destroy()
-            raise

@@ -33,12 +33,12 @@ up to date as runs finish).
 Every campaign-shaped subcommand emits the same per-block JSON schema, with
 the single engine report of the run under the top-level ``engine`` key.
 
-``--workers 1`` (the default) executes serially; any higher count shards the
-work across a process pool with byte-identical results.  ``--backend shm``
-ships the campaign context (the behavioral ADC, windows, universe) to the
-workers once through a shared-memory segment instead of re-pickling it per
-task shard; ``--mp-context`` picks the worker start method (fork, spawn or
-forkserver).  ``--cache-dir`` makes repeated runs near-free: every
+``--workers 1`` (the default) executes serially; any higher count runs the
+work on the process pool (``--backend shm``, alias ``multiprocess``) with
+byte-identical results.  The pool ships the campaign context (the
+behavioral ADC, windows, universe) to the workers once through a
+shared-memory segment; ``--mp-context`` picks the worker start method (fork,
+spawn or forkserver).  ``--cache-dir`` makes repeated runs near-free: every
 per-defect record and per-sample residual set is stored as a
 content-addressed JSON artifact, optionally bounded by
 ``--cache-max-bytes`` / ``--cache-max-age`` LRU eviction.
@@ -81,15 +81,13 @@ def _positive_int(value: str) -> int:
 
 
 def _build_backend(args: argparse.Namespace):
-    from . import MultiprocessBackend, SerialBackend, SharedMemoryBackend
+    from . import SerialBackend, SharedMemoryBackend
     choice = getattr(args, "backend", None)
-    if choice is None:
-        choice = "serial" if args.workers <= 1 else "multiprocess"
-    if choice == "serial":
+    if choice == "serial" or (choice is None and args.workers <= 1):
         return SerialBackend()
-    cls = SharedMemoryBackend if choice == "shm" else MultiprocessBackend
-    return cls(max_workers=max(args.workers, 1),
-               mp_context=getattr(args, "mp_context", None))
+    # "shm" and its alias "multiprocess" name the one process-pool backend.
+    return SharedMemoryBackend(max_workers=max(args.workers, 1),
+                               mp_context=getattr(args, "mp_context", None))
 
 
 def _build_cache(args: argparse.Namespace, namespace: str):
@@ -115,11 +113,12 @@ def _add_engine_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--backend", choices=("serial", "multiprocess", "shm"),
                         default=None,
                         help="execution backend (default: serial when "
-                             "--workers 1, multiprocess otherwise; shm ships "
-                             "the campaign context once via shared memory)")
+                             "--workers 1, shm otherwise); shm is the process "
+                             "pool, which ships the campaign context once via "
+                             "shared memory, and multiprocess is its alias")
     parser.add_argument("--mp-context",
                         choices=("fork", "spawn", "forkserver"), default=None,
-                        help="worker start method of the pool backends "
+                        help="worker start method of the pool backend "
                              "(default: the platform default)")
     parser.add_argument("--cache-dir", default=None,
                         help="directory of the content-addressed result "
@@ -670,7 +669,7 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     console.info(format_summary(summary))
     _emit(args, {
         "backend": summary.backend, "workers": summary.workers,
-        "mode": summary.mode, "wall_time": summary.wall_time,
+        "wall_time": summary.wall_time,
         **summary.counts,
         "n_items": summary.n_items,
         "phase_seconds": summary.phase_seconds,

@@ -24,10 +24,10 @@ campaign`` with that seed), one :class:`~repro.engine.CampaignReport` spans
 all stages, and a warm :class:`~repro.engine.ResultCache` short-circuits
 completed parents so their children dispatch immediately.
 
-Stage workers follow the dependency-graph worker contract
+Stage workers follow the engine's worker contract
 ``worker(stage_context, task, rng, inputs)`` (see
 :meth:`repro.engine.CampaignEngine.run`); they must be module-level
-callables, and stage contexts picklable, for multiprocess execution.
+callables, and stage contexts picklable, for pool execution.
 
 The built-in study graphs (:func:`calibrate_then_campaign`,
 :func:`block_study`, :func:`yield_loss_study`) are compiled from declarative
@@ -75,7 +75,7 @@ class PipelineStage:
         Module-level callable executing the stage's tasks, signature
         ``worker(context, task, rng, inputs)``.
     context:
-        Stage-private worker context (picklable for multiprocess backends).
+        Stage-private worker context (picklable for the pool backend).
     codec:
         :class:`~repro.engine.ResultCodec` converting the stage's results
         to/from the JSON stored by the result cache.
@@ -89,11 +89,10 @@ class PipelineStage:
 
 def _dispatch_worker(context: Mapping[str, Any], task: Task,
                      rng: np.random.Generator,
-                     inputs: Optional[Mapping[str, Any]] = None) -> Any:
+                     inputs: Mapping[str, Any]) -> Any:
     """Engine worker of every pipeline: route the task to its stage worker."""
     worker, stage_context = context["stages"][context["stage_of"][task.task_id]]
-    return worker(stage_context, task, rng,
-                  inputs if inputs is not None else {})
+    return worker(stage_context, task, rng, inputs)
 
 
 @dataclass
@@ -148,7 +147,7 @@ class Pipeline:
             pipeline.add_task("produce", Task(task_id=f"p/{i}", payload=i))
         pipeline.add_task("reduce", Task(
             task_id="total", depends_on=tuple(f"p/{i}" for i in range(10))))
-        result = pipeline.run(backend=MultiprocessBackend(max_workers=4))
+        result = pipeline.run(backend=SharedMemoryBackend(max_workers=4))
         total = result.result_for("total")
     """
 
@@ -247,7 +246,7 @@ def _calibration_stage_worker(context: Mapping[str, Any], task: Task,
                               inputs: Mapping[str, Any]) -> Any:
     """One defect-free Monte Carlo instance (root task, ignores inputs)."""
     from ..core.calibration import _residual_worker
-    return _residual_worker(context, task, rng)
+    return _residual_worker(context, task, rng, inputs)
 
 
 def _pool_residuals(names: Sequence[str], task: Task,

@@ -71,7 +71,6 @@ class TraceSummary:
 
     backend: Optional[str] = None
     workers: Optional[int] = None
-    mode: Optional[str] = None
     n_tasks: int = 0
     n_executed: int = 0
     n_cache_hits: int = 0
@@ -124,7 +123,6 @@ def summarize_trace(events: Sequence[TelemetryEvent]) -> TraceSummary:
         if event.type == "run_started":
             summary.backend = event.data.get("backend")
             summary.workers = event.data.get("workers")
-            summary.mode = event.data.get("mode")
             summary.n_tasks = event.data.get("n_tasks", 0)
             first_t = min(first_t, event.t)
             for stage, total in event.data.get("stages", {}).items():
@@ -251,7 +249,7 @@ def format_summary(summary: TraceSummary) -> str:
     """Human-readable rendering of a :class:`TraceSummary`."""
     lines = [
         f"run: {summary.n_tasks} tasks via {summary.backend or '?'} "
-        f"({summary.workers or '?'} workers, {summary.mode or '?'} mode), "
+        f"({summary.workers or '?'} workers), "
         f"{summary.wall_time:.2f}s wall",
         f"counts: {summary.n_executed} executed, "
         f"{summary.n_cache_hits} cached, {summary.n_failed} failed, "

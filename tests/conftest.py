@@ -7,6 +7,8 @@ the suite is deterministic.
 
 from __future__ import annotations
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,16 @@ def rng() -> np.random.Generator:
 def adc() -> SarAdc:
     """A fresh, defect-free, nominal-corner ADC instance."""
     return SarAdc()
+
+
+@pytest.fixture(scope="session")
+def cli_backend():
+    """Factory for the backend ``repro-campaign --backend NAME --workers 2``
+    runs on: ``serial``, or the process pool under either of its names
+    (``shm`` and its alias ``multiprocess``)."""
+    from repro.engine.cli import _build_backend
+    return lambda name: _build_backend(
+        argparse.Namespace(backend=name, workers=2))
 
 
 @pytest.fixture(scope="session")

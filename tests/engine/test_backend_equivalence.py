@@ -1,4 +1,4 @@
-"""Randomized serial x multiprocess x shm equivalence suite.
+"""Randomized serial x process-pool x socket equivalence suite.
 
 The engine's core guarantee is that the execution backend is invisible in
 the results: whatever shards the work, the windows, detections, coverage and
@@ -7,8 +7,9 @@ pinning a handful of hand-picked workloads, this suite draws ~20 randomized
 campaign specs from one seeded generator (so every run of the suite sees the
 same cases) spanning the five drivers -- defect campaigns, window
 calibration, the yield-loss sweep, the calibrate->campaign graph and the
-per-block study graph -- and checks each pool backend against a memoized
-serial baseline.
+per-block study graph -- and checks the process pool, under both of its CLI
+names (``shm`` and its alias ``multiprocess``), against a memoized serial
+baseline.
 """
 
 import numpy as np
@@ -19,9 +20,7 @@ from repro.analysis import yield_loss_sweep
 from repro.core import collect_defect_free_residuals
 from repro.core.calibration import windows_from_pools
 from repro.defects import DefectCampaign, SamplingPlan
-from repro.engine import (MultiprocessBackend, SerialBackend,
-                          SharedMemoryBackend, block_study,
-                          calibrate_then_campaign)
+from repro.engine import SerialBackend, block_study, calibrate_then_campaign
 
 #: Entropy of the case generator: fixed so the ~20 cases are stable across
 #: runs (reproducible failures) while still randomly covering the spec space.
@@ -142,12 +141,12 @@ def _run_case(case, backend, deltas, calibration, batch_size=1):
 
 @pytest.mark.parametrize("backend_name", ["multiprocess", "shm"])
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
-def test_pool_backend_matches_serial(case, backend_name, deltas, calibration):
+def test_pool_backend_matches_serial(case, backend_name, deltas, calibration,
+                                    cli_backend):
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
             case, SerialBackend(), deltas, calibration)
-    backend = {"multiprocess": MultiprocessBackend,
-               "shm": SharedMemoryBackend}[backend_name](max_workers=2)
+    backend = cli_backend(backend_name)
     assert _run_case(case, backend, deltas, calibration) == \
         _SERIAL_BASELINE[case["id"]]
 
@@ -178,16 +177,13 @@ def _strip_counts(signature):
 @pytest.mark.parametrize("case", BATCH_CASES,
                          ids=[c["id"] for c in BATCH_CASES])
 def test_batched_run_matches_unbatched_serial(case, batch_size, backend_name,
-                                              deltas, calibration):
+                                              deltas, calibration,
+                                              cli_backend):
     """Campaign results are bit-identical for every (batch size, backend)."""
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
             case, SerialBackend(), deltas, calibration)
-    if backend_name == "serial":
-        backend = SerialBackend()
-    else:
-        backend = {"multiprocess": MultiprocessBackend,
-                   "shm": SharedMemoryBackend}[backend_name](max_workers=2)
+    backend = cli_backend(backend_name)
     batched = _run_case(case, backend, deltas, calibration,
                         batch_size=batch_size)
     assert _strip_counts(batched) == \

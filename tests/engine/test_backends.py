@@ -4,26 +4,26 @@ import numpy as np
 import pytest
 
 from repro.circuit import EngineError, TaskExecutionError
-from repro.engine import (CampaignEngine, MultiprocessBackend, ResultCache,
-                          ResultCodec, SerialBackend, Task, TaskGraph)
+from repro.engine import (CampaignEngine, ResultCache, ResultCodec,
+                          SerialBackend, SharedMemoryBackend, Task, TaskGraph)
 
 
-# Module-level workers so the multiprocess backend can pickle them.
-def square_worker(context, task, rng):
+# Module-level workers so the pool backend can pickle them.
+def square_worker(context, task, rng, inputs):
     return task.payload ** 2
 
 
-def draw_worker(context, task, rng):
+def draw_worker(context, task, rng, inputs):
     return float(rng.normal())
 
 
-def failing_worker(context, task, rng):
+def failing_worker(context, task, rng, inputs):
     if task.payload == 3:
         raise ValueError("boom on task 3")
     return task.payload
 
 
-def context_worker(context, task, rng):
+def context_worker(context, task, rng, inputs):
     return context["offset"] + task.payload
 
 
@@ -72,24 +72,26 @@ class TestSerialBackend:
 
 
 class TestMultiprocessBackend:
+    """The process-pool backend (``--backend shm``, alias ``multiprocess``)."""
+
     def test_matches_serial_results(self):
         serial = CampaignEngine(backend=SerialBackend()).run(
             tasks_of(10), square_worker)
         parallel = CampaignEngine(
-            backend=MultiprocessBackend(max_workers=3)).run(
+            backend=SharedMemoryBackend(max_workers=3)).run(
             tasks_of(10), square_worker)
         assert parallel.results == serial.results
-        assert parallel.report.backend == "multiprocess"
+        assert parallel.report.backend == "shm"
         assert parallel.report.workers == 3
 
     def test_seeded_draws_independent_of_worker_count(self):
         serial = CampaignEngine(seed=42).run(tasks_of(8), draw_worker)
         two = CampaignEngine(
-            seed=42, backend=MultiprocessBackend(max_workers=2)).run(
+            seed=42, backend=SharedMemoryBackend(max_workers=2)).run(
             tasks_of(8), draw_worker)
         four = CampaignEngine(
             seed=42,
-            backend=MultiprocessBackend(max_workers=4, chunk_size=1)).run(
+            backend=SharedMemoryBackend(max_workers=4)).run(
             tasks_of(8), draw_worker)
         assert two.results == serial.results
         assert four.results == serial.results
@@ -118,20 +120,12 @@ class TestMultiprocessBackend:
 
     def test_worker_error_propagates_across_pool(self):
         with pytest.raises(TaskExecutionError, match="t3"):
-            CampaignEngine(backend=MultiprocessBackend(max_workers=2)).run(
+            CampaignEngine(backend=SharedMemoryBackend(max_workers=2)).run(
                 tasks_of(5), failing_worker)
-
-    def test_chunking_covers_all_items(self):
-        backend = MultiprocessBackend(max_workers=2, chunk_size=3)
-        chunks = backend._chunks(list(range(8)))
-        assert [len(c) for c in chunks] == [3, 3, 2]
-        assert [x for chunk in chunks for x in chunk] == list(range(8))
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(EngineError):
-            MultiprocessBackend(max_workers=0)
-        with pytest.raises(EngineError):
-            MultiprocessBackend(chunk_size=0)
+            SharedMemoryBackend(max_workers=0)
 
 
 class TestEngineCaching:
@@ -190,26 +184,6 @@ class TestEngineCaching:
                                                codec=codec)
         assert cold.results == warm.results == [9]
 
-    def test_multiprocess_drains_completed_chunks_on_failure(self, tmp_path):
-        """Chunks that finished before (or alongside) a failure must still
-        reach the cache; only unstarted chunks are abandoned."""
-        cache = ResultCache(str(tmp_path), namespace="test")
-        graph = TaskGraph([Task(task_id=f"t{i}", payload=i,
-                                spec={"op": "fail-at-3", "i": i},
-                                deterministic=True)
-                           for i in range(6)])
-        backend = MultiprocessBackend(max_workers=1, chunk_size=2)
-        with pytest.raises(TaskExecutionError, match="t3"):
-            CampaignEngine(cache=cache, backend=backend).run(
-                graph, failing_worker)
-        # Chunk [t0, t1] completed, and t2 finished before its chunk-mate t3
-        # raised: at least those three artifacts must be on disk.  Chunk
-        # [t4, t5] may contribute two more if the worker picked it up before
-        # the parent's best-effort cancellation; only t3 itself is never
-        # stored.
-        assert len(cache) >= 3
-        assert len(cache) <= 5
-
     def test_completed_results_cached_despite_later_failure(self, tmp_path):
         cache = ResultCache(str(tmp_path), namespace="test")
         graph = TaskGraph([Task(task_id=f"t{i}", payload=i,
@@ -255,13 +229,13 @@ class TestMpContext:
 
     def test_invalid_context_rejected_with_valid_names(self):
         with pytest.raises(EngineError) as excinfo:
-            MultiprocessBackend(max_workers=2, mp_context="threads")
+            SharedMemoryBackend(max_workers=2, mp_context="threads")
         message = str(excinfo.value)
         assert "threads" in message
         assert "spawn" in message  # every platform offers spawn
 
     def test_default_context_is_platform_default(self):
-        backend = MultiprocessBackend(max_workers=2)
+        backend = SharedMemoryBackend(max_workers=2)
         assert backend.mp_context is None
         assert backend._pool_context() is None
 
@@ -274,13 +248,13 @@ class TestMpContext:
         serial = CampaignEngine(backend=SerialBackend(), seed=11).run(
             graph, draw_worker)
         spawned = CampaignEngine(
-            backend=MultiprocessBackend(max_workers=2, mp_context="spawn"),
+            backend=SharedMemoryBackend(max_workers=2, mp_context="spawn"),
             seed=11).run(graph, draw_worker)
         assert spawned.results == serial.results
-        assert spawned.report.backend == "multiprocess"
+        assert spawned.report.backend == "shm"
 
     def test_forkserver_stream_mode_matches_serial(self):
-        """The dependency-graph (stream) path honours mp_context too."""
+        """A dependency graph on a forkserver pool matches serial too."""
         import multiprocessing
         if "forkserver" not in multiprocessing.get_all_start_methods():
             pytest.skip("forkserver start method unavailable")
@@ -292,7 +266,7 @@ class TestMpContext:
         serial = CampaignEngine(backend=SerialBackend(), seed=3).run(
             graph, _graph_draw_worker)
         pooled = CampaignEngine(
-            backend=MultiprocessBackend(max_workers=2,
+            backend=SharedMemoryBackend(max_workers=2,
                                         mp_context="forkserver"),
             seed=3).run(graph, _graph_draw_worker)
         assert pooled.results == serial.results

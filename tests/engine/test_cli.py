@@ -64,7 +64,7 @@ class TestParser:
         assert _build_backend(
             build_parser().parse_args(["campaign"])).name == "serial"
         assert _build_backend(build_parser().parse_args(
-            ["campaign", "--workers", "2"])).name == "multiprocess"
+            ["campaign", "--workers", "2"])).name == "shm"
         shm = _build_backend(build_parser().parse_args(
             ["campaign", "--workers", "2", "--backend", "shm"]))
         assert shm.name == "shm"
@@ -72,6 +72,10 @@ class TestParser:
         # an explicit pool backend with --workers 1 still runs a 1-wide pool
         assert _build_backend(build_parser().parse_args(
             ["campaign", "--backend", "shm"])).name == "shm"
+        # "multiprocess" is an alias of the one pool backend
+        alias = _build_backend(build_parser().parse_args(
+            ["campaign", "--workers", "3", "--backend", "multiprocess"]))
+        assert (alias.name, alias.workers) == ("shm", 3)
 
     def test_yield_study_defaults(self):
         args = build_parser().parse_args(["yield-study"])

@@ -36,8 +36,7 @@ TINY_STUDY = {
 
 # ======================================================= engine cancel probe
 
-def _payload_worker(context, task, rng, inputs=None):
-    # graph runs pass parent results as `inputs`; flat runs pass nothing
+def _payload_worker(context, task, rng, inputs):
     if not inputs:
         return task.payload
     return max(inputs.values()) + 1
@@ -276,6 +275,11 @@ class TestWorkerCommand:
                 daemon=True)
             thread.start()
             triple = functools.partial(operator.mul, 3)
-            assert backend.map_items(triple, [1, 2, 3, 4]) == [3, 6, 9, 12]
+            with backend.stream(triple) as stream:
+                for item in (1, 2, 3, 4):
+                    stream.submit(item)
+                outcomes = [stream.next_outcome() for _ in range(4)]
+            assert sorted(outcomes) == [(1, True, 3), (2, True, 6),
+                                        (3, True, 9), (4, True, 12)]
             thread.join(timeout=30.0)
             assert not thread.is_alive()

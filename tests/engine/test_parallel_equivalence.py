@@ -13,7 +13,7 @@ from repro.adc import SarAdc
 from repro.analysis import MonteCarloRunner, yield_loss_sweep
 from repro.core import calibrate_windows, collect_defect_free_residuals
 from repro.defects import DefectCampaign, SamplingPlan
-from repro.engine import MultiprocessBackend, ResultCache, SerialBackend
+from repro.engine import ResultCache, SerialBackend, SharedMemoryBackend
 
 
 def record_key(result):
@@ -45,7 +45,7 @@ class TestCampaignEquivalence:
                               blocks=["vcm_generator"])
         parallel = campaign.run(SamplingPlan(exhaustive=True),
                                 blocks=["vcm_generator"],
-                                backend=MultiprocessBackend(max_workers=2))
+                                backend=SharedMemoryBackend(max_workers=2))
         assert record_key(parallel) == record_key(serial)
 
     def test_lwrs_campaign_100_defects_4_workers_identical(self, campaign):
@@ -53,7 +53,7 @@ class TestCampaignEquivalence:
         plan = SamplingPlan(exhaustive=False, n_samples=100)
         serial = campaign.run(plan, rng=np.random.default_rng(11))
         parallel = campaign.run(plan, rng=np.random.default_rng(11),
-                                backend=MultiprocessBackend(max_workers=4))
+                                backend=SharedMemoryBackend(max_workers=4))
         assert serial.n_simulated == 100
         assert record_key(parallel) == record_key(serial)
         assert parallel.overall_report().coverage.value == \
@@ -149,7 +149,7 @@ class TestCalibrationEquivalence:
             n_monte_carlo=6, rng=np.random.default_rng(5))
         parallel = collect_defect_free_residuals(
             n_monte_carlo=6, rng=np.random.default_rng(5),
-            backend=MultiprocessBackend(max_workers=3))
+            backend=SharedMemoryBackend(max_workers=3))
         assert serial == parallel
 
     def test_calibration_identical_across_backends(self):
@@ -157,7 +157,7 @@ class TestCalibrationEquivalence:
                                    rng=np.random.default_rng(3))
         parallel = calibrate_windows(n_monte_carlo=5,
                                      rng=np.random.default_rng(3),
-                                     backend=MultiprocessBackend(max_workers=2))
+                                     backend=SharedMemoryBackend(max_workers=2))
         assert serial.deltas == parallel.deltas
         assert serial.sigmas == parallel.sigmas
 
@@ -188,10 +188,10 @@ class TestMonteCarloEquivalence:
     def test_samples_independent_of_backend(self):
         serial = MonteCarloRunner(seed=7).run(vbg_evaluate, 8)
         parallel = MonteCarloRunner(
-            seed=7, backend=MultiprocessBackend(max_workers=2)).run(
+            seed=7, backend=SharedMemoryBackend(max_workers=2)).run(
             vbg_evaluate, 8)
         assert serial.samples == parallel.samples
-        assert parallel.engine_report.backend == "multiprocess"
+        assert parallel.engine_report.backend == "shm"
 
     def test_samples_independent_of_sample_count_prefix(self):
         """Per-sample SeedSequence children: sample i does not depend on how
@@ -259,7 +259,7 @@ class TestYieldLossEquivalence:
         k_values = (2.0, 4.0, 6.0)
         serial = yield_loss_sweep(calibration, k_values=k_values)
         parallel = yield_loss_sweep(calibration, k_values=k_values,
-                                    backend=MultiprocessBackend(max_workers=2))
+                                    backend=SharedMemoryBackend(max_workers=2))
         assert serial == parallel
 
     def test_sweep_cache_round_trip(self, calibration, tmp_path):

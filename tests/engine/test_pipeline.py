@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import EngineError, TaskExecutionError
-from repro.engine import (CampaignEngine, MultiprocessBackend, Pipeline,
-                          ResultCache, STATUS_CACHED, STATUS_EXECUTED,
+from repro.engine import (CampaignEngine, Pipeline, ResultCache, STATUS_CACHED, STATUS_EXECUTED,
                           STATUS_FAILED, STATUS_SKIPPED, SerialBackend,
                           SharedMemoryBackend, Task, TaskGraph, block_study,
                           build_block_study, build_calibrate_then_campaign,
@@ -14,7 +13,7 @@ from repro.engine import (CampaignEngine, MultiprocessBackend, Pipeline,
 
 
 # ------------------------------------------------------------- graph workers
-# Module-level so the multiprocess backend can pickle them.
+# Module-level so the pool backend can pickle them.
 
 def _sum_worker(context, task, rng, inputs):
     """Roots return their payload; reducers sum their parents."""
@@ -41,8 +40,8 @@ def _recording_worker(context, task, rng, inputs):
     return task.task_id
 
 
-def _flat_worker(context, task, rng):
-    """Flat-graph (3-argument) worker contract."""
+def _flat_worker(context, task, rng, inputs):
+    """Edge-free worker: roots receive empty ``inputs``."""
     if task.payload == "fail":
         raise ValueError("injected failure")
     return 1
@@ -109,7 +108,7 @@ class TestGraphExecution:
         serial = CampaignEngine(backend=SerialBackend(), seed=7) \
             .run(graph, _noisy_worker)
         parallel = CampaignEngine(
-            backend=MultiprocessBackend(max_workers=3), seed=7) \
+            backend=SharedMemoryBackend(max_workers=3), seed=7) \
             .run(graph, _noisy_worker)
         assert serial.results == parallel.results
 
@@ -189,7 +188,7 @@ class TestGraphExecution:
         assert run.statuses["child"] == STATUS_SKIPPED
 
     def test_flat_graph_with_skip_keeps_partial_results(self):
-        """Edge-free graphs keep the 3-arg worker contract in skip mode."""
+        """Edge-free graphs keep completed results in skip mode."""
         graph = TaskGraph([
             Task(task_id="one"),
             Task(task_id="bad", payload="fail"),
@@ -263,7 +262,7 @@ class TestPipeline:
     def test_multiprocess_pipeline_matches_serial(self):
         serial = self._build().run()
         parallel = self._build().run(
-            backend=MultiprocessBackend(max_workers=2))
+            backend=SharedMemoryBackend(max_workers=2))
         assert serial.run.results == parallel.run.results
 
     def test_failed_stage_skips_downstream_stage(self):
@@ -346,7 +345,7 @@ class TestCalibrateThenCampaign:
             n_monte_carlo=MC, seed=SEED, blocks=[BLOCK])
         parallel = calibrate_then_campaign(
             n_monte_carlo=MC, seed=SEED, blocks=[BLOCK],
-            backend=MultiprocessBackend(max_workers=2))
+            backend=SharedMemoryBackend(max_workers=2))
         assert parallel.calibration.deltas == serial.calibration.deltas
         assert _record_digest(parallel.results[BLOCK]) == \
             _record_digest(serial.results[BLOCK])
@@ -486,16 +485,14 @@ class TestBlockStudy:
 
     def test_pool_backends_match_serial(self):
         serial = self._study()
-        for backend in (MultiprocessBackend(max_workers=2),
-                        SharedMemoryBackend(max_workers=2)):
-            pooled = self._study(backend=backend)
-            for block in STUDY_BLOCKS:
-                assert pooled.calibrations[block].deltas == \
-                    serial.calibrations[block].deltas
-                assert _record_digest(pooled.results[block]) == \
-                    _record_digest(serial.results[block])
-                assert _summary_digest(pooled.summaries[block]) == \
-                    _summary_digest(serial.summaries[block])
+        pooled = self._study(backend=SharedMemoryBackend(max_workers=2))
+        for block in STUDY_BLOCKS:
+            assert pooled.calibrations[block].deltas == \
+                serial.calibrations[block].deltas
+            assert _record_digest(pooled.results[block]) == \
+                _record_digest(serial.results[block])
+            assert _summary_digest(pooled.summaries[block]) == \
+                _summary_digest(serial.summaries[block])
 
     def test_single_report_spans_all_stages(self):
         outcome = self._study()

@@ -1,10 +1,9 @@
-"""Failure injection and resource hygiene of :class:`SharedMemoryBackend`.
+"""Resource hygiene and payload accounting of :class:`SharedMemoryBackend`.
 
-The shared-memory backend must be a drop-in transport: identical failure
-semantics to :class:`MultiprocessBackend` (mid-stream worker exceptions,
-``on_failure="skip"`` descendant skips, drained-then-raised batch failures)
-and no ``/dev/shm`` segments outliving the engine, whatever path shut it
-down.
+The process-pool backend must leave no ``/dev/shm`` segments outliving the
+engine, whatever path shut it down, and must ship the campaign context once
+per pool rather than with every task.  Its failure semantics are covered by
+the backend matrix in ``test_failure_semantics.py``.
 """
 
 import os
@@ -12,42 +11,22 @@ import os
 import pytest
 
 from repro.circuit import EngineError, TaskExecutionError
-from repro.engine import (CampaignEngine, MultiprocessBackend, ResultCache,
-                          SharedMemoryBackend, Task, TaskGraph)
+from repro.engine import CampaignEngine, SharedMemoryBackend, Task, TaskGraph
 
 
-# Module-level workers so the pool backends can pickle them.
-def square_worker(context, task, rng):
+# Module-level workers so the pool backend can pickle them.
+def square_worker(context, task, rng, inputs):
     return task.payload ** 2
 
 
-def failing_worker(context, task, rng):
+def failing_worker(context, task, rng, inputs):
     if task.payload == 3:
         raise ValueError("boom on task 3")
     return task.payload
 
 
-def failing_graph_worker(context, task, rng, inputs):
-    """Raises mid-stream: after the root completed, before the leaves run."""
-    if task.task_id == "mid/1":
-        raise ValueError("boom mid-stream")
-    return (task.payload or 0) + sum(inputs.values())
-
-
 def tasks_of(n):
     return TaskGraph([Task(task_id=f"t{i}", payload=i) for i in range(n)])
-
-
-def diamond_graph():
-    """root -> mid/0..2 -> leaf; mid/1 fails, so leaf must be skipped."""
-    graph = TaskGraph()
-    graph.add(Task(task_id="root", payload=1))
-    for i in range(3):
-        graph.add(Task(task_id=f"mid/{i}", payload=10 + i,
-                       depends_on=("root",)))
-    graph.add(Task(task_id="leaf", payload=100,
-                   depends_on=("mid/0", "mid/1", "mid/2")))
-    return graph
 
 
 @pytest.fixture(autouse=True)
@@ -61,62 +40,6 @@ def no_leaked_segments():
     leaked = {name for name in set(os.listdir("/dev/shm")) - before
               if name.startswith("psm_")}
     assert not leaked, f"leaked shared-memory segments: {leaked}"
-
-
-class TestFailureInjection:
-    def test_flat_failure_raises_and_names_task(self):
-        with pytest.raises(TaskExecutionError, match="t3"):
-            CampaignEngine(backend=SharedMemoryBackend(max_workers=2)).run(
-                tasks_of(5), failing_worker)
-
-    def test_skip_statuses_match_multiprocess(self):
-        """A worker raising mid-stream must produce the same
-        ``on_failure="skip"`` statuses, errors and skips as the
-        multiprocess backend."""
-        mp_run = CampaignEngine(
-            backend=MultiprocessBackend(max_workers=2)).run(
-            diamond_graph(), failing_graph_worker, on_failure="skip")
-        shm_run = CampaignEngine(
-            backend=SharedMemoryBackend(max_workers=2)).run(
-            diamond_graph(), failing_graph_worker, on_failure="skip")
-        serial_run = CampaignEngine().run(
-            diamond_graph(), failing_graph_worker, on_failure="skip")
-        assert shm_run.statuses == mp_run.statuses == serial_run.statuses
-        assert shm_run.statuses["mid/1"] == "failed"
-        assert shm_run.statuses["leaf"] == "skipped"
-        assert shm_run.results == mp_run.results == serial_run.results
-        assert shm_run.errors.keys() == mp_run.errors.keys() == {"mid/1"}
-        assert shm_run.skipped_tasks() == mp_run.skipped_tasks() == ["leaf"]
-        assert _counts(shm_run.report) == _counts(mp_run.report)
-
-    def test_flat_skip_statuses_match_multiprocess(self):
-        mp_run = CampaignEngine(
-            backend=MultiprocessBackend(max_workers=2)).run(
-            tasks_of(5), failing_worker, on_failure="skip")
-        shm_run = CampaignEngine(
-            backend=SharedMemoryBackend(max_workers=2)).run(
-            tasks_of(5), failing_worker, on_failure="skip")
-        assert shm_run.statuses == mp_run.statuses
-        assert shm_run.results == mp_run.results == [0, 1, 2, None, 4]
-
-    def test_completed_chunks_drain_to_cache_on_failure(self, tmp_path):
-        """Batch-mode parity: chunk-mates completed before the failure must
-        still reach the cache before the error propagates."""
-        cache = ResultCache(str(tmp_path), namespace="test")
-        graph = TaskGraph([Task(task_id=f"t{i}", payload=i,
-                                spec={"op": "fail-at-3", "i": i},
-                                deterministic=True)
-                           for i in range(6)])
-        backend = SharedMemoryBackend(max_workers=1, chunk_size=2)
-        with pytest.raises(TaskExecutionError, match="t3"):
-            CampaignEngine(cache=cache, backend=backend).run(
-                graph, failing_worker)
-        assert 3 <= len(cache) <= 5  # same bounds as MultiprocessBackend
-
-
-def _counts(report):
-    return (report.n_tasks, report.n_executed, report.n_cache_hits,
-            report.n_failed, report.n_skipped)
 
 
 class TestSegmentLifecycle:
@@ -234,45 +157,34 @@ def _echo_item(item):
 class TestPayloadReport:
     def test_shared_context_shrinks_per_task_payload(self):
         big_context = {"blob": list(range(20000))}
-        mp_backend = MultiprocessBackend(max_workers=2, measure_payload=True)
-        shm_backend = SharedMemoryBackend(max_workers=2,
-                                          measure_payload=True)
-        CampaignEngine(backend=mp_backend).run(
+        backend = SharedMemoryBackend(max_workers=2, measure_payload=True)
+        run = CampaignEngine(backend=backend).run(
             tasks_of(8), _context_len_worker, context=big_context)
-        CampaignEngine(backend=shm_backend).run(
-            tasks_of(8), _context_len_worker, context=big_context)
-        mp_payload, shm_payload = mp_backend.last_payload, \
-            shm_backend.last_payload
-        assert mp_payload.n_items == shm_payload.n_items == 8
-        assert mp_payload.context_bytes == 0
-        assert shm_payload.context_bytes > 0  # the one-time shared segment
+        assert run.results == [i + 20000 for i in range(8)]
+        payload = backend.last_payload
+        assert payload.n_items == 8
+        assert payload.context_bytes > 0  # the one-time shared segment
         # The whole point of the backend: per-task payloads no longer carry
         # the campaign context.
-        assert shm_payload.per_task_bytes < 0.1 * mp_payload.per_task_bytes
+        assert payload.per_task_bytes < 0.1 * payload.context_bytes
 
     def test_stream_mode_counts_initializer_context(self):
-        """Stream mode ships the function through the pool initializer: the
-        multiprocess backend pickles it once per worker, the shm backend
-        once per pool -- both must show up as context_bytes so the
-        comparison is honest on dependency graphs too."""
+        """The segment is pickled once per pool, not once per worker: its
+        bytes are the pickled work function, whatever the worker count."""
         graph = TaskGraph(
             [Task(task_id="root", payload=1)]
             + [Task(task_id=f"c{i}", payload=i, depends_on=("root",))
                for i in range(3)])
         big_context = {"blob": list(range(20000))}
-        mp_backend = MultiprocessBackend(max_workers=2, measure_payload=True)
-        shm_backend = SharedMemoryBackend(max_workers=2,
+        sizes = []
+        for workers in (1, 2):
+            backend = SharedMemoryBackend(max_workers=workers,
                                           measure_payload=True)
-        mp_run = CampaignEngine(backend=mp_backend).run(
-            graph, _graph_context_worker, context=big_context)
-        shm_run = CampaignEngine(backend=shm_backend).run(
-            graph, _graph_context_worker, context=big_context)
-        assert mp_run.results == shm_run.results
-        # per worker for multiprocess, per pool for shm
-        assert mp_backend.last_payload.context_bytes > \
-            shm_backend.last_payload.context_bytes > 0
-        assert shm_backend.last_payload.per_task_bytes < \
-            mp_backend.last_payload.context_bytes
+            run = CampaignEngine(backend=backend).run(
+                graph, _context_len_worker, context=big_context)
+            assert run.results == [20001, 40001, 40002, 40003]
+            sizes.append(backend.last_payload.context_bytes)
+        assert sizes[0] == sizes[1] > 0
 
     def test_measurement_off_by_default(self):
         backend = SharedMemoryBackend(max_workers=2)
@@ -280,11 +192,7 @@ class TestPayloadReport:
         assert backend.last_payload is None
 
 
-def _context_len_worker(context, task, rng):
-    return task.payload + len(context["blob"])
-
-
-def _graph_context_worker(context, task, rng, inputs):
+def _context_len_worker(context, task, rng, inputs):
     return task.payload + len(context["blob"]) + sum(inputs.values())
 
 
@@ -298,7 +206,7 @@ class TestConfiguration:
         with pytest.raises(EngineError):
             SharedMemoryBackend(max_workers=0)
         with pytest.raises(EngineError):
-            SharedMemoryBackend(chunk_size=-1)
+            SharedMemoryBackend(mp_context="threads")
 
     def test_empty_graph(self):
         run = CampaignEngine(backend=SharedMemoryBackend(max_workers=2)).run(

@@ -7,8 +7,7 @@ import pytest
 
 from repro.circuit import CalibrationError, EngineError
 from repro.engine import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN,
-                          CANNED_STUDIES, MultiprocessBackend,
-                          SharedMemoryBackend, StageParam, StageSpec,
+                          CANNED_STUDIES, StageParam, StageSpec,
                           StudySpec, YIELD_LOSS_STUDY, available_stages,
                           build_study, load_study, run_study,
                           stage_definition, yield_loss_study)
@@ -323,12 +322,9 @@ class TestCannedSpecBitIdentity:
         assert _record_digest(outcome.results[BLOCK]) == \
             _record_digest(manual)
 
-    @pytest.mark.parametrize("backend", [
-        None,
-        MultiprocessBackend(max_workers=2),
-        SharedMemoryBackend(max_workers=2),
-    ], ids=["serial", "multiprocess", "shm"])
-    def test_block_study_vs_manual_flow_on_every_backend(self, backend):
+    @pytest.mark.parametrize("backend_name", ["serial", "multiprocess", "shm"])
+    def test_block_study_vs_manual_flow_on_every_backend(self, backend_name,
+                                                        cli_backend):
         from repro.adc import SarAdc
         from repro.core import calibrate_windows
         from repro.defects import DefectCampaign
@@ -344,7 +340,7 @@ class TestCannedSpecBitIdentity:
             "seed": SEED, "calibrate.n_monte_carlo": MC,
             "campaign.blocks": STUDY_BLOCKS, "campaign.samples": 10,
             "campaign.exhaustive_threshold": 20})
-        outcome = run_study(spec, backend=backend)
+        outcome = run_study(spec, backend=cli_backend(backend_name))
         assert outcome.ok
         for block in STUDY_BLOCKS:
             assert outcome.calibrations[block].deltas == calibration.deltas

@@ -25,8 +25,7 @@ import pytest
 
 from repro.circuit.errors import EngineError, TaskExecutionError
 from repro.engine import (CampaignEngine, ChromeTraceSink, EVENT_TYPES,
-                          JsonlTraceSink, MetricsSink, MultiprocessBackend,
-                          ProgressSink, ResultCache, SerialBackend,
+                          JsonlTraceSink, MetricsSink, ProgressSink, ResultCache, SerialBackend,
                           SharedMemoryBackend, Task, TaskGraph, TelemetryBus,
                           TelemetryEvent, TelemetrySink, block_study,
                           chrome_trace, format_summary, read_trace,
@@ -52,7 +51,7 @@ def collecting_bus():
     return TelemetryBus([sink]), sink
 
 
-def _double(context, task, rng):
+def _double(context, task, rng, inputs):
     return task.payload * 2
 
 
@@ -275,8 +274,8 @@ def _event_signature(events):
     return {
         "terminal": terminal,
         "submitted": submitted,
-        "run_started": [(e.data["n_tasks"], e.data["mode"],
-                         e.data["stages"]) for e in started],
+        "run_started": [(e.data["n_tasks"], e.data["stages"])
+                        for e in started],
         "run_finished": [{key: e.data[key]
                           for key in ("n_tasks", "n_executed",
                                       "n_cache_hits", "n_failed",
@@ -331,12 +330,12 @@ _SERIAL_EVENT_BASELINE = {}
 @pytest.mark.parametrize("backend_name", ["multiprocess", "shm"])
 @pytest.mark.parametrize("case", EQUIVALENCE_CASES,
                          ids=[c["id"] for c in EQUIVALENCE_CASES])
-def test_event_stream_matches_serial(case, backend_name, deltas, calibration):
+def test_event_stream_matches_serial(case, backend_name, deltas, calibration,
+                                    cli_backend):
     if case["id"] not in _SERIAL_EVENT_BASELINE:
         _SERIAL_EVENT_BASELINE[case["id"]] = _run_case_events(
             case, SerialBackend(), deltas, calibration)
-    backend = {"multiprocess": MultiprocessBackend,
-               "shm": SharedMemoryBackend}[backend_name](max_workers=2)
+    backend = cli_backend(backend_name)
     assert _run_case_events(case, backend, deltas, calibration) == \
         _SERIAL_EVENT_BASELINE[case["id"]]
 
@@ -396,7 +395,7 @@ class TestChromeExport:
         path = tmp_path / "run.chrome.json"
         bus = TelemetryBus([ChromeTraceSink(path)])
         run = CampaignEngine(
-            backend=MultiprocessBackend(max_workers=2),
+            backend=SharedMemoryBackend(max_workers=2),
             telemetry=bus).run(
             [Task(task_id=f"t/{i}", payload=i) for i in range(6)], _double)
         bus.close()
@@ -572,6 +571,32 @@ class TestTraceSummary:
             TelemetryEvent(type="cache_hit", t=12.5, task_id="a"),
         ]
         assert summarize_trace(events).wall_time == 2.5
+
+    def test_run_started_carries_no_mode(self):
+        bus, sink = collecting_bus()
+        CampaignEngine(telemetry=bus).run(
+            [Task(task_id="t", payload=1)], _double)
+        started = [e for e in sink.events if e.type == "run_started"]
+        assert "mode" not in started[0].data
+        assert "mode" not in format_summary(summarize_trace(sink.events))
+
+    def test_old_trace_with_mode_still_summarizes(self):
+        # Traces written before every run went through one scheduler carry
+        # run_started.mode ("flat" or "graph"); it is ignored.
+        events = [
+            TelemetryEvent(type="run_started", t=1.0,
+                           data={"n_tasks": 1, "backend": "multiprocess",
+                                 "workers": 2, "mode": "flat"}),
+            TelemetryEvent(type="cache_hit", t=1.5, task_id="a"),
+            TelemetryEvent(type="run_finished", t=2.0,
+                           data={"wall_time": 1.0, "n_tasks": 1,
+                                 "n_cache_hits": 1}),
+        ]
+        summary = summarize_trace(events)
+        assert (summary.backend, summary.workers, summary.n_cache_hits) == \
+            ("multiprocess", 2, 1)
+        assert format_summary(summary).startswith(
+            "run: 1 tasks via multiprocess (2 workers), 1.00s wall")
 
 
 class TestBatchedTelemetry:

@@ -3,8 +3,8 @@
 The study layer compiles ``[[variants]]`` into per-variant stage instances
 inside ONE task graph; these tests pin the guarantees that make that safe:
 every variant gets its own derived root seed and cache identity, the
-per-variant results are bit-identical across serial / multiprocess /
-shared-memory backends (under a randomized root seed), and a variant that
+per-variant results are bit-identical across the serial and process-pool
+backends (under a randomized root seed), and a variant that
 changes the device (the 8-bit DUT) actually runs a different device.
 """
 
@@ -15,9 +15,8 @@ import pytest
 
 from repro.defects import variant_seed
 from repro.dut import DutSpec
-from repro.engine import (MultiprocessBackend, ResultCache,
-                          SharedMemoryBackend, StageSpec, StudySpec,
-                          VariantSpec, build_study, run_study)
+from repro.engine import (ResultCache, StageSpec, StudySpec, VariantSpec,
+                          build_study, run_study)
 
 #: Randomized root seed, printed on failure via the parametrized id; one
 #: draw per test session keeps the three backend runs comparable.
@@ -106,16 +105,13 @@ def _serial_digests():
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend_factory", [
-        lambda: MultiprocessBackend(max_workers=2),
-        lambda: SharedMemoryBackend(max_workers=2),
-    ], ids=["multiprocess", "shm"])
+    @pytest.mark.parametrize("backend_name", ["multiprocess", "shm"])
     def test_eight_bit_variant_study_identical_across_backends(
-            self, backend_factory):
+            self, backend_name, cli_backend):
         """Randomized equivalence case (root seed drawn per session): every
         backend must reproduce the serial per-variant results exactly."""
         spec = _variant_study(ROOT_SEED)
-        outcome = run_study(spec, backend=backend_factory())
+        outcome = run_study(spec, backend=cli_backend(backend_name))
         assert outcome.ok, f"root seed {ROOT_SEED}"
         assert _all_digests(outcome) == _serial_digests(), \
             f"root seed {ROOT_SEED}"

@@ -1,4 +1,4 @@
-"""SocketBackend behaviour: ordering, failures, worker death, timeouts.
+"""SocketBackend behaviour: streams, failures, worker death, timeouts.
 
 Work functions are built from :mod:`functools`/:mod:`operator` so they
 pickle from inside a test module (closures and lambdas do not).
@@ -27,28 +27,17 @@ def backend():
         yield backend
 
 
-class TestMapItems:
-    def test_results_in_item_order(self, backend):
-        items = list(range(30))
-        assert backend.map_items(TRIPLE, items) == [3 * i for i in items]
+def drain(backend, fn, items):
+    """Run ``items`` (distinct) on one stream; ``{item: (ok, value)}``."""
+    with backend.stream(fn) as stream:
+        for item in items:
+            stream.submit(item)
+        return {item: (ok, value)
+                for item, ok, value in (stream.next_outcome() for _ in items)}
 
-    def test_on_result_runs_in_completion_order(self, backend):
-        seen = []
-        backend.map_items(TRIPLE, list(range(10)), on_result=seen.append)
-        assert sorted(seen) == [3 * i for i in range(10)]
 
-    def test_failure_raised_after_full_drain(self, backend):
-        with pytest.raises(ZeroDivisionError):
-            backend.map_items(INVERT, [2, 1, 0, 4])
-
-    def test_empty_items(self, backend):
-        assert backend.map_items(TRIPLE, []) == []
-
-    def test_sequential_runs_reuse_workers(self, backend):
-        first = backend.map_items(TRIPLE, list(range(5)))
-        second = backend.map_items(INVERT, [1, 2, 4])
-        assert first == [0, 3, 6, 9, 12]
-        assert second == [1.0, 0.5, 0.25]
+def tripled(items):
+    return {item: (True, 3 * item) for item in items}
 
 
 class TestStream:
@@ -83,6 +72,11 @@ class TestStream:
                 item, ok, value = stream.next_outcome()
                 assert ok and value == 3 * item
 
+    def test_sequential_streams_reuse_workers(self, backend):
+        assert drain(backend, TRIPLE, range(5)) == tripled(range(5))
+        assert drain(backend, INVERT, [1, 2, 4]) == \
+            {1: (True, 1.0), 2: (True, 0.5), 4: (True, 0.25)}
+
     def test_unpicklable_fn_rejected_up_front(self, backend):
         with pytest.raises(EngineError, match="not picklable"):
             backend.stream(lambda item: item)
@@ -93,8 +87,7 @@ class TestWorkerDeath:
         with SocketBackend("tcp:127.0.0.1:0") as backend:
             backend.spawn_worker(crash_after=0)  # dies on its first task
             backend.spawn_worker()
-            items = list(range(12))
-            assert backend.map_items(TRIPLE, items) == [3 * i for i in items]
+            assert drain(backend, TRIPLE, range(12)) == tripled(range(12))
 
     def test_retries_exhausted_reports_failure(self):
         # Every worker dies on its first task; after max_task_retries
@@ -125,7 +118,7 @@ class TestLifecycle:
     def test_no_workers_times_out_with_hint(self):
         with SocketBackend("tcp:127.0.0.1:0", worker_wait=0.3) as backend:
             with pytest.raises(EngineError, match="worker --connect"):
-                backend.map_items(TRIPLE, [1])
+                drain(backend, TRIPLE, [1])
 
     def test_closed_backend_rejects_work(self):
         backend = SocketBackend("tcp:127.0.0.1:0")
@@ -146,6 +139,5 @@ class TestLifecycle:
         with SocketBackend("tcp:127.0.0.1:0") as backend:
             backend.spawn_worker(max_tasks=3)
             backend.spawn_worker()
-            items = list(range(20))
             # the max-tasks worker retires mid-run; no task may be lost
-            assert backend.map_items(TRIPLE, items) == [3 * i for i in items]
+            assert drain(backend, TRIPLE, range(20)) == tripled(range(20))

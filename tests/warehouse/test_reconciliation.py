@@ -1,7 +1,8 @@
 """Warehouse rows must reconcile with the engine's own reporting.
 
 Randomized block-study specs (same seeded-generator discipline as the
-backend-equivalence suite) run under serial / multiprocess / shm with a
+backend-equivalence suite) run under every ``--backend`` choice (serial, and the process pool as
+``shm`` and as its alias ``multiprocess``) with a
 live :class:`WarehouseSink`; the indexed rows are then checked against the
 :class:`CampaignReport` counts, the per-block JSON payload the CLI emits
 (``_block_json``) and the stored block-summary artifacts.  A second, warm
@@ -15,8 +16,7 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro.engine import (MultiprocessBackend, ResultCache, SerialBackend,
-                          SharedMemoryBackend, TelemetryBus, block_study)
+from repro.engine import ResultCache, SerialBackend, TelemetryBus, block_study
 from repro.engine.cli import _block_json
 from repro.warehouse import WarehouseSink, run_canned_query
 
@@ -45,11 +45,6 @@ def _random_cases(n=3):
 
 CASES = _random_cases()
 
-BACKENDS = {
-    "serial": lambda: SerialBackend(),
-    "multiprocess": lambda: MultiprocessBackend(max_workers=2),
-    "shm": lambda: SharedMemoryBackend(max_workers=2),
-}
 
 
 def _run_case(case, backend, cache, warehouse_db, study):
@@ -67,13 +62,13 @@ def _run_case(case, backend, cache, warehouse_db, study):
         bus.close()
 
 
-@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+@pytest.mark.parametrize("backend_name", ["multiprocess", "serial", "shm"])
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
 def test_warehouse_reconciles_with_report_and_block_json(
-        case, backend_name, tmp_path):
+        case, backend_name, tmp_path, cli_backend):
     cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
     db = str(tmp_path / "wh.sqlite")
-    outcome = _run_case(case, BACKENDS[backend_name](), cache, db,
+    outcome = _run_case(case, cli_backend(backend_name), cache, db,
                         study="block-study")
     connection = sqlite3.connect(db)
 
