@@ -88,17 +88,19 @@ BATCH_SIZE = 64
 
 
 def test_batched_campaign_speedup(deltas):
-    """batch_size=64 vs batch_size=1 at fixed workers: >=5x, bit-identical.
+    """Golden-trace batches vs full re-simulation: >=5x, bit-identical.
 
-    Batching amortizes the per-defect hot path: each batch task simulates
-    the defect-free golden trace once per stimulus and re-evaluates only
-    the pipeline stage a defect is local to (plus the downstream codes
-    whose inputs actually changed), where the unbatched path re-runs the
-    full staged sweep per defect.  Same backend, same worker count, same
-    seeds -- the records must match bit for bit and the batched run must
-    be at least 5x faster (the full-resimulation fallback would show up
-    here as a flat ratio).
+    Every campaign task evaluates its batch against the defect-free golden
+    trace, simulated once per stimulus, re-evaluating only the pipeline
+    stage a defect is local to (plus the downstream codes whose inputs
+    actually changed); ``simulate_defect`` re-runs the full staged sweep
+    per defect.  The records must match bit for bit and batch size 64 must
+    be at least 5x faster than the full re-simulation of the same defects
+    (the full-resimulation fallback would show up here as a flat ratio).
+    Batch size 1 -- batches of one -- is reported alongside.
     """
+    import time
+
     campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
     rounds = 2
 
@@ -110,18 +112,31 @@ def test_batched_campaign_speedup(deltas):
             walls.append(result.engine_report.wall_time)
         return min(walls), result
 
-    unbatched_wall, unbatched = min_wall(1)
+    singleton_wall, singleton = min_wall(1)
     batched_wall, batched = min_wall(BATCH_SIZE)
+    defects = [record.defect for record in batched.records]
+    full_walls = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        full = [campaign.simulate_defect(defect) for defect in defects]
+        full_walls.append(time.perf_counter() - start)
+    full_wall = min(full_walls)
 
-    assert _coverage_key(batched) == _coverage_key(unbatched)
-    speedup = unbatched_wall / batched_wall
+    full_key = [(r.defect.defect_id, r.detected, r.detection_cycle)
+                for r in full]
+    assert _coverage_key(batched) == _coverage_key(singleton) == full_key
+    speedup = full_wall / batched_wall
     print()
     print(format_table(
-        ["batch size", "#tasks", "wall (s)", "defects/s", "speedup"],
-        [[1, unbatched.engine_report.n_tasks, f"{unbatched_wall:.2f}",
-          f"{N_DEFECTS / unbatched_wall:.1f}", "-"],
-         [BATCH_SIZE, batched.engine_report.n_tasks, f"{batched_wall:.2f}",
-          f"{N_DEFECTS / batched_wall:.1f}", f"{speedup:.1f}x"]],
+        ["evaluation", "#tasks", "wall (s)", "defects/s", "speedup"],
+        [["full re-simulation", "-", f"{full_wall:.2f}",
+          f"{N_DEFECTS / full_wall:.1f}", "-"],
+         ["batch size 1", singleton.engine_report.n_tasks,
+          f"{singleton_wall:.2f}", f"{N_DEFECTS / singleton_wall:.1f}",
+          f"{full_wall / singleton_wall:.1f}x"],
+         [f"batch size {BATCH_SIZE}", batched.engine_report.n_tasks,
+          f"{batched_wall:.2f}", f"{N_DEFECTS / batched_wall:.1f}",
+          f"{speedup:.1f}x"]],
         title=f"batched campaign ({N_DEFECTS} LWRS defects, serial, "
               f"min of {rounds} rounds)"))
     assert speedup >= 5.0
@@ -274,17 +289,14 @@ def test_spec_compilation_overhead():
     """Declarative studies must compile for free next to running them.
 
     ``build_study`` resolves the canned block-study spec against the stage
-    registry and emits the same ~600-task graph the hand-written builder
-    used to: the DUT build, the LWRS selection and the task/spec
-    construction dominate, and they are shared with the legacy path (now a
-    thin wrapper).  Compiling the spec must stay under 1% of the default
-    block study's serial wall-clock -- the composition layer is free, the
-    simulations are the cost.
+    registry and emits its ~600-task graph: the DUT build, the LWRS
+    selection and the task/spec construction dominate.  Compiling the spec
+    must stay under 1% of the default block study's serial wall-clock --
+    the composition layer is free, the simulations are the cost.
     """
     import time
 
     from repro.engine import BLOCK_STUDY, build_study
-    from repro.engine.pipeline import build_block_study
 
     def min_wall(builder, rounds=3):
         times = []
@@ -295,7 +307,6 @@ def test_spec_compilation_overhead():
         return min(times), plan
 
     spec_wall, plan = min_wall(lambda: build_study(BLOCK_STUDY))
-    legacy_wall, _ = min_wall(build_block_study)
 
     outcome = plan.run(backend=SerialBackend())
     run_wall = outcome.report.wall_time
@@ -304,9 +315,7 @@ def test_spec_compilation_overhead():
     print(format_table(
         ["path", "build (ms)", "run (s)", "overhead vs run"],
         [["build_study(BLOCK_STUDY)", f"{spec_wall * 1e3:.1f}",
-          f"{run_wall:.2f}", f"{100.0 * spec_wall / run_wall:.2f}%"],
-         ["build_block_study() wrapper", f"{legacy_wall * 1e3:.1f}",
-          "-", f"{100.0 * legacy_wall / run_wall:.2f}%"]],
+          f"{run_wall:.2f}", f"{100.0 * spec_wall / run_wall:.2f}%"]],
         title=f"spec compilation overhead "
               f"({outcome.report.n_tasks}-task default block study)"))
 
@@ -400,17 +409,17 @@ def test_warehouse_query_beats_directory_crawl(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"), namespace="defects")
     for i in range(N_WAREHOUSE_ARTIFACTS):
         block = WAREHOUSE_BLOCKS[int(rng.integers(len(WAREHOUSE_BLOCKS)))]
-        spec = {"driver": "symbist-block-defect",
-                "defect_id": f"{block}:d{i}:short",
+        spec = {"driver": "symbist-defect-batch",
+                "members": [{"defect_id": f"{block}:d{i}:short"}],
                 "windows": {"driver": "symbist-block-windows",
                             "block": block, "seeds": "sha:bench"}}
         cache.put(cache.key_for(spec),
-                  {"defect": {"defect_id": f"{block}:d{i}:short"},
-                   "detected": bool(rng.integers(2)),
-                   "modeled_sim_time": float(rng.uniform(0.5, 4.0)),
-                   "wall_time": float(rng.uniform(0.001, 0.01))},
-                  task_id=f"block/{block}/{i}/{block}:d{i}:short",
-                  spec=spec)
+                  [{"defect": {"defect_id": f"{block}:d{i}:short",
+                               "block_path": block},
+                    "detected": bool(rng.integers(2)),
+                    "modeled_sim_time": float(rng.uniform(0.5, 4.0)),
+                    "wall_time": float(rng.uniform(0.001, 0.01))}],
+                  task_id=f"campaign/{block}/{i}-{i + 1}", spec=spec)
 
     def crawl():
         """The pre-warehouse answer: parse every artifact, aggregate."""
@@ -422,12 +431,13 @@ def test_warehouse_query_beats_directory_crawl(tmp_path):
                       encoding="utf-8") as handle:
                 entry = json.load(handle)
             spec = entry.get("spec") or {}
-            if spec.get("driver") != "symbist-block-defect":
+            if spec.get("driver") != "symbist-defect-batch":
                 continue
             block = spec["windows"]["block"]
-            simulated, detected = totals.get(block, (0, 0))
-            totals[block] = (simulated + 1,
-                             detected + int(entry["result"]["detected"]))
+            for record in entry["result"]:
+                simulated, detected = totals.get(block, (0, 0))
+                totals[block] = (simulated + 1,
+                                 detected + int(record["detected"]))
         return totals
 
     start = time.perf_counter()

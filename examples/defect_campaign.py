@@ -6,7 +6,7 @@ defect-universe extraction, likelihood weighting, LWRS sampling (or exhaustive
 simulation of small blocks), stop-on-detection SymBIST runs and
 likelihood-weighted coverage with 95 % confidence intervals.
 
-The per-block sweep is one engine run: every block's defect tasks are
+The per-block sweep is one engine run: every block's defect-batch tasks are
 submitted together and each block's LWRS draws derive from the root seed +
 the block path, so the rows are identical for any block order, subset or
 worker count (pass ``--workers`` to shard the sweep across a process pool).

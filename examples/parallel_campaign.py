@@ -5,9 +5,12 @@ Demonstrates the dependency-aware pipeline executor (:mod:`repro.engine`):
 
 * the paper's two-phase workflow (window calibration on defect-free
   circuits, then the defect campaign against those windows) running as ONE
-  task graph via :func:`repro.engine.calibrate_then_campaign` -- Monte Carlo
-  samples feed a ``windows`` reduction task, which feeds one task per
-  defect, with no stage barrier in between;
+  task graph: the canned ``calibrate-then-campaign`` study
+  (:data:`repro.engine.CALIBRATE_THEN_CAMPAIGN`, customised with
+  :meth:`~repro.engine.StudySpec.override` and run with
+  :func:`repro.engine.run_study`) -- Monte Carlo samples feed a ``windows``
+  reduction task, which feeds the defect-batch tasks, with no stage barrier
+  in between;
 * the same workflow run the historical way (two separate invocations with
   hand-carried state), asserting the two are **bit-identical**: same window
   deltas, same per-defect detections, same coverage;
@@ -23,13 +26,13 @@ Run with::
 
 The equivalent shell one-liners are::
 
-    repro-campaign pipeline --workers 4 --cache-dir .repro-cache
+    repro-campaign run calibrate-then-campaign --workers 4 \\
+        --cache-dir .repro-cache
     repro-campaign run examples/studies/calibrate_then_campaign.toml \\
         --workers 4 --cache-dir .repro-cache
 
 (the second runs the same canned study from its declarative spec -- see
-``docs/studies.md``; :func:`repro.engine.calibrate_then_campaign` itself is
-a thin wrapper compiling that spec).
+``docs/studies.md``).
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ import numpy as np
 from repro.adc import SarAdc
 from repro.core import calibrate_windows, format_confidence, format_table
 from repro.defects import DefectCampaign, SamplingPlan, block_seed_sequence
-from repro.engine import (ResultCache, SharedMemoryBackend,
-                          calibrate_then_campaign)
+from repro.engine import (CALIBRATE_THEN_CAMPAIGN, ResultCache,
+                          SharedMemoryBackend, run_study)
 
 
 def manual_two_invocation_flow(args):
@@ -99,15 +102,16 @@ def main() -> None:
                              "temporary one)")
     args = parser.parse_args()
     headers = ["block", "#simulated", "#detected", "L-W coverage"]
-    pipeline_kwargs = dict(
-        n_monte_carlo=args.monte_carlo, seed=args.seed, blocks=args.blocks,
-        samples=args.samples, exhaustive_threshold=args.exhaustive_threshold)
+    spec = CALIBRATE_THEN_CAMPAIGN.override({
+        "seed": args.seed, "calibrate.n_monte_carlo": args.monte_carlo,
+        "campaign.blocks": args.blocks, "campaign.samples": args.samples,
+        "campaign.exhaustive_threshold": args.exhaustive_threshold})
 
     print("1) manual two-invocation flow (calibrate, then campaign)...")
     calibration, manual = manual_two_invocation_flow(args)
 
     print("2) the same workflow as ONE task graph, serial...")
-    serial = calibrate_then_campaign(**pipeline_kwargs)
+    serial = run_study(spec)
     print()
     print(format_table(headers, rows_for(serial.results),
                        title="pipeline, serial"))
@@ -123,16 +127,13 @@ def main() -> None:
 
     cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-cache-")
     print(f"3) sharded across {args.workers} workers, cold cache...")
-    parallel = calibrate_then_campaign(
-        backend=SharedMemoryBackend(max_workers=args.workers),
-        cache=ResultCache(cache_dir, namespace="pipeline"),
-        **pipeline_kwargs)
+    parallel = run_study(
+        spec, backend=SharedMemoryBackend(max_workers=args.workers),
+        cache=ResultCache(cache_dir, namespace="pipeline"))
     print(f"   {parallel.report.summary()}")
 
     print("4) warm cache replay (parents short-circuit instantly)...")
-    warm = calibrate_then_campaign(
-        cache=ResultCache(cache_dir, namespace="pipeline"),
-        **pipeline_kwargs)
+    warm = run_study(spec, cache=ResultCache(cache_dir, namespace="pipeline"))
     print(f"   {warm.report.summary()}")
 
     for block in args.blocks:

@@ -17,9 +17,9 @@ from .likelihood import DEFAULT_TYPE_PRIORS, LikelihoodModel
 from .model import Defect, DefectKind, enumerate_device_defects
 from .batching import (BatchedDefectEvaluator, GoldenTrace, LOCAL_STAGE,
                        STAGE_DOWNSTREAM, build_golden_trace)
-from .sampling import (SamplingPlan, batch_seed_span, batch_spans,
-                       block_seed_sequence, lwrs_sample,
-                       per_block_selection, select_defects, variant_seed)
+from .sampling import (SamplingPlan, batch_spans, block_seed_sequence,
+                       lwrs_sample, per_block_selection, select_defects,
+                       variant_seed)
 from .simulator import (BlockCoverageReport, CampaignResult, DefectCampaign,
                         DefectSimulationRecord, MODEL_SECONDS_PER_CYCLE,
                         RECORD_CODEC)
@@ -34,7 +34,7 @@ __all__ = [
     "RECORD_CODEC", "STAGE_DOWNSTREAM",
     "SamplingPlan", "Z_95",
     "BlockScore", "DiagnosisReport", "diagnose", "diagnosis_accuracy",
-    "batch_seed_span", "batch_spans",
+    "batch_spans",
     "block_seed_sequence", "build_defect_universe", "build_golden_trace",
     "combine_detected_likelihood", "enumerate_device_defects",
     "exhaustive_coverage", "lwrs_coverage", "lwrs_sample",

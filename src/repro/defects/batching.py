@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..adc.sar_adc import OperatingPoint, SarAdc
 from ..adc.sc_array import ScArrayInputs
-from ..circuit.units import VDD
 from ..core.controller import resolve_detection
 from ..core.invariance import Invariance, build_invariances
 from ..core.stimulus import SymBistStimulus
@@ -231,7 +230,7 @@ class BatchedDefectEvaluator:
                 in_p=op.in_p, in_m=op.in_m,
                 m_p=sub1[c].out_p, m_m=sub1[c].out_n,
                 l_p=sub2[c].out_p, l_m=sub2[c].out_n,
-                vcm=vcm, vref_mid=op.vref[16]))
+                vcm=vcm, vref_mid=op.vref[adc.dut.mid_tap]))
             changed_sc[c] = sc[c] != golden.sc[c]
 
         if stage == "pre":
@@ -290,16 +289,18 @@ class BatchedDefectEvaluator:
                     settled[inv.name].append(
                         golden.residuals[inv.name][cycle])
                 continue
-            signals = _assemble_signals(op, vcm, sub1[code], sub2[code],
-                                        sc[code], pre[code], ql[code],
-                                        q[cycle])
+            signals = _assemble_signals(adc.dut, op, vcm, sub1[code],
+                                        sub2[code], sc[code], pre[code],
+                                        ql[code], q[cycle])
             for inv in self.invariances:
                 settled[inv.name].append(inv.evaluate(signals))
         return settled
 
 
-def _assemble_signals(op, vcm, sub1, sub2, sc, pre, ql, q) -> Dict[str, float]:
-    """One cycle's signal dictionary, matching ``SarAdc.evaluate_test_cycle``."""
+def _assemble_signals(dut, op, vcm, sub1, sub2, sc, pre, ql,
+                      q) -> Dict[str, float]:
+    """One cycle's signal dictionary, matching ``SarAdc.evaluate_test_cycle``
+    (the reference taps and the supply are the device's, not the paper's)."""
     return {
         "M+": sub1.out_p, "M-": sub1.out_n,
         "L+": sub2.out_p, "L-": sub2.out_n,
@@ -308,13 +309,13 @@ def _assemble_signals(op, vcm, sub1, sub2, sc, pre, ql, q) -> Dict[str, float]:
         "QL+": ql.q_p, "QL-": ql.q_m,
         "Q+": q.q_p, "Q-": q.q_m,
         "VCM": vcm,
-        "VREF32": op.vref[32],
-        "VREF16": op.vref[16],
+        "VREF32": op.vref[-1],
+        "VREF16": op.vref[dut.mid_tap],
         "VBG": op.vbg,
         "IBIAS": op.ibias,
         "IN+": op.in_p,
         "IN-": op.in_m,
-        "VDD": VDD,
+        "VDD": dut.vdd,
     }
 
 
@@ -344,7 +345,7 @@ def build_golden_trace(adc: SarAdc, stimulus: SymBistStimulus,
         in_p=op.in_p, in_m=op.in_m,
         m_p=sub1[c].out_p, m_m=sub1[c].out_n,
         l_p=sub2[c].out_p, l_m=sub2[c].out_n,
-        vcm=vcm, vref_mid=op.vref[16])) for c in codes]
+        vcm=vcm, vref_mid=op.vref[adc.dut.mid_tap])) for c in codes]
     pre = cell.comparator.preamplifier.sweep(
         [(sc[c].dac_p, sc[c].dac_m) for c in codes], op.ibias,
         cell.comparator.offset_compensation)
@@ -358,9 +359,9 @@ def build_golden_trace(adc: SarAdc, stimulus: SymBistStimulus,
     residuals: Dict[str, List[float]] = {inv.name: [] for inv in invariances}
     for cycle in range(stimulus.n_cycles):
         code = stimulus.code_for_cycle(cycle)
-        cycle_signals = _assemble_signals(op, vcm, sub1[code], sub2[code],
-                                          sc[code], pre[code], ql[code],
-                                          q[cycle])
+        cycle_signals = _assemble_signals(adc.dut, op, vcm, sub1[code],
+                                          sub2[code], sc[code], pre[code],
+                                          ql[code], q[cycle])
         signals.append(cycle_signals)
         for inv in invariances:
             residuals[inv.name].append(inv.evaluate(cycle_signals))

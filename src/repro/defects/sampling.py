@@ -112,7 +112,7 @@ def batch_spans(n: int, batch_size: int) -> List[Tuple[int, int]]:
 
     Every index appears in exactly one span; only the final span may be
     shorter than ``batch_size``.  ``batch_size=1`` yields one span per index,
-    which is how the batched campaign path degenerates to the unbatched one.
+    which gives a campaign batches of one defect each.
     """
     if n < 0:
         raise CoverageError(f"cannot span a negative universe size ({n})")
@@ -121,31 +121,6 @@ def batch_spans(n: int, batch_size: int) -> List[Tuple[int, int]]:
             f"batch_size must be positive, got {batch_size}")
     return [(start, min(start + batch_size, n))
             for start in range(0, n, batch_size)]
-
-
-def batch_seed_span(root: Union[int, np.random.SeedSequence],
-                    block_path: str, start: int,
-                    stop: int) -> List[np.random.SeedSequence]:
-    """Ordered per-defect child seeds of one batch span within a block.
-
-    Child ``i`` of a block is the stateless spawn
-    ``SeedSequence(entropy=block_root.entropy,
-    spawn_key=block_root.spawn_key + (i,))`` of the block's root
-    (:func:`block_seed_sequence`), mirroring the campaign engine's stateless
-    per-task seed derivation.  A batch spanning ``[start, stop)`` owns
-    exactly the children ``start .. stop-1`` in order, so concatenating the
-    spans of any batching of a block partitions the unbatched per-defect
-    seed sequence exactly once, in order -- independent of the batch size,
-    the block subset and the block iteration order.  A batch task's engine
-    seed is its first child (``batch_seed_span(...)[0]``).
-    """
-    if start < 0 or stop < start:
-        raise CoverageError(
-            f"invalid batch span [{start}, {stop})")
-    block_root = block_seed_sequence(root, block_path)
-    return [np.random.SeedSequence(entropy=block_root.entropy,
-                                   spawn_key=tuple(block_root.spawn_key) + (i,))
-            for i in range(start, stop)]
 
 
 def per_block_selection(universe: DefectUniverse,
@@ -168,7 +143,6 @@ def per_block_selection(universe: DefectUniverse,
     Shared by :meth:`repro.defects.DefectCampaign.run_per_block` and the
     campaign stage expander of the declarative study layer
     (:mod:`repro.engine.registry`, which every campaign-shaped study graph
-    -- :func:`repro.engine.pipeline.build_block_study` and friends --
     compiles through) so the flows can never drift apart in what they
     simulate.
     """

@@ -20,21 +20,24 @@ simulation had to cover multiplied by a calibrated seconds-per-cycle
 constant, so that the effect of stop-on-detection on the campaign cost is
 reproduced.
 
-Campaigns execute through the campaign engine (:mod:`repro.engine`): each
-defect is one deterministic task, so passing
+Campaigns execute through the campaign engine (:mod:`repro.engine`): every
+campaign task is one deterministic batch of same-block defects evaluated
+against a cached defect-free golden trace (:func:`defect_batch_tasks` builds
+them, for :class:`DefectCampaign` runs and study graphs alike), so passing
 ``backend=SharedMemoryBackend(max_workers=N)`` to :meth:`DefectCampaign.run`
-shards the defect list across a process pool with byte-identical coverage
+shards the batches across a process pool with byte-identical coverage
 results, and passing a :class:`~repro.engine.ResultCache` makes repeated
-campaigns replay stored per-defect records instead of re-simulating.  A
+campaigns replay stored records instead of re-simulating.  A
 :class:`~repro.engine.SharedMemoryBackend` ships the campaign context (the
 behavioral ADC, windows, universe) to the workers once through a
-shared-memory segment instead of re-pickling it per task shard -- same
-results, far smaller per-task payloads.
+shared-memory segment instead of re-pickling it per task -- same results,
+far smaller per-task payloads.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import pickle
 import time
 import uuid
@@ -58,8 +61,8 @@ from .coverage import CoverageEstimate, exhaustive_coverage, lwrs_coverage
 from .injection import DefectInjector
 from .likelihood import LikelihoodModel
 from .model import Defect, DefectKind
-from .sampling import (SamplingPlan, batch_seed_span, batch_spans,
-                       per_block_selection, select_defects)
+from .sampling import (SamplingPlan, batch_spans, per_block_selection,
+                       select_defects)
 from .universe import DefectUniverse, build_defect_universe
 
 #: Modelled transistor-level simulation cost of one test clock cycle, in
@@ -230,12 +233,13 @@ def adc_fingerprint(adc: SarAdc, hierarchy: Any) -> str:
 _WORKER_STATE: Dict[str, "DefectCampaign"] = {}
 
 
-def _worker_campaign(context: Mapping[str, Any]) -> "DefectCampaign":
+def _worker_campaign(context: Mapping[str, Any],
+                     deltas: Mapping[str, float]) -> "DefectCampaign":
     token = context["token"]
     campaign = _WORKER_STATE.get(token)
     if campaign is None:
         campaign = DefectCampaign(
-            adc=context["adc"], deltas=context["deltas"],
+            adc=context["adc"], deltas=dict(deltas),
             stimulus=context["stimulus"], mode=context["mode"],
             stop_on_detection=context["stop_on_detection"],
             likelihood_model=context["likelihood_model"],
@@ -246,17 +250,66 @@ def _worker_campaign(context: Mapping[str, Any]) -> "DefectCampaign":
 
 
 def _defect_worker(context: Mapping[str, Any], task: Task,
-                   rng: np.random.Generator, inputs: Mapping[str, Any]):
-    """Engine worker: inject one defect (or a batch) and run the SymBIST test.
+                   rng: np.random.Generator, inputs: Mapping[str, Any]
+                   ) -> List["DefectSimulationRecord"]:
+    """Engine worker of every campaign task: evaluate one defect batch.
 
-    A list payload is a defect batch; the worker returns the ordered list of
-    per-defect records, which the dispatching campaign flattens back into the
-    unbatched record order.
+    The comparison windows come from the task's windows parent when it has
+    one (study graphs), reordered to the canonical invariance order so the
+    checker order -- hence any stop-on-detection tie-break -- never depends
+    on the JSON key order of a cache-replayed windows artifact.  A task
+    without parents (:class:`DefectCampaign` runs) uses the context's fixed
+    deltas.  The per-process campaign is keyed by the run token alone, and
+    different blocks' windows may differ (per-block k overrides), so the
+    delta table is refreshed per task.
     """
-    campaign = _worker_campaign(context)
-    if isinstance(task.payload, list):
-        return campaign.simulate_defect_batch(task.payload)
-    return campaign.simulate_defect(task.payload)
+    deltas = context.get("deltas")
+    if task.depends_on:
+        windows = inputs[task.depends_on[0]]["deltas"]
+        deltas = {name: windows[name]
+                  for name in context["invariance_names"] if name in windows}
+    campaign = _worker_campaign(context, deltas)
+    campaign.deltas = dict(deltas)
+    return campaign.simulate_defect_batch(
+        task.payload, fingerprint=context["fingerprint"])
+
+
+def defect_batch_tasks(stage: str, block: str, defects: Sequence[Defect],
+                       batch_size: int, key: Optional[Mapping[str, Any]],
+                       depends_on: Sequence[str] = ()) -> List[Task]:
+    """The campaign tasks of one block's ordered defect selection.
+
+    The single builder of defect-campaign tasks: every campaign task is a
+    golden-trace batch.  :func:`~repro.defects.sampling.batch_spans` cuts
+    the selection into contiguous ``[start, stop)`` spans (``batch_size=1``
+    gives batches of one); each becomes one task with id
+    ``<stage>/<block>/<start>-<stop>``, the ordered member list as payload
+    and ``weight`` = its member count.  Defect evaluation is deterministic,
+    so the tasks carry no seed.
+
+    ``key`` holds the cache-key fields the block's batches share --
+    ``adc`` (fingerprint), ``windows`` (what the comparison windows derive
+    from), ``mode``, ``stop_on_detection`` and ``seconds_per_cycle``, plus
+    any annotations -- and each batch's spec adds the one campaign driver
+    ``symbist-defect-batch`` and its ordered members (id and likelihood:
+    cached records decode the full :class:`Defect`, likelihood included).
+    ``key=None`` builds uncacheable tasks.
+    """
+    tasks = []
+    for start, stop in batch_spans(len(defects), batch_size):
+        members = list(defects[start:stop])
+        spec = None
+        if key is not None:
+            spec = {"driver": "symbist-defect-batch",
+                    "members": [{"defect_id": d.defect_id,
+                                 "likelihood": d.likelihood}
+                                for d in members],
+                    **key}
+        tasks.append(Task(task_id=f"{stage}/{block}/{start}-{stop}",
+                          payload=members, spec=spec, deterministic=True,
+                          group=block, depends_on=tuple(depends_on),
+                          weight=len(members)))
+    return tasks
 
 
 def defect_to_jsonable(defect: Defect) -> Dict[str, Any]:
@@ -305,34 +358,20 @@ def _record_from_jsonable(data: Mapping[str, Any]) -> DefectSimulationRecord:
         wall_time=data["wall_time"])
 
 
-def _result_to_jsonable(result) -> Any:
-    """Codec encoder for both per-defect records and batched record lists."""
-    if isinstance(result, list):
-        return [_record_to_jsonable(record) for record in result]
-    return _record_to_jsonable(result)
+def _records_to_jsonable(records: Sequence[DefectSimulationRecord]
+                         ) -> List[Dict[str, Any]]:
+    return [_record_to_jsonable(record) for record in records]
 
 
-def _result_from_jsonable(data) -> Any:
-    if isinstance(data, list):
-        return [_record_from_jsonable(raw) for raw in data]
-    return _record_from_jsonable(data)
+def _records_from_jsonable(data: Sequence[Mapping[str, Any]]
+                           ) -> List[DefectSimulationRecord]:
+    return [_record_from_jsonable(raw) for raw in data]
 
 
-#: Cache codec turning per-defect records (or batched lists of them) into
-#: JSON artifacts and back.
-RECORD_CODEC = ResultCodec(encode=_result_to_jsonable,
-                           decode=_result_from_jsonable)
-
-
-def _flatten_records(results: Sequence[Any]) -> List[DefectSimulationRecord]:
-    """Flatten engine results (records or batched record lists) in order."""
-    records: List[DefectSimulationRecord] = []
-    for result in results:
-        if isinstance(result, list):
-            records.extend(result)
-        else:
-            records.append(result)
-    return records
+#: Cache codec turning a campaign task's record list into a JSON artifact
+#: and back.
+RECORD_CODEC = ResultCodec(encode=_records_to_jsonable,
+                           decode=_records_from_jsonable)
 
 
 class DefectCampaign:
@@ -366,9 +405,16 @@ class DefectCampaign:
     def _adc_fingerprint(self) -> str:
         return adc_fingerprint(self.adc, self.hierarchy)
 
-    def _batch_evaluator(self) -> BatchedDefectEvaluator:
-        """The golden-trace evaluator for the ADC's current (clean) state."""
-        fingerprint = self._adc_fingerprint()
+    def _batch_evaluator(self, fingerprint: Optional[str] = None
+                         ) -> BatchedDefectEvaluator:
+        """The golden-trace evaluator for the ADC's current (clean) state.
+
+        ``fingerprint`` is that state's :func:`adc_fingerprint` when the
+        caller already knows it (a campaign run takes it once, before
+        dispatch); it is computed here otherwise.
+        """
+        if fingerprint is None:
+            fingerprint = self._adc_fingerprint()
         evaluator = self._batch_evaluators.get(fingerprint)
         if evaluator is None:
             evaluator = BatchedDefectEvaluator(
@@ -383,39 +429,6 @@ class DefectCampaign:
             evaluator.set_deltas(self.deltas)
         return evaluator
 
-    def _task_spec(self, defect: Defect, adc_fingerprint: str) -> Dict[str, Any]:
-        """Cache key material: everything a per-defect record depends on.
-
-        The defect's likelihood is part of the key because cached records
-        decode the full :class:`Defect` -- including the likelihood that
-        coverage estimators weight by -- so campaigns run under different
-        likelihood models must never share artifacts.
-        """
-        return {"driver": "symbist-defect-campaign",
-                "defect_id": defect.defect_id,
-                "likelihood": defect.likelihood,
-                "adc": adc_fingerprint,
-                "deltas": self.deltas,
-                "stimulus": asdict(self.stimulus),
-                "mode": self.mode.value,
-                "stop_on_detection": self.stop_on_detection,
-                "seconds_per_cycle": self.seconds_per_cycle}
-
-    def _batch_task_spec(self, defects: Sequence[Defect],
-                         adc_fingerprint: str) -> Dict[str, Any]:
-        """Cache key material of one batch task: the ordered member list
-        (id + likelihood, like the per-defect spec) plus everything the
-        shared evaluation depends on."""
-        return {"driver": "symbist-defect-batch",
-                "members": [{"defect_id": d.defect_id,
-                             "likelihood": d.likelihood} for d in defects],
-                "adc": adc_fingerprint,
-                "deltas": self.deltas,
-                "stimulus": asdict(self.stimulus),
-                "mode": self.mode.value,
-                "stop_on_detection": self.stop_on_detection,
-                "seconds_per_cycle": self.seconds_per_cycle}
-
     # ------------------------------------------------------------------- runs
     def _build_controller(self) -> SymBistController:
         checkers = [WindowComparator(name=name, delta=delta)
@@ -425,7 +438,12 @@ class DefectCampaign:
                                  stop_on_detection=self.stop_on_detection)
 
     def simulate_defect(self, defect: Defect) -> DefectSimulationRecord:
-        """Inject one defect, run the SymBIST test, and record the outcome."""
+        """Inject one defect, run the full SymBIST test, record the outcome.
+
+        The full re-simulation: the fallback of :meth:`simulate_defect_batch`
+        for defects that are not local to one block, and the oracle the
+        batched evaluation is tested against.
+        """
         start = time.perf_counter()
         with self.injector.injected(defect):
             result = self._build_controller().run()
@@ -442,7 +460,8 @@ class DefectCampaign:
             modeled_sim_time=result.cycles_run * self.seconds_per_cycle,
             wall_time=wall)
 
-    def simulate_defect_batch(self, defects: Sequence[Defect]
+    def simulate_defect_batch(self, defects: Sequence[Defect],
+                              fingerprint: Optional[str] = None
                               ) -> List[DefectSimulationRecord]:
         """Evaluate a batch of defects against the shared golden trace.
 
@@ -451,9 +470,10 @@ class DefectCampaign:
         its downstream cone against the cached defect-free trace
         (:mod:`repro.defects.batching`); a non-local defect falls back to
         the full re-simulation.  Only ``wall_time`` -- which is measured,
-        never compared -- differs.
+        never compared -- differs.  ``fingerprint`` is the clean ADC's
+        :func:`adc_fingerprint`, when the caller already has it.
         """
-        evaluator = self._batch_evaluator()
+        evaluator = self._batch_evaluator(fingerprint)
         records: List[DefectSimulationRecord] = []
         for defect in defects:
             if not evaluator.is_local(defect):
@@ -494,27 +514,26 @@ class DefectCampaign:
             Optional restriction to a list of block paths (used to produce the
             per-block rows of Table I with per-block LWRS budgets).
         progress:
-            Optional callback ``progress(index, total, record)`` invoked after
-            each defect simulation (in defect order on the serial backend, in
-            completion order otherwise).
+            Optional callback ``progress(index, total, record)`` invoked once
+            per simulated defect, ``index`` counting the defects reported so
+            far (in defect order on the serial backend, in completion order
+            otherwise).
         backend:
             Campaign-engine execution backend; the default serial backend
-            reproduces the historical in-process loop exactly, while a
-            :class:`~repro.engine.SharedMemoryBackend` shards the defects
+            runs in-process, while a
+            :class:`~repro.engine.SharedMemoryBackend` shards the batches
             across worker processes with identical results, shipping the
             campaign context (ADC, windows, universe) only once per run.
         cache:
-            Optional :class:`~repro.engine.ResultCache`; per-defect records
-            are stored as JSON artifacts keyed by the full campaign spec, so
-            re-running an identical campaign replays them instead of
+            Optional :class:`~repro.engine.ResultCache`; each batch's records
+            are stored as one JSON artifact keyed by the full campaign spec,
+            so re-running an identical campaign replays them instead of
             simulating.
         batch_size:
-            Number of defects grouped into one engine task.  ``1`` (the
-            default) reproduces the historical per-defect task graph exactly
-            (same task ids, specs and cache artifacts); larger values
-            evaluate each group as one sweep against a cached defect-free
-            golden trace with bit-identical records
-            (:meth:`simulate_defect_batch`).
+            Number of same-block defects evaluated per engine task, as one
+            sweep against a cached defect-free golden trace
+            (:meth:`simulate_defect_batch`); ``1`` gives batches of one.
+            Records are bit-identical for every batch size.
         """
         plan = plan or SamplingPlan(exhaustive=True)
         universe = self.universe
@@ -525,69 +544,85 @@ class DefectCampaign:
             raise CoverageError("no defects to simulate for the requested blocks")
         defects = select_defects(universe, plan, rng)
 
-        self.adc.clear_defects()
-        adc_fingerprint = self._adc_fingerprint()
-        tasks = TaskGraph()
-        if batch_size == 1:
-            for index, defect in enumerate(defects):
-                # LWRS samples with replacement, so the same defect may appear
-                # several times; the task id is indexed to stay unique while
-                # the spec (hence the cache key) depends on the defect alone.
-                tasks.add(Task(task_id=f"defect/{index}/{defect.defect_id}",
-                               payload=defect,
-                               spec=self._task_spec(defect, adc_fingerprint),
-                               deterministic=True, group=defect.block_path))
-        else:
-            for start, stop in batch_spans(len(defects), batch_size):
-                members = list(defects[start:stop])
-                group = members[0].block_path
-                tasks.add(Task(
-                    task_id=f"defect-batch/{start}-{stop}",
-                    payload=members,
-                    spec=self._batch_task_spec(members, adc_fingerprint),
-                    seed=batch_seed_span(0, group, start, stop)[0],
-                    deterministic=True, group=group,
-                    weight=len(members)))
-
-        run = self._dispatch(tasks, backend, cache, progress, telemetry)
-        return CampaignResult(records=_flatten_records(run.results),
-                              universe=universe, plan=plan,
+        # Campaign tasks never span blocks: group the selection by block and
+        # put the records back in selection order afterwards.
+        positions: Dict[str, List[int]] = {}
+        for index, defect in enumerate(defects):
+            positions.setdefault(defect.block_path, []).append(index)
+        report, block_records = self._run_selection(
+            {block: [defects[i] for i in indices]
+             for block, indices in positions.items()},
+            batch_size, backend, cache, progress, telemetry)
+        records: List[Any] = [None] * len(defects)
+        for block, indices in positions.items():
+            for index, record in zip(indices, block_records[block]):
+                records[index] = record
+        return CampaignResult(records=records, universe=universe, plan=plan,
                               stop_on_detection=self.stop_on_detection,
-                              engine_report=run.report)
+                              engine_report=report)
 
-    def _dispatch(self, tasks: TaskGraph,
-                  backend: Optional[ExecutionBackend],
-                  cache: Optional[ResultCache],
-                  progress: Optional[Callable[[int, int, DefectSimulationRecord], None]],
-                  telemetry: Optional["TelemetryBus"] = None):
-        """Run defect tasks through one engine invocation.
+    def _run_selection(self, selection: Mapping[str, Sequence[Defect]],
+                       batch_size: int,
+                       backend: Optional[ExecutionBackend],
+                       cache: Optional[ResultCache],
+                       progress: Optional[Callable[[int, int, DefectSimulationRecord], None]],
+                       telemetry: Optional["TelemetryBus"]
+                       ) -> "tuple[CampaignReport, Dict[str, List[DefectSimulationRecord]]]":
+        """Run a per-block defect selection through one engine invocation.
 
-        Registers this campaign in the per-process worker state (so the
-        serial backend and fork-started workers reuse the live
-        hierarchy/injector) for the duration of the run -- the single copy
-        of the dispatch plumbing shared by :meth:`run` and
-        :meth:`run_per_block`.
+        Builds the batch tasks with :func:`defect_batch_tasks` and registers
+        this campaign in the per-process worker state (so the serial backend
+        and fork-started workers reuse the live hierarchy/injector) for the
+        duration of the run -- the dispatch shared by :meth:`run` and
+        :meth:`run_per_block`.  Returns the run's report and each block's
+        records in selection order.
         """
+        self.adc.clear_defects()
+        fingerprint = self._adc_fingerprint()
+        key = {"adc": fingerprint,
+               "windows": {"deltas": self.deltas,
+                           "stimulus": asdict(self.stimulus)},
+               "mode": self.mode.value,
+               "stop_on_detection": self.stop_on_detection,
+               "seconds_per_cycle": self.seconds_per_cycle}
+        tasks = TaskGraph()
+        block_tasks: Dict[str, List[Task]] = {}
+        for block, defects in selection.items():
+            block_tasks[block] = defect_batch_tasks("campaign", block, defects,
+                                                    batch_size, key)
+            for task in block_tasks[block]:
+                tasks.add(task)
+
         engine_progress = None
         if progress is not None:
+            total = sum(len(defects) for defects in selection.values())
+            index = itertools.count()
+
             def engine_progress(outcome: TaskOutcome) -> None:
-                progress(outcome.index, outcome.total, outcome.result)
+                for record in outcome.result:
+                    progress(next(index), total, record)
 
         token = uuid.uuid4().hex
         context = {"token": token, "adc": self.adc, "deltas": self.deltas,
                    "stimulus": self.stimulus, "mode": self.mode,
                    "stop_on_detection": self.stop_on_detection,
                    "likelihood_model": self.likelihood_model,
-                   "seconds_per_cycle": self.seconds_per_cycle}
+                   "seconds_per_cycle": self.seconds_per_cycle,
+                   "fingerprint": fingerprint}
         _WORKER_STATE.clear()
         _WORKER_STATE[token] = self
         try:
             engine = CampaignEngine(backend=backend, cache=cache,
                                     telemetry=telemetry)
-            return engine.run(tasks, _defect_worker, context=context,
-                              codec=RECORD_CODEC, progress=engine_progress)
+            run = engine.run(tasks, _defect_worker, context=context,
+                             codec=RECORD_CODEC, progress=engine_progress)
         finally:
             _WORKER_STATE.pop(token, None)
+        result_of = dict(zip(run.task_ids, run.results))
+        return run.report, {
+            block: [record for task in block_tasks[block]
+                    for record in result_of[task.task_id]]
+            for block in selection}
 
     def run_per_block(self, n_samples_per_block: int,
                       rng: Optional[np.random.Generator] = None,
@@ -609,16 +644,15 @@ class DefectCampaign:
         ``#defects == #defects simulated``; larger blocks use LWRS.
 
         The whole sweep is **one task graph through one engine run**: every
-        block's defect tasks are submitted together (grouped by block in the
+        block's batch tasks are submitted together (grouped by block in the
         report), so small blocks interleave with large ones and a pool
         backend stays saturated instead of draining per block.  Each block's
         LWRS draws come from a generator derived from the root ``seed`` and
         the block path (:func:`~repro.defects.sampling.block_seed_sequence`)
         -- results are therefore bit-identical for any block order, block
-        subset, backend or worker count (defect simulation itself is
-        deterministic, so no per-task seed material is needed).  Every
-        returned
-        :class:`CampaignResult` shares the single
+        subset, batch size, backend or worker count (defect simulation
+        itself is deterministic, so no per-task seed material is needed).
+        Every returned :class:`CampaignResult` shares the single
         :class:`~repro.engine.CampaignReport` spanning the sweep.
 
         Parameters
@@ -636,17 +670,8 @@ class DefectCampaign:
             Optional restriction to a block subset / force exhaustive
             simulation of every block (the ``repro-campaign campaign``
             options).
-        batch_size:
-            Number of defects grouped into one engine task.  Batches never
-            span blocks; within one block, batch ``[start, stop)`` carries
-            the defects the unbatched graph would run at those indices, with
-            its engine seed being the first child of
-            :func:`~repro.defects.sampling.batch_seed_span` -- the ordered
-            span of its children's seeds.  ``1`` reproduces the historical
-            per-defect task graph exactly; any value produces bit-identical
-            records, coverage and windows.
-        ``backend``/``cache``/``progress`` follow the :meth:`run`
-        conventions.
+        ``backend``/``cache``/``progress``/``batch_size`` follow the
+        :meth:`run` conventions.
         """
         if seed is None:
             seed = int(rng.integers(0, 2 ** 63 - 1)) if rng is not None else 0
@@ -654,48 +679,12 @@ class DefectCampaign:
             self.universe, seed, n_samples_per_block,
             exhaustive_threshold=exhaustive_threshold, blocks=blocks,
             exhaustive=exhaustive)
-
-        self.adc.clear_defects()
-        adc_fingerprint = self._adc_fingerprint()
-        tasks = TaskGraph()
-        block_task_ids: Dict[str, List[str]] = {}
-        for block_path, (plan, defects) in selection.items():
-            task_ids = []
-            if batch_size == 1:
-                for index, defect in enumerate(defects):
-                    task = Task(
-                        task_id=f"block/{block_path}/{index}/"
-                                f"{defect.defect_id}",
-                        payload=defect,
-                        spec=self._task_spec(defect, adc_fingerprint),
-                        deterministic=True, group=block_path)
-                    tasks.add(task)
-                    task_ids.append(task.task_id)
-            else:
-                for start, stop in batch_spans(len(defects), batch_size):
-                    members = list(defects[start:stop])
-                    task = Task(
-                        task_id=f"block-batch/{block_path}/{start}-{stop}",
-                        payload=members,
-                        spec=self._batch_task_spec(members, adc_fingerprint),
-                        seed=batch_seed_span(seed, block_path, start,
-                                             stop)[0],
-                        deterministic=True, group=block_path,
-                        weight=len(members))
-                    tasks.add(task)
-                    task_ids.append(task.task_id)
-            block_task_ids[block_path] = task_ids
-
-        run = self._dispatch(tasks, backend, cache, progress, telemetry)
-        record_of = dict(zip(run.task_ids, run.results))
-        results: Dict[str, CampaignResult] = {}
-        for block_path, (plan, _) in selection.items():
-            block_universe = self.universe.by_block(block_path)
-            results[block_path] = CampaignResult(
-                records=_flatten_records([record_of[tid]
-                                          for tid in
-                                          block_task_ids[block_path]]),
-                universe=block_universe, plan=plan,
-                stop_on_detection=self.stop_on_detection,
-                engine_report=run.report)
-        return results
+        report, block_records = self._run_selection(
+            {block: defects for block, (_, defects) in selection.items()},
+            batch_size, backend, cache, progress, telemetry)
+        return {block: CampaignResult(
+                    records=block_records[block],
+                    universe=self.universe.by_block(block), plan=plan,
+                    stop_on_detection=self.stop_on_detection,
+                    engine_report=report)
+                for block, (plan, _) in selection.items()}

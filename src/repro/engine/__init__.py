@@ -25,22 +25,21 @@ executes such workloads:
   artifact store keyed by task spec + seed + code version, with optional
   ``max_bytes``/``max_age`` LRU eviction;
 * :mod:`repro.engine.pipeline` -- the :class:`Pipeline` API (named stages
-  over one task graph) and the built-in workflows:
-  :func:`calibrate_then_campaign` (window calibration + defect campaign as
-  one graph), :func:`block_study` (per-block window calibration + every
-  block's defect campaign + per-block yield/coverage reductions as one
-  graph -- Table I in a single engine run) and :func:`yield_loss_study`
-  (calibration + campaign + yield-loss sweep + functional escape analysis
-  as one graph);
+  over one task graph) and the stage workers of the built-in studies;
 * :mod:`repro.engine.registry` -- the **stage registry**: every composable
   simulation stage (``calibrate``, ``windows``, ``campaign``, ``yield``,
   ``escape``, ``block-summary``) registered under a stable name with a
   typed parameter schema and a graph expander;
 * :mod:`repro.engine.spec` -- the **declarative study layer**:
   :class:`StudySpec` documents (TOML/JSON round-trippable) compiled by
-  :func:`build_study` against the registry into one task graph, with the
-  canned studies (:data:`CALIBRATE_THEN_CAMPAIGN`, :data:`BLOCK_STUDY`,
-  :data:`YIELD_LOSS_STUDY`) that the builders above are thin wrappers of;
+  :func:`build_study` against the registry into one task graph, and run
+  with :func:`run_study` -- the only study API.  The canned studies are
+  :data:`CALIBRATE_THEN_CAMPAIGN` (window calibration + defect campaign),
+  :data:`BLOCK_STUDY` (per-block window calibration + every block's defect
+  campaign + per-block yield/coverage reductions -- Table I in a single
+  engine run) and :data:`YIELD_LOSS_STUDY` (calibration + campaign +
+  yield-loss sweep + functional escape analysis); customise them with
+  :meth:`StudySpec.override`;
 * :mod:`repro.engine.cli` -- the ``repro-campaign`` command-line entry
   point, including ``repro-campaign run STUDY.toml`` for arbitrary specs.
 
@@ -60,10 +59,7 @@ from .executor import (CampaignEngine, CampaignReport, EngineRun,
                        IDENTITY_CODEC, ResultCodec, STATUS_CACHED,
                        STATUS_EXECUTED, STATUS_FAILED, STATUS_SKIPPED,
                        TaskOutcome)
-from .pipeline import (Pipeline, PipelineResult, PipelineStage,
-                       block_study, build_block_study,
-                       build_calibrate_then_campaign, build_yield_loss_study,
-                       calibrate_then_campaign, yield_loss_study)
+from .pipeline import Pipeline, PipelineResult, PipelineStage
 from .registry import (StageDefinition, StageParam, available_stages,
                        register_stage, stage_definition)
 from .spec import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN, CANNED_STUDIES,
@@ -77,19 +73,9 @@ from .telemetry import (ChromeTraceSink, EVENT_TYPES, JsonlTraceSink,
                         chrome_trace, follow_trace, read_trace)
 from .trace import TraceSummary, format_summary, summarize_trace
 
-#: Deprecated aliases: the per-study Plan/Outcome triplets collapsed into
-#: the single StudyPlan/StudyOutcome of the declarative spec layer.
-BlockStudyOutcome = StudyOutcome
-BlockStudyPlan = StudyPlan
-CalibrateCampaignOutcome = StudyOutcome
-CalibrateCampaignPlan = StudyPlan
-YieldLossStudyOutcome = StudyOutcome
-YieldLossStudyPlan = StudyPlan
-
 __all__ = [
-    "BLOCK_STUDY", "BlockStudyOutcome", "BlockStudyPlan",
-    "CALIBRATE_THEN_CAMPAIGN", "CANNED_STUDIES",
-    "CalibrateCampaignOutcome", "CalibrateCampaignPlan", "CampaignEngine",
+    "BLOCK_STUDY", "CALIBRATE_THEN_CAMPAIGN", "CANNED_STUDIES",
+    "CampaignEngine",
     "CampaignReport", "ChromeTraceSink", "EVENT_TYPES", "EngineRun",
     "ExecutionBackend", "IDENTITY_CODEC", "JsonlTraceSink", "MISS",
     "MetricsRegistry", "MetricsSink", "PayloadReport",
@@ -101,11 +87,9 @@ __all__ = [
     "VariantSpec",
     "TaskGraph", "TaskOutcome", "TaskSpan", "TelemetryBus", "TelemetryEvent",
     "TelemetrySink", "TraceSummary", "WorkStream", "YIELD_LOSS_STUDY",
-    "YieldLossStudyOutcome", "YieldLossStudyPlan", "available_stages",
-    "block_study", "build_block_study", "build_calibrate_then_campaign",
-    "build_study", "build_yield_loss_study", "calibrate_then_campaign",
+    "available_stages", "build_study",
     "callable_token", "canonical_json", "chrome_trace", "factory_token",
     "follow_trace", "format_summary",
     "load_study", "read_trace", "register_stage", "run_study",
-    "stage_definition", "summarize_trace", "yield_loss_study",
+    "stage_definition", "summarize_trace",
 ]

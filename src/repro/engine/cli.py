@@ -5,30 +5,28 @@ through the campaign engine, with sharded workers and a persistent artifact
 cache::
 
     repro-campaign run examples/studies/block_study.toml --workers 4
+    repro-campaign run block-study --workers 4 --json table1.json
     repro-campaign run yield-loss-study --set campaign.samples=40
+    repro-campaign run calibrate-then-campaign --cache-dir .cache
     repro-campaign calibrate --monte-carlo 100 --workers 4 --cache-dir .cache
     repro-campaign campaign --blocks sc_array vcm_generator --workers 4
-    repro-campaign pipeline --workers 4 --cache-dir .cache --json out.json
-    repro-campaign block-study --workers 4 --backend shm --json table1.json
-    repro-campaign yield-study --workers 4 --backend shm --json study.json
     repro-campaign cache stats --cache-dir .cache
     repro-campaign warehouse index .cache --db results.sqlite
     repro-campaign warehouse query per-block-coverage --db results.sqlite
 
-``run`` is the general entry point: it loads a declarative study spec (a
+``run`` is the study entry point: it loads a declarative study spec (a
 TOML/JSON document, or the name of a canned study -- see ``docs/studies.md``
 and ``examples/studies/``), applies ``--set stage.param=value`` overrides,
 compiles it against the stage registry and executes the whole study as one
-dependency-aware task graph.  The legacy study subcommands are thin aliases
-of it over the canned specs: ``pipeline`` (calibrate -> campaign),
-``block-study`` (per-block window calibration + every block's defect
-campaign + per-block reductions; Table I in one engine run) and
-``yield-study`` (the pipeline graph extended with the yield-loss sweep and
-the functional escape analysis).  ``calibrate`` and ``campaign`` run the two
-phases separately; ``cache`` inspects and garbage-collects a cache
-directory; ``warehouse`` maintains and queries a SQLite index of the
-completed results (``--warehouse DB`` on any workload subcommand keeps it
-up to date as runs finish).
+dependency-aware task graph.  The canned studies are
+``calibrate-then-campaign``, ``block-study`` (per-block window calibration +
+every block's defect campaign + per-block reductions; Table I in one engine
+run) and ``yield-loss-study`` (calibrate -> campaign extended with the
+yield-loss sweep and the functional escape analysis).  ``calibrate`` and
+``campaign`` run the two phases separately; ``cache`` inspects and
+garbage-collects a cache directory; ``warehouse`` maintains and queries a
+SQLite index of the completed results (``--warehouse DB`` on any workload
+subcommand keeps it up to date as runs finish).
 
 Every campaign-shaped subcommand emits the same per-block JSON schema, with
 the single engine report of the run under the top-level ``engine`` key.
@@ -39,7 +37,7 @@ byte-identical results.  The pool ships the campaign context (the
 behavioral ADC, windows, universe) to the workers once through a
 shared-memory segment; ``--mp-context`` picks the worker start method (fork,
 spawn or forkserver).  ``--cache-dir`` makes repeated runs near-free: every
-per-defect record and per-sample residual set is stored as a
+defect batch's records and every per-sample residual set is stored as a
 content-addressed JSON artifact, optionally bounded by
 ``--cache-max-bytes`` / ``--cache-max-age`` LRU eviction.
 """
@@ -103,9 +101,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser,
                           seeded: bool = False) -> None:
     """Execution/caching options shared by every workload subcommand.
 
-    ``seeded=True`` adds the legacy study knobs (``--seed``,
-    ``--monte-carlo``, ``--k``) that the `run` subcommand replaces with
-    spec entries / ``--set`` overrides.
+    ``seeded=True`` adds the calibration knobs of ``calibrate`` and
+    ``campaign`` (``--seed``, ``--monte-carlo``, ``--k``) that the `run`
+    subcommand takes as spec entries / ``--set`` overrides.
     """
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (1 = serial; results are "
@@ -230,9 +228,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _block_json(block: str, result: Any, variant: Optional[str] = None,
                 dut_fingerprint: Optional[str] = None) -> Dict[str, Any]:
-    """Machine-readable per-block payload, shared by every campaign-shaped
-    subcommand (``campaign``, ``pipeline``, ``yield-study``, ``block-study``)
-    so they can never drift apart in JSON schema.
+    """Machine-readable per-block payload, shared by the campaign-shaped
+    subcommands (``campaign`` and ``run``) so they can never drift apart in
+    JSON schema.
 
     Every row names the device it ran against (``dut_fingerprint``,
     defaulting to the paper's device) and the study variant it belongs to
@@ -345,10 +343,8 @@ def _parse_set_assignment(entry: str) -> "Tuple[str, Any]":
     return key.strip(), value
 
 
-def _run_study(args: argparse.Namespace, spec: Any,
-               label: Optional[str] = None) -> int:
-    """Compile a study spec, run it and report -- the shared implementation
-    of ``run`` and the legacy study subcommands.
+def cmd_run(args: argparse.Namespace) -> int:
+    """Compile a study spec, run it and report.
 
     The cache namespace is "calibration" (not a study-private one) so the
     calibrate stage replays artifacts written by ``repro-campaign
@@ -357,7 +353,7 @@ def _run_study(args: argparse.Namespace, spec: Any,
     """
     from .spec import build_study
 
-    label = label or spec.name
+    spec = _load_spec_with_overrides(args)
     plan = build_study(spec)
     if plan.variants:
         console.info(f"running study {spec.name!r} as one task graph "
@@ -379,9 +375,9 @@ def _run_study(args: argparse.Namespace, spec: Any,
     if plan.variants:
         for name, vplan in plan.variants.items():
             _print_stage_tables(vplan, outcome.variants[name],
-                                f"{label}:{name}")
+                                f"{spec.name}:{name}")
     else:
-        _print_stage_tables(plan, outcome, label)
+        _print_stage_tables(plan, outcome, spec.name)
 
     console.info()
     console.info(f"engine: {outcome.report.summary()}")
@@ -508,53 +504,6 @@ def _print_stage_tables(plan: Any, outcome: Any, label: str) -> None:
                      f"escapes, {escapes.n_benign} benign")
         for name, count in sorted(escapes.violations_histogram().items()):
             console.info(f"  {name}: {count}")
-
-
-def _legacy_study_overrides(args: argparse.Namespace) -> Dict[str, Any]:
-    """The shared campaign flags of the legacy study subcommands, as spec
-    overrides (study-level ``k`` feeds every stage declaring it)."""
-    return {
-        "seed": args.seed,
-        "k": args.k,
-        "calibrate.n_monte_carlo": args.monte_carlo,
-        "campaign.blocks": args.blocks or None,  # bare --blocks == all
-        "campaign.samples": args.samples,
-        "campaign.exhaustive": args.exhaustive,
-        "campaign.exhaustive_threshold": args.exhaustive_threshold,
-        "campaign.stop_on_detection": not args.no_stop_on_detection,
-        "campaign.batch_size": args.batch_size,
-    }
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    from .spec import load_study
-    spec = load_study(args.study)
-    assignments = [_parse_set_assignment(entry)
-                   for entry in (args.set or [])]
-    if assignments:
-        spec = spec.override(dict(assignments))
-    return _run_study(args, spec)
-
-
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    from .spec import CALIBRATE_THEN_CAMPAIGN
-    spec = CALIBRATE_THEN_CAMPAIGN.override(_legacy_study_overrides(args))
-    return _run_study(args, spec, label="pipeline")
-
-
-def cmd_yield_study(args: argparse.Namespace) -> int:
-    from .spec import YIELD_LOSS_STUDY
-    spec = YIELD_LOSS_STUDY.override({
-        **_legacy_study_overrides(args),
-        "yield.k_values": [float(value) for value in args.k_values],
-        "escape.max_escape_defects": args.max_escape_defects})
-    return _run_study(args, spec, label="study")
-
-
-def cmd_block_study(args: argparse.Namespace) -> int:
-    from .spec import BLOCK_STUDY
-    spec = BLOCK_STUDY.override(_legacy_study_overrides(args))
-    return _run_study(args, spec, label="block-study")
 
 
 def _open_cache(args: argparse.Namespace):
@@ -914,35 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(campaign)
     _add_campaign_arguments(campaign)
     campaign.set_defaults(func=cmd_campaign)
-
-    pipeline = sub.add_parser(
-        "pipeline",
-        help="calibrate -> campaign as one dependency-aware task graph")
-    _add_common_arguments(pipeline)
-    _add_campaign_arguments(pipeline)
-    pipeline.set_defaults(func=cmd_pipeline)
-
-    block_study = sub.add_parser(
-        "block-study",
-        help="per-block window calibration + every block's defect campaign "
-             "as one task graph (Table I in one engine run)")
-    _add_common_arguments(block_study)
-    _add_campaign_arguments(block_study)
-    block_study.set_defaults(func=cmd_block_study)
-
-    study = sub.add_parser(
-        "yield-study",
-        help="calibrate -> campaign -> yield sweep -> escape analysis as "
-             "one task graph")
-    _add_common_arguments(study)
-    _add_campaign_arguments(study)
-    study.add_argument("--k-values", type=float, nargs="+",
-                       default=[2.0, 3.0, 4.0, 5.0, 6.0],
-                       help="window multipliers of the yield-loss sweep")
-    study.add_argument("--max-escape-defects", type=int, default=20,
-                       help="functional-test budget: analyse at most this "
-                            "many undetected defects")
-    study.set_defaults(func=cmd_yield_study)
 
     trace = sub.add_parser(
         "trace",

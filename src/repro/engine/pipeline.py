@@ -9,14 +9,16 @@ barriers** -- the scheduler dispatches any task the moment its parents
 complete, so a fast branch of a later stage can overtake a slow branch of an
 earlier one.
 
-The built-in :func:`calibrate_then_campaign` pipeline wires the paper's core
+The canned ``calibrate-then-campaign`` study
+(:data:`~repro.engine.spec.CALIBRATE_THEN_CAMPAIGN`) wires the paper's core
 workflow into a single graph::
 
     calib/0 ... calib/N-1          (defect-free Monte Carlo instances)
             \\   |   /
              windows               (pool residuals, delta = k*sigma + |mean|)
             /   |   \\
-    campaign/<block>/<i>/...       (one defect injection + SymBIST run each)
+    campaign/<block>/<start>-<stop>  (a batch of defect injections + SymBIST
+                                      runs against the golden trace)
 
 One root seed drives every random draw (the same draws, in the same order,
 as running ``repro-campaign calibrate`` followed by ``repro-campaign
@@ -29,13 +31,11 @@ Stage workers follow the engine's worker contract
 :meth:`repro.engine.CampaignEngine.run`); they must be module-level
 callables, and stage contexts picklable, for pool execution.
 
-The built-in study graphs (:func:`calibrate_then_campaign`,
-:func:`block_study`, :func:`yield_loss_study`) are compiled from declarative
+Study graphs are compiled from declarative
 :class:`~repro.engine.spec.StudySpec` documents through the stage registry
-(:mod:`repro.engine.registry`); this module keeps the :class:`Pipeline` API,
-the stage worker functions and thin keyword-argument wrappers around the
-canned specs.  New study shapes should be written as specs (see
-``docs/studies.md``), not as new builder functions.
+(:mod:`repro.engine.registry`); this module keeps the :class:`Pipeline` API
+and the stage registration helpers and workers the registry's expanders
+use.  New study shapes are written as specs (see ``docs/studies.md``).
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ import numpy as np
 
 from ..circuit.errors import EngineError
 from .backends import ExecutionBackend
-from .cache import (ResultCache, callable_token, canonical_json,
-                    factory_token)
+from .cache import ResultCache, canonical_json, factory_token
 from .telemetry import TelemetryBus
 from .executor import (CampaignEngine, CampaignReport, EngineRun,
                        IDENTITY_CODEC, ProgressCallback, ResultCodec,
@@ -288,33 +287,6 @@ def _windows_stage_worker(context: Mapping[str, Any], task: Task,
             "sigmas": sigmas, "means": means, "deltas": deltas}
 
 
-def _campaign_stage_worker(context: Mapping[str, Any], task: Task,
-                           rng: np.random.Generator,
-                           inputs: Mapping[str, Any]) -> Any:
-    """Inject one defect and run SymBIST with the calibrated windows.
-
-    The campaign object is built once per process (keyed by the run token)
-    the first time a defect task lands there; the windows arrive as the
-    result of the single ``windows`` parent.  Deltas are re-ordered to the
-    canonical invariance order so checker order -- hence any
-    stop-on-detection tie-break -- never depends on JSON key ordering of a
-    cache-replayed windows artifact.
-    """
-    from ..defects.simulator import _worker_campaign
-    windows = inputs[task.depends_on[0]]
-    deltas = {name: windows["deltas"][name]
-              for name in context["invariance_names"]
-              if name in windows["deltas"]}
-    campaign = _worker_campaign({**context, "deltas": deltas})
-    # The per-process campaign is keyed by the run token alone, but within a
-    # block-study run different blocks' windows tasks may carry different
-    # deltas (per-block k overrides) -- refresh the table per task.
-    campaign.deltas = dict(deltas)
-    if isinstance(task.payload, list):
-        return campaign.simulate_defect_batch(task.payload)
-    return campaign.simulate_defect(task.payload)
-
-
 def _register_calibrate_stage(pipeline: Pipeline, adc_factory: Any,
                               stimulus: Any, invariances: Sequence[Any],
                               variation_spec: Any, seed: int,
@@ -381,7 +353,7 @@ def _build_dut(adc_factory: Any) -> "tuple[Any, str, Any]":
     return adc, fingerprint, universe
 
 
-def _register_campaign_stage(pipeline: Pipeline, adc: Any,
+def _register_campaign_stage(pipeline: Pipeline, adc: Any, fingerprint: str,
                              stimulus: Any, mode: Any,
                              stop_on_detection: bool,
                              invariance_names: Sequence[str],
@@ -390,117 +362,27 @@ def _register_campaign_stage(pipeline: Pipeline, adc: Any,
     """Add the shared defect-campaign stage for a pre-built DUT.
 
     The single source of the campaign-stage worker context (the behavioral
-    ADC, test spec and run token), shared by every campaign-shaped study
-    graph.  Returns the per-process ``worker_token``.
+    ADC and its fingerprint, test spec and run token), shared by every
+    campaign-shaped study graph.  The stage worker is the campaign's own
+    :func:`repro.defects.simulator._defect_worker`, which takes each batch's
+    windows from its windows parent.  Returns the per-process
+    ``worker_token``.
     """
-    from ..defects.simulator import MODEL_SECONDS_PER_CYCLE, RECORD_CODEC
+    from ..defects.simulator import (MODEL_SECONDS_PER_CYCLE, RECORD_CODEC,
+                                     _defect_worker)
 
     worker_token = uuid.uuid4().hex
     pipeline.add_stage(
-        stage, _campaign_stage_worker,
+        stage, _defect_worker,
         codec=codec if codec is not None else RECORD_CODEC,
         context={"token": worker_token, "adc": adc,
+                 "fingerprint": fingerprint,
                  "stimulus": stimulus, "mode": mode,
                  "stop_on_detection": stop_on_detection,
                  "likelihood_model": None,
                  "seconds_per_cycle": MODEL_SECONDS_PER_CYCLE,
                  "invariance_names": list(invariance_names)})
     return worker_token
-
-
-def build_calibrate_then_campaign(
-        k: float = 5.0,
-        n_monte_carlo: int = 50,
-        seed: int = 1,
-        blocks: Optional[Sequence[str]] = None,
-        samples: int = 60,
-        exhaustive: bool = False,
-        exhaustive_threshold: int = 120,
-        stop_on_detection: bool = True,
-        batch_size: int = 1,
-        adc_factory: Optional[Callable[[], Any]] = None,
-        variation_spec: Optional[Any] = None,
-        delta_floors: Optional[Mapping[str, float]] = None
-) -> "Any":
-    """Build the paper's calibrate -> campaign workflow as one task graph.
-
-    Thin wrapper over the declarative study layer: applies the keyword
-    arguments as overrides on the canned
-    :data:`~repro.engine.spec.CALIBRATE_THEN_CAMPAIGN` spec and compiles it
-    with :func:`~repro.engine.spec.build_study`.  The compiled graph
-    reproduces, draw for draw, what ``repro-campaign calibrate --seed S``
-    followed by ``repro-campaign campaign --seed S`` computes:
-
-    * calibration per-sample seeds are drawn up front from
-      ``default_rng(seed)`` exactly like
-      :func:`~repro.core.collect_defect_free_residuals`;
-    * per-block LWRS defect draws come from
-      :func:`~repro.defects.sampling.block_seed_sequence` (root seed + block
-      path), exactly like :meth:`DefectCampaign.run_per_block
-      <repro.defects.DefectCampaign.run_per_block>` and the ``campaign``
-      subcommand, so they are invariant to block order and block subset;
-    * the ``windows`` reduction pools residuals in sample order and applies
-      :func:`~repro.core.calibration.windows_from_pools`.
-
-    Escape/detection counts and window deltas of the pipeline run are
-    therefore bit-identical to the manual two-invocation flow with the same
-    root seed, on any backend.
-
-    Parameters mirror the ``repro-campaign campaign`` options; returns a
-    :class:`~repro.engine.spec.StudyPlan` (run it with
-    :meth:`~repro.engine.spec.StudyPlan.run`).
-    """
-    from .spec import CALIBRATE_THEN_CAMPAIGN, build_study
-    spec = CALIBRATE_THEN_CAMPAIGN.override({
-        "seed": seed,
-        "calibrate.n_monte_carlo": n_monte_carlo,
-        "windows.k": k,
-        "windows.delta_floors": dict(delta_floors) if delta_floors else None,
-        "campaign.blocks": list(blocks) if blocks else None,
-        "campaign.samples": samples,
-        "campaign.exhaustive": exhaustive,
-        "campaign.exhaustive_threshold": exhaustive_threshold,
-        "campaign.stop_on_detection": stop_on_detection,
-        "campaign.batch_size": batch_size})
-    return build_study(spec, adc_factory=adc_factory,
-                       variation_spec=variation_spec)
-
-
-def calibrate_then_campaign(
-        k: float = 5.0,
-        n_monte_carlo: int = 50,
-        seed: int = 1,
-        blocks: Optional[Sequence[str]] = None,
-        samples: int = 60,
-        exhaustive: bool = False,
-        exhaustive_threshold: int = 120,
-        stop_on_detection: bool = True,
-        batch_size: int = 1,
-        backend: Optional[ExecutionBackend] = None,
-        cache: Optional[ResultCache] = None,
-        progress: Optional[ProgressCallback] = None,
-        on_failure: str = "raise",
-        telemetry: Optional[TelemetryBus] = None,
-        adc_factory: Optional[Callable[[], Any]] = None,
-        variation_spec: Optional[Any] = None,
-        delta_floors: Optional[Mapping[str, float]] = None
-) -> "Any":
-    """Run window calibration and the defect campaign as one task graph.
-
-    Convenience wrapper: :func:`build_calibrate_then_campaign` followed by
-    :meth:`~repro.engine.spec.StudyPlan.run`.  ``backend``/``cache`` follow
-    the usual engine conventions (serial and uncached by default); all
-    other parameters mirror the ``repro-campaign campaign`` options.
-    """
-    plan = build_calibrate_then_campaign(
-        k=k, n_monte_carlo=n_monte_carlo, seed=seed, blocks=blocks,
-        samples=samples, exhaustive=exhaustive,
-        exhaustive_threshold=exhaustive_threshold,
-        stop_on_detection=stop_on_detection, batch_size=batch_size,
-        adc_factory=adc_factory,
-        variation_spec=variation_spec, delta_floors=delta_floors)
-    return plan.run(backend=backend, cache=cache, progress=progress,
-                    on_failure=on_failure, telemetry=telemetry)
 
 
 # ===================================================================== built-in
@@ -542,80 +424,15 @@ def _escape_stage_worker(context: Mapping[str, Any], task: Task,
     """
     from ..analysis.escape_analysis import analyze_escapes
     from ..defects.sampling import SamplingPlan
-    from ..defects.simulator import CampaignResult, _flatten_records
+    from ..defects.simulator import CampaignResult
     from ..defects.universe import DefectUniverse
-    records = _flatten_records([inputs[dep] for dep in task.depends_on])
+    records = [record for dep in task.depends_on for record in inputs[dep]]
     # Only undetected_defects() is consulted; universe/plan are inert here.
     result = CampaignResult(records=records, universe=DefectUniverse([]),
                             plan=SamplingPlan(exhaustive=True),
                             stop_on_detection=context["stop_on_detection"])
     return analyze_escapes(result, adc=context["adc_factory"](),
                            max_defects=context["max_escape_defects"])
-
-
-def build_yield_loss_study(
-        k: float = 5.0,
-        n_monte_carlo: int = 50,
-        seed: int = 1,
-        blocks: Optional[Sequence[str]] = None,
-        samples: int = 60,
-        exhaustive: bool = False,
-        exhaustive_threshold: int = 120,
-        stop_on_detection: bool = True,
-        batch_size: int = 1,
-        k_values: Sequence[float] = (2.0, 3.0, 4.0, 5.0, 6.0),
-        n_cycles: int = 32,
-        max_escape_defects: Optional[int] = 20,
-        adc_factory: Optional[Callable[[], Any]] = None,
-        variation_spec: Optional[Any] = None,
-        delta_floors: Optional[Mapping[str, float]] = None
-) -> "Any":
-    """Build the paper's full yield-loss study as one task graph.
-
-    Thin wrapper compiling the canned
-    :data:`~repro.engine.spec.YIELD_LOSS_STUDY` spec with these overrides.
-    Five stages, one graph, no stage barriers::
-
-        calib/0 ... calib/N-1        (defect-free Monte Carlo instances)
-          |    \\      |
-          |     windows              (delta = k*sigma + |mean|)
-          |    /   |   \\
-          |  campaign/<block>/...    (one defect injection + SymBIST each)
-          |        \\   |   /
-          |         escape           (functional test of undetected defects)
-        yield/k=2 ... yield/k=6      (empirical yield loss per k)
-
-    The calibration samples feed both the ``windows`` reduction and every
-    ``yield`` point, so the yield sweep runs concurrently with the defect
-    campaign; the ``escape`` stage starts as soon as the last defect task
-    finishes.  With the same root ``seed`` the outcome is bit-identical to
-    the manual flow (``calibrate_windows(keep_pools=True)`` +
-    ``DefectCampaign.run`` + ``empirical_yield_loss`` per ``k`` +
-    ``analyze_escapes``) on any backend.
-
-    Parameters follow :func:`build_calibrate_then_campaign`;
-    ``k_values``/``n_cycles`` mirror :func:`repro.analysis.yield_loss_sweep`
-    and ``max_escape_defects`` mirrors
-    :func:`repro.analysis.analyze_escapes`.  Returns a
-    :class:`~repro.engine.spec.StudyPlan`.
-    """
-    from .spec import YIELD_LOSS_STUDY, build_study
-    spec = YIELD_LOSS_STUDY.override({
-        "seed": seed,
-        "k": k,  # shared by the windows and yield stages, like the CLI --k
-        "calibrate.n_monte_carlo": n_monte_carlo,
-        "windows.delta_floors": dict(delta_floors) if delta_floors else None,
-        "campaign.blocks": list(blocks) if blocks else None,
-        "campaign.samples": samples,
-        "campaign.exhaustive": exhaustive,
-        "campaign.exhaustive_threshold": exhaustive_threshold,
-        "campaign.stop_on_detection": stop_on_detection,
-        "campaign.batch_size": batch_size,
-        "yield.k_values": tuple(float(v) for v in k_values),
-        "yield.n_cycles": n_cycles,
-        "escape.max_escape_defects": max_escape_defects})
-    return build_study(spec, adc_factory=adc_factory,
-                       variation_spec=variation_spec)
 
 
 # ===================================================================== built-in
@@ -628,17 +445,16 @@ def _block_summary_stage_worker(context: Mapping[str, Any], task: Task,
     """One block's yield/coverage reduction over its campaign records.
 
     The first parent is the block's windows task (for the delta table); the
-    remaining parents are the block's defect tasks in campaign order.  The
+    remaining parents are the block's batch tasks in campaign order.  The
     coverage estimators are the same ones
     :meth:`repro.defects.CampaignResult.block_report` applies, so the
     reduction is bit-identical to assembling a ``CampaignResult`` and asking
     it for the block's Table I row.
     """
     from ..defects.coverage import exhaustive_coverage, lwrs_coverage
-    from ..defects.simulator import _flatten_records
     windows = inputs[task.depends_on[0]]
-    records = _flatten_records([inputs[dep]
-                                for dep in task.depends_on[1:]])
+    records = [record for dep in task.depends_on[1:]
+               for record in inputs[dep]]
     detected = [r.detected for r in records]
     payload = task.payload
     if payload["exhaustive"]:
@@ -657,169 +473,3 @@ def _block_summary_stage_worker(context: Mapping[str, Any], task: Task,
             "modeled_sim_time": sum(r.modeled_sim_time for r in records),
             "wall_time": sum(r.wall_time for r in records),
             "deltas": dict(windows["deltas"])}
-
-
-def build_block_study(
-        k: float = 5.0,
-        n_monte_carlo: int = 50,
-        seed: int = 1,
-        blocks: Optional[Sequence[str]] = None,
-        samples: int = 60,
-        exhaustive: bool = False,
-        exhaustive_threshold: int = 120,
-        stop_on_detection: bool = True,
-        batch_size: int = 1,
-        adc_factory: Optional[Callable[[], Any]] = None,
-        variation_spec: Optional[Any] = None,
-        delta_floors: Optional[Mapping[str, float]] = None,
-        block_k: Optional[Mapping[str, float]] = None
-) -> "Any":
-    """Build the paper's per-block study (Table I) as one task graph.
-
-    Thin wrapper compiling the canned
-    :data:`~repro.engine.spec.BLOCK_STUDY` spec with these overrides.
-    Four stages, one graph, no stage barriers::
-
-        calib/0 ... calib/N-1            (defect-free Monte Carlo instances)
-              \\     |     /
-        windows/<block>  (one per block: delta = k_block*sigma + |mean|)
-              |
-        block/<block>/<i>/...  (one defect injection + SymBIST run each,
-              |                 depending only on its own block's windows)
-        summary/<block>  (per-block yield/coverage reduction)
-
-    Every block's defect tasks depend only on that block's windows task, so
-    a 3-defect block never holds the pool while a 300-defect block waits:
-    the scheduler interleaves all blocks' tasks and the pool stays saturated
-    from the first windows completion to the last summary.  This replaces
-    the historical per-block loop of ``DefectCampaign.run_per_block``, which
-    launched one engine run per block.
-
-    Determinism: calibration per-sample seeds are drawn up front from
-    ``default_rng(seed)`` (like :func:`repro.core.calibrate_windows` with
-    ``rng=default_rng(seed)``), and each block's LWRS draws come from
-    :func:`~repro.defects.sampling.block_seed_sequence` ``(seed, block)`` --
-    so per-block windows, detections and coverage are bit-identical to
-    running ``calibrate_windows`` followed by
-    :meth:`DefectCampaign.run_per_block
-    <repro.defects.DefectCampaign.run_per_block>` under the same root seed,
-    on any backend, for any block order or worker count.
-
-    ``block_k`` optionally overrides the guard-band multiplier per block
-    (per-block window calibration); blocks not named keep the global ``k``.
-    Other parameters follow :func:`build_calibrate_then_campaign`.  Returns
-    a :class:`~repro.engine.spec.StudyPlan`.
-    """
-    from .spec import BLOCK_STUDY, build_study
-    spec = BLOCK_STUDY.override({
-        "seed": seed,
-        "calibrate.n_monte_carlo": n_monte_carlo,
-        "windows.k": k,
-        "windows.delta_floors": dict(delta_floors) if delta_floors else None,
-        "windows.block_k": dict(block_k) if block_k else None,
-        "campaign.blocks": list(blocks) if blocks else None,
-        "campaign.samples": samples,
-        "campaign.exhaustive": exhaustive,
-        "campaign.exhaustive_threshold": exhaustive_threshold,
-        "campaign.stop_on_detection": stop_on_detection,
-        "campaign.batch_size": batch_size})
-    return build_study(spec, adc_factory=adc_factory,
-                       variation_spec=variation_spec)
-
-
-def block_study(
-        k: float = 5.0,
-        n_monte_carlo: int = 50,
-        seed: int = 1,
-        blocks: Optional[Sequence[str]] = None,
-        samples: int = 60,
-        exhaustive: bool = False,
-        exhaustive_threshold: int = 120,
-        stop_on_detection: bool = True,
-        batch_size: int = 1,
-        backend: Optional[ExecutionBackend] = None,
-        cache: Optional[ResultCache] = None,
-        progress: Optional[ProgressCallback] = None,
-        on_failure: str = "raise",
-        telemetry: Optional[TelemetryBus] = None,
-        adc_factory: Optional[Callable[[], Any]] = None,
-        variation_spec: Optional[Any] = None,
-        delta_floors: Optional[Mapping[str, float]] = None,
-        block_k: Optional[Mapping[str, float]] = None
-) -> "Any":
-    """Run the per-block study (Table I) as one task graph.
-
-    Convenience wrapper: :func:`build_block_study` followed by
-    :meth:`~repro.engine.spec.StudyPlan.run`.  ``backend``/``cache`` follow
-    the usual engine conventions (serial and uncached by default).
-    """
-    plan = build_block_study(
-        k=k, n_monte_carlo=n_monte_carlo, seed=seed, blocks=blocks,
-        samples=samples, exhaustive=exhaustive,
-        exhaustive_threshold=exhaustive_threshold,
-        stop_on_detection=stop_on_detection, batch_size=batch_size,
-        adc_factory=adc_factory,
-        variation_spec=variation_spec, delta_floors=delta_floors,
-        block_k=block_k)
-    return plan.run(backend=backend, cache=cache, progress=progress,
-                    on_failure=on_failure, telemetry=telemetry)
-
-
-def yield_loss_study(
-        k: float = 5.0,
-        n_monte_carlo: int = 50,
-        seed: int = 1,
-        blocks: Optional[Sequence[str]] = None,
-        samples: int = 60,
-        exhaustive: bool = False,
-        exhaustive_threshold: int = 120,
-        stop_on_detection: bool = True,
-        batch_size: int = 1,
-        k_values: Sequence[float] = (2.0, 3.0, 4.0, 5.0, 6.0),
-        n_cycles: int = 32,
-        max_escape_defects: Optional[int] = 20,
-        backend: Optional[ExecutionBackend] = None,
-        cache: Optional[ResultCache] = None,
-        progress: Optional[ProgressCallback] = None,
-        on_failure: str = "raise",
-        telemetry: Optional[TelemetryBus] = None,
-        adc_factory: Optional[Callable[[], Any]] = None,
-        variation_spec: Optional[Any] = None,
-        delta_floors: Optional[Mapping[str, float]] = None
-) -> "Any":
-    """Run the end-to-end yield-loss study as one task graph.
-
-    Convenience wrapper: :func:`build_yield_loss_study` followed by
-    :meth:`~repro.engine.spec.StudyPlan.run`.  ``backend``/``cache`` follow
-    the usual engine conventions (serial and uncached by default).
-    """
-    plan = build_yield_loss_study(
-        k=k, n_monte_carlo=n_monte_carlo, seed=seed, blocks=blocks,
-        samples=samples, exhaustive=exhaustive,
-        exhaustive_threshold=exhaustive_threshold,
-        stop_on_detection=stop_on_detection, batch_size=batch_size,
-        k_values=k_values,
-        n_cycles=n_cycles, max_escape_defects=max_escape_defects,
-        adc_factory=adc_factory, variation_spec=variation_spec,
-        delta_floors=delta_floors)
-    return plan.run(backend=backend, cache=cache, progress=progress,
-                    on_failure=on_failure, telemetry=telemetry)
-
-
-# Deprecated aliases: the per-study Plan/Outcome triplets collapsed into the
-# single StudyPlan/StudyOutcome of the declarative spec layer.
-_SPEC_ALIASES = {
-    "CalibrateCampaignPlan": "StudyPlan",
-    "BlockStudyPlan": "StudyPlan",
-    "YieldLossStudyPlan": "StudyPlan",
-    "CalibrateCampaignOutcome": "StudyOutcome",
-    "BlockStudyOutcome": "StudyOutcome",
-    "YieldLossStudyOutcome": "StudyOutcome",
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _SPEC_ALIASES:
-        from . import spec
-        return getattr(spec, _SPEC_ALIASES[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,8 @@ Built-in stages
 ``calibrate``   defect-free Monte Carlo instances (one task per sample)
 ``windows``     comparison-window reduction (global, or one per block with
                 ``per_block = true``)
-``campaign``    defect injection + SymBIST run (one task per sampled defect)
+``campaign``    defect injection + SymBIST run (one task per batch of
+                sampled same-block defects)
 ``yield``       empirical yield-loss point per ``k_values`` entry
 ``escape``      functional escape analysis of undetected defects
 ``block-summary``  per-block yield/coverage reduction (Table I rows)
@@ -28,9 +29,9 @@ Determinism: each expander derives every random draw from the study's root
 seed through a stage-specific derivation -- calibration per-sample seeds
 from ``default_rng(seed)``, per-block LWRS draws from
 :func:`~repro.defects.sampling.block_seed_sequence` ``(seed, block path)``
--- exactly like the historical hand-written builders, so compiled graphs
-are bit-identical to them (and replay their cache artifacts) under the same
-root seed on any backend.
+-- so a compiled graph's results are bit-identical under the same root seed
+on any backend, and match :meth:`~repro.defects.DefectCampaign.run_per_block`
+after :func:`~repro.core.calibrate_windows` with that seed.
 
 Third-party stages can call :func:`register_stage` with their own
 :class:`StageDefinition`; the ``repro-campaign run`` subcommand picks them
@@ -229,10 +230,6 @@ def available_stages() -> List[StageDefinition]:
 
 
 # ---------------------------------------------------------------- expanders
-#
-# Each expander reproduces, task for task and spec for spec, what the
-# historical hand-written builders in repro.engine.pipeline emitted -- the
-# bit-identity (and cache-artifact compatibility) guarantees rest on that.
 
 def _expand_calibrate(build: Any, name: str,
                       params: Dict[str, Any]) -> None:
@@ -321,8 +318,8 @@ def _expand_windows(build: Any, name: str, params: Dict[str, Any]) -> None:
 
 
 def _expand_campaign(build: Any, name: str, params: Dict[str, Any]) -> None:
-    from ..defects.sampling import batch_spans
-    from ..defects.simulator import MODEL_SECONDS_PER_CYCLE
+    from ..defects.simulator import (MODEL_SECONDS_PER_CYCLE,
+                                     defect_batch_tasks)
     from .pipeline import _register_campaign_stage
 
     build.require(name, "windows")
@@ -333,7 +330,7 @@ def _expand_campaign(build: Any, name: str, params: Dict[str, Any]) -> None:
             f"batch_size must be positive, got {batch_size}")
     adc, fingerprint, universe = build.dut()
     build.worker_token = _register_campaign_stage(
-        build.pipeline, adc, build.stimulus, build.mode,
+        build.pipeline, adc, fingerprint, build.stimulus, build.mode,
         build.stop_on_detection, build.invariance_names, stage=name,
         codec=stage_definition("campaign").make_codec())
     build.campaign_stage = name
@@ -343,70 +340,28 @@ def _expand_campaign(build: Any, name: str, params: Dict[str, Any]) -> None:
     # the campaign subcommand -- so the selection is identical for any block
     # order, block subset or worker count.
     selection = build.selection()
-    # The per-block prefix is the historical literal "block"; a variant's
-    # instance label already carries the variant prefix, the literal needs
-    # it added explicitly.
-    prefix = build.task_prefix + "block" if build.per_block else name
-    driver = "symbist-block-defect" if build.per_block \
-        else "symbist-pipeline-defect"
     for block in build.block_list():
-        block_universe = universe.by_block(block)
         plan, defects = selection[block]
         windows_id = build.windows_task_ids[block] if build.per_block \
             else build.windows_task_id
-        windows_spec = build.windows_specs[
-            block if build.per_block else None]
-        task_ids = []
-        defect_specs = []
-        if batch_size == 1:
-            for j, defect in enumerate(defects):
-                spec = None
-                if build.cacheable:
-                    spec = build.annotate(
-                        {"driver": driver,
-                         "defect_id": defect.defect_id,
-                         "likelihood": defect.likelihood,
-                         "adc": fingerprint,
-                         "windows": windows_spec,
-                         "mode": build.mode.value,
-                         "stop_on_detection": build.stop_on_detection,
-                         "seconds_per_cycle": MODEL_SECONDS_PER_CYCLE})
-                    defect_specs.append(spec)
-                task = Task(
-                    task_id=f"{prefix}/{block}/{j}/{defect.defect_id}",
-                    payload=defect, spec=spec, deterministic=True,
-                    group=block, depends_on=(windows_id,))
-                build.pipeline.add_task(name, task)
-                task_ids.append(task.task_id)
-        else:
-            # Batches never span blocks, so per-block result assembly and
-            # the seed-span scheme stay block-local.
-            for start, stop in batch_spans(len(defects), batch_size):
-                members = defects[start:stop]
-                spec = None
-                if build.cacheable:
-                    spec = build.annotate(
-                        {"driver": f"{driver}-batch",
-                         "members": [{"defect_id": d.defect_id,
-                                      "likelihood": d.likelihood}
-                                     for d in members],
-                         "adc": fingerprint,
-                         "windows": windows_spec,
-                         "mode": build.mode.value,
-                         "stop_on_detection": build.stop_on_detection,
-                         "seconds_per_cycle": MODEL_SECONDS_PER_CYCLE})
-                    defect_specs.append(spec)
-                task = Task(
-                    task_id=f"{prefix}-batch/{block}/{start}-{stop}",
-                    payload=list(members), spec=spec, deterministic=True,
-                    group=block, depends_on=(windows_id,),
-                    weight=len(members))
-                build.pipeline.add_task(name, task)
-                task_ids.append(task.task_id)
+        key = None
+        if build.cacheable:
+            key = build.annotate({
+                "adc": fingerprint,
+                "windows": build.windows_specs[
+                    block if build.per_block else None],
+                "mode": build.mode.value,
+                "stop_on_detection": build.stop_on_detection,
+                "seconds_per_cycle": MODEL_SECONDS_PER_CYCLE})
+        tasks = defect_batch_tasks(name, block, defects, batch_size, key,
+                                   depends_on=(windows_id,))
+        for task in tasks:
+            build.pipeline.add_task(name, task)
         build.block_plans[block] = plan
-        build.block_universes[block] = block_universe
-        build.block_task_ids[block] = task_ids
-        build.block_defect_specs[block] = defect_specs
+        build.block_universes[block] = universe.by_block(block)
+        build.block_task_ids[block] = [task.task_id for task in tasks]
+        build.block_defect_specs[block] = [task.spec for task in tasks] \
+            if build.cacheable else []
 
 
 def _expand_block_summary(build: Any, name: str,
@@ -574,8 +529,9 @@ register_stage(StageDefinition(
 
 register_stage(StageDefinition(
     name="campaign",
-    doc="defect injection + SymBIST run per sampled defect; per-block LWRS "
-        "draws derive from block_seed_sequence(root seed, block path)",
+    doc="defect injection + SymBIST run per sampled defect, in same-block "
+        "batches against a golden trace; per-block LWRS draws derive from "
+        "block_seed_sequence(root seed, block path)",
     expand=_expand_campaign,
     codec=_campaign_codec,
     requires=("windows",),

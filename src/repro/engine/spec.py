@@ -12,17 +12,15 @@ bespoke ~300-line builder; this module makes them **data** instead:
   and study-wide shared parameters, round-trippable to/from TOML and JSON;
 * :func:`build_study` compiles a spec against the stage registry into a
   :class:`StudyPlan` -- one :class:`~repro.engine.pipeline.Pipeline` whose
-  task graph is bit-identical to the historical hand-written builders under
-  the same root seed (same task ids, same cache specs, same per-stage seed
-  derivations), on any backend;
+  results are bit-identical under the same root seed on any backend;
 * :meth:`StudyPlan.run` executes the graph and assembles a
   :class:`StudyOutcome` with named-stage accessors (``calibration``,
   ``results``, ``summaries``, ``yield_points``, ``escapes``).
 
 The three canned studies -- :data:`CALIBRATE_THEN_CAMPAIGN`,
 :data:`BLOCK_STUDY` and :data:`YIELD_LOSS_STUDY` -- are ``StudySpec``
-constants; the legacy builders in :mod:`repro.engine.pipeline` and the
-legacy CLI subcommands are thin wrappers compiling them through this path.
+constants; :meth:`StudySpec.override` customises them from Python
+(``BLOCK_STUDY.override({"campaign.samples": 40})``) and
 ``repro-campaign run STUDY.toml`` (with ``--set stage.param=value``
 overrides) runs any spec from the shell; see ``docs/studies.md`` and
 ``examples/studies/`` for the format.
@@ -790,11 +788,10 @@ def build_study(spec: StudySpec,
     Walks the spec's stages in order, resolves each against the stage
     registry (typed parameter validation with actionable errors) and calls
     its expander to add the stage's tasks and dependency edges to one
-    :class:`~repro.engine.pipeline.Pipeline`.  The compiled graph is
-    bit-identical to the historical hand-written builders for the canned
-    specs -- same task ids, same content-addressed cache specs, same
-    per-stage seed derivations from the root seed -- so results (and warm
-    cache artifacts) carry over unchanged.
+    :class:`~repro.engine.pipeline.Pipeline`.  Every random draw derives
+    from the root seed through a stage-specific derivation, so the results
+    are bit-identical on any backend, and equal specs compile to graphs
+    with equal content-addressed cache specs (a warm cache replays them).
 
     A spec with a ``[dut]`` table compiles against that device (through a
     :class:`~repro.adc.sar_adc.DutAdcFactory`); ``[[variants]]`` fans the
@@ -803,8 +800,8 @@ def build_study(spec: StudySpec,
     per-variant root seeds derived from ``(root seed, variant label)``.
 
     ``adc_factory``/``variation_spec`` stay Python-level arguments (they
-    are code, not data); a non-importable factory disables caching exactly
-    like in the legacy builders.  An explicit ``adc_factory`` is rejected
+    are code, not data); a non-importable factory disables caching.  An
+    explicit ``adc_factory`` is rejected
     alongside a declared ``[dut]``/``[[variants]]`` section -- the factory
     is bound to one device and would silently shadow the spec's.
     """
@@ -1011,7 +1008,7 @@ class StudyPlan:
         """Collect this plan's named-stage results out of one (possibly
         shared) pipeline run."""
         from ..core.calibration import calibration_from_windows
-        from ..defects.simulator import CampaignResult, _flatten_records
+        from ..defects.simulator import CampaignResult
 
         outcome = StudyOutcome(spec=self.spec, pipeline=result,
                                report=result.report,
@@ -1039,8 +1036,8 @@ class StudyPlan:
                 if not all(tid in records for tid in task_ids):
                     continue
                 outcome.results[block] = CampaignResult(
-                    records=_flatten_records(
-                        [records[tid] for tid in task_ids]),
+                    records=[record for tid in task_ids
+                             for record in records[tid]],
                     universe=self.block_universes[block],
                     plan=self.block_plans[block],
                     stop_on_detection=self.stop_on_detection,
@@ -1087,8 +1084,8 @@ def run_study(spec: StudySpec,
 # ============================================================ canned studies
 #
 # The paper's three workflows as StudySpec constants.  Parameters are the
-# registry defaults (== the legacy builder defaults); the legacy builders
-# and CLI subcommands compile these with per-call overrides.
+# registry defaults; callers customise them with StudySpec.override (the
+# CLI's `run <name> --set stage.param=value`).
 
 CALIBRATE_THEN_CAMPAIGN = StudySpec(
     name="calibrate-then-campaign",

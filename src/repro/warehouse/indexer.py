@@ -36,9 +36,11 @@ from ..engine.telemetry import TelemetryEvent, TelemetrySink
 from ..engine.trace import PHASES
 from .schema import RESULT_COLUMNS, open_warehouse
 
-#: Cache ``driver`` string -> registry stage kind.  Batched campaign
-#: drivers fold into ``campaign``: a batch artifact is the same stage's
-#: payload, just carrying several records.
+#: Cache ``driver`` string -> registry stage kind.  Every campaign task is
+#: written under the one driver ``symbist-defect-batch`` (a list of
+#: records).  The retired campaign drivers stay mapped because they
+#: describe artifacts already in existing cache directories: single-record
+#: per-defect tasks and the per-graph-shape batch drivers.
 DRIVER_KINDS: Dict[str, str] = {
     "symbist-calibration": "calibrate",
     "symbist-pipeline-windows": "windows",

@@ -1,32 +1,36 @@
-"""Batched defect evaluation: seed spans, golden trace, locality fallback.
+"""Batched defect evaluation: batch spans, golden trace, locality fallback.
 
 Three pillars of the batching equivalence guarantee:
 
-* the batch seed-span scheme partitions the unbatched per-defect seed
-  sequence exactly once, in order, for *any* batch size and block subset
-  (property-based, so the partition law is exercised across the space rather
-  than at hand-picked sizes);
+* batch spans partition a block's defect list exactly once, in order, for
+  *any* batch size (property-based, so the partition law is exercised
+  across the space rather than at hand-picked sizes);
 * the cached defect-free golden trace is bit-identical to a full controller
-  re-simulation for every stimulus kind the campaigns use;
+  re-simulation for every stimulus kind the campaigns use, on every device
+  variant -- and so is every batched defect record (the
+  ``simulate_defect`` oracle);
 * a defect that is not provably local to one pipeline stage falls back to
   the full simulation and produces the exact same record.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adc import SarAdc
+from repro.adc.sar_adc import DutAdcFactory
 from repro.circuit.errors import CoverageError
-from repro.core import build_invariances, run_symbist
+from repro.core import build_invariances, calibrate_windows, run_symbist
 from repro.core.stimulus import SymBistStimulus
 from repro.defects import (DefectCampaign, LOCAL_STAGE, STAGE_DOWNSTREAM,
-                           batch_seed_span, batch_spans, build_golden_trace)
+                           batch_spans, build_golden_trace)
+from repro.dut import default_dut
 
-BLOCKS = ("bandgap", "subdac1", "sc_array", "rs_latch", "vcm_generator")
 
-
-# --------------------------------------------------------------- seed spans
+# -------------------------------------------------------------- batch spans
 class TestBatchSpans:
     @given(n=st.integers(0, 200), batch_size=st.integers(1, 64))
     @settings(max_examples=80, deadline=None)
@@ -51,87 +55,61 @@ class TestBatchSpans:
             batch_spans(-1, 4)
         with pytest.raises(CoverageError):
             batch_spans(4, 0)
-        with pytest.raises(CoverageError):
-            batch_seed_span(0, "subdac1", -1, 2)
-        with pytest.raises(CoverageError):
-            batch_seed_span(0, "subdac1", 3, 2)
-
-
-def _seed_material(sequences):
-    return [(seq.entropy, tuple(seq.spawn_key)) for seq in sequences]
-
-
-class TestBatchSeedSpans:
-    @given(n=st.integers(1, 48), batch_size=st.integers(1, 64),
-           root=st.integers(0, 2 ** 31 - 1), block=st.sampled_from(BLOCKS))
-    @settings(max_examples=40, deadline=None)
-    def test_concatenated_spans_equal_the_unbatched_sequence(
-            self, n, batch_size, root, block):
-        """The partition law: any batching of a block's defect list owns the
-        same per-defect seeds, in the same order, as the unbatched run."""
-        unbatched = _seed_material(batch_seed_span(root, block, 0, n))
-        concatenated = _seed_material(
-            seq for start, stop in batch_spans(n, batch_size)
-            for seq in batch_seed_span(root, block, start, stop))
-        assert concatenated == unbatched
-
-    @given(n=st.integers(1, 24), batch_size=st.integers(1, 8),
-           root=st.integers(0, 2 ** 31 - 1),
-           subset=st.permutations(BLOCKS))
-    @settings(max_examples=25, deadline=None)
-    def test_spans_are_independent_of_block_subset_and_order(
-            self, n, batch_size, root, subset):
-        """A block's seed spans never depend on which other blocks a sweep
-        visits, in what order, or how many of them there are."""
-        alone = {block: _seed_material(batch_seed_span(root, block, 0, n))
-                 for block in BLOCKS}
-        for block in subset[:3]:  # a strict subset, in shuffled order
-            swept = _seed_material(
-                seq for start, stop in batch_spans(n, batch_size)
-                for seq in batch_seed_span(root, block, start, stop))
-            assert swept == alone[block]
-
-    @given(n=st.integers(1, 48), batch_size=st.integers(1, 64),
-           root=st.integers(0, 2 ** 31 - 1), block=st.sampled_from(BLOCKS))
-    @settings(max_examples=25, deadline=None)
-    def test_batch_task_seed_is_the_spans_first_child(
-            self, n, batch_size, root, block):
-        """Engine convention: a batch task's seed is its first member's."""
-        children = _seed_material(batch_seed_span(root, block, 0, n))
-        for start, stop in batch_spans(n, batch_size):
-            span = batch_seed_span(root, block, start, stop)
-            assert _seed_material(span)[0] == children[start]
 
 
 # ------------------------------------------------------------- golden trace
-#: Stimulus kinds the campaigns run: the default exhaustive counter ramp,
-#: a sine-fit-style large differential input, a servo-style counter replay,
-#: and a histogram-style short counter with many repeats.
-STIMULI = {
-    "ramp": SymBistStimulus(),
-    "sine_fit": SymBistStimulus(input_diff=0.25),
-    "servo": SymBistStimulus(repeats=2),
-    "histogram": SymBistStimulus(counter_bits=4, repeats=3),
+#: Device variants the golden trace must reproduce: the paper's device, the
+#: resolutions whose reference ladders are shorter and longer than its 33
+#: taps, and a lower supply rail.
+DUTS = {
+    "default": default_dut(),
+    "8bit": default_dut().merged({"resolution_bits": 8}),
+    "12bit": default_dut().merged({"resolution_bits": 12}),
+    "vdd1.08": default_dut().merged({"vdd": 1.08}),
 }
+
+
+def _dut_stimulus(dut):
+    """The device's own SymBIST stimulus (its counter width and levels)."""
+    return SymBistStimulus(input_diff=dut.test_input_diff,
+                           input_cm=dut.common_mode,
+                           counter_bits=dut.half_bits)
+
+
+#: Stimulus kinds the campaigns run, per device: the default exhaustive
+#: counter ramp, a sine-fit-style large differential input, a servo-style
+#: counter replay, and a histogram-style short counter with many repeats.
+STIMULI = {
+    "ramp": lambda dut: _dut_stimulus(dut),
+    "sine_fit": lambda dut: replace(_dut_stimulus(dut), input_diff=0.25),
+    "servo": lambda dut: replace(_dut_stimulus(dut), repeats=2),
+    "histogram": lambda dut: replace(_dut_stimulus(dut), counter_bits=4,
+                                     repeats=3),
+}
+
+#: (device, stimulus kind) cases; the paper's device keeps the bare kind id.
+CASES = [pytest.param(dut, kind,
+                      id=kind if dut == "default" else f"{kind}-{dut}")
+         for dut in DUTS for kind in sorted(STIMULI)]
 
 _UNIT_DELTAS = {inv.name: 1.0 for inv in build_invariances()}
 
 
 class TestGoldenTrace:
-    @pytest.mark.parametrize("kind", sorted(STIMULI))
-    def test_golden_residuals_equal_full_resimulation(self, kind):
+    @pytest.mark.parametrize("dut, kind", CASES)
+    def test_golden_residuals_equal_full_resimulation(self, dut, kind):
         """The cached baseline is the full simulation, bit for bit, for
-        every stimulus kind."""
-        stimulus = STIMULI[kind]
-        adc = SarAdc()
+        every stimulus kind on every device variant."""
+        stimulus = STIMULI[kind](DUTS[dut])
+        adc = SarAdc(dut=DUTS[dut])
         golden = build_golden_trace(adc, stimulus, fingerprint="golden-test")
         result = run_symbist(adc, _UNIT_DELTAS, stimulus=stimulus)
         assert golden.residuals == result.settled_residuals
 
-    @pytest.mark.parametrize("kind", sorted(STIMULI))
-    def test_golden_signals_equal_full_resimulation(self, kind):
-        stimulus = STIMULI[kind]
-        adc = SarAdc()
+    @pytest.mark.parametrize("dut, kind", CASES)
+    def test_golden_signals_equal_full_resimulation(self, dut, kind):
+        stimulus = STIMULI[kind](DUTS[dut])
+        adc = SarAdc(dut=DUTS[dut])
         golden = build_golden_trace(adc, stimulus, fingerprint="golden-test")
         op = adc.operating_point(input_diff=stimulus.input_diff,
                                  input_cm=stimulus.input_cm)
@@ -169,3 +147,60 @@ class TestNonLocalFallback:
                          r.detecting_invariance, r.detection_cycle,
                          r.cycles_run, r.modeled_sim_time)
         assert [key(r) for r in batched] == [key(r) for r in expected]
+
+
+# ------------------------------------------------------------------ oracles
+def _record_key(record):
+    """Everything a record reports except the measured wall time."""
+    return (record.defect.defect_id, record.detected,
+            record.detecting_invariance, record.detection_cycle,
+            record.cycles_run, record.modeled_sim_time)
+
+
+def _dut_campaign(dut):
+    """A campaign on ``dut`` with its own stimulus and calibrated windows."""
+    stimulus = _dut_stimulus(dut)
+    calibration = calibrate_windows(
+        adc_factory=DutAdcFactory(dut), stimulus=stimulus, n_monte_carlo=5,
+        rng=np.random.default_rng(7), variation_spec=dut.variation_spec())
+    return DefectCampaign(adc=SarAdc(dut=dut), deltas=calibration.deltas,
+                          stimulus=stimulus)
+
+
+class TestBatchedOracle:
+    # The 12-bit universe holds 4983 defects of 64 test cycles each; its
+    # full re-simulations take ~30 s, so that case runs with the slow tests
+    # (its golden signals and residuals are checked above on every run).
+    @pytest.mark.parametrize("dut", [
+        pytest.param(dut, marks=pytest.mark.slow) if dut == "12bit" else dut
+        for dut in sorted(DUTS)])
+    def test_every_tenth_defect_matches_simulate_defect(self, dut):
+        """Golden-trace batches report what the full re-simulation
+        reports, on every device variant."""
+        campaign = _dut_campaign(DUTS[dut])
+        defects = campaign.universe.defects[::10]
+        batched = campaign.simulate_defect_batch(defects)
+        full = [campaign.simulate_defect(defect) for defect in defects]
+        assert [_record_key(r) for r in batched] == \
+            [_record_key(r) for r in full]
+        assert any(r.detected for r in full)
+        assert not all(r.detected for r in full)
+
+
+@pytest.mark.slow
+class TestWholeUniverseOracle:
+    @pytest.mark.parametrize("stop_on_detection", [True, False])
+    def test_every_defect_matches_simulate_defect(self, deltas,
+                                                  stop_on_detection):
+        """All 2775 defects of the paper's device, in one batch, against
+        the full re-simulation of each."""
+        campaign = DefectCampaign(adc=SarAdc(), deltas=deltas,
+                                  stop_on_detection=stop_on_detection)
+        defects = campaign.universe.defects
+        assert len(defects) == 2775
+        batched = campaign.simulate_defect_batch(defects)
+        mismatches = [defect.defect_id
+                      for defect, record in zip(defects, batched)
+                      if _record_key(record)
+                      != _record_key(campaign.simulate_defect(defect))]
+        assert mismatches == []

@@ -20,7 +20,8 @@ from repro.analysis import yield_loss_sweep
 from repro.core import collect_defect_free_residuals
 from repro.core.calibration import windows_from_pools
 from repro.defects import DefectCampaign, SamplingPlan
-from repro.engine import SerialBackend, block_study, calibrate_then_campaign
+from repro.engine import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN, SerialBackend,
+                          run_study)
 
 #: Entropy of the case generator: fixed so the ~20 cases are stable across
 #: runs (reproducible failures) while still randomly covering the spec space.
@@ -113,9 +114,10 @@ def _run_case(case, backend, deltas, calibration, batch_size=1):
         return {"points": points}
     if kind == "pipeline":
         # The dependency-graph (stream-mode) path of every backend.
-        outcome = calibrate_then_campaign(
-            n_monte_carlo=3, seed=case["seed"], blocks=[case["block"]],
-            samples=case["n_samples"], backend=backend)
+        outcome = run_study(CALIBRATE_THEN_CAMPAIGN.override({
+            "seed": case["seed"], "calibrate.n_monte_carlo": 3,
+            "campaign.blocks": [case["block"]],
+            "campaign.samples": case["n_samples"]}), backend=backend)
         result = outcome.results[case["block"]]
         return {"windows": (outcome.calibration.sigmas,
                             outcome.calibration.means,
@@ -124,10 +126,12 @@ def _run_case(case, backend, deltas, calibration, batch_size=1):
                 "counts": _report_counts(outcome.report)}
     # block-study: per-block windows, detections and coverage of a multi-
     # block sweep must be bit-identical whatever backend runs the graph.
-    outcome = block_study(
-        n_monte_carlo=3, seed=case["seed"], blocks=case["blocks"],
-        samples=case["n_samples"], exhaustive_threshold=case["threshold"],
-        backend=backend, batch_size=batch_size)
+    outcome = run_study(BLOCK_STUDY.override({
+        "seed": case["seed"], "calibrate.n_monte_carlo": 3,
+        "campaign.blocks": case["blocks"],
+        "campaign.samples": case["n_samples"],
+        "campaign.exhaustive_threshold": case["threshold"],
+        "campaign.batch_size": batch_size}), backend=backend)
     return {"windows": {block: (cal.sigmas, cal.means, cal.deltas)
                         for block, cal in outcome.calibrations.items()},
             "records": {block: _campaign_key(result)

@@ -4,7 +4,19 @@ import json
 
 import pytest
 
-from repro.engine.cli import build_parser, main
+from repro.engine import build_study, load_study, stage_definition
+from repro.engine.cli import _parse_set_assignment, build_parser, main
+
+#: `run` overrides shrinking a canned study to a tiny one-block campaign.
+SMALL_STUDY = ["--set", "calibrate.n_monte_carlo=3", "--set", "seed=1",
+               "--set", "campaign.blocks=vcm_generator"]
+
+
+def _stage_params(spec, stage="campaign"):
+    """The resolved parameters of one stage of a study spec."""
+    entry = next(entry for entry in spec.stages if entry.stage == stage)
+    return stage_definition(stage).resolve_params(spec.params,
+                                                  entry.params, "test")
 
 
 class TestParser:
@@ -17,10 +29,16 @@ class TestParser:
         exit status 2, not an argparse required-argument error."""
         assert main([]) == 2
         err = capsys.readouterr().err
-        for name in ("run", "calibrate", "campaign", "pipeline",
-                     "block-study", "yield-study", "cache"):
+        for name in ("run", "calibrate", "campaign", "cache"):
             assert name in err
         assert "the following arguments are required" not in err
+
+    def test_study_aliases_are_gone(self):
+        """Studies run through `run <canned>`; the per-study aliases that
+        duplicated it are not subcommands."""
+        for name in ("pipeline", "block-study", "yield-study"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([name])
 
     def test_version_flag(self, capsys):
         import repro
@@ -78,31 +96,38 @@ class TestParser:
         assert (alias.name, alias.workers) == ("shm", 3)
 
     def test_yield_study_defaults(self):
-        args = build_parser().parse_args(["yield-study"])
-        assert args.k_values == [2.0, 3.0, 4.0, 5.0, 6.0]
-        assert args.max_escape_defects == 20
+        args = build_parser().parse_args(["run", "yield-loss-study"])
         assert args.workers == 1
+        plan = build_study(load_study(args.study))
+        assert plan.k_values == [2.0, 3.0, 4.0, 5.0, 6.0]
+        assert _stage_params(plan.spec, "escape") == \
+            {"max_escape_defects": 20}
 
     def test_block_study_defaults(self):
-        args = build_parser().parse_args(["block-study"])
+        args = build_parser().parse_args(["run", "block-study"])
         assert args.workers == 1
-        assert args.samples == 60
-        assert args.exhaustive_threshold == 120
-        assert args.blocks is None
-        assert not args.no_stop_on_detection
+        assert _stage_params(load_study(args.study)) == {
+            "samples": 60, "exhaustive": False, "exhaustive_threshold": 120,
+            "stop_on_detection": True, "blocks": None, "batch_size": 1}
         args = build_parser().parse_args(
-            ["block-study", "--backend", "shm", "--workers", "2",
-             "--blocks", "sc_array", "vcm_generator"])
+            ["run", "block-study", "--backend", "shm", "--workers", "2",
+             "--set", "campaign.blocks=sc_array,vcm_generator"])
         assert args.backend == "shm"
-        assert args.blocks == ["sc_array", "vcm_generator"]
+        spec = load_study(args.study).override(
+            dict(_parse_set_assignment(entry) for entry in args.set))
+        assert _stage_params(spec)["blocks"] == \
+            ("sc_array", "vcm_generator")
 
     def test_batch_size_flag(self):
-        for name in ("campaign", "pipeline", "block-study"):
-            assert build_parser().parse_args([name]).batch_size == 1
-            args = build_parser().parse_args([name, "--batch-size", "64"])
-            assert args.batch_size == 64
+        assert build_parser().parse_args(["campaign"]).batch_size == 1
+        args = build_parser().parse_args(["campaign", "--batch-size", "64"])
+        assert args.batch_size == 64
         with pytest.raises(SystemExit):  # must be a positive int
             build_parser().parse_args(["campaign", "--batch-size", "0"])
+        # Study graphs take it as a spec entry.
+        spec = load_study("block-study").override(
+            dict([_parse_set_assignment("campaign.batch_size=64")]))
+        assert _stage_params(spec)["batch_size"] == 64
 
     def test_cache_subcommands(self):
         args = build_parser().parse_args(
@@ -131,16 +156,16 @@ class TestParser:
         assert args.k == 4.0
 
     def test_pipeline_defaults(self):
-        args = build_parser().parse_args(["pipeline"])
+        args = build_parser().parse_args(["run", "calibrate-then-campaign"])
         assert args.workers == 1
-        assert args.samples == 60
         assert args.cache_max_bytes is None
         assert args.cache_max_age is None
+        assert _stage_params(load_study(args.study))["samples"] == 60
 
     def test_cache_eviction_options(self):
         args = build_parser().parse_args(
-            ["pipeline", "--cache-dir", "c", "--cache-max-bytes", "1000",
-             "--cache-max-age", "3600"])
+            ["run", "block-study", "--cache-dir", "c",
+             "--cache-max-bytes", "1000", "--cache-max-age", "3600"])
         assert args.cache_max_bytes == 1000
         assert args.cache_max_age == 3600.0
 
@@ -216,15 +241,15 @@ class TestCampaignCommand:
 
 class TestPipelineCommand:
     def test_matches_two_invocation_flow(self, tmp_path, capsys):
-        """`pipeline --workers 2` == `calibrate` + `campaign` run serially."""
+        """`run calibrate-then-campaign --workers 2` == `calibrate` +
+        `campaign` run serially."""
         pipe_out = tmp_path / "pipe.json"
         camp_out = tmp_path / "camp.json"
-        common = ["--monte-carlo", "3", "--blocks", "vcm_generator",
-                  "--seed", "1"]
-        assert main(["pipeline", "--workers", "2",
+        assert main(["run", "calibrate-then-campaign", "--workers", "2",
                      "--cache-dir", str(tmp_path / "cache"),
-                     "--json", str(pipe_out)] + common) == 0
-        assert main(["campaign", "--json", str(camp_out)] + common) == 0
+                     "--json", str(pipe_out)] + SMALL_STUDY) == 0
+        assert main(["campaign", "--json", str(camp_out), "--monte-carlo",
+                     "3", "--blocks", "vcm_generator", "--seed", "1"]) == 0
 
         pipe = json.loads(pipe_out.read_text())
         camp = json.loads(camp_out.read_text())
@@ -236,13 +261,12 @@ class TestPipelineCommand:
             assert p["n_escaped"] == c["n_escaped"]
             assert p["coverage"] == c["coverage"]
             assert p["ci_half_width"] == c["ci_half_width"]
-        assert "pipeline stage 2" in capsys.readouterr().out
+        assert "calibrate-then-campaign stage 2" in capsys.readouterr().out
 
     def test_warm_rerun_is_fully_cached(self, tmp_path, capsys):
-        argv = ["pipeline", "--monte-carlo", "3",
-                "--blocks", "vcm_generator",
+        argv = ["run", "calibrate-then-campaign",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--json", str(tmp_path / "out.json")]
+                "--json", str(tmp_path / "out.json")] + SMALL_STUDY
         assert main(argv) == 0
         cold = json.loads((tmp_path / "out.json").read_text())
         assert main(argv) == 0
@@ -255,16 +279,23 @@ class TestPipelineCommand:
 
 class TestBlockStudyCommand:
     def test_matches_sequential_campaign_flow(self, tmp_path, capsys):
-        """`block-study` == `campaign` (one graph vs calibrate + per-block
-        sweep) under the same seed, with the identical JSON schema."""
+        """`run block-study` == `campaign` (one graph vs calibrate +
+        per-block sweep) under the same seed, with the identical JSON
+        schema."""
         study_out = tmp_path / "study.json"
         camp_out = tmp_path / "camp.json"
-        common = ["--monte-carlo", "3", "--seed", "1", "--samples", "10",
-                  "--exhaustive-threshold", "20",
-                  "--blocks", "vcm_generator", "offset_compensation"]
-        assert main(["block-study", "--workers", "2",
-                     "--json", str(study_out)] + common) == 0
-        assert main(["campaign", "--json", str(camp_out)] + common) == 0
+        assert main(["run", "block-study", "--workers", "2",
+                     "--json", str(study_out),
+                     "--set", "calibrate.n_monte_carlo=3",
+                     "--set", "seed=1", "--set", "campaign.samples=10",
+                     "--set", "campaign.exhaustive_threshold=20",
+                     "--set", "campaign.blocks="
+                              "vcm_generator,offset_compensation"]) == 0
+        assert main(["campaign", "--json", str(camp_out),
+                     "--monte-carlo", "3", "--seed", "1", "--samples", "10",
+                     "--exhaustive-threshold", "20",
+                     "--blocks", "vcm_generator",
+                     "offset_compensation"]) == 0
 
         study = json.loads(study_out.read_text())
         camp = json.loads(camp_out.read_text())
@@ -284,15 +315,16 @@ class TestBlockStudyCommand:
         assert "stages: " in printed
 
     def test_batched_run_matches_unbatched(self, tmp_path):
-        """`--batch-size N` changes the task decomposition, never the
-        per-block numbers."""
-        common = ["block-study", "--monte-carlo", "3", "--seed", "1",
-                  "--samples", "8", "--exhaustive-threshold", "20",
-                  "--blocks", "vcm_generator", "offset_compensation"]
+        """`campaign.batch_size=N` changes the task decomposition, never
+        the per-block numbers."""
+        common = ["run", "block-study", "--set", "calibrate.n_monte_carlo=3",
+                  "--set", "seed=1", "--set", "campaign.samples=8",
+                  "--set", "campaign.exhaustive_threshold=20",
+                  "--set", "campaign.blocks=vcm_generator,offset_compensation"]
         unbatched_out = tmp_path / "unbatched.json"
         batched_out = tmp_path / "batched.json"
         assert main(common + ["--json", str(unbatched_out)]) == 0
-        assert main(common + ["--batch-size", "4",
+        assert main(common + ["--set", "campaign.batch_size=4",
                               "--json", str(batched_out)]) == 0
 
         unbatched = json.loads(unbatched_out.read_text())
@@ -305,10 +337,9 @@ class TestBlockStudyCommand:
                 assert b[key] == u[key], key
 
     def test_warm_rerun_is_fully_cached(self, tmp_path):
-        argv = ["block-study", "--monte-carlo", "3",
-                "--blocks", "vcm_generator",
+        argv = ["run", "block-study",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--json", str(tmp_path / "out.json")]
+                "--json", str(tmp_path / "out.json")] + SMALL_STUDY
         assert main(argv) == 0
         cold = json.loads((tmp_path / "out.json").read_text())
         assert main(argv) == 0
@@ -322,17 +353,21 @@ class TestBlockStudyCommand:
 
 class TestPerBlockJsonSchema:
     def test_identical_keys_across_subcommands(self, tmp_path):
-        """campaign, pipeline, yield-study and block-study emit the same
+        """campaign and `run` over every canned study emit the same
         per-block keys, with the engine report at the top level only."""
-        common = ["--monte-carlo", "3", "--seed", "1",
-                  "--blocks", "vcm_generator"]
         payloads = {}
-        for name, extra in [("campaign", []), ("pipeline", []),
+        out = tmp_path / "campaign.json"
+        assert main(["campaign", "--json", str(out), "--monte-carlo", "3",
+                     "--seed", "1", "--blocks", "vcm_generator"]) == 0
+        payloads["campaign"] = json.loads(out.read_text())
+        for name, extra in [("calibrate-then-campaign", []),
                             ("block-study", []),
-                            ("yield-study", ["--k-values", "5",
-                                             "--max-escape-defects", "1"])]:
+                            ("yield-loss-study",
+                             ["--set", "yield.k_values=[5]",
+                              "--set", "escape.max_escape_defects=1"])]:
             out = tmp_path / f"{name}.json"
-            assert main([name, "--json", str(out)] + common + extra) == 0
+            assert main(["run", name, "--json", str(out)]
+                        + SMALL_STUDY + extra) == 0
             payloads[name] = json.loads(out.read_text())
 
         block_keys = {name: frozenset(payload["blocks"][0])
@@ -354,26 +389,6 @@ class TestPerBlockJsonSchema:
 class TestRunCommand:
     COMMON = ["--set", "calibrate.n_monte_carlo=3", "--set", "seed=1",
               "--set", "campaign.blocks=vcm_generator"]
-
-    def test_canned_study_matches_legacy_subcommand(self, tmp_path, capsys):
-        """`run block-study` == `block-study`: same JSON schema, same
-        numbers, from the same canned spec."""
-        run_out = tmp_path / "run.json"
-        legacy_out = tmp_path / "legacy.json"
-        assert main(["run", "block-study", "--json", str(run_out)]
-                    + self.COMMON) == 0
-        assert main(["block-study", "--monte-carlo", "3", "--seed", "1",
-                     "--blocks", "vcm_generator",
-                     "--json", str(legacy_out)]) == 0
-        run_payload = json.loads(run_out.read_text())
-        legacy_payload = json.loads(legacy_out.read_text())
-        assert set(run_payload) == set(legacy_payload)
-        assert run_payload["deltas"] == legacy_payload["deltas"]
-        for r, l in zip(run_payload["blocks"], legacy_payload["blocks"]):
-            assert set(r) == set(l)
-            assert r["coverage"] == l["coverage"]
-            assert r["n_detected"] == l["n_detected"]
-        assert "block-study stage 1" in capsys.readouterr().out
 
     def test_toml_spec_with_set_overrides(self, tmp_path, capsys):
         from repro.engine import CALIBRATE_THEN_CAMPAIGN
@@ -407,11 +422,10 @@ class TestRunCommand:
 class TestYieldStudyCommand:
     def test_end_to_end_on_shm_backend(self, tmp_path, capsys):
         out = tmp_path / "study.json"
-        common = ["yield-study", "--monte-carlo", "3",
-                  "--blocks", "vcm_generator", "--k-values", "3", "5",
-                  "--max-escape-defects", "2",
+        common = ["run", "yield-loss-study", "--set", "yield.k_values=3,5",
+                  "--set", "escape.max_escape_defects=2",
                   "--cache-dir", str(tmp_path / "cache"),
-                  "--json", str(out)]
+                  "--json", str(out)] + SMALL_STUDY
         assert main(common + ["--workers", "2", "--backend", "shm"]) == 0
         cold = json.loads(out.read_text())
         assert [p["k"] for p in cold["yield_loss"]] == [3.0, 5.0]
@@ -482,8 +496,8 @@ class TestPipelineCacheSharing:
         common = ["--monte-carlo", "3", "--seed", "1", "--cache-dir", cache]
         assert main(["calibrate"] + common) == 0
         out = tmp_path / "out.json"
-        assert main(["pipeline", "--blocks", "vcm_generator",
-                     "--json", str(out)] + common) == 0
+        assert main(["run", "calibrate-then-campaign", "--cache-dir", cache,
+                     "--json", str(out)] + SMALL_STUDY) == 0
         engine = json.loads(out.read_text())["engine"]
         # 3 Monte Carlo parents replayed from the standalone calibrate run.
         assert "3 cached" in engine
@@ -494,17 +508,18 @@ class TestWarehouseCommand:
         cache_dir = str(tmp_path / "cache")
         db = str(tmp_path / "wh.sqlite")
         out = tmp_path / "blocks.json"
-        assert main(["block-study", "--monte-carlo", "3", "--seed", "3",
-                     "--samples", "4", "--blocks", "vcm_generator",
-                     "offset_compensation", "--cache-dir", cache_dir,
+        assert main(["run", "block-study", "--set", "calibrate.n_monte_carlo=3",
+                     "--set", "seed=3", "--set", "campaign.samples=4",
+                     "--set", "campaign.blocks="
+                              "vcm_generator,offset_compensation",
+                     "--cache-dir", cache_dir,
                      "--warehouse", db, "--json", str(out),
                      "--quiet"]) == 0
         return cache_dir, db, json.loads(out.read_text())
 
     def test_warehouse_flag_requires_cache_dir(self, tmp_path, capsys):
-        assert main(["block-study", "--monte-carlo", "3",
-                     "--blocks", "vcm_generator",
-                     "--warehouse", str(tmp_path / "wh.sqlite")]) == 1
+        assert main(["run", "block-study", "--warehouse",
+                     str(tmp_path / "wh.sqlite")] + SMALL_STUDY) == 1
         assert "--cache-dir" in capsys.readouterr().err
 
     def test_run_with_warehouse_answers_canned_query(self, tmp_path,

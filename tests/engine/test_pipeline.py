@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.circuit import EngineError, TaskExecutionError
-from repro.engine import (CampaignEngine, Pipeline, ResultCache, STATUS_CACHED, STATUS_EXECUTED,
-                          STATUS_FAILED, STATUS_SKIPPED, SerialBackend,
-                          SharedMemoryBackend, Task, TaskGraph, block_study,
-                          build_block_study, build_calibrate_then_campaign,
-                          build_yield_loss_study, calibrate_then_campaign,
-                          yield_loss_study)
+from repro.engine import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN,
+                          CampaignEngine, Pipeline, ResultCache,
+                          STATUS_CACHED, STATUS_EXECUTED, STATUS_FAILED,
+                          STATUS_SKIPPED, SerialBackend, SharedMemoryBackend,
+                          Task, TaskGraph, YIELD_LOSS_STUDY, build_study,
+                          run_study)
 
 
 # ------------------------------------------------------------- graph workers
@@ -285,11 +285,18 @@ class TestPipeline:
         assert not result.ok
 
 
-# ------------------------------------------------- calibrate_then_campaign
+# ------------------------------------------------- calibrate-then-campaign
 
 BLOCK = "vcm_generator"
 MC = 3
 SEED = 1
+
+
+def _campaign_spec(overrides=None):
+    """The canned calibrate-then-campaign study, shrunk to one block."""
+    return CALIBRATE_THEN_CAMPAIGN.override({
+        "seed": SEED, "calibrate.n_monte_carlo": MC,
+        "campaign.blocks": [BLOCK], **(overrides or {})})
 
 
 def _manual_flow():
@@ -316,11 +323,10 @@ class TestCalibrateThenCampaign:
     def test_rejects_bad_k_before_running_anything(self):
         from repro.circuit import CalibrationError
         with pytest.raises(CalibrationError):
-            build_calibrate_then_campaign(k=-1.0, n_monte_carlo=MC)
+            build_study(_campaign_spec({"windows.k": -1.0}))
 
     def test_graph_shape(self):
-        plan = build_calibrate_then_campaign(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK])
+        plan = build_study(_campaign_spec())
         graph = plan.pipeline.graph
         assert graph.has_edges
         assert graph.dependencies("windows") == tuple(
@@ -330,8 +336,7 @@ class TestCalibrateThenCampaign:
 
     def test_bit_identical_to_manual_two_invocation_flow(self):
         calibration, manual = _manual_flow()
-        outcome = calibrate_then_campaign(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK])
+        outcome = run_study(_campaign_spec())
         assert outcome.ok
         assert outcome.calibration.deltas == calibration.deltas
         assert outcome.calibration.sigmas == calibration.sigmas
@@ -341,11 +346,9 @@ class TestCalibrateThenCampaign:
             manual.block_report(BLOCK).coverage
 
     def test_multiprocess_matches_serial(self):
-        serial = calibrate_then_campaign(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK])
-        parallel = calibrate_then_campaign(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK],
-            backend=SharedMemoryBackend(max_workers=2))
+        serial = run_study(_campaign_spec())
+        parallel = run_study(_campaign_spec(),
+                             backend=SharedMemoryBackend(max_workers=2))
         assert parallel.calibration.deltas == serial.calibration.deltas
         assert _record_digest(parallel.results[BLOCK]) == \
             _record_digest(serial.results[BLOCK])
@@ -354,12 +357,10 @@ class TestCalibrateThenCampaign:
         def cache():
             return ResultCache(str(tmp_path), namespace="pipeline")
 
-        cold = calibrate_then_campaign(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK], cache=cache())
+        cold = run_study(_campaign_spec(), cache=cache())
         assert cold.report.n_cache_hits == 0
 
-        warm = calibrate_then_campaign(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK], cache=cache())
+        warm = run_study(_campaign_spec(), cache=cache())
         assert warm.report.n_cache_hits == warm.report.n_tasks
         assert _record_digest(warm.results[BLOCK]) == \
             _record_digest(cold.results[BLOCK])
@@ -367,9 +368,9 @@ class TestCalibrateThenCampaign:
         # Changing the campaign spec invalidates only the campaign stage:
         # cached calibration parents short-circuit and unblock the defect
         # tasks immediately.
-        mixed = calibrate_then_campaign(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK],
-            stop_on_detection=False, cache=cache())
+        mixed = run_study(
+            _campaign_spec({"campaign.stop_on_detection": False}),
+            cache=cache())
         assert all(status == STATUS_CACHED for status in
                    mixed.pipeline.stage_statuses("calibrate").values())
         assert mixed.pipeline.stage_statuses("windows") == \
@@ -378,9 +379,8 @@ class TestCalibrateThenCampaign:
                    mixed.pipeline.stage_statuses("campaign").values())
 
     def test_single_report_spans_stages(self):
-        outcome = calibrate_then_campaign(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK])
-        # MC calibration tasks + 1 windows reduction + 35 defect tasks.
+        outcome = run_study(_campaign_spec())
+        # MC calibration tasks + 1 windows reduction + 35 batches of one.
         assert outcome.report.n_tasks == \
             MC + 1 + outcome.results[BLOCK].n_simulated
         assert "calibrate" in outcome.report.group_durations
@@ -417,16 +417,23 @@ def _sequential_per_block_flow(seed=SEED, blocks=STUDY_BLOCKS):
         exhaustive_threshold=STUDY_THRESHOLD, blocks=blocks)
 
 
+def _block_spec(seed=SEED, blocks=STUDY_BLOCKS, overrides=None):
+    """The canned block study, shrunk to the Table I mix above."""
+    return BLOCK_STUDY.override({
+        "seed": seed, "calibrate.n_monte_carlo": MC,
+        "campaign.blocks": list(blocks),
+        "campaign.samples": STUDY_SAMPLES,
+        "campaign.exhaustive_threshold": STUDY_THRESHOLD,
+        **(overrides or {})})
+
+
 class TestBlockStudy:
-    def _study(self, seed=SEED, blocks=STUDY_BLOCKS, **kwargs):
-        return block_study(n_monte_carlo=MC, seed=seed, blocks=blocks,
-                           samples=STUDY_SAMPLES,
-                           exhaustive_threshold=STUDY_THRESHOLD, **kwargs)
+    def _study(self, seed=SEED, blocks=STUDY_BLOCKS, overrides=None,
+               **run_options):
+        return run_study(_block_spec(seed, blocks, overrides), **run_options)
 
     def test_graph_shape(self):
-        plan = build_block_study(
-            n_monte_carlo=MC, seed=SEED, blocks=STUDY_BLOCKS,
-            samples=STUDY_SAMPLES, exhaustive_threshold=STUDY_THRESHOLD)
+        plan = build_study(_block_spec())
         graph = plan.pipeline.graph
         assert plan.pipeline.stage_names() == \
             ["calibrate", "windows", "campaign", "summary"]
@@ -444,12 +451,12 @@ class TestBlockStudy:
     def test_rejects_bad_parameters(self):
         from repro.circuit import CalibrationError
         with pytest.raises(EngineError):
-            build_block_study(n_monte_carlo=0)
+            build_study(_block_spec(overrides={"calibrate.n_monte_carlo": 0}))
         with pytest.raises(CalibrationError):
-            build_block_study(n_monte_carlo=MC, k=-2.0)
+            build_study(_block_spec(overrides={"windows.k": -2.0}))
         with pytest.raises(CalibrationError):
-            build_block_study(n_monte_carlo=MC,
-                              block_k={"vcm_generator": 0.0})
+            build_study(_block_spec(overrides={
+                "windows.block_k": {"vcm_generator": 0.0}}))
 
     def test_bit_identical_to_sequential_per_block_flow(self):
         """The acceptance criterion: one graph == calibrate_windows +
@@ -514,7 +521,8 @@ class TestBlockStudy:
         """block_k re-calibrates one block's windows without touching the
         other blocks (per-block window calibration)."""
         uniform = self._study()
-        widened = self._study(block_k={"vcm_generator": 8.0})
+        widened = self._study(
+            overrides={"windows.block_k": {"vcm_generator": 8.0}})
         assert widened.ok
         assert widened.calibrations["vcm_generator"].k == 8.0
         vcm = widened.calibrations["vcm_generator"].deltas
@@ -558,10 +566,9 @@ class TestBlockStudy:
         """Failing Monte Carlo roots mark every downstream windows /
         campaign / summary task of every block skipped."""
         _FACTORY_CALLS["n"] = 0
-        outcome = block_study(n_monte_carlo=MC, seed=SEED,
-                              blocks=["vcm_generator"],
-                              adc_factory=_exploding_factory,
-                              on_failure="skip")
+        outcome = run_study(_block_spec(blocks=["vcm_generator"]),
+                            adc_factory=_exploding_factory,
+                            on_failure="skip")
         assert not outcome.ok
         assert outcome.results == {}
         assert outcome.calibrations == {}
@@ -611,11 +618,17 @@ def _manual_study():
     return calibration, result, points, escapes
 
 
+def _yield_spec(overrides=None):
+    """The canned yield-loss study, shrunk to one block."""
+    return YIELD_LOSS_STUDY.override({
+        "seed": SEED, "calibrate.n_monte_carlo": MC,
+        "campaign.blocks": [BLOCK], "yield.k_values": list(K_VALUES),
+        "escape.max_escape_defects": MAX_ESCAPES, **(overrides or {})})
+
+
 class TestYieldLossStudy:
     def test_graph_shape(self):
-        plan = build_yield_loss_study(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK], k_values=K_VALUES,
-            max_escape_defects=MAX_ESCAPES)
+        plan = build_study(_yield_spec())
         graph = plan.pipeline.graph
         for i, k in enumerate(K_VALUES):
             assert graph.dependencies(f"yield/{i}/k={k:g}") == tuple(
@@ -627,9 +640,7 @@ class TestYieldLossStudy:
 
     def test_bit_identical_to_manual_flow(self):
         calibration, manual, points, escapes = _manual_study()
-        outcome = yield_loss_study(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK], k_values=K_VALUES,
-            max_escape_defects=MAX_ESCAPES)
+        outcome = run_study(_yield_spec())
         assert outcome.ok
         assert outcome.calibration.deltas == calibration.deltas
         assert _record_digest(outcome.results[BLOCK]) == \
@@ -643,13 +654,9 @@ class TestYieldLossStudy:
              for r in escapes.records]
 
     def test_shared_memory_backend_matches_serial(self):
-        serial = yield_loss_study(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK], k_values=K_VALUES,
-            max_escape_defects=MAX_ESCAPES)
-        shm = yield_loss_study(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK], k_values=K_VALUES,
-            max_escape_defects=MAX_ESCAPES,
-            backend=SharedMemoryBackend(max_workers=2))
+        serial = run_study(_yield_spec())
+        shm = run_study(_yield_spec(),
+                        backend=SharedMemoryBackend(max_workers=2))
         assert shm.yield_points == serial.yield_points
         assert shm.calibration.deltas == serial.calibration.deltas
         assert _record_digest(shm.results[BLOCK]) == \
@@ -664,12 +671,8 @@ class TestYieldLossStudy:
         def cache():
             return ResultCache(str(tmp_path / "cache"),
                                namespace="calibration")
-        cold = yield_loss_study(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK], k_values=K_VALUES,
-            max_escape_defects=MAX_ESCAPES, cache=cache())
-        warm = yield_loss_study(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK], k_values=K_VALUES,
-            max_escape_defects=MAX_ESCAPES, cache=cache())
+        cold = run_study(_yield_spec(), cache=cache())
+        warm = run_study(_yield_spec(), cache=cache())
         assert warm.report.n_cache_hits == warm.report.n_tasks
         assert warm.yield_points == cold.yield_points
         assert [(r.defect.defect_id, r.spec_violations)
@@ -679,6 +682,6 @@ class TestYieldLossStudy:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(EngineError):
-            build_yield_loss_study(n_monte_carlo=MC, k_values=())
+            build_study(_yield_spec({"yield.k_values": []}))
         with pytest.raises(EngineError):
-            build_yield_loss_study(n_monte_carlo=MC, n_cycles=0)
+            build_study(_yield_spec({"yield.n_cycles": 0}))

@@ -10,7 +10,7 @@ from repro.engine import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN,
                           CANNED_STUDIES, StageParam, StageSpec,
                           StudySpec, YIELD_LOSS_STUDY, available_stages,
                           build_study, load_study, run_study,
-                          stage_definition, yield_loss_study)
+                          stage_definition)
 from repro.engine.registry import coerce_param
 
 MC = 3
@@ -348,46 +348,6 @@ class TestCannedSpecBitIdentity:
                 _record_digest(manual[block])
             assert outcome.summaries[block]["n_detected"] == \
                 manual[block].n_detected
-
-    def test_yield_loss_spec_matches_legacy_builder(self):
-        spec = YIELD_LOSS_STUDY.override({
-            "seed": SEED, "calibrate.n_monte_carlo": MC,
-            "campaign.blocks": [BLOCK], "yield.k_values": (3.0, 5.0),
-            "escape.max_escape_defects": 3})
-        from_spec = run_study(spec)
-        legacy = yield_loss_study(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK],
-            k_values=(3.0, 5.0), max_escape_defects=3)
-        assert from_spec.yield_points == legacy.yield_points
-        assert _record_digest(from_spec.results[BLOCK]) == \
-            _record_digest(legacy.results[BLOCK])
-        assert [(r.defect.defect_id, r.spec_violations)
-                for r in from_spec.escapes.records] == \
-            [(r.defect.defect_id, r.spec_violations)
-             for r in legacy.escapes.records]
-
-    def test_spec_compiled_graph_replays_legacy_cache_artifacts(
-            self, tmp_path):
-        """A warm cache written by the legacy builder wrapper is replayed
-        in full by the spec-compiled graph (identical cache specs)."""
-        from repro.engine import ResultCache, block_study
-
-        def cache():
-            return ResultCache(str(tmp_path / "cache"),
-                               namespace="calibration")
-
-        cold = block_study(n_monte_carlo=MC, seed=SEED, blocks=[BLOCK],
-                           samples=10, exhaustive_threshold=20,
-                           cache=cache())
-        assert cold.report.n_cache_hits == 0
-        spec = BLOCK_STUDY.override({
-            "seed": SEED, "calibrate.n_monte_carlo": MC,
-            "campaign.blocks": [BLOCK], "campaign.samples": 10,
-            "campaign.exhaustive_threshold": 20})
-        warm = run_study(spec, cache=cache())
-        assert warm.report.n_cache_hits == warm.report.n_tasks
-        assert _record_digest(warm.results[BLOCK]) == \
-            _record_digest(cold.results[BLOCK])
 
 
 class TestStudyOutcomeAccessors:

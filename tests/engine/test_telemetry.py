@@ -27,10 +27,10 @@ from repro.circuit.errors import EngineError, TaskExecutionError
 from repro.engine import (CampaignEngine, ChromeTraceSink, EVENT_TYPES,
                           JsonlTraceSink, MetricsSink, ProgressSink, ResultCache, SerialBackend,
                           SharedMemoryBackend, Task, TaskGraph, TelemetryBus,
-                          TelemetryEvent, TelemetrySink, block_study,
-                          chrome_trace, format_summary, read_trace,
-                          run_study, summarize_trace)
-from repro.engine.spec import BLOCK_STUDY
+                          TelemetryEvent, TelemetrySink, chrome_trace,
+                          format_summary, read_trace, run_study,
+                          summarize_trace)
+from repro.engine.spec import BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN
 
 from test_backend_equivalence import CASES
 
@@ -290,7 +290,6 @@ def _run_case_events(case, backend, deltas, calibration):
     from repro.analysis import yield_loss_sweep
     from repro.core import collect_defect_free_residuals
     from repro.defects import DefectCampaign, SamplingPlan
-    from repro.engine import calibrate_then_campaign
 
     bus, sink = collecting_bus()
     kind = case["kind"]
@@ -312,15 +311,18 @@ def _run_case_events(case, backend, deltas, calibration):
         yield_loss_sweep(calibration, k_values=case["k_values"],
                          backend=backend, telemetry=bus)
     elif kind == "pipeline":
-        calibrate_then_campaign(
-            n_monte_carlo=3, seed=case["seed"], blocks=[case["block"]],
-            samples=case["n_samples"], backend=backend, telemetry=bus)
+        run_study(CALIBRATE_THEN_CAMPAIGN.override({
+            "seed": case["seed"], "calibrate.n_monte_carlo": 3,
+            "campaign.blocks": [case["block"]],
+            "campaign.samples": case["n_samples"]}),
+            backend=backend, telemetry=bus)
     else:  # block-study
-        block_study(
-            n_monte_carlo=3, seed=case["seed"], blocks=case["blocks"],
-            samples=case["n_samples"],
-            exhaustive_threshold=case["threshold"], backend=backend,
-            telemetry=bus)
+        run_study(BLOCK_STUDY.override({
+            "seed": case["seed"], "calibrate.n_monte_carlo": 3,
+            "campaign.blocks": case["blocks"],
+            "campaign.samples": case["n_samples"],
+            "campaign.exhaustive_threshold": case["threshold"]}),
+            backend=backend, telemetry=bus)
     return _event_signature(sink.events)
 
 
@@ -665,10 +667,10 @@ class TestBatchedTelemetry:
     def test_block_study_stage_summary_reports_defect_totals(self, deltas):
         """The study graph's campaign stage counts batches as tasks and
         defects as items, and renders the item total next to the stage."""
-        outcome = block_study(
-            n_monte_carlo=3, seed=11,
-            blocks=["vcm_generator", "offset_compensation"], samples=5,
-            batch_size=4)
+        outcome = run_study(BLOCK_STUDY.override({
+            "seed": 11, "calibrate.n_monte_carlo": 3,
+            "campaign.blocks": ["vcm_generator", "offset_compensation"],
+            "campaign.samples": 5, "campaign.batch_size": 4}))
         n_defects = sum(len(result.records)
                         for result in outcome.results.values())
         report = outcome.report

@@ -16,7 +16,8 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro.engine import ResultCache, SerialBackend, TelemetryBus, block_study
+from repro.engine import (BLOCK_STUDY, ResultCache, SerialBackend,
+                          TelemetryBus, run_study)
 from repro.engine.cli import _block_json
 from repro.warehouse import WarehouseSink, run_canned_query
 
@@ -52,11 +53,12 @@ def _run_case(case, backend, cache, warehouse_db, study):
                                       cache_dir=cache.cache_dir,
                                       study=study)])
     try:
-        return block_study(
-            n_monte_carlo=3, seed=case["seed"], blocks=case["blocks"],
-            samples=case["samples"],
-            exhaustive_threshold=case["threshold"],
-            batch_size=case["batch_size"],
+        return run_study(BLOCK_STUDY.override({
+            "seed": case["seed"], "calibrate.n_monte_carlo": 3,
+            "campaign.blocks": case["blocks"],
+            "campaign.samples": case["samples"],
+            "campaign.exhaustive_threshold": case["threshold"],
+            "campaign.batch_size": case["batch_size"]}),
             backend=backend, cache=cache, telemetry=bus)
     finally:
         bus.close()
