@@ -382,8 +382,9 @@ class RsLatch(AnalogBlock):
 
     def evaluate(self, latch: LatchOutput) -> LatchOutput:
         """Latch the comparator decision and drive complementary outputs."""
-        return self._evaluate_with_actions(latch,
-                                           self._resolve_defect_actions())
+        self._state, output = self._step(latch, self._state,
+                                         self.resolve_defect_actions())
+        return output
 
     def replay(self, latches: Sequence[LatchOutput]) -> List[LatchOutput]:
         """Reset, then evaluate every input in order.
@@ -394,25 +395,48 @@ class RsLatch(AnalogBlock):
         RS-latch hot path of the batched defect evaluator.
         """
         self.reset_state()
-        actions = self._resolve_defect_actions()
-        return [self._evaluate_with_actions(latch, actions)
-                for latch in latches]
+        actions = self.resolve_defect_actions()
+        outputs = []
+        for latch in latches:
+            self._state, output = self._step(latch, self._state, actions)
+            outputs.append(output)
+        return outputs
 
-    def _evaluate_with_actions(self, latch: LatchOutput,
-                               actions: list) -> LatchOutput:
+    def step_each(self, latches: Sequence[LatchOutput], states: List[int],
+                  actions: list) -> List[LatchOutput]:
+        """Evaluate ``latches[i]`` against its own stored state ``states[i]``.
+
+        Used to step many independent conversions in lockstep: ``states``
+        holds one stored decision per conversion and is updated in place,
+        and ``actions`` come from one :meth:`resolve_defect_actions` call.
+        Afterwards the latch holds the last conversion's state, as
+        evaluating the conversions one after another would leave it.
+        """
+        outputs = []
+        for index, latch in enumerate(latches):
+            states[index], output = self._step(latch, states[index], actions)
+            outputs.append(output)
+        if states:
+            self._state = states[-1]
+        return outputs
+
+    def _step(self, latch: LatchOutput, state: int,
+              actions: list) -> Tuple[int, LatchOutput]:
+        """One evaluation from stored ``state``: ``(next_state, output)``."""
         set_high = latch.q_p > self._threshold
         reset_high = latch.q_m > self._threshold
         if set_high and not reset_high:
-            self._state = 1
+            state = 1
         elif reset_high and not set_high:
-            self._state = 0
+            state = 0
         elif set_high and reset_high:
             # Invalid input (both comparator outputs high): both RS outputs
             # are driven high, which the complementary-output invariance sees.
-            return self._apply_actions(self.dut.vdd, self.dut.vdd, actions)
+            return state, self._apply_actions(self.dut.vdd, self.dut.vdd,
+                                              actions)
         # else: hold the previous state.
-        q_p = self.dut.vdd if self._state else self.dut.vss
-        q_m = self.dut.vss if self._state else self.dut.vdd
+        q_p = self.dut.vdd if state else self.dut.vss
+        q_m = self.dut.vss if state else self.dut.vdd
         # A weak (mid-rail) comparator-latch level does not switch the RS gate
         # cleanly; the corresponding output degrades instead of regenerating,
         # which keeps such upstream defects observable at the checker.
@@ -420,9 +444,9 @@ class RsLatch(AnalogBlock):
             q_p = latch.q_p
         if self._weak_low < latch.q_m < self._weak_high:
             q_m = latch.q_m
-        return self._apply_actions(q_p, q_m, actions)
+        return state, self._apply_actions(q_p, q_m, actions)
 
-    def _resolve_defect_actions(self) -> list:
+    def resolve_defect_actions(self) -> list:
         """Input-independent ``(target, value)`` overrides of the NAND devices.
 
         ``value is None`` marks the one input-dependent case: a stuck-off

@@ -86,12 +86,6 @@ class TenBitDac:
                          l_p=sub2.out_p, l_m=sub2.out_n,
                          dac_p=sc_out.dac_p, dac_m=sc_out.dac_m)
 
-    def evaluate_code(self, code: int, in_p: float, in_m: float, vcm: float,
-                      vref: Sequence[float]) -> DacOutput:
-        """Evaluate the DAC for a full-resolution code ``B<0:9>``."""
-        msb, lsb = split_code(code, self.dut.resolution_bits)
-        return self.evaluate(msb, lsb, in_p, in_m, vcm, vref)
-
     # ----------------------------------------------------------------- blocks
     @property
     def blocks(self):

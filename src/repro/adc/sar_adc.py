@@ -4,9 +4,10 @@ The :class:`SarAdc` class composes the SARCELL, the SAR control, the bandgap
 and the reference buffer and exposes the two operating modes used throughout
 the repository:
 
-* **conversion mode** (:meth:`convert`): the normal ADC function.  The SAR
-  logic performs the 10-step successive approximation using the DAC and the
-  comparator; used by the functional-test baseline and by the examples.
+* **conversion mode** (:meth:`convert`, :meth:`convert_many`): the normal
+  ADC function.  The SAR logic performs the 10-step successive
+  approximation using the DAC and the comparator, for all samples of a call
+  in lockstep; used by the functional-test baseline and by the examples.
 * **SymBIST test mode** (:meth:`evaluate_test_cycle`): the DAC digital inputs
   are driven by the BIST counter code (the same 5-bit value on ``B<0:4>`` and
   ``B<5:9>``), the analog input is a constant fully-differential DC level, and
@@ -39,6 +40,7 @@ from .block import AnalogBlock
 from .reference_buffer import ReferenceBuffer
 from .sar_control import SarControl
 from .sarcell import SarCell
+from .sc_array import ScArrayInputs
 
 #: Default DC differential input applied during the SymBIST test.  The paper
 #: notes the value can be set arbitrarily; a non-zero value is used so that
@@ -212,26 +214,7 @@ class SarAdc:
             input_cm = self.dut.common_mode
         if op is None:
             op = self.operating_point(input_diff=input_diff, input_cm=input_cm)
-        else:
-            op = OperatingPoint(vbg=op.vbg, ibias=op.ibias, vref=op.vref,
-                                in_p=input_cm + 0.5 * input_diff,
-                                in_m=input_cm - 0.5 * input_diff)
-        half = self.dut.half_bits
-        lsb_mask = self.dut.counter_codes - 1
-        logic = self.sarcell.sar_logic
-        logic.start_conversion()
-        self.sarcell.comparator.rs_latch.reset_state()
-        for _ in range(logic.n_bits):
-            trial = logic.trial_code()
-            msb_code, lsb_code = trial >> half, trial & lsb_mask
-            outputs = self.sarcell.evaluate(msb_code, lsb_code,
-                                            op.in_p, op.in_m,
-                                            op.vbg, op.ibias, op.vref)
-            # The comparator output is high when DAC+ > DAC-, i.e. when the
-            # input is *below* the trial level; the bit is kept otherwise.
-            keep = 1 - outputs.comparator.decision
-            logic.apply_decision(keep)
-        return logic.result()
+        return self._convert_lockstep([input_diff], input_cm, op)[0]
 
     def convert_many(self, input_diffs: Iterable[float],
                      input_cm: Optional[float] = None) -> List[int]:
@@ -239,9 +222,65 @@ class SarAdc:
         if input_cm is None:
             input_cm = self.dut.common_mode
         op = self.operating_point(input_diff=0.0, input_cm=input_cm)
-        codes = []
-        for diff in input_diffs:
-            codes.append(self.convert(float(diff), input_cm=input_cm, op=op))
+        return self._convert_lockstep([float(diff) for diff in input_diffs],
+                                      input_cm, op)
+
+    def _convert_lockstep(self, input_diffs: Sequence[float], input_cm: float,
+                          op: OperatingPoint) -> List[int]:
+        """Run the SAR searches of every sample in lockstep, MSB first.
+
+        Bit-identical to converting the samples one after another, each a
+        reset SAR register and RS latch followed by one
+        :meth:`SarCell.evaluate` per bit: every block model is a pure
+        function of its inputs and its own defect and parameter state,
+        which are fixed for the call, and a sample's decisions depend only
+        on its own earlier decisions.  So the Vcm level and the sub-DAC
+        outputs of every counter code are resolved once, each bit runs one
+        sweep per block over all samples, and the RS latch -- the one
+        stateful block -- steps each sample from its own stored state.
+        The SAR register and the RS latch are left as the last sample's
+        conversion leaves them.
+        """
+        if not input_diffs:
+            return []
+        cell = self.sarcell
+        dac, comparator = cell.dac, cell.comparator
+        half = self.dut.half_bits
+        lsb_mask = self.dut.counter_codes - 1
+        counter_codes = range(self.dut.counter_codes)
+        vcm = cell.vcm_generator.evaluate(op.vbg)
+        vref_mid = op.vref[self.dut.mid_tap]
+        sub1 = dac.subdac1.sweep(counter_codes, op.vref)
+        sub2 = dac.subdac2.sweep(counter_codes, op.vref)
+        rs_latch = comparator.rs_latch
+        rs_actions = rs_latch.resolve_defect_actions()
+        samples = [(input_cm + 0.5 * diff, input_cm - 0.5 * diff)
+                   for diff in input_diffs]
+        codes = [0] * len(samples)
+        rs_states = [0] * len(samples)
+        logic = cell.sar_logic
+        for bit in range(logic.n_bits - 1, -1, -1):
+            trials = [code | (1 << bit) for code in codes]
+            sc = dac.sc_array.sweep([ScArrayInputs(
+                in_p=in_p, in_m=in_m,
+                m_p=sub1[trial >> half].out_p, m_m=sub1[trial >> half].out_n,
+                l_p=sub2[trial & lsb_mask].out_p,
+                l_m=sub2[trial & lsb_mask].out_n,
+                vcm=vcm, vref_mid=vref_mid)
+                for (in_p, in_m), trial in zip(samples, trials)])
+            pre = comparator.preamplifier.sweep(
+                [(out.dac_p, out.dac_m) for out in sc], op.ibias,
+                comparator.offset_compensation)
+            ql = comparator.latch.sweep([(out.lin_p, out.lin_m)
+                                         for out in pre])
+            stored = rs_latch.step_each(ql, rs_states, rs_actions)
+            # The comparator output is high when DAC+ > DAC-, i.e. when the
+            # input is *below* the trial level; the bit is kept otherwise.
+            codes = [code if out.decision else trial
+                     for code, trial, out in zip(codes, trials, stored)]
+        logic.start_conversion()
+        for bit in range(logic.n_bits - 1, -1, -1):
+            logic.apply_decision((codes[-1] >> bit) & 1)
         return codes
 
     # ----------------------------------------------------------------- ranges

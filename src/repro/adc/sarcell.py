@@ -3,9 +3,10 @@
 The SARCELL groups the 10-bit DAC (two sub-DACs + SC array), the comparator
 chain, the Vcm generator, the phase generator and the SAR logic.  The
 :class:`SarCell` class composes the corresponding block models and provides
-the per-cycle evaluation used both by normal conversions and by the SymBIST
-test mode (where the DAC digital inputs come from the BIST counter instead of
-the SAR logic).
+the per-cycle evaluation used by the SymBIST test mode (where the DAC digital
+inputs come from the BIST counter instead of the SAR logic).  Normal
+conversions run the same block models in lockstep over many samples
+(:meth:`repro.adc.sar_adc.SarAdc.convert_many`).
 """
 
 from __future__ import annotations
@@ -61,19 +62,14 @@ class SarCell:
         for block in self.analog_blocks:
             block.clear_defects()
 
-    def reset_state(self) -> None:
-        """Reset stateful elements (RS latch memory, SAR register)."""
-        self.comparator.rs_latch.reset_state()
-        self.sar_logic.start_conversion()
-
     # ------------------------------------------------------------------ model
     def evaluate(self, msb_code: int, lsb_code: int, in_p: float, in_m: float,
                  vbg: float, ibias: float,
                  vref: Sequence[float]) -> SarCellOutputs:
         """Evaluate the analog signal path for one clock cycle.
 
-        The DAC digital inputs are supplied by the caller: the SAR logic
-        during a conversion, the 5-bit BIST counter during the SymBIST test.
+        The DAC digital inputs are supplied by the caller, e.g. the 5-bit
+        BIST counter during the SymBIST test.
         """
         vcm = self.vcm_generator.evaluate(vbg)
         dac_out = self.dac.evaluate(msb_code, lsb_code, in_p, in_m, vcm, vref)

@@ -27,7 +27,7 @@ cancellation on one side only and shift the sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import List, Optional, Sequence
 
 from ..dut import DutSpec, default_dut
 from .behavioral import effective_capacitance, switch_state
@@ -97,31 +97,45 @@ class ScArray(AnalogBlock):
         self.declare_parameter("mismatch_n", 0.0, sigma=2e-4)
 
     # ------------------------------------------------------------------ model
-    def _side(self, side: str, vin: float, m_level: float, l_level: float,
-              vcm: float, vref_mid: float, mismatch: float) -> float:
-        """Top-plate voltage of one side after charge redistribution."""
+    def _side_state(self, side: str) -> tuple:
+        """Input-independent device state of one side, resolved once.
+
+        Returns ``(short, cs, cm, cl, reset_closed_sampling,
+        input_closed_sampling, reset_closed_conversion,
+        input_closed_conversion)``.  ``short`` names the bottom-plate driver
+        a shorted capacitor ties the top plate to (``"m"``, ``"l"`` or
+        ``"vcm"``, in that precedence) or is ``None``.
+        """
         cs, cs_short = effective_capacitance(self.netlist.device(f"cs_{side}"))
         cm, cm_short = effective_capacitance(self.netlist.device(f"cm_{side}"))
         cl, cl_short = effective_capacitance(self.netlist.device(f"cl_{side}"))
+        short = "m" if cm_short else "l" if cl_short else \
+            "vcm" if cs_short else None
 
         reset_sw = self.netlist.device(f"sw_rst_{side}")
         input_sw = self.netlist.device(f"sw_in_{side}")
+        # Sampling-phase behaviour of the switches, then conversion-phase
+        # behaviour (both switches nominally open).
+        return (short, cs, cm, cl,
+                switch_state(reset_sw, nominal_on=True),
+                switch_state(input_sw, nominal_on=True),
+                switch_state(reset_sw, nominal_on=False),
+                switch_state(input_sw, nominal_on=False))
+
+    def _side(self, state: tuple, vin: float, m_level: float, l_level: float,
+              vcm: float, vref_mid: float, mismatch: float) -> float:
+        """Top-plate voltage of one side after charge redistribution."""
+        (short, cs, cm, cl, reset_closed_sampling, input_closed_sampling,
+         reset_closed_conversion, input_closed_conversion) = state
 
         # A shorted capacitor ties the top plate to its bottom-plate driver.
-        if cm_short:
+        if short == "m":
             return self._clamp(m_level)
-        if cl_short:
+        if short == "l":
             return self._clamp(l_level)
-        if cs_short:
+        if short == "vcm":
             # During conversion the sampling bottom plate is driven to Vcm.
             return self._clamp(vcm)
-
-        # Sampling-phase behaviour of the switches.
-        reset_closed_sampling = switch_state(reset_sw, nominal_on=True)
-        input_closed_sampling = switch_state(input_sw, nominal_on=True)
-        # Conversion-phase behaviour (both switches nominally open).
-        reset_closed_conversion = switch_state(reset_sw, nominal_on=False)
-        input_closed_conversion = switch_state(input_sw, nominal_on=False)
 
         top_initial = vcm if reset_closed_sampling else _UNRESET_TOP_PLATE
 
@@ -154,10 +168,23 @@ class ScArray(AnalogBlock):
 
     def evaluate(self, inputs: ScArrayInputs) -> ScArrayOutput:
         """Compute ``DAC+`` / ``DAC-`` for one conversion cycle."""
-        dac_p = self._side("p", inputs.in_p, inputs.m_p, inputs.l_p,
-                           inputs.vcm, inputs.vref_mid,
-                           self.parameter("mismatch_p"))
-        dac_m = self._side("n", inputs.in_m, inputs.m_m, inputs.l_m,
-                           inputs.vcm, inputs.vref_mid,
-                           self.parameter("mismatch_n"))
-        return ScArrayOutput(dac_p=dac_p, dac_m=dac_m)
+        return self.sweep((inputs,))[0]
+
+    def sweep(self, inputs: Sequence[ScArrayInputs]) -> List[ScArrayOutput]:
+        """Compute ``DAC+`` / ``DAC-`` for many cycles against one defect state.
+
+        Bit-identical to calling :meth:`evaluate` per cycle: the capacitor
+        and switch states and the mismatch parameters are a pure function
+        of the netlist and parameter state, so they are resolved once for
+        the whole sweep and the per-cycle arithmetic is unchanged.
+        """
+        state_p = self._side_state("p")
+        state_n = self._side_state("n")
+        mismatch_p = self.parameter("mismatch_p")
+        mismatch_n = self.parameter("mismatch_n")
+        return [ScArrayOutput(
+            dac_p=self._side(state_p, x.in_p, x.m_p, x.l_p, x.vcm,
+                             x.vref_mid, mismatch_p),
+            dac_m=self._side(state_n, x.in_m, x.m_m, x.l_m, x.vcm,
+                             x.vref_mid, mismatch_n))
+            for x in inputs]

@@ -223,15 +223,13 @@ class BatchedDefectEvaluator:
                         for c in codes]
         sc = list(golden.sc)
         changed_sc = list(no_change)
-        for c in codes:
-            if not dirty_sc[c]:
-                continue
-            sc[c] = cell.dac.sc_array.evaluate(ScArrayInputs(
-                in_p=op.in_p, in_m=op.in_m,
-                m_p=sub1[c].out_p, m_m=sub1[c].out_n,
-                l_p=sub2[c].out_p, l_m=sub2[c].out_n,
-                vcm=vcm, vref_mid=op.vref[adc.dut.mid_tap]))
-            changed_sc[c] = sc[c] != golden.sc[c]
+        sc_codes = [c for c in codes if dirty_sc[c]]
+        if sc_codes:
+            swept = cell.dac.sc_array.sweep(
+                _sc_inputs(adc.dut, op, vcm, sub1, sub2, sc_codes))
+            for c, out in zip(sc_codes, swept):
+                sc[c] = out
+                changed_sc[c] = out != golden.sc[c]
 
         if stage == "pre":
             pre_codes = list(codes)
@@ -297,6 +295,16 @@ class BatchedDefectEvaluator:
         return settled
 
 
+def _sc_inputs(dut, op, vcm, sub1, sub2,
+               codes: Sequence[int]) -> List[ScArrayInputs]:
+    """The SC-array inputs of each counter code in ``codes``."""
+    vref_mid = op.vref[dut.mid_tap]
+    return [ScArrayInputs(in_p=op.in_p, in_m=op.in_m,
+                          m_p=sub1[c].out_p, m_m=sub1[c].out_n,
+                          l_p=sub2[c].out_p, l_m=sub2[c].out_n,
+                          vcm=vcm, vref_mid=vref_mid) for c in codes]
+
+
 def _assemble_signals(dut, op, vcm, sub1, sub2, sc, pre, ql,
                       q) -> Dict[str, float]:
     """One cycle's signal dictionary, matching ``SarAdc.evaluate_test_cycle``
@@ -341,11 +349,8 @@ def build_golden_trace(adc: SarAdc, stimulus: SymBistStimulus,
     codes = range(stimulus.n_codes)
     sub1 = cell.dac.subdac1.sweep(codes, op.vref)
     sub2 = cell.dac.subdac2.sweep(codes, op.vref)
-    sc = [cell.dac.sc_array.evaluate(ScArrayInputs(
-        in_p=op.in_p, in_m=op.in_m,
-        m_p=sub1[c].out_p, m_m=sub1[c].out_n,
-        l_p=sub2[c].out_p, l_m=sub2[c].out_n,
-        vcm=vcm, vref_mid=op.vref[adc.dut.mid_tap])) for c in codes]
+    sc = cell.dac.sc_array.sweep(
+        _sc_inputs(adc.dut, op, vcm, sub1, sub2, codes))
     pre = cell.comparator.preamplifier.sweep(
         [(sc[c].dac_p, sc[c].dac_m) for c in codes], op.ibias,
         cell.comparator.offset_compensation)

@@ -406,9 +406,14 @@ def _expand_yield(build: Any, name: str, params: Dict[str, Any]) -> None:
 
     build.require(name, "calibrate")
     k_values = params["k_values"]
-    n_cycles = params["n_cycles"]
-    if n_cycles <= 0:
-        raise EngineError(f"n_cycles must be positive, got {n_cycles}")
+    # Each Monte Carlo instance contributes one SymBIST run of residuals,
+    # so the checker invocations per run are the device's stimulus length.
+    n_cycles = build.stimulus.n_cycles
+    if params["n_cycles"] not in (None, n_cycles):
+        raise EngineError(
+            f"yield.n_cycles = {params['n_cycles']} conflicts with the "
+            f"device's {n_cycles} SymBIST cycles per run; drop the "
+            f"parameter to use the device's value")
     if not k_values:
         raise EngineError("k_values must name at least one k")
     build.pipeline.add_stage(
@@ -568,9 +573,10 @@ register_stage(StageDefinition(
         StageParam("k_values", "float_list",
                    default=(2.0, 3.0, 4.0, 5.0, 6.0),
                    doc="window multipliers of the yield-loss sweep"),
-        StageParam("n_cycles", "int", default=32,
+        StageParam("n_cycles", "int", default=None, nullable=True,
                    doc="checker invocations per SymBIST run assumed by the "
-                       "analytic yield model"),
+                       "analytic yield model (default: the device's "
+                       "stimulus length; any other value is rejected)"),
     )))
 
 register_stage(StageDefinition(

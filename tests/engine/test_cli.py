@@ -448,6 +448,27 @@ class TestYieldStudyCommand:
         assert "(100%)" in warm["engine"]
 
 
+class TestYieldStudyAcrossResolutions:
+    @pytest.mark.parametrize("bits", [8, 12])
+    def test_one_yield_run_per_monte_carlo_instance(self, tmp_path, bits):
+        """The residual pools split into one run per instance whatever the
+        device's stimulus length (16 cycles at 8 bits, 64 at 12)."""
+        from repro.analysis.statistics import proportion_ci
+
+        out = tmp_path / "study.json"
+        assert main(["run", "yield-loss-study",
+                     "--set", f"dut.resolution_bits={bits}",
+                     "--set", "yield.k_values=2,5",
+                     "--set", "escape.max_escape_defects=1",
+                     "--json", str(out)] + SMALL_STUDY) == 0
+        points = json.loads(out.read_text())["yield_loss"]
+        for point in points:
+            failures = round(3 * point["empirical"])
+            assert point["empirical"] == failures / 3
+            assert point["empirical_ci_half_width"] == \
+                proportion_ci(failures, 3)[1]
+
+
 class TestCacheCommand:
     def _warm_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -685,3 +685,19 @@ class TestYieldLossStudy:
             build_study(_yield_spec({"yield.k_values": []}))
         with pytest.raises(EngineError):
             build_study(_yield_spec({"yield.n_cycles": 0}))
+
+    def test_n_cycles_comes_from_the_device(self):
+        """One Monte Carlo instance contributes one SymBIST run: the
+        device's stimulus length, which the paper's device keeps at 32 (so
+        its cache keys are unchanged)."""
+        for overrides in ({}, {"yield.n_cycles": 32}):
+            graph = build_study(_yield_spec(overrides)).pipeline.graph
+            assert graph.get("yield/0/k=3").spec["n_cycles"] == 32
+        graph = build_study(_yield_spec(
+            {"dut.resolution_bits": 12})).pipeline.graph
+        assert graph.get("yield/0/k=3").spec["n_cycles"] == 64
+
+    def test_rejects_n_cycles_conflicting_with_the_device(self):
+        with pytest.raises(EngineError, match=r"32.*16"):
+            build_study(_yield_spec({"dut.resolution_bits": 8,
+                                     "yield.n_cycles": 32}))

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Diff two campaign-JSON payloads: ``diff_study_json.py A.json B.json``.
 
-CI smoke check for the declarative study layer: ``repro-campaign run`` on a
-canned spec and the corresponding legacy subcommand must emit the same
-top-level schema, the same per-block schema and -- under one root seed --
-the same deterministic per-block numbers.  Engine/timing values (wall
-clock, tasks/s, worker counts) legitimately differ between runs and are
-not compared.
+Checks that two ``repro-campaign run <study> --json`` payloads of the same
+study under one root seed agree: the same top-level and per-block schema,
+and exactly the same deterministic values -- the root seed and ``k``, the
+window deltas, the yield-loss points, the escape analysis and the per-block
+numbers, per variant for a variant sweep.  Use it to compare runs that must
+be bit-identical: serial against a process pool, batch sizes, a cache
+replay, or a parent checkout against a change.  Engine/timing values (wall
+clock, tasks/s, worker counts) legitimately differ between runs and are not
+compared.
 
 Exits non-zero with one line per mismatch.
 """
@@ -17,11 +20,31 @@ import json
 import sys
 from typing import Any, Dict, List
 
+#: Payload (or per-variant fragment) keys whose values are deterministic
+#: under a fixed root seed.
+DETERMINISTIC_KEYS = [
+    "dut", "variant", "seed", "k", "deltas", "yield_loss", "escapes",
+]
+
 #: Per-block keys whose values are deterministic under a fixed root seed.
 DETERMINISTIC_BLOCK_KEYS = [
     "block", "n_defects", "n_simulated", "n_detected", "n_escaped",
     "coverage", "ci_half_width", "dut_fingerprint", "variant",
 ]
+
+
+def value_diffs(path: str, a: Any, b: Any) -> List[str]:
+    """One line per differing leaf of two JSON values, named by its path
+    (``escapes.n_benign``, ``yield_loss[2].empirical``)."""
+    if a == b:
+        return []
+    if isinstance(a, dict) and isinstance(b, dict) and set(a) == set(b):
+        return [line for key in a
+                for line in value_diffs(f"{path}.{key}", a[key], b[key])]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [line for index, (x, y) in enumerate(zip(a, b))
+                for line in value_diffs(f"{path}[{index}]", x, y)]
+    return [f"{path} differs: {a!r} vs {b!r}"]
 
 
 def diff(a: Dict[str, Any], b: Dict[str, Any],
@@ -31,12 +54,8 @@ def diff(a: Dict[str, Any], b: Dict[str, Any],
         problems.append(
             f"top-level keys differ: {a_name} has {sorted(set(a) - set(b))} "
             f"extra, {b_name} has {sorted(set(b) - set(a))} extra")
-    for key in ("dut", "variant"):
-        if a.get(key) != b.get(key):
-            problems.append(f"{key} differs: "
-                            f"{a.get(key)!r} vs {b.get(key)!r}")
-    if "deltas" in a and "deltas" in b and a["deltas"] != b["deltas"]:
-        problems.append("window deltas differ")
+    for key in DETERMINISTIC_KEYS:
+        problems.extend(value_diffs(key, a.get(key), b.get(key)))
     # Multi-variant payloads: the per-variant fragments carry the same
     # shape as a single-device payload; diff them pairwise by label.
     variants_a = a.get("variants")
@@ -87,7 +106,7 @@ def main(argv: List[str]) -> int:
         print(f"diff-study-json: {problem}", file=sys.stderr)
     if not problems:
         print(f"diff-study-json: {argv[0]} == {argv[1]} "
-              f"(schema + deterministic per-block values)")
+              f"(schema + deterministic values)")
     return 1 if problems else 0
 
 
