@@ -3,12 +3,14 @@
 Measures the defect-campaign throughput of the execution engine
 (:mod:`repro.engine`) on the serial backend and on the process pool, plus
 the warm-cache replay rate, compares the one-graph per-block sweep (the
-block-study shape) against the historical one-engine-run-per-block loop,
-and checks that compiling the declarative block-study spec
-(``build_study``) costs under 1% of running it.  On multi-core runners the
-pool should approach linear speedup (the per-defect simulations are
-independent, exactly like the per-defect SPICE jobs an industrial DefectSim
-farm distributes); on single-CPU runners the wall-clock scaling cases are
+block-study shape) against one study run per block, and checks that
+compiling the declarative block-study spec (``build_study``) costs under 1%
+of running it.  Every campaign here is a ``calibrate-then-campaign`` study
+run through :func:`~repro.engine.run_study`, the one entry point that
+schedules, caches and traces work.  On multi-core runners the pool should
+approach linear speedup (the per-defect simulations are independent,
+exactly like the per-defect SPICE jobs an industrial DefectSim farm
+distributes); on single-CPU runners the wall-clock scaling cases are
 skipped.
 """
 
@@ -21,73 +23,98 @@ import pytest
 
 from repro.adc import SarAdc
 from repro.core import format_table
-from repro.defects import DefectCampaign, SamplingPlan
-from repro.engine import ResultCache, SerialBackend, SharedMemoryBackend
+from repro.defects import DefectCampaign
+from repro.engine import (CALIBRATE_THEN_CAMPAIGN, ResultCache, SerialBackend,
+                          SharedMemoryBackend, run_study)
 
 BENCHMARK_SEED = 20200309
 
-#: LWRS budget of the benchmark campaign (>=100 defects, like the paper's
-#: whole-IP row).
-N_DEFECTS = 120
+#: LWRS budget of each block of the benchmark campaign: 12 defects in each
+#: of the 10 A/M-S blocks, >=100 defects like the paper's whole-IP row.
+SAMPLES_PER_BLOCK = 12
+N_DEFECTS = 10 * SAMPLES_PER_BLOCK
+
+#: Monte Carlo instances of the benchmark campaign's window calibration.
+N_MONTE_CARLO = 8
 
 #: Pool width of the parallel case.
 N_WORKERS = min(4, os.cpu_count() or 1)
 
 
-def _run(campaign, backend, cache=None, batch_size=1):
-    rng = np.random.default_rng(BENCHMARK_SEED)
-    return campaign.run(SamplingPlan(exhaustive=False, n_samples=N_DEFECTS),
-                        rng=rng, backend=backend, cache=cache,
-                        batch_size=batch_size)
+def _spec(batch_size=1, **campaign):
+    return CALIBRATE_THEN_CAMPAIGN.override({
+        "seed": BENCHMARK_SEED, "calibrate.n_monte_carlo": N_MONTE_CARLO,
+        "campaign.samples": SAMPLES_PER_BLOCK,
+        "campaign.exhaustive_threshold": 0,
+        "campaign.batch_size": batch_size,
+        **{f"campaign.{key}": value for key, value in campaign.items()}})
 
 
-def _coverage_key(result):
+def _run(backend, cache=None, batch_size=1, telemetry=None):
+    return run_study(_spec(batch_size), backend=backend, cache=cache,
+                     telemetry=telemetry)
+
+
+def _calibrated_cache(path):
+    """A cache holding only the benchmark campaign's calibration (its Monte
+    Carlo instances and windows reduction), so the timed studies replay it
+    and spend their time on the campaign -- like a campaign against fixed
+    windows."""
+    from repro.engine import StageSpec, StudySpec
+    cache = ResultCache(str(path), namespace="calibration")
+    run_study(StudySpec(name="calibration", seed=BENCHMARK_SEED, stages=(
+        StageSpec(stage="calibrate",
+                  params={"n_monte_carlo": N_MONTE_CARLO}),
+        StageSpec(stage="windows", after=("calibrate",)))), cache=cache)
+    return cache
+
+
+def _coverage_key(outcome):
     return [(r.defect.defect_id, r.detected, r.detection_cycle)
-            for r in result.records]
+            for result in outcome.results.values() for r in result.records]
 
 
-def test_engine_scaling(benchmark, deltas, tmp_path):
+def test_engine_scaling(benchmark, tmp_path):
     """Throughput at workers=1 vs workers=N, plus warm-cache replay."""
-    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
-
-    serial = benchmark.pedantic(_run, args=(campaign, SerialBackend()),
+    serial = benchmark.pedantic(_run, args=(SerialBackend(),),
                                 rounds=1, iterations=1)
-    rows = [["serial", 1, serial.engine_report.n_executed,
-             f"{serial.engine_report.wall_time:.2f}",
-             f"{serial.engine_report.tasks_per_second:.1f}"]]
+    rows = [["serial", 1, serial.report.n_executed,
+             f"{serial.report.wall_time:.2f}",
+             f"{serial.report.tasks_per_second:.1f}"]]
 
     if N_WORKERS > 1:
-        pool = _run(campaign, SharedMemoryBackend(max_workers=N_WORKERS))
+        pool = _run(SharedMemoryBackend(max_workers=N_WORKERS))
         assert _coverage_key(pool) == _coverage_key(serial)
-        rows.append(["pool (shm)", N_WORKERS, pool.engine_report.n_executed,
-                     f"{pool.engine_report.wall_time:.2f}",
-                     f"{pool.engine_report.tasks_per_second:.1f}"])
+        rows.append(["pool (shm)", N_WORKERS, pool.report.n_executed,
+                     f"{pool.report.wall_time:.2f}",
+                     f"{pool.report.tasks_per_second:.1f}"])
 
-    cache = ResultCache(str(tmp_path / "cache"), namespace="defects")
-    cold = _run(campaign, SerialBackend(), cache=cache)
-    warm = _run(campaign, SerialBackend(), cache=cache)
+    cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
+    cold = _run(SerialBackend(), cache=cache)
+    warm = _run(SerialBackend(), cache=cache)
     assert _coverage_key(warm) == _coverage_key(serial)
-    assert warm.engine_report.n_cache_hits == warm.engine_report.n_tasks
-    assert warm.engine_report.wall_time < 0.1 * cold.engine_report.wall_time
-    rows.append(["serial + warm cache", 1, warm.engine_report.n_executed,
-                 f"{warm.engine_report.wall_time:.2f}",
-                 f"{warm.engine_report.tasks_per_second:.1f}"])
+    assert warm.report.n_cache_hits == warm.report.n_tasks
+    assert warm.report.wall_time < 0.1 * cold.report.wall_time
+    rows.append(["serial + warm cache", 1, warm.report.n_executed,
+                 f"{warm.report.wall_time:.2f}",
+                 f"{warm.report.tasks_per_second:.1f}"])
 
     print()
     print(format_table(
-        ["backend", "workers", "#executed", "wall (s)", "defects/s"],
-        rows, title=f"engine scaling ({N_DEFECTS} LWRS defects, whole IP)"))
+        ["backend", "workers", "#executed", "wall (s)", "tasks/s"],
+        rows, title=f"engine scaling ({N_DEFECTS} LWRS defects + "
+                    f"{N_MONTE_CARLO}-instance calibration, whole IP)"))
 
     if N_WORKERS == 1:
         pytest.skip("single-CPU runner: parallel scaling not measurable")
 
 
-#: Batch size of the batched-campaign comparison; chosen so the 120-defect
-#: benchmark campaign collapses into two tasks.
+#: Batch size of the batched-campaign comparison; larger than any block's
+#: selection, so each block's defects collapse into one task.
 BATCH_SIZE = 64
 
 
-def test_batched_campaign_speedup(deltas):
+def test_batched_campaign_speedup():
     """Golden-trace batches vs full re-simulation: >=5x, bit-identical.
 
     Every campaign task evaluates its batch against the defect-free golden
@@ -97,24 +124,28 @@ def test_batched_campaign_speedup(deltas):
     per defect.  The records must match bit for bit and batch size 64 must
     be at least 5x faster than the full re-simulation of the same defects
     (the full-resimulation fallback would show up here as a flat ratio).
-    Batch size 1 -- batches of one -- is reported alongside.
+    Batch size 1 -- batches of one -- is reported alongside.  Study times
+    are the campaign stage's task time, so the shared calibration is not
+    counted.
     """
     import time
 
-    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
     rounds = 2
 
     def min_wall(batch_size):
         walls = []
-        result = None
+        outcome = None
         for _ in range(rounds):
-            result = _run(campaign, SerialBackend(), batch_size=batch_size)
-            walls.append(result.engine_report.wall_time)
-        return min(walls), result
+            outcome = _run(SerialBackend(), batch_size=batch_size)
+            walls.append(outcome.report.stage_durations["campaign"])
+        return min(walls), outcome
 
     singleton_wall, singleton = min_wall(1)
     batched_wall, batched = min_wall(BATCH_SIZE)
-    defects = [record.defect for record in batched.records]
+    campaign = DefectCampaign(adc=SarAdc(),
+                              deltas=batched.calibration.deltas)
+    defects = [record.defect for result in batched.results.values()
+               for record in result.records]
     full_walls = []
     for _ in range(rounds):
         start = time.perf_counter()
@@ -131,10 +162,10 @@ def test_batched_campaign_speedup(deltas):
         ["evaluation", "#tasks", "wall (s)", "defects/s", "speedup"],
         [["full re-simulation", "-", f"{full_wall:.2f}",
           f"{N_DEFECTS / full_wall:.1f}", "-"],
-         ["batch size 1", singleton.engine_report.n_tasks,
+         ["batch size 1", singleton.report.stage_counts["campaign"],
           f"{singleton_wall:.2f}", f"{N_DEFECTS / singleton_wall:.1f}",
           f"{full_wall / singleton_wall:.1f}x"],
-         [f"batch size {BATCH_SIZE}", batched.engine_report.n_tasks,
+         [f"batch size {BATCH_SIZE}", batched.report.stage_counts["campaign"],
           f"{batched_wall:.2f}", f"{N_DEFECTS / batched_wall:.1f}",
           f"{speedup:.1f}x"]],
         title=f"batched campaign ({N_DEFECTS} LWRS defects, serial, "
@@ -147,56 +178,51 @@ BLOCK_SAMPLES = 60
 BLOCK_EXHAUSTIVE_THRESHOLD = 120
 
 
-def test_block_study_beats_sequential_per_block_loop(deltas):
-    """One-graph per-block sweep vs the historical one-run-per-block loop.
+def test_block_study_beats_sequential_per_block_loop(tmp_path):
+    """One-graph per-block sweep vs one study run per block.
 
-    The sequential loop launches a separate serial engine run per block, so
-    a 3-defect block's run cannot overlap a 300-defect block's; the
-    block-study shape submits every block's tasks into one graph and keeps
-    the pool saturated.  Same defects, same records -- the one-graph pooled
-    sweep must finish faster than the summed sequential runs at >=2 workers.
+    The sequential loop launches a separate serial study per block, so a
+    3-defect block's run cannot overlap a 300-defect block's; the one-graph
+    sweep submits every block's tasks together and keeps the pool
+    saturated.  Both sides replay the calibration from a cache, so only the
+    campaign work is timed.  Same defects, same records -- the one-graph
+    pooled sweep must finish faster than the summed sequential runs at >=2
+    workers.
     """
     if N_WORKERS < 2:
         pytest.skip("single-CPU runner: pool utilization not measurable")
-    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
-    blocks = campaign.universe.block_paths()
+    overrides = {"samples": BLOCK_SAMPLES,
+                 "exhaustive_threshold": BLOCK_EXHAUSTIVE_THRESHOLD}
+    pooled = run_study(_spec(**overrides),
+                       backend=SharedMemoryBackend(max_workers=N_WORKERS),
+                       cache=_calibrated_cache(tmp_path / "pooled"))
+    blocks = list(pooled.results)
 
-    # The historical shape: one serial engine run per block (per-block seeds
-    # match run_per_block's, so both flows simulate identical defects).
-    from repro.defects import block_seed_sequence
+    # The per-block shape: one serial study per block (per-block seeds
+    # derive from the root seed + block path, so both flows simulate
+    # identical defects).
     sequential_wall = 0.0
     sequential_key = []
     n_tasks = 0
+    sequential_cache = _calibrated_cache(tmp_path / "sequential")
     for block in blocks:
-        size = len(campaign.universe.by_block(block))
-        plan = SamplingPlan(exhaustive=size <= BLOCK_EXHAUSTIVE_THRESHOLD,
-                            n_samples=BLOCK_SAMPLES)
-        rng = np.random.default_rng(
-            block_seed_sequence(BENCHMARK_SEED, block))
-        result = campaign.run(plan, blocks=[block], rng=rng,
-                              backend=SerialBackend())
-        sequential_wall += result.engine_report.wall_time
-        sequential_key.extend(_coverage_key(result))
-        n_tasks += result.n_simulated
-
-    pooled = campaign.run_per_block(
-        n_samples_per_block=BLOCK_SAMPLES, seed=BENCHMARK_SEED,
-        exhaustive_threshold=BLOCK_EXHAUSTIVE_THRESHOLD,
-        backend=SharedMemoryBackend(max_workers=N_WORKERS))
-    pooled_key = [entry for block in blocks
-                  for entry in _coverage_key(pooled[block])]
-    report = next(iter(pooled.values())).engine_report
+        outcome = run_study(_spec(blocks=[block], **overrides),
+                            backend=SerialBackend(), cache=sequential_cache)
+        sequential_wall += outcome.report.wall_time
+        sequential_key.extend(_coverage_key(outcome))
+        n_tasks += outcome.report.n_tasks
+    report = pooled.report
 
     print()
     print(format_table(
-        ["sweep shape", "workers", "#tasks", "wall (s)", "defects/s"],
-        [["sequential per-block loop", 1, n_tasks,
+        ["sweep shape", "workers", "#tasks", "wall (s)", "tasks/s"],
+        [["sequential per-block studies", 1, n_tasks,
           f"{sequential_wall:.2f}", f"{n_tasks / sequential_wall:.1f}"],
-         ["block-study (one graph)", N_WORKERS, report.n_tasks,
+         ["one graph", N_WORKERS, report.n_tasks,
           f"{report.wall_time:.2f}", f"{report.tasks_per_second:.1f}"]],
         title=f"per-block sweep: one graph vs {len(blocks)} sequential runs"))
 
-    assert pooled_key == sequential_key  # same defects, same records
+    assert _coverage_key(pooled) == sequential_key  # same records
     assert report.wall_time < sequential_wall
 
 
@@ -323,7 +349,7 @@ def test_spec_compilation_overhead():
     assert spec_wall < 0.01 * run_wall
 
 
-def test_telemetry_overhead_under_five_percent(deltas):
+def test_telemetry_overhead_under_five_percent(tmp_path):
     """A fully-instrumented run must cost < 5% over an untraced one.
 
     The telemetry path adds one JSONL trace sink plus the in-process
@@ -331,29 +357,36 @@ def test_telemetry_overhead_under_five_percent(deltas):
     serial benchmark campaign.  Per-event work is a dataclass, a dict and
     one buffered ``write``; against a campaign whose per-task cost is an
     ADC conversion sweep that must stay in the noise.  Min-of-rounds on
-    both sides to suppress scheduler jitter.
+    both sides to suppress scheduler jitter.  The calibration replays from
+    a cache, so the campaign dominates both sides.
     """
+    import itertools
+    import shutil
     import tempfile
     from pathlib import Path
 
     from repro.engine import JsonlTraceSink, MetricsSink, TelemetryBus
 
-    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
     rounds = 3
+    calibration_dir = tmp_path / "calibration"
+    _calibrated_cache(calibration_dir)
+    runs = itertools.count()
 
     def min_wall(telemetry_factory):
         walls = []
-        result = None
+        outcome = None
         for _ in range(rounds):
-            rng = np.random.default_rng(BENCHMARK_SEED)
+            # A fresh copy per run: the campaign must execute every time.
+            cache_dir = tmp_path / f"run-{next(runs)}"
+            shutil.copytree(calibration_dir, cache_dir)
             telemetry = telemetry_factory()
-            result = campaign.run(
-                SamplingPlan(exhaustive=False, n_samples=N_DEFECTS),
-                rng=rng, backend=SerialBackend(), telemetry=telemetry)
+            outcome = _run(SerialBackend(), telemetry=telemetry,
+                           cache=ResultCache(str(cache_dir),
+                                             namespace="calibration"))
             if telemetry is not None:
                 telemetry.close()
-            walls.append(result.engine_report.wall_time)
-        return min(walls), result
+            walls.append(outcome.report.wall_time)
+        return min(walls), outcome
 
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = Path(tmp) / "bench-trace.jsonl"
@@ -361,9 +394,7 @@ def test_telemetry_overhead_under_five_percent(deltas):
         def traced_bus():
             return TelemetryBus([JsonlTraceSink(trace_path), MetricsSink()])
 
-        campaign.run(SamplingPlan(exhaustive=False, n_samples=N_DEFECTS),
-                     rng=np.random.default_rng(BENCHMARK_SEED),
-                     backend=SerialBackend())  # warm-up round
+        _run(SerialBackend())  # warm-up round
         bare_wall, bare = min_wall(lambda: None)
         traced_wall, traced = min_wall(traced_bus)
 
@@ -372,9 +403,9 @@ def test_telemetry_overhead_under_five_percent(deltas):
     print()
     print(format_table(
         ["configuration", "#executed", "wall (s)", "overhead"],
-        [["untraced", bare.engine_report.n_executed,
+        [["untraced", bare.report.n_executed,
           f"{bare_wall:.3f}", "-"],
-         ["--trace + metrics", traced.engine_report.n_executed,
+         ["--trace + metrics", traced.report.n_executed,
           f"{traced_wall:.3f}", f"{overhead:+.1f}%"]],
         title=f"telemetry overhead ({N_DEFECTS} LWRS defects, "
               f"min of {rounds} rounds)"))

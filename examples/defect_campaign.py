@@ -6,10 +6,12 @@ defect-universe extraction, likelihood weighting, LWRS sampling (or exhaustive
 simulation of small blocks), stop-on-detection SymBIST runs and
 likelihood-weighted coverage with 95 % confidence intervals.
 
-The per-block sweep is one engine run: every block's defect-batch tasks are
-submitted together and each block's LWRS draws derive from the root seed +
-the block path, so the rows are identical for any block order, subset or
-worker count (pass ``--workers`` to shard the sweep across a process pool).
+Each block's LWRS draws derive from the root seed + the block path, so the
+rows are identical for any block order, subset or worker count.  Serially
+the sweep is a plain in-process loop (``DefectCampaign.run_per_block``);
+``--workers N`` runs the same sweep as the canned
+``calibrate-then-campaign`` study on a process pool
+(:func:`repro.engine.run_study`), with identical rows.
 
 Run with::
 
@@ -32,7 +34,8 @@ import numpy as np
 from repro.adc import SarAdc
 from repro.core import calibrate_windows, format_confidence, format_table
 from repro.defects import DefectCampaign, SamplingPlan
-from repro.engine import SerialBackend, SharedMemoryBackend
+from repro.engine import (CALIBRATE_THEN_CAMPAIGN, SharedMemoryBackend,
+                          run_study)
 
 
 def main() -> None:
@@ -48,8 +51,6 @@ def main() -> None:
     parser.add_argument("--blocks", nargs="*", default=None,
                         help="restrict the campaign to these block paths")
     args = parser.parse_args()
-    backend = SerialBackend() if args.workers <= 1 \
-        else SharedMemoryBackend(max_workers=args.workers)
 
     print("calibrating comparison windows (delta = 5 sigma)...")
     calibration = calibrate_windows(n_monte_carlo=args.monte_carlo,
@@ -60,12 +61,26 @@ def main() -> None:
     print(f"defect universe: {len(campaign.universe)} defects across "
           f"{len(campaign.universe.block_paths())} A/M-S blocks")
 
-    # One task graph spans every block: small blocks exhaustively, large
-    # ones with a per-block LWRS budget, all interleaved in one engine run.
-    results = campaign.run_per_block(
-        n_samples_per_block=args.samples_per_block, seed=args.seed,
-        exhaustive_threshold=2 * args.samples_per_block,
-        blocks=args.blocks, backend=backend)
+    # Small blocks exhaustively, large ones with a per-block LWRS budget.
+    threshold = 2 * args.samples_per_block
+    engine_summary = None
+    if args.workers <= 1:
+        results = campaign.run_per_block(
+            n_samples_per_block=args.samples_per_block, seed=args.seed,
+            exhaustive_threshold=threshold, blocks=args.blocks)
+    else:
+        # The same calibration and sweep as one study graph on a pool.
+        outcome = run_study(
+            CALIBRATE_THEN_CAMPAIGN.override({
+                "seed": args.seed,
+                "calibrate.n_monte_carlo": args.monte_carlo,
+                "campaign.samples": args.samples_per_block,
+                "campaign.exhaustive_threshold": threshold,
+                "campaign.blocks": args.blocks}),
+            backend=SharedMemoryBackend(max_workers=args.workers))
+        assert outcome.calibration.deltas == calibration.deltas
+        results = outcome.results
+        engine_summary = outcome.report.summary()
 
     rows = []
     for block, result in results.items():
@@ -78,8 +93,7 @@ def main() -> None:
     if args.blocks is None:
         whole = campaign.run(SamplingPlan(exhaustive=False,
                                           n_samples=args.whole_ip_samples),
-                             rng=np.random.default_rng(args.seed),
-                             backend=backend)
+                             rng=np.random.default_rng(args.seed))
         overall = whole.overall_report()
         rows.append(["complete A/M-S part", len(campaign.universe),
                      overall.n_simulated, f"{overall.wall_time:.1f}",
@@ -91,9 +105,9 @@ def main() -> None:
         ["A/M-S block", "#defects", "#simulated", "wall time (s)",
          "L-W defect coverage"],
         rows, title="SymBIST defect-simulation campaign (Table I style)"))
-    engine_report = next(iter(results.values())).engine_report
-    print()
-    print(f"engine (per-block sweep): {engine_report.summary()}")
+    if engine_summary is not None:
+        print()
+        print(f"engine (per-block sweep): {engine_summary}")
 
 
 if __name__ == "__main__":

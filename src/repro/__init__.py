@@ -26,7 +26,8 @@ Subpackages
     Functional ADC test baseline (ramp/histogram linearity, sine-fit ENOB,
     servo loop, specification-based detection).
 ``repro.analysis``
-    Monte Carlo driver, statistics helpers and the yield-loss-versus-k model.
+    Statistics helpers, the yield-loss-versus-k model and the functional
+    escape analysis.
 ``repro.engine``
     Campaign-execution engine: task graphs, serial/process-pool backends,
     deterministic per-task seeding, content-addressed result caching, the
@@ -48,26 +49,28 @@ True
 
 Scaling campaigns
 -----------------
-Every heavyweight workload (window calibration, defect campaigns, Monte
-Carlo analyses, the yield-loss sweep) routes through the campaign engine and
-accepts ``backend=`` / ``cache=`` arguments:
+The model-layer functions (``calibrate_windows``, ``DefectCampaign.run``,
+``yield_loss_sweep``) are plain in-process computations.  A parallel, cached
+or traced run is a *study*: a declarative :class:`~repro.engine.StudySpec`
+graph run through :func:`repro.engine.run_study`, which takes ``backend=``,
+``cache=`` and ``telemetry=``:
 
->>> from repro.engine import ResultCache, SharedMemoryBackend
->>> backend = SharedMemoryBackend(max_workers=4)        # pool of 4 procs
->>> cache = ResultCache(".repro-cache", namespace="calibration")
->>> calibration = calibrate_windows(n_monte_carlo=25,
-...                                 rng=np.random.default_rng(0),
-...                                 backend=backend, cache=cache)
+>>> from repro.engine import (CALIBRATE_THEN_CAMPAIGN, ResultCache,
+...                           SharedMemoryBackend, run_study)
+>>> spec = CALIBRATE_THEN_CAMPAIGN.override(
+...     {"calibrate.n_monte_carlo": 25, "campaign.blocks": ["vcm_generator"]})
+>>> outcome = run_study(
+...     spec, backend=SharedMemoryBackend(max_workers=4),
+...     cache=ResultCache(".repro-cache", namespace="calibration"))
 
-Each unit of work (one defect injection + test, one Monte Carlo sample, one
-``(k, yield)`` point) is a :class:`~repro.engine.Task` with its own
-``np.random.SeedSequence`` child, so results are byte-identical whatever the
-worker count or completion order; cached artifacts are keyed by task spec +
-seed + library version, so repeated runs are near-free.  The same machinery
-is available from the shell as ``repro-campaign`` (see
-:mod:`repro.engine.cli`), e.g.::
+Each unit of work (one Monte Carlo instance, one batch of defect injections
+and tests, one ``(k, yield)`` point) is a :class:`~repro.engine.Task` with
+its own seed material, so results are byte-identical whatever the worker
+count or completion order; cached artifacts are keyed by task spec + seed +
+library version, so repeated runs are near-free.  The same studies run from
+the shell as ``repro-campaign run`` (see :mod:`repro.engine.cli`), e.g.::
 
-    repro-campaign campaign --workers 4 --cache-dir .repro-cache
+    repro-campaign run block-study --workers 4 --cache-dir .repro-cache
 """
 
 from . import (adc, analysis, circuit, core, defects, digital, engine,

@@ -1,8 +1,7 @@
-"""Analysis utilities: Monte Carlo driving, statistics, yield-loss modelling."""
+"""Analysis utilities: statistics, yield-loss modelling, escape analysis."""
 
 from .escape_analysis import (EscapeAnalysisResult, EscapeRecord,
                               analyze_escapes)
-from .monte_carlo import MonteCarloResult, MonteCarloRunner
 from .statistics import (StatisticsError, SummaryStatistics, Z_95,
                          gaussian_exceedance_probability, per_test_to_per_run,
                          percentile, proportion_ci, summarize)
@@ -11,8 +10,7 @@ from .yield_loss import (YieldLossPoint, analytic_yield_loss,
 
 __all__ = [
     "EscapeAnalysisResult", "EscapeRecord", "analyze_escapes",
-    "MonteCarloResult", "MonteCarloRunner", "StatisticsError",
-    "SummaryStatistics", "YieldLossPoint", "Z_95", "analytic_yield_loss",
+    "StatisticsError", "SummaryStatistics", "YieldLossPoint", "Z_95", "analytic_yield_loss",
     "empirical_yield_loss", "gaussian_exceedance_probability",
     "per_test_to_per_run", "percentile", "proportion_ci", "summarize",
     "yield_loss_sweep",

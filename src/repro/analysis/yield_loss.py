@@ -20,18 +20,14 @@ window.  Two estimators are provided:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..circuit.errors import CalibrationError
-from ..core.calibration import WindowCalibration, collect_defect_free_residuals
-from ..core.stimulus import SymBistStimulus
-from ..engine import (CampaignEngine, ExecutionBackend, ResultCache,
-                      ResultCodec, Task, TaskGraph, canonical_json)
-from ..engine.telemetry import TelemetryBus
+from ..core.calibration import WindowCalibration
+from ..engine import ResultCodec
 from .statistics import (gaussian_exceedance_probability, per_test_to_per_run,
                          proportion_ci)
 
@@ -77,37 +73,42 @@ def analytic_yield_loss(k: float, n_continuous_invariances: int = 4,
                                                                n_checks))
 
 
-def empirical_yield_loss(calibration: WindowCalibration, k: float,
-                         n_cycles: int = 32) -> YieldLossPoint:
+def empirical_yield_loss(calibration: WindowCalibration,
+                         k: float) -> YieldLossPoint:
     """Estimate yield loss for ``k`` from calibration residual pools.
 
     Requires a calibration created with ``keep_pools=True``: the pooled
-    residuals are grouped back into per-instance runs of ``n_cycles`` samples
-    and each instance is re-checked against windows rebuilt for ``k``.
+    residuals are grouped back into one run per Monte Carlo instance and
+    each instance is re-checked against windows rebuilt for ``k``.  The run
+    length is the pool size divided by ``calibration.n_samples`` -- the
+    device's SymBIST cycle count, whatever its resolution.
     """
     if not calibration.residual_pools:
         raise CalibrationError(
             "empirical_yield_loss needs a calibration with keep_pools=True")
+    if calibration.n_samples <= 0:
+        raise CalibrationError(
+            f"calibration reports {calibration.n_samples} Monte Carlo "
+            f"instances; cannot group its residual pools into runs")
     scaled = calibration.scaled(k)
     analytic = analytic_yield_loss(k)
 
-    n_instances = None
-    failures = 0
+    n_instances = calibration.n_samples
+    fails_per_instance = np.zeros(n_instances, dtype=bool)
+    continuous = 0
     for name, pool in calibration.residual_pools.items():
         if name in _DISCRETE_INVARIANCES:
             continue
         values = np.asarray(pool, dtype=float)
-        if values.size % n_cycles != 0:
+        if values.size == 0 or values.size % n_instances != 0:
             raise CalibrationError(
-                f"residual pool of {name!r} ({values.size} samples) is not a "
-                f"multiple of {n_cycles} cycles")
-        runs = values.reshape(-1, n_cycles)
-        if n_instances is None:
-            n_instances = runs.shape[0]
-            fails_per_instance = np.zeros(n_instances, dtype=bool)
+                f"residual pool of {name!r} ({values.size} samples) does not "
+                f"split into {n_instances} equal per-instance runs")
+        runs = values.reshape(n_instances, -1)
+        continuous += 1
         delta = scaled.delta(name)
         fails_per_instance |= (np.abs(runs) > delta).any(axis=1)
-    if n_instances is None:
+    if not continuous:
         raise CalibrationError("calibration has no continuous invariance pools")
     failures = int(fails_per_instance.sum())
     center, half = proportion_ci(failures, n_instances)
@@ -118,70 +119,21 @@ def empirical_yield_loss(calibration: WindowCalibration, k: float,
                           empirical_ci_half_width=half)
 
 
-def _yield_loss_worker(context: Mapping[str, Any], task: Task,
-                       rng: np.random.Generator,
-                       inputs: Mapping[str, Any]) -> YieldLossPoint:
-    """Engine worker: one ``(k, yield)`` point of the sweep."""
-    calibration: Optional[WindowCalibration] = context["calibration"]
-    if calibration is not None and calibration.residual_pools:
-        return empirical_yield_loss(calibration, task.payload,
-                                    context["n_cycles"])
-    return analytic_yield_loss(task.payload)
-
-
-#: Cache codec for yield-loss points (plain dataclass of floats).
+#: Cache codec for yield-loss points (plain dataclass of floats), declared
+#: by the study registry's ``yield`` stage kind.
 POINT_CODEC = ResultCodec(encode=asdict,
                           decode=lambda data: YieldLossPoint(**data))
 
 
-def _pools_fingerprint(calibration: Optional[WindowCalibration]) -> str:
-    """Stable digest of the residual pools a sweep point depends on."""
-    if calibration is None or not calibration.residual_pools:
-        return "analytic"
-    body = canonical_json(calibration.residual_pools)
-    return hashlib.sha256(body.encode()).hexdigest()[:16]
-
-
 def yield_loss_sweep(calibration: Optional[WindowCalibration] = None,
-                     k_values: Sequence[float] = (2.0, 3.0, 4.0, 5.0, 6.0),
-                     n_cycles: int = 32,
-                     backend: Optional[ExecutionBackend] = None,
-                     cache: Optional[ResultCache] = None,
-                     telemetry: Optional[TelemetryBus] = None
+                     k_values: Sequence[float] = (2.0, 3.0, 4.0, 5.0, 6.0)
                      ) -> List[YieldLossPoint]:
     """Yield loss across a sweep of ``k`` values (the E5 experiment).
 
-    Each ``k`` is one deterministic engine task, so the sweep can be sharded
-    or cached like any other campaign.
-
-    Parameters
-    ----------
-    backend:
-        Campaign-engine execution backend (see :mod:`repro.engine`); the
-        default serial backend reproduces the historical loop exactly, and
-        ``SharedMemoryBackend(max_workers=N)`` shards the ``k`` points
-        across processes with identical results.
-    cache:
-        Optional :class:`~repro.engine.ResultCache`; per-``k`` points are
-        stored keyed by ``k``, ``n_cycles`` and a digest of the
-        calibration's residual pools, so re-running an identical sweep
-        replays them instead of recomputing.
+    Empirical points when ``calibration`` carries residual pools, analytic
+    ones otherwise.  The study layer's ``yield`` stage computes the same
+    empirical points, one task per ``k``.
     """
-    # The pools digest is cache-key material only; hashing ~n_samples*cycles
-    # floats is pointless on uncached sweeps.
-    pools_token = _pools_fingerprint(calibration) if cache is not None else None
-    tasks = TaskGraph()
-    for index, k in enumerate(k_values):
-        spec = None
-        if pools_token is not None:
-            spec = {"driver": "yield-loss-sweep", "k": float(k),
-                    "n_cycles": n_cycles, "pools": pools_token}
-        tasks.add(Task(task_id=f"yield/{index}/k={k:g}", payload=float(k),
-                       spec=spec, deterministic=True))
-    engine = CampaignEngine(backend=backend, cache=cache,
-                            telemetry=telemetry)
-    run = engine.run(tasks, _yield_loss_worker,
-                     context={"calibration": calibration,
-                              "n_cycles": n_cycles},
-                     codec=POINT_CODEC)
-    return list(run.results)
+    if calibration is not None and calibration.residual_pools:
+        return [empirical_yield_loss(calibration, float(k)) for k in k_values]
+    return [analytic_yield_loss(float(k)) for k in k_values]

@@ -15,7 +15,7 @@ used by that analysis:
   a sigma, sampled per Monte Carlo iteration.
 
 The behavioural blocks in :mod:`repro.adc` expose a ``sample_variation(rng)``
-method built on these utilities; :mod:`repro.analysis.monte_carlo` drives
+method built on these utilities; :mod:`repro.core.calibration` drives
 whole-IP Monte Carlo runs.
 """
 

@@ -16,13 +16,11 @@ does not eat into the k-sigma guard band), with a per-invariance floor for the
 inherently discrete invariances (the sign-consistency and complementary-rail
 checks have zero variance when defect-free).
 
-The Monte Carlo sweep executes through the campaign engine
-(:mod:`repro.engine`): each process-variation instance is one task with its
-own per-sample seed, so a calibration sharded across a
-:class:`~repro.engine.SharedMemoryBackend` pool is bit-identical to the
-serial run, and repeated calibrations against a
-:class:`~repro.engine.ResultCache` replay the stored residuals instead of
-re-simulating.
+Each process-variation instance draws from its own per-sample seed and is
+evaluated by :func:`_residual_worker`, the same function the study layer's
+``calibrate`` stage runs as one task per instance.  A sharded, cached or
+traced calibration is a study (``calibrate`` + ``windows`` stages run through
+:func:`repro.engine.run_study`) and yields the very same pools.
 """
 
 from __future__ import annotations
@@ -36,9 +34,7 @@ from ..adc.sar_adc import SarAdc
 from ..circuit.errors import CalibrationError
 from ..circuit.units import VDD
 from ..circuit.variation import VariationSpec
-from ..engine import (CampaignEngine, ExecutionBackend, ResultCache,
-                      ResultCodec, Task, TaskGraph, factory_token)
-from ..engine.telemetry import TelemetryBus
+from ..engine import ResultCodec, Task
 from .invariance import Invariance, build_invariances
 from .stimulus import SymBistStimulus
 from .window_comparator import WindowComparator
@@ -92,10 +88,15 @@ class WindowCalibration:
                                  residual_pools=self.residual_pools)
 
 
-def _residual_worker(context: Mapping[str, Any], task: Task,
+def _residual_worker(context: Mapping[str, Any], task: Optional[Task],
                      rng: np.random.Generator,
                      inputs: Mapping[str, Any]) -> Dict[str, List[float]]:
-    """Engine worker: per-cycle residuals of one defect-free MC instance."""
+    """Per-cycle residuals of one defect-free MC instance.
+
+    Called in-process by :func:`collect_defect_free_residuals` and as the
+    engine worker of the study layer's ``calibrate`` stage; only
+    ``context`` and ``rng`` are consulted.
+    """
     stimulus: SymBistStimulus = context["stimulus"]
     invariances: Sequence[Invariance] = context["invariances"]
     adc = context["adc_factory"]()
@@ -115,9 +116,8 @@ def _residual_worker(context: Mapping[str, Any], task: Task,
 #: Cache codec of the per-sample residual tasks.  The result -- one
 #: per-cycle float list per invariance -- is natively JSON, but the lists
 #: dominate the artifact, so ``sidecar=True`` externalizes them to ``.npy``
-#: files (bit-identical on read; see :mod:`repro.engine.cache`).  Shared by
-#: :func:`collect_defect_free_residuals` and the study graphs' calibrate
-#: stage so both write (and replay) the same artifacts.
+#: files (bit-identical on read; see :mod:`repro.engine.cache`).  Declared
+#: by the study registry's ``calibrate`` stage kind.
 RESIDUAL_CODEC = ResultCodec(encode=lambda rows: rows,
                              decode=lambda rows: rows, sidecar=True)
 
@@ -128,9 +128,9 @@ def calibration_task_spec(factory_name: str,
                           invariance_names: Sequence[str]) -> Dict[str, Any]:
     """Cache-key spec of one defect-free Monte Carlo residual task.
 
-    Shared by :func:`collect_defect_free_residuals` and the
-    ``calibrate -> campaign`` pipeline so both produce identical cache keys:
-    a calibration cached by one flow is replayed by the other.
+    Used by every study's ``calibrate`` stage (``repro-campaign calibrate``
+    and ``run`` alike), so a calibration cached by one flow is replayed by
+    the other.
     """
     return {"driver": "symbist-calibration",
             "factory": factory_name,
@@ -146,43 +146,21 @@ def collect_defect_free_residuals(
         stimulus: Optional[SymBistStimulus] = None,
         n_monte_carlo: int = 100,
         rng: Optional[np.random.Generator] = None,
-        variation_spec: Optional[VariationSpec] = None,
-        backend: Optional[ExecutionBackend] = None,
-        cache: Optional[ResultCache] = None,
-        telemetry: Optional[TelemetryBus] = None) -> Dict[str, List[float]]:
+        variation_spec: Optional[VariationSpec] = None
+        ) -> Dict[str, List[float]]:
     """Monte Carlo residual pools of every invariance on defect-free circuits.
 
-    Each Monte Carlo instance is one engine task with its own seed: when
-    ``rng`` is given, the per-sample seeds are drawn from it up front in one
-    vectorised draw (same ``rng`` seed, same pools -- on any backend); when
-    it is omitted the engine spawns ``SeedSequence(0)`` children.  Pools are
-    assembled in sample order, ``n_cycles`` consecutive residuals per
-    instance, which is the layout :func:`repro.analysis.empirical_yield_loss`
-    relies on.
-
-    Caching (via ``cache``) is only applied for the standard invariance set;
-    custom ``invariances`` carry arbitrary callables that a content hash
-    cannot describe, so those runs always simulate.
-
-    Parameters
-    ----------
-    backend:
-        Campaign-engine execution backend (see :mod:`repro.engine`); the
-        default serial backend reproduces the historical loop exactly, and
-        ``SharedMemoryBackend(max_workers=N)`` shards the Monte Carlo
-        instances across processes with bit-identical pools.
-    cache:
-        Optional :class:`~repro.engine.ResultCache`; per-instance residual
-        rows are stored keyed by factory, stimulus, variation spec and
-        per-sample seed, so repeated calibrations replay them.
+    Each Monte Carlo instance runs :func:`_residual_worker` with its own
+    seed: when ``rng`` is given, the per-sample seeds are drawn from it up
+    front in one vectorised draw (same ``rng`` seed, same pools); when it is
+    omitted they are ``SeedSequence(0)`` children.  Pools are assembled in
+    sample order, ``n_cycles`` consecutive residuals per instance, which is
+    the layout :func:`repro.analysis.empirical_yield_loss` relies on.
     """
     if n_monte_carlo <= 0:
         raise CalibrationError("n_monte_carlo must be positive")
-    custom_invariances = invariances is not None
-    invariances = list(invariances) if custom_invariances \
+    invariances = list(invariances) if invariances is not None \
         else build_invariances()
-    stimulus = stimulus or SymBistStimulus()
-
     if rng is None:
         seeds: List[Any] = list(
             np.random.SeedSequence(0).spawn(n_monte_carlo))
@@ -190,30 +168,12 @@ def collect_defect_free_residuals(
         seeds = [int(s) for s in
                  rng.integers(0, 2 ** 63 - 1, size=n_monte_carlo)]
 
-    # A stable factory token is required for cache keys; callables without a
-    # qualified name or an explicit ``token`` (e.g. ad-hoc instances with
-    # __call__) have only an address-bearing repr, so their runs are never
-    # cached.
-    factory_name = factory_token(adc_factory)
-    tasks = TaskGraph()
-    for index in range(n_monte_carlo):
-        spec: Optional[Dict[str, Any]] = None
-        if not custom_invariances and factory_name is not None:
-            spec = calibration_task_spec(
-                factory_name, stimulus, variation_spec,
-                [inv.name for inv in invariances])
-        tasks.add(Task(task_id=f"calib/{index}", payload=index,
-                       seed=seeds[index], spec=spec))
-
-    engine = CampaignEngine(backend=backend, cache=cache,
-                            telemetry=telemetry)
     context = {"adc_factory": adc_factory, "invariances": invariances,
-               "stimulus": stimulus, "variation_spec": variation_spec}
-    run = engine.run(tasks, _residual_worker, context=context,
-                     codec=RESIDUAL_CODEC)
-
+               "stimulus": stimulus or SymBistStimulus(),
+               "variation_spec": variation_spec}
     pools: Dict[str, List[float]] = {inv.name: [] for inv in invariances}
-    for rows in run.results:
+    for seed in seeds:
+        rows = _residual_worker(context, None, np.random.default_rng(seed), {})
         for name, values in rows.items():
             pools[name].extend(values)
     return pools
@@ -224,9 +184,9 @@ def windows_from_pools(pools: Mapping[str, Sequence[float]], k: float,
                        ) -> "tuple[Dict[str, float], Dict[str, float], Dict[str, float]]":
     """Derive ``(sigmas, means, deltas)`` from residual pools.
 
-    The reduction step of :func:`calibrate_windows`, shared with the
-    ``calibrate -> campaign`` pipeline (:mod:`repro.engine.pipeline`) so both
-    paths produce bit-identical windows from the same pools: per invariance,
+    The reduction step of :func:`calibrate_windows`, shared with the study
+    layer's ``windows`` stage (:mod:`repro.engine.pipeline`) so both paths
+    produce bit-identical windows from the same pools: per invariance,
     ``sigma``/``mean`` over the pooled residuals and
     ``delta = max(k * sigma + |mean|, floor)``.
     """
@@ -276,11 +236,7 @@ def calibrate_windows(adc_factory: Callable[[], SarAdc] = SarAdc,
                       rng: Optional[np.random.Generator] = None,
                       variation_spec: Optional[VariationSpec] = None,
                       delta_floors: Optional[Mapping[str, float]] = None,
-                      keep_pools: bool = False,
-                      backend: Optional[ExecutionBackend] = None,
-                      cache: Optional[ResultCache] = None,
-                      telemetry: Optional[TelemetryBus] = None
-                      ) -> WindowCalibration:
+                      keep_pools: bool = False) -> WindowCalibration:
     """Run the Monte Carlo analysis and derive the comparison windows.
 
     Parameters
@@ -295,15 +251,11 @@ def calibrate_windows(adc_factory: Callable[[], SarAdc] = SarAdc,
         When True the raw residual pools are kept on the returned object
         (useful for the yield-loss study); they are dropped otherwise to keep
         the calibration object light.
-    backend / cache:
-        Campaign-engine execution backend and result cache (see
-        :mod:`repro.engine`); the default is serial, uncached execution.
     """
     if k <= 0:
         raise CalibrationError(f"k must be positive, got {k}")
     pools = collect_defect_free_residuals(
-        adc_factory, invariances, stimulus, n_monte_carlo, rng, variation_spec,
-        backend=backend, cache=cache, telemetry=telemetry)
+        adc_factory, invariances, stimulus, n_monte_carlo, rng, variation_spec)
     sigmas, means, deltas = windows_from_pools(pools, k, delta_floors)
     return WindowCalibration(k=k, n_samples=n_monte_carlo, sigmas=sigmas,
                              means=means, deltas=deltas,

@@ -20,28 +20,21 @@ simulation had to cover multiplied by a calibrated seconds-per-cycle
 constant, so that the effect of stop-on-detection on the campaign cost is
 reproduced.
 
-Campaigns execute through the campaign engine (:mod:`repro.engine`): every
-campaign task is one deterministic batch of same-block defects evaluated
-against a cached defect-free golden trace (:func:`defect_batch_tasks` builds
-them, for :class:`DefectCampaign` runs and study graphs alike), so passing
-``backend=SharedMemoryBackend(max_workers=N)`` to :meth:`DefectCampaign.run`
-shards the batches across a process pool with byte-identical coverage
-results, and passing a :class:`~repro.engine.ResultCache` makes repeated
-campaigns replay stored records instead of re-simulating.  A
-:class:`~repro.engine.SharedMemoryBackend` ships the campaign context (the
-behavioral ADC, windows, universe) to the workers once through a
-shared-memory segment instead of re-pickling it per task -- same results,
-far smaller per-task payloads.
+A campaign run is a plain in-process loop: each block's ordered defect
+selection goes to :meth:`DefectCampaign.simulate_defect_batch`, which
+evaluates it against a defect-free golden trace.  The study layer
+(:mod:`repro.engine.spec`) runs the very same per-batch function as its
+``campaign`` stage tasks (:func:`defect_batch_tasks` builds them, and
+:func:`_defect_worker` executes them), which is where pool execution,
+result caching and tracing live -- with byte-identical records.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import pickle
 import time
-import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -53,9 +46,7 @@ from ..core.controller import SymBistController, SymBistResult
 from ..core.stimulus import SymBistStimulus
 from ..core.test_time import CheckingMode
 from ..core.window_comparator import WindowComparator
-from ..engine import (CampaignEngine, CampaignReport, ExecutionBackend,
-                      ResultCache, ResultCodec, Task, TaskGraph, TaskOutcome)
-from ..engine.telemetry import TelemetryBus
+from ..engine import ResultCodec, Task
 from .batching import BatchedDefectEvaluator
 from .coverage import CoverageEstimate, exhaustive_coverage, lwrs_coverage
 from .injection import DefectInjector
@@ -110,8 +101,6 @@ class CampaignResult:
     universe: DefectUniverse
     plan: SamplingPlan
     stop_on_detection: bool
-    #: Engine instrumentation (backend, cache hits, wall time) of the run.
-    engine_report: Optional[CampaignReport] = None
 
     # ----------------------------------------------------------------- access
     @property
@@ -119,22 +108,16 @@ class CampaignResult:
         return len(self.records)
 
     def timing_summary(self) -> Dict[str, float]:
-        """Real and modelled campaign cost, plus engine wall time.
+        """Real and modelled campaign cost.
 
-        ``wall_time`` and ``modeled_sim_time`` sum the per-record costs of
-        the simulations that *produced* the records -- for cache-replayed
-        records that is the original (cold-run) cost.  ``engine_wall_time``
-        is what this particular run actually took, so a warm replay shows a
-        large ``wall_time`` next to a near-zero ``engine_wall_time``.
+        Both sum the per-record costs of the simulations that *produced* the
+        records -- for records a study replayed from its cache that is the
+        original (cold-run) cost.
         """
-        summary = {
+        return {
             "wall_time": sum(r.wall_time for r in self.records),
             "modeled_sim_time": sum(r.modeled_sim_time for r in self.records),
         }
-        if self.engine_report is not None:
-            summary["engine_wall_time"] = self.engine_report.wall_time
-            summary["cache_hit_rate"] = self.engine_report.cache_hit_rate
-        return summary
 
     @property
     def n_detected(self) -> int:
@@ -225,11 +208,11 @@ def adc_fingerprint(adc: SarAdc, hierarchy: Any) -> str:
 
 
 # --------------------------------------------------------------------- engine
-#: Per-process campaign state of the engine workers.  In the parent process
-#: the running campaign registers itself here before dispatching, so the
-#: serial backend (and fork-started pool workers, which inherit the dict)
-#: reuse the existing hierarchy/injector; spawn-started workers find the dict
-#: empty and rebuild the campaign once per process from the task context.
+#: Per-process campaign state of the study layer's campaign-stage workers.
+#: The first task a process runs builds the campaign from the stage context
+#: and keeps it here, keyed by the run token, so later tasks reuse its
+#: hierarchy and injector (fork-started pool workers inherit the dict);
+#: :meth:`repro.engine.StudyPlan.run` drops the entry after the run.
 _WORKER_STATE: Dict[str, "DefectCampaign"] = {}
 
 
@@ -254,20 +237,16 @@ def _defect_worker(context: Mapping[str, Any], task: Task,
                    ) -> List["DefectSimulationRecord"]:
     """Engine worker of every campaign task: evaluate one defect batch.
 
-    The comparison windows come from the task's windows parent when it has
-    one (study graphs), reordered to the canonical invariance order so the
-    checker order -- hence any stop-on-detection tie-break -- never depends
-    on the JSON key order of a cache-replayed windows artifact.  A task
-    without parents (:class:`DefectCampaign` runs) uses the context's fixed
-    deltas.  The per-process campaign is keyed by the run token alone, and
-    different blocks' windows may differ (per-block k overrides), so the
-    delta table is refreshed per task.
+    The comparison windows come from the task's windows parent, reordered
+    to the canonical invariance order so the checker order -- hence any
+    stop-on-detection tie-break -- never depends on the JSON key order of a
+    cache-replayed windows artifact.  The per-process campaign is keyed by
+    the run token alone, and different blocks' windows may differ
+    (per-block k overrides), so the delta table is refreshed per task.
     """
-    deltas = context.get("deltas")
-    if task.depends_on:
-        windows = inputs[task.depends_on[0]]["deltas"]
-        deltas = {name: windows[name]
-                  for name in context["invariance_names"] if name in windows}
+    windows = inputs[task.depends_on[0]]["deltas"]
+    deltas = {name: windows[name]
+              for name in context["invariance_names"] if name in windows}
     campaign = _worker_campaign(context, deltas)
     campaign.deltas = dict(deltas)
     return campaign.simulate_defect_batch(
@@ -279,10 +258,11 @@ def defect_batch_tasks(stage: str, block: str, defects: Sequence[Defect],
                        depends_on: Sequence[str] = ()) -> List[Task]:
     """The campaign tasks of one block's ordered defect selection.
 
-    The single builder of defect-campaign tasks: every campaign task is a
-    golden-trace batch.  :func:`~repro.defects.sampling.batch_spans` cuts
-    the selection into contiguous ``[start, stop)`` spans (``batch_size=1``
-    gives batches of one); each becomes one task with id
+    The single builder of the study layer's defect-campaign tasks: every
+    campaign task is a golden-trace batch.
+    :func:`~repro.defects.sampling.batch_spans` cuts the selection into
+    contiguous ``[start, stop)`` spans (``batch_size=1`` gives batches of
+    one); each becomes one task with id
     ``<stage>/<block>/<start>-<stop>``, the ordered member list as payload
     and ``weight`` = its member count.  Defect evaluation is deterministic,
     so the tasks carry no seed.
@@ -497,11 +477,8 @@ class DefectCampaign:
     def run(self, plan: Optional[SamplingPlan] = None,
             rng: Optional[np.random.Generator] = None,
             blocks: Optional[Sequence[str]] = None,
-            progress: Optional[Callable[[int, int, DefectSimulationRecord], None]] = None,
-            backend: Optional[ExecutionBackend] = None,
-            cache: Optional[ResultCache] = None,
-            telemetry: Optional["TelemetryBus"] = None,
-            batch_size: int = 1) -> CampaignResult:
+            progress: Optional[Callable[[int, int, DefectSimulationRecord], None]] = None
+            ) -> CampaignResult:
         """Run a campaign over the whole IP or a subset of blocks.
 
         Parameters
@@ -516,24 +493,7 @@ class DefectCampaign:
         progress:
             Optional callback ``progress(index, total, record)`` invoked once
             per simulated defect, ``index`` counting the defects reported so
-            far (in defect order on the serial backend, in completion order
-            otherwise).
-        backend:
-            Campaign-engine execution backend; the default serial backend
-            runs in-process, while a
-            :class:`~repro.engine.SharedMemoryBackend` shards the batches
-            across worker processes with identical results, shipping the
-            campaign context (ADC, windows, universe) only once per run.
-        cache:
-            Optional :class:`~repro.engine.ResultCache`; each batch's records
-            are stored as one JSON artifact keyed by the full campaign spec,
-            so re-running an identical campaign replays them instead of
-            simulating.
-        batch_size:
-            Number of same-block defects evaluated per engine task, as one
-            sweep against a cached defect-free golden trace
-            (:meth:`simulate_defect_batch`); ``1`` gives batches of one.
-            Records are bit-identical for every batch size.
+            far (block by block, each block's defects in selection order).
         """
         plan = plan or SamplingPlan(exhaustive=True)
         universe = self.universe
@@ -544,97 +504,52 @@ class DefectCampaign:
             raise CoverageError("no defects to simulate for the requested blocks")
         defects = select_defects(universe, plan, rng)
 
-        # Campaign tasks never span blocks: group the selection by block and
-        # put the records back in selection order afterwards.
+        # Each block's defects are one golden-trace batch; the records go
+        # back in selection order afterwards.
         positions: Dict[str, List[int]] = {}
         for index, defect in enumerate(defects):
             positions.setdefault(defect.block_path, []).append(index)
-        report, block_records = self._run_selection(
+        block_records = self._simulate_blocks(
             {block: [defects[i] for i in indices]
-             for block, indices in positions.items()},
-            batch_size, backend, cache, progress, telemetry)
+             for block, indices in positions.items()}, progress)
         records: List[Any] = [None] * len(defects)
         for block, indices in positions.items():
             for index, record in zip(indices, block_records[block]):
                 records[index] = record
         return CampaignResult(records=records, universe=universe, plan=plan,
-                              stop_on_detection=self.stop_on_detection,
-                              engine_report=report)
+                              stop_on_detection=self.stop_on_detection)
 
-    def _run_selection(self, selection: Mapping[str, Sequence[Defect]],
-                       batch_size: int,
-                       backend: Optional[ExecutionBackend],
-                       cache: Optional[ResultCache],
-                       progress: Optional[Callable[[int, int, DefectSimulationRecord], None]],
-                       telemetry: Optional["TelemetryBus"]
-                       ) -> "tuple[CampaignReport, Dict[str, List[DefectSimulationRecord]]]":
-        """Run a per-block defect selection through one engine invocation.
+    def _simulate_blocks(self, selection: Mapping[str, Sequence[Defect]],
+                         progress: Optional[Callable[[int, int, DefectSimulationRecord], None]]
+                         ) -> Dict[str, List[DefectSimulationRecord]]:
+        """Simulate a per-block defect selection, one batch per block.
 
-        Builds the batch tasks with :func:`defect_batch_tasks` and registers
-        this campaign in the per-process worker state (so the serial backend
-        and fork-started workers reuse the live hierarchy/injector) for the
-        duration of the run -- the dispatch shared by :meth:`run` and
-        :meth:`run_per_block`.  Returns the run's report and each block's
-        records in selection order.
+        Clears the IP and takes its fingerprint once, so every block's
+        batch shares one golden trace -- the loop shared by :meth:`run` and
+        :meth:`run_per_block`.  Returns each block's records in selection
+        order.
         """
         self.adc.clear_defects()
         fingerprint = self._adc_fingerprint()
-        key = {"adc": fingerprint,
-               "windows": {"deltas": self.deltas,
-                           "stimulus": asdict(self.stimulus)},
-               "mode": self.mode.value,
-               "stop_on_detection": self.stop_on_detection,
-               "seconds_per_cycle": self.seconds_per_cycle}
-        tasks = TaskGraph()
-        block_tasks: Dict[str, List[Task]] = {}
+        total = sum(len(defects) for defects in selection.values())
+        done = 0
+        block_records: Dict[str, List[DefectSimulationRecord]] = {}
         for block, defects in selection.items():
-            block_tasks[block] = defect_batch_tasks("campaign", block, defects,
-                                                    batch_size, key)
-            for task in block_tasks[block]:
-                tasks.add(task)
-
-        engine_progress = None
-        if progress is not None:
-            total = sum(len(defects) for defects in selection.values())
-            index = itertools.count()
-
-            def engine_progress(outcome: TaskOutcome) -> None:
-                for record in outcome.result:
-                    progress(next(index), total, record)
-
-        token = uuid.uuid4().hex
-        context = {"token": token, "adc": self.adc, "deltas": self.deltas,
-                   "stimulus": self.stimulus, "mode": self.mode,
-                   "stop_on_detection": self.stop_on_detection,
-                   "likelihood_model": self.likelihood_model,
-                   "seconds_per_cycle": self.seconds_per_cycle,
-                   "fingerprint": fingerprint}
-        _WORKER_STATE.clear()
-        _WORKER_STATE[token] = self
-        try:
-            engine = CampaignEngine(backend=backend, cache=cache,
-                                    telemetry=telemetry)
-            run = engine.run(tasks, _defect_worker, context=context,
-                             codec=RECORD_CODEC, progress=engine_progress)
-        finally:
-            _WORKER_STATE.pop(token, None)
-        result_of = dict(zip(run.task_ids, run.results))
-        return run.report, {
-            block: [record for task in block_tasks[block]
-                    for record in result_of[task.task_id]]
-            for block in selection}
+            records = self.simulate_defect_batch(defects,
+                                                 fingerprint=fingerprint)
+            if progress is not None:
+                for record in records:
+                    progress(done, total, record)
+                    done += 1
+            block_records[block] = records
+        return block_records
 
     def run_per_block(self, n_samples_per_block: int,
-                      rng: Optional[np.random.Generator] = None,
                       exhaustive_threshold: Optional[int] = None,
                       progress: Optional[Callable[[int, int, DefectSimulationRecord], None]] = None,
-                      backend: Optional[ExecutionBackend] = None,
-                      cache: Optional[ResultCache] = None,
                       seed: Optional[Any] = None,
                       blocks: Optional[Sequence[str]] = None,
-                      exhaustive: bool = False,
-                      telemetry: Optional["TelemetryBus"] = None,
-                      batch_size: int = 1
+                      exhaustive: bool = False
                       ) -> Dict[str, CampaignResult]:
         """Run every block's campaign, like the per-block rows of Table I.
 
@@ -643,48 +558,33 @@ class DefectCampaign:
         exhaustively, mirroring the paper where small blocks have
         ``#defects == #defects simulated``; larger blocks use LWRS.
 
-        The whole sweep is **one task graph through one engine run**: every
-        block's batch tasks are submitted together (grouped by block in the
-        report), so small blocks interleave with large ones and a pool
-        backend stays saturated instead of draining per block.  Each block's
-        LWRS draws come from a generator derived from the root ``seed`` and
-        the block path (:func:`~repro.defects.sampling.block_seed_sequence`)
-        -- results are therefore bit-identical for any block order, block
-        subset, batch size, backend or worker count (defect simulation
-        itself is deterministic, so no per-task seed material is needed).
-        Every returned :class:`CampaignResult` shares the single
-        :class:`~repro.engine.CampaignReport` spanning the sweep.
+        Each block's LWRS draws come from a generator derived from the root
+        ``seed`` and the block path
+        (:func:`~repro.defects.sampling.block_seed_sequence`), so results
+        are bit-identical for any block order or block subset -- and equal
+        to the ``campaign`` stage of a study with that root seed.
 
         Parameters
         ----------
         seed:
             Root seed material (``int`` or ``SeedSequence``) of the
             per-block draws; defaults to 0.
-        rng:
-            Legacy alternative to ``seed``: one integer is drawn from the
-            generator to form the root seed.  The per-block draws still
-            derive from that root + block path, so they remain block-order
-            invariant (unlike the historical behaviour of threading ``rng``
-            itself through the sequential per-block loop).
         blocks / exhaustive:
             Optional restriction to a block subset / force exhaustive
-            simulation of every block (the ``repro-campaign campaign``
-            options).
-        ``backend``/``cache``/``progress``/``batch_size`` follow the
-        :meth:`run` conventions.
+            simulation of every block (the ``campaign.blocks`` and
+            ``campaign.exhaustive`` study parameters).
+        progress:
+            Follows the :meth:`run` convention.
         """
-        if seed is None:
-            seed = int(rng.integers(0, 2 ** 63 - 1)) if rng is not None else 0
         selection = per_block_selection(
-            self.universe, seed, n_samples_per_block,
+            self.universe, 0 if seed is None else seed, n_samples_per_block,
             exhaustive_threshold=exhaustive_threshold, blocks=blocks,
             exhaustive=exhaustive)
-        report, block_records = self._run_selection(
+        block_records = self._simulate_blocks(
             {block: defects for block, (_, defects) in selection.items()},
-            batch_size, backend, cache, progress, telemetry)
+            progress)
         return {block: CampaignResult(
                     records=block_records[block],
                     universe=self.universe.by_block(block), plan=plan,
-                    stop_on_detection=self.stop_on_detection,
-                    engine_report=report)
+                    stop_on_detection=self.stop_on_detection)
                 for block, (plan, _) in selection.items()}

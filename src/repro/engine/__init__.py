@@ -43,12 +43,14 @@ executes such workloads:
 * :mod:`repro.engine.cli` -- the ``repro-campaign`` command-line entry
   point, including ``repro-campaign run STUDY.toml`` for arbitrary specs.
 
-The drivers in :mod:`repro.analysis.monte_carlo`,
-:mod:`repro.core.calibration`, :mod:`repro.defects.simulator` and
-:mod:`repro.analysis.yield_loss` all route their work through this engine;
-passing ``backend=SharedMemoryBackend(max_workers=N)`` and/or a
-:class:`ResultCache` to any of them parallelises/caches that workload without
-changing its results.
+The model layers (:mod:`repro.core.calibration`,
+:mod:`repro.defects.simulator`, :mod:`repro.analysis.yield_loss`) are plain
+in-process computations; their per-instance and per-batch functions are the
+stage workers of the study graphs.  :meth:`StudyPlan.run` (through its
+:class:`Pipeline`) is the one caller of :class:`CampaignEngine`: passing
+``backend=SharedMemoryBackend(max_workers=N)``, a :class:`ResultCache` or a
+:class:`TelemetryBus` to :func:`run_study` parallelises, caches or traces a
+study without changing its results.
 """
 
 from .backends import (ExecutionBackend, PayloadReport, SerialBackend,

@@ -9,7 +9,6 @@ cache::
     repro-campaign run yield-loss-study --set campaign.samples=40
     repro-campaign run calibrate-then-campaign --cache-dir .cache
     repro-campaign calibrate --monte-carlo 100 --workers 4 --cache-dir .cache
-    repro-campaign campaign --blocks sc_array vcm_generator --workers 4
     repro-campaign cache stats --cache-dir .cache
     repro-campaign warehouse index .cache --db results.sqlite
     repro-campaign warehouse query per-block-coverage --db results.sqlite
@@ -22,14 +21,14 @@ dependency-aware task graph.  The canned studies are
 ``calibrate-then-campaign``, ``block-study`` (per-block window calibration +
 every block's defect campaign + per-block reductions; Table I in one engine
 run) and ``yield-loss-study`` (calibrate -> campaign extended with the
-yield-loss sweep and the functional escape analysis).  ``calibrate`` and
-``campaign`` run the two phases separately; ``cache`` inspects and
-garbage-collects a cache directory; ``warehouse`` maintains and queries a
+yield-loss sweep and the functional escape analysis).  ``calibrate`` runs
+the window calibration alone, as a ``calibrate`` + ``windows`` study;
+``cache`` inspects and garbage-collects a cache directory; ``warehouse`` maintains and queries a
 SQLite index of the completed results (``--warehouse DB`` on any workload
 subcommand keeps it up to date as runs finish).
 
-Every campaign-shaped subcommand emits the same per-block JSON schema, with
-the single engine report of the run under the top-level ``engine`` key.
+Every study emits the same per-block JSON schema, with the single engine
+report of the run under the top-level ``engine`` key.
 
 ``--workers 1`` (the default) executes serially; any higher count runs the
 work on the process pool (``--backend shm``, alias ``multiprocess``) with
@@ -49,8 +48,6 @@ import json
 import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from . import console
 
@@ -101,9 +98,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser,
                           seeded: bool = False) -> None:
     """Execution/caching options shared by every workload subcommand.
 
-    ``seeded=True`` adds the calibration knobs of ``calibrate`` and
-    ``campaign`` (``--seed``, ``--monte-carlo``, ``--k``) that the `run`
-    subcommand takes as spec entries / ``--set`` overrides.
+    ``seeded=True`` adds the calibration knobs of ``calibrate`` (``--seed``,
+    ``--monte-carlo``, ``--k``) that the `run` subcommand takes as spec
+    entries / ``--set`` overrides.
     """
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (1 = serial; results are "
@@ -185,20 +182,6 @@ def _telemetry_from_args(args: argparse.Namespace,
     return TelemetryBus(sinks) if sinks else None
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_engine_arguments(parser, seeded=True)
-
-
-def _calibrate(args: argparse.Namespace, telemetry: Any = None):
-    from ..core import calibrate_windows
-    return calibrate_windows(
-        k=args.k, n_monte_carlo=args.monte_carlo,
-        rng=np.random.default_rng(args.seed),
-        backend=_build_backend(args),
-        cache=_build_cache(args, "calibration"),
-        telemetry=telemetry)
-
-
 def _emit(args: argparse.Namespace, payload: Dict[str, Any]) -> None:
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
@@ -207,13 +190,30 @@ def _emit(args: argparse.Namespace, payload: Dict[str, Any]) -> None:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    """The window calibration as a ``calibrate`` + ``windows`` study.
+
+    Runs through :func:`~repro.engine.spec.run_study` like every other
+    study, in the "calibration" cache namespace ``run`` uses, so a
+    calibration cached here warms the calibrate and windows stages of a
+    ``run`` with the same seed, sample count and ``k`` (and vice versa).
+    """
     from ..core import format_table
+    from .spec import StageSpec, StudySpec, run_study
+    spec = StudySpec(
+        name="calibrate", seed=args.seed,
+        stages=(StageSpec(stage="calibrate",
+                          params={"n_monte_carlo": args.monte_carlo}),
+                StageSpec(stage="windows", after=("calibrate",),
+                          params={"k": args.k})))
     telemetry = _telemetry_from_args(args, study="calibrate")
     try:
-        calibration = _calibrate(args, telemetry=telemetry)
+        outcome = run_study(spec, backend=_build_backend(args),
+                            cache=_build_cache(args, "calibration"),
+                            telemetry=telemetry)
     finally:
         if telemetry is not None:
             telemetry.close()
+    calibration = outcome.calibration
     rows = [[name, f"{calibration.sigmas[name]:.3e}",
              f"{calibration.means[name]:+.3e}", f"{delta:.3e}"]
             for name, delta in calibration.deltas.items()]
@@ -228,25 +228,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _block_json(block: str, result: Any, variant: Optional[str] = None,
                 dut_fingerprint: Optional[str] = None) -> Dict[str, Any]:
-    """Machine-readable per-block payload, shared by the campaign-shaped
-    subcommands (``campaign`` and ``run``) so they can never drift apart in
-    JSON schema.
+    """Machine-readable per-block payload of a study's campaign results.
 
     Every row names the device it ran against (``dut_fingerprint``,
     defaulting to the paper's device) and the study variant it belongs to
     (``variant``, None outside multi-variant studies), mirroring the
-    warehouse columns.
-
-    The engine keys (``engine_wall_time``, ``cache_hit_rate``) are dropped
-    from ``timing``: every subcommand now runs its whole sweep as one engine
-    run, so those numbers are graph-wide, not per-block, and are reported
-    once at the top level (the ``engine`` key) instead.
+    warehouse columns.  Engine numbers are graph-wide, not per-block, and
+    are reported once at the top level (the ``engine`` key).
     """
     from ..dut import default_dut
     report = result.block_report(block)
-    timing = result.timing_summary()
-    timing.pop("engine_wall_time", None)
-    timing.pop("cache_hit_rate", None)
     return {
         "block": block, "n_defects": report.n_defects,
         "n_simulated": report.n_simulated,
@@ -256,70 +247,7 @@ def _block_json(block: str, result: Any, variant: Optional[str] = None,
         "ci_half_width": report.coverage.ci_half_width,
         "variant": variant,
         "dut_fingerprint": dut_fingerprint or default_dut().fingerprint(),
-        "timing": timing}
-
-
-def cmd_campaign(args: argparse.Namespace) -> int:
-    from ..adc import SarAdc
-    from ..core import format_confidence, format_table
-    from ..defects import DefectCampaign
-
-    backend = _build_backend(args)
-    cache = _build_cache(args, "defects")
-
-    console.info(f"calibrating comparison windows (delta = {args.k:g} sigma, "
-                 f"{args.monte_carlo} MC samples)...")
-    calibration = _calibrate(args)
-    campaign = DefectCampaign(
-        adc=SarAdc(), deltas=calibration.deltas,
-        stop_on_detection=not args.no_stop_on_detection)
-    console.info(f"defect universe: {len(campaign.universe)} defects across "
-                 f"{len(campaign.universe.block_paths())} A/M-S blocks")
-
-    # One engine run spans the whole sweep: every block's defect tasks are
-    # submitted together, with per-block seeds derived from --seed + the
-    # block path (identical results for any block order or worker count).
-    # Telemetry covers this run (the workload), not the calibration above,
-    # so a --trace file holds exactly one run and reconciles with the
-    # engine report.
-    telemetry = _telemetry_from_args(args, study="campaign")
-    try:
-        results = campaign.run_per_block(
-            n_samples_per_block=args.samples, seed=args.seed,
-            exhaustive_threshold=args.exhaustive_threshold,
-            blocks=args.blocks or None,  # a bare `--blocks` means every block
-            exhaustive=args.exhaustive, batch_size=args.batch_size,
-            backend=backend, cache=cache,
-            telemetry=telemetry)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-
-    rows: List[List[Any]] = []
-    results_json: List[Dict[str, Any]] = []
-    for block, result in results.items():
-        report = result.block_report(block)
-        rows.append([block, report.n_defects, report.n_simulated,
-                     result.n_detected,
-                     f"{report.modeled_sim_time:.0f}",
-                     format_confidence(report.coverage.value,
-                                       report.coverage.ci_half_width)])
-        results_json.append(_block_json(block, result))
-    engine_report = next(iter(results.values())).engine_report
-
-    console.info()
-    console.info(format_table(
-        ["A/M-S block", "#defects", "#simulated", "#detected",
-         "model sim time (s)", "L-W defect coverage"],
-        rows, title="SymBIST defect-simulation campaign (Table I style)"))
-    console.info()
-    console.info(f"engine: {engine_report.summary()}")
-    from ..dut import default_dut
-    _emit(args, {"deltas": calibration.deltas, "workers": args.workers,
-                 "k": args.k, "seed": args.seed, "blocks": results_json,
-                 "dut": default_dut().fingerprint(),
-                 "engine": engine_report.summary()})
-    return 0
+        "timing": result.timing_summary()}
 
 
 def _parse_set_assignment(entry: str) -> "Tuple[str, Any]":
@@ -809,25 +737,6 @@ def cmd_shutdown(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--blocks", nargs="*", default=None,
-                        help="restrict the campaign to these block paths")
-    parser.add_argument("--samples", type=int, default=60,
-                        help="LWRS budget for blocks too large to exhaust")
-    parser.add_argument("--exhaustive", action="store_true",
-                        help="simulate every defect of every block")
-    parser.add_argument("--exhaustive-threshold", type=int, default=120,
-                        help="blocks with at most this many defects are "
-                             "simulated exhaustively")
-    parser.add_argument("--no-stop-on-detection", action="store_true",
-                        help="run the full test even after detection")
-    parser.add_argument("--batch-size", type=_positive_int, default=1,
-                        help="defects evaluated per task as one vectorized "
-                             "sweep against a cached defect-free golden "
-                             "trace (results are bit-identical for every "
-                             "batch size)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-campaign",
@@ -855,14 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     calibrate = sub.add_parser(
         "calibrate", help="Monte Carlo window calibration (delta = k*sigma)")
-    _add_common_arguments(calibrate)
+    _add_engine_arguments(calibrate, seeded=True)
     calibrate.set_defaults(func=cmd_calibrate)
-
-    campaign = sub.add_parser(
-        "campaign", help="defect-simulation campaign (Table I style)")
-    _add_common_arguments(campaign)
-    _add_campaign_arguments(campaign)
-    campaign.set_defaults(func=cmd_campaign)
 
     trace = sub.add_parser(
         "trace",

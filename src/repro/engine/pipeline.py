@@ -21,9 +21,9 @@ workflow into a single graph::
                                       runs against the golden trace)
 
 One root seed drives every random draw (the same draws, in the same order,
-as running ``repro-campaign calibrate`` followed by ``repro-campaign
-campaign`` with that seed), one :class:`~repro.engine.CampaignReport` spans
-all stages, and a warm :class:`~repro.engine.ResultCache` short-circuits
+as ``calibrate_windows(rng=default_rng(seed))`` followed by
+``DefectCampaign.run_per_block(seed=seed)``), one
+:class:`~repro.engine.CampaignReport` spans all stages, and a warm :class:`~repro.engine.ResultCache` short-circuits
 completed parents so their children dispatch immediately.
 
 Stage workers follow the engine's worker contract
@@ -408,8 +408,7 @@ def _yield_stage_worker(context: Mapping[str, Any], task: Task,
     calibration = WindowCalibration(
         k=context["k"], n_samples=len(task.depends_on), sigmas=sigmas,
         means=means, deltas=deltas, residual_pools=pools)
-    return empirical_yield_loss(calibration, task.payload,
-                                context["n_cycles"])
+    return empirical_yield_loss(calibration, task.payload)
 
 
 def _escape_stage_worker(context: Mapping[str, Any], task: Task,

@@ -336,9 +336,9 @@ def _expand_campaign(build: Any, name: str, params: Dict[str, Any]) -> None:
     build.campaign_stage = name
 
     # Per-block LWRS draws derive from the root seed + block path
-    # (block_seed_sequence), exactly like DefectCampaign.run_per_block and
-    # the campaign subcommand -- so the selection is identical for any block
-    # order, block subset or worker count.
+    # (block_seed_sequence), exactly like DefectCampaign.run_per_block -- so
+    # the selection is identical for any block order, block subset or worker
+    # count.
     selection = build.selection()
     for block in build.block_list():
         plan, defects = selection[block]
@@ -407,7 +407,10 @@ def _expand_yield(build: Any, name: str, params: Dict[str, Any]) -> None:
     build.require(name, "calibrate")
     k_values = params["k_values"]
     # Each Monte Carlo instance contributes one SymBIST run of residuals,
-    # so the checker invocations per run are the device's stimulus length.
+    # so the checker invocations per run are the device's stimulus length
+    # -- what empirical_yield_loss derives from the pools (pool size over
+    # instance count).  It stays in the cache key so existing artifacts
+    # keep replaying.
     n_cycles = build.stimulus.n_cycles
     if params["n_cycles"] not in (None, n_cycles):
         raise EngineError(
@@ -420,8 +423,7 @@ def _expand_yield(build: Any, name: str, params: Dict[str, Any]) -> None:
         name, _yield_stage_worker,
         codec=stage_definition("yield").make_codec(),
         context={"invariance_names": build.invariance_names,
-                 "k": params["k"], "n_cycles": n_cycles,
-                 "delta_floors": build.delta_floors})
+                 "k": params["k"], "delta_floors": build.delta_floors})
     build.yield_stage = name
     build.k_values = [float(value) for value in k_values]
     for index, k_value in enumerate(k_values):

@@ -961,12 +961,6 @@ class StudyPlan:
     #: order, all sharing :attr:`pipeline`; empty for single-DUT studies.
     variants: Dict[str, "StudyPlan"] = field(default_factory=dict)
 
-    @property
-    def base(self) -> "StudyPlan":
-        """Self; kept for compatibility with the historical
-        ``YieldLossStudyPlan.base`` layering."""
-        return self
-
     def run(self, backend: Optional[ExecutionBackend] = None,
             cache: Optional[ResultCache] = None,
             progress: Optional[ProgressCallback] = None,
@@ -990,9 +984,8 @@ class StudyPlan:
                                        cancel=cancel)
         finally:
             # Serial runs build the campaign in this process; drop it so
-            # the ADC/hierarchy/injector do not outlive the run (mirrors
-            # DefectCampaign.run's own cleanup).  A variant study holds one
-            # campaign per variant.
+            # the ADC/hierarchy/injector do not outlive the run.  A variant
+            # study holds one campaign per variant.
             tokens = [self.worker_token] + [plan.worker_token
                                             for plan in self.variants.values()]
             for token in tokens:
@@ -1040,8 +1033,7 @@ class StudyPlan:
                              for record in records[tid]],
                     universe=self.block_universes[block],
                     plan=self.block_plans[block],
-                    stop_on_detection=self.stop_on_detection,
-                    engine_report=result.report)
+                    stop_on_detection=self.stop_on_detection)
 
         if self.summary_stage is not None:
             summary_results = result.stage_results(self.summary_stage)

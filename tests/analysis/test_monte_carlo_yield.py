@@ -1,42 +1,14 @@
-"""Tests for the Monte Carlo runner and the yield-loss model."""
+"""Tests for the yield-loss model."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (MonteCarloRunner, analytic_yield_loss,
-                            empirical_yield_loss, yield_loss_sweep)
-from repro.circuit import CalibrationError, SimulationError
-from repro.core import calibrate_windows
-
-
-class TestMonteCarloRunner:
-    def test_runs_requested_samples(self):
-        runner = MonteCarloRunner(seed=1)
-        result = runner.run(lambda adc, i: adc.operating_point().vbg, 5)
-        assert result.n_samples == 5
-        assert len(result.samples) == 5
-
-    def test_samples_vary_across_instances(self):
-        runner = MonteCarloRunner(seed=2)
-        result = runner.run(lambda adc, i: adc.operating_point().vbg, 8)
-        assert len(set(result.samples)) > 1
-
-    def test_same_seed_reproducible(self):
-        first = MonteCarloRunner(seed=3).run(
-            lambda adc, i: adc.operating_point().vbg, 4)
-        second = MonteCarloRunner(seed=3).run(
-            lambda adc, i: adc.operating_point().vbg, 4)
-        assert first.samples == second.samples
-
-    def test_evaluate_receives_index(self):
-        indices = []
-        MonteCarloRunner(seed=4).run(
-            lambda adc, i: indices.append(i), 3)
-        assert indices == [0, 1, 2]
-
-    def test_zero_samples_rejected(self):
-        with pytest.raises(SimulationError):
-            MonteCarloRunner().run(lambda adc, i: 0.0, 0)
+from repro.adc.sar_adc import DutAdcFactory
+from repro.analysis import (analytic_yield_loss, empirical_yield_loss,
+                            proportion_ci, yield_loss_sweep)
+from repro.circuit import CalibrationError
+from repro.core import SymBistStimulus, WindowCalibration, calibrate_windows
+from repro.dut import DutSpec
 
 
 class TestAnalyticYieldLoss:
@@ -88,3 +60,45 @@ class TestEmpiricalYieldLoss:
     def test_sweep_without_calibration_is_analytic_only(self):
         points = yield_loss_sweep(None, k_values=(3.0, 5.0))
         assert all(p.empirical is None for p in points)
+
+    def test_sweep_is_the_per_k_estimators(self, calibration):
+        k_values = (2.0, 4.0, 6.0)
+        assert yield_loss_sweep(calibration, k_values=k_values) == \
+            [empirical_yield_loss(calibration, k) for k in k_values]
+        assert yield_loss_sweep(None, k_values=k_values) == \
+            [analytic_yield_loss(k) for k in k_values]
+
+
+class TestYieldRunLength:
+    """One run per Monte Carlo instance, whatever the device's cycle count."""
+
+    @staticmethod
+    def _calibration(resolution_bits, n_monte_carlo):
+        dut = DutSpec(resolution_bits=resolution_bits)
+        stimulus = SymBistStimulus(input_diff=dut.test_input_diff,
+                                   input_cm=dut.common_mode,
+                                   counter_bits=dut.half_bits)
+        return calibrate_windows(
+            adc_factory=DutAdcFactory(dut), stimulus=stimulus,
+            n_monte_carlo=n_monte_carlo, rng=np.random.default_rng(7),
+            variation_spec=dut.variation_spec(), keep_pools=True)
+
+    def test_8bit_calibration_counts_every_instance(self):
+        """An 8-bit DUT runs 16 SymBIST cycles: 4 instances are 4 runs."""
+        calibration = self._calibration(8, 4)
+        assert len(calibration.residual_pools["msb_sum"]) == 4 * 16
+        point = empirical_yield_loss(calibration, 5.0)
+        failures = round(point.empirical * 4)
+        assert point.empirical == failures / 4
+        assert point.empirical_ci_half_width == \
+            proportion_ci(failures, 4)[1]
+
+    def test_pools_that_do_not_split_into_runs_are_rejected(self,
+                                                            calibration):
+        broken = WindowCalibration(
+            k=calibration.k, n_samples=calibration.n_samples + 1,
+            sigmas=calibration.sigmas, means=calibration.means,
+            deltas=calibration.deltas,
+            residual_pools=calibration.residual_pools)
+        with pytest.raises(CalibrationError, match="per-instance runs"):
+            empirical_yield_loss(broken, 5.0)

@@ -5,23 +5,18 @@ the results: whatever shards the work, the windows, detections, coverage and
 engine-report counts must be *bit-identical* to the serial run.  Instead of
 pinning a handful of hand-picked workloads, this suite draws ~20 randomized
 campaign specs from one seeded generator (so every run of the suite sees the
-same cases) spanning the five drivers -- defect campaigns, window
-calibration, the yield-loss sweep, the calibrate->campaign graph and the
-per-block study graph -- and checks the process pool, under both of its CLI
-names (``shm`` and its alias ``multiprocess``), against a memoized serial
-baseline.
+same cases) spanning five study shapes -- single-block defect campaigns,
+window calibrations, yield-loss sweeps, the calibrate->campaign graph and
+the per-block study graph -- and checks the process pool, under both of its
+CLI names (``shm`` and its alias ``multiprocess``), against a memoized
+serial baseline.
 """
 
 import numpy as np
 import pytest
 
-from repro.adc import SarAdc
-from repro.analysis import yield_loss_sweep
-from repro.core import collect_defect_free_residuals
-from repro.core.calibration import windows_from_pools
-from repro.defects import DefectCampaign, SamplingPlan
 from repro.engine import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN, SerialBackend,
-                          run_study)
+                          StageSpec, StudySpec, run_study)
 
 #: Entropy of the case generator: fixed so the ~20 cases are stable across
 #: runs (reproducible failures) while still randomly covering the spec space.
@@ -84,40 +79,65 @@ def _report_counts(report):
             report.n_failed, report.n_skipped)
 
 
-def _run_case(case, backend, deltas, calibration, batch_size=1):
+def case_spec(case, batch_size=1):
+    """The study one randomized case runs (shared with the telemetry
+    suite's event-stream equivalence)."""
+    kind = case["kind"]
+    seed = case["seed"]
+    if kind == "campaign":
+        # One block, LWRS below any universe size unless exhaustive.
+        return CALIBRATE_THEN_CAMPAIGN.override({
+            "seed": seed, "calibrate.n_monte_carlo": 3,
+            "campaign.blocks": [case["block"]],
+            "campaign.samples": case["n_samples"],
+            "campaign.exhaustive": case["exhaustive"],
+            "campaign.exhaustive_threshold": 0,
+            "campaign.stop_on_detection": case["stop_on_detection"],
+            "campaign.batch_size": batch_size})
+    if kind == "calibration":
+        return StudySpec(name="calibration", seed=seed, stages=(
+            StageSpec(stage="calibrate", params={"n_monte_carlo": case["n_mc"]}),
+            StageSpec(stage="windows", after=("calibrate",),
+                      params={"k": case["k"]})))
+    if kind == "yield":
+        return StudySpec(name="yield", seed=seed, stages=(
+            StageSpec(stage="calibrate", params={"n_monte_carlo": 3}),
+            StageSpec(stage="yield", after=("calibrate",),
+                      params={"k_values": list(case["k_values"])})))
+    if kind == "pipeline":
+        # The dependency-graph (stream-mode) path of every backend.
+        return CALIBRATE_THEN_CAMPAIGN.override({
+            "seed": seed, "calibrate.n_monte_carlo": 3,
+            "campaign.blocks": [case["block"]],
+            "campaign.samples": case["n_samples"]})
+    return BLOCK_STUDY.override({
+        "seed": seed, "calibrate.n_monte_carlo": 3,
+        "campaign.blocks": case["blocks"],
+        "campaign.samples": case["n_samples"],
+        "campaign.exhaustive_threshold": case["threshold"],
+        "campaign.batch_size": batch_size})
+
+
+def _run_case(case, backend, batch_size=1):
     """Execute one randomized spec; return its full comparable signature."""
     kind = case["kind"]
+    outcome = run_study(case_spec(case, batch_size), backend=backend)
     if kind == "campaign":
-        campaign = DefectCampaign(
-            adc=SarAdc(), deltas=deltas,
-            stop_on_detection=case["stop_on_detection"])
-        plan = SamplingPlan(exhaustive=case["exhaustive"],
-                            n_samples=case["n_samples"])
-        result = campaign.run(plan, blocks=[case["block"]],
-                              rng=np.random.default_rng(case["seed"]),
-                              backend=backend, batch_size=batch_size)
+        result = outcome.results[case["block"]]
         report = result.block_report(case["block"])
         return {"records": _campaign_key(result),
                 "detections": result.detections_by_invariance(),
                 "coverage": (report.coverage.value,
                              report.coverage.ci_half_width),
-                "counts": _report_counts(result.engine_report)}
+                "counts": _report_counts(outcome.report)}
     if kind == "calibration":
-        pools = collect_defect_free_residuals(
-            n_monte_carlo=case["n_mc"],
-            rng=np.random.default_rng(case["seed"]), backend=backend)
-        return {"pools": pools,
-                "windows": windows_from_pools(pools, case["k"])}
+        calibration = outcome.calibration
+        return {"pools": outcome.stage_results("calibrate"),
+                "windows": (calibration.sigmas, calibration.means,
+                            calibration.deltas)}
     if kind == "yield":
-        points = yield_loss_sweep(calibration, k_values=case["k_values"],
-                                  backend=backend)
-        return {"points": points}
+        return {"points": outcome.yield_points}
     if kind == "pipeline":
-        # The dependency-graph (stream-mode) path of every backend.
-        outcome = run_study(CALIBRATE_THEN_CAMPAIGN.override({
-            "seed": case["seed"], "calibrate.n_monte_carlo": 3,
-            "campaign.blocks": [case["block"]],
-            "campaign.samples": case["n_samples"]}), backend=backend)
         result = outcome.results[case["block"]]
         return {"windows": (outcome.calibration.sigmas,
                             outcome.calibration.means,
@@ -126,12 +146,6 @@ def _run_case(case, backend, deltas, calibration, batch_size=1):
                 "counts": _report_counts(outcome.report)}
     # block-study: per-block windows, detections and coverage of a multi-
     # block sweep must be bit-identical whatever backend runs the graph.
-    outcome = run_study(BLOCK_STUDY.override({
-        "seed": case["seed"], "calibrate.n_monte_carlo": 3,
-        "campaign.blocks": case["blocks"],
-        "campaign.samples": case["n_samples"],
-        "campaign.exhaustive_threshold": case["threshold"],
-        "campaign.batch_size": batch_size}), backend=backend)
     return {"windows": {block: (cal.sigmas, cal.means, cal.deltas)
                         for block, cal in outcome.calibrations.items()},
             "records": {block: _campaign_key(result)
@@ -145,13 +159,12 @@ def _run_case(case, backend, deltas, calibration, batch_size=1):
 
 @pytest.mark.parametrize("backend_name", ["multiprocess", "shm"])
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
-def test_pool_backend_matches_serial(case, backend_name, deltas, calibration,
-                                    cli_backend):
+def test_pool_backend_matches_serial(case, backend_name, cli_backend):
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
-            case, SerialBackend(), deltas, calibration)
+            case, SerialBackend())
     backend = cli_backend(backend_name)
-    assert _run_case(case, backend, deltas, calibration) == \
+    assert _run_case(case, backend) == \
         _SERIAL_BASELINE[case["id"]]
 
 
@@ -181,15 +194,13 @@ def _strip_counts(signature):
 @pytest.mark.parametrize("case", BATCH_CASES,
                          ids=[c["id"] for c in BATCH_CASES])
 def test_batched_run_matches_unbatched_serial(case, batch_size, backend_name,
-                                              deltas, calibration,
                                               cli_backend):
     """Campaign results are bit-identical for every (batch size, backend)."""
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
-            case, SerialBackend(), deltas, calibration)
+            case, SerialBackend())
     backend = cli_backend(backend_name)
-    batched = _run_case(case, backend, deltas, calibration,
-                        batch_size=batch_size)
+    batched = _run_case(case, backend, batch_size=batch_size)
     assert _strip_counts(batched) == \
         _strip_counts(_SERIAL_BASELINE[case["id"]])
 
@@ -214,17 +225,15 @@ def socket_backend():
 
 @pytest.mark.parametrize("case", SOCKET_CASES,
                          ids=[c["id"] for c in SOCKET_CASES])
-def test_socket_backend_matches_serial(case, socket_backend, deltas,
-                                       calibration):
+def test_socket_backend_matches_serial(case, socket_backend):
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
-            case, SerialBackend(), deltas, calibration)
-    assert _run_case(case, socket_backend, deltas, calibration) == \
+            case, SerialBackend())
+    assert _run_case(case, socket_backend) == \
         _SERIAL_BASELINE[case["id"]]
 
 
-def test_socket_backend_with_worker_death_matches_serial(deltas,
-                                                         calibration):
+def test_socket_backend_with_worker_death_matches_serial():
     """A worker dying mid-run only costs a requeue, never a result change:
     the victim's in-flight task re-executes on a survivor with the same
     per-task seed, so the full signature stays bit-identical."""
@@ -232,9 +241,9 @@ def test_socket_backend_with_worker_death_matches_serial(deltas,
     case = SOCKET_CASES[0]  # a campaign: the largest task population
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
-            case, SerialBackend(), deltas, calibration)
+            case, SerialBackend())
     with SocketBackend("tcp:127.0.0.1:0") as backend:
         backend.spawn_worker(crash_after=2)  # dies on its third task
         backend.spawn_worker()
-        assert _run_case(case, backend, deltas, calibration) == \
+        assert _run_case(case, backend) == \
             _SERIAL_BASELINE[case["id"]]

@@ -7,6 +7,9 @@ import pytest
 from repro.engine import build_study, load_study, stage_definition
 from repro.engine.cli import _parse_set_assignment, build_parser, main
 
+#: The defect-campaign study, the canned spec behind most parser checks.
+RUN = ["run", "calibrate-then-campaign"]
+
 #: `run` overrides shrinking a canned study to a tiny one-block campaign.
 SMALL_STUDY = ["--set", "calibrate.n_monte_carlo=3", "--set", "seed=1",
                "--set", "campaign.blocks=vcm_generator"]
@@ -29,14 +32,15 @@ class TestParser:
         exit status 2, not an argparse required-argument error."""
         assert main([]) == 2
         err = capsys.readouterr().err
-        for name in ("run", "calibrate", "campaign", "cache"):
-            assert name in err
+        for name in ("run", "calibrate", "cache"):
+            assert f"  {name} " in err
+        assert "  campaign " not in err  # `run` covers defect campaigns
         assert "the following arguments are required" not in err
 
     def test_study_aliases_are_gone(self):
         """Studies run through `run <canned>`; the per-study aliases that
         duplicated it are not subcommands."""
-        for name in ("pipeline", "block-study", "yield-study"):
+        for name in ("pipeline", "block-study", "yield-study", "campaign"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([name])
 
@@ -62,37 +66,36 @@ class TestParser:
     def test_mp_context_flag(self):
         from repro.engine.cli import _build_backend
         args = build_parser().parse_args(
-            ["campaign", "--workers", "2", "--mp-context", "spawn"])
+            RUN + ["--workers", "2", "--mp-context", "spawn"])
         assert args.mp_context == "spawn"
         assert _build_backend(args).mp_context == "spawn"
-        assert build_parser().parse_args(["campaign"]).mp_context is None
+        assert build_parser().parse_args(RUN).mp_context is None
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["campaign", "--mp-context", "threads"])
+            build_parser().parse_args(RUN + ["--mp-context", "threads"])
 
     def test_backend_choices(self):
-        args = build_parser().parse_args(["campaign", "--backend", "shm"])
+        args = build_parser().parse_args(RUN + ["--backend", "shm"])
         assert args.backend == "shm"
-        assert build_parser().parse_args(["campaign"]).backend is None
+        assert build_parser().parse_args(RUN).backend is None
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "--backend", "bogus"])
+            build_parser().parse_args(RUN + ["--backend", "bogus"])
 
     def test_backend_resolution(self):
         from repro.engine.cli import _build_backend
         assert _build_backend(
-            build_parser().parse_args(["campaign"])).name == "serial"
+            build_parser().parse_args(RUN)).name == "serial"
         assert _build_backend(build_parser().parse_args(
-            ["campaign", "--workers", "2"])).name == "shm"
+            RUN + ["--workers", "2"])).name == "shm"
         shm = _build_backend(build_parser().parse_args(
-            ["campaign", "--workers", "2", "--backend", "shm"]))
+            RUN + ["--workers", "2", "--backend", "shm"]))
         assert shm.name == "shm"
         assert shm.workers == 2
         # an explicit pool backend with --workers 1 still runs a 1-wide pool
         assert _build_backend(build_parser().parse_args(
-            ["campaign", "--backend", "shm"])).name == "shm"
+            RUN + ["--backend", "shm"])).name == "shm"
         # "multiprocess" is an alias of the one pool backend
         alias = _build_backend(build_parser().parse_args(
-            ["campaign", "--workers", "3", "--backend", "multiprocess"]))
+            RUN + ["--workers", "3", "--backend", "multiprocess"]))
         assert (alias.name, alias.workers) == ("shm", 3)
 
     def test_yield_study_defaults(self):
@@ -119,15 +122,18 @@ class TestParser:
             ("sc_array", "vcm_generator")
 
     def test_batch_size_flag(self):
-        assert build_parser().parse_args(["campaign"]).batch_size == 1
-        args = build_parser().parse_args(["campaign", "--batch-size", "64"])
-        assert args.batch_size == 64
-        with pytest.raises(SystemExit):  # must be a positive int
-            build_parser().parse_args(["campaign", "--batch-size", "0"])
-        # Study graphs take it as a spec entry.
+        """The batch size is a spec entry (`--set campaign.batch_size=N`),
+        not a flag; it defaults to 1 and must be positive."""
+        from repro.circuit.errors import EngineError
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(RUN + ["--batch-size", "64"])
+        assert _stage_params(load_study("block-study"))["batch_size"] == 1
         spec = load_study("block-study").override(
             dict([_parse_set_assignment("campaign.batch_size=64")]))
         assert _stage_params(spec)["batch_size"] == 64
+        with pytest.raises(EngineError, match="batch_size must be positive"):
+            build_study(load_study("block-study").override(
+                dict([_parse_set_assignment("campaign.batch_size=0")])))
 
     def test_cache_subcommands(self):
         args = build_parser().parse_args(
@@ -142,11 +148,12 @@ class TestParser:
             build_parser().parse_args(["cache", "stats"])
 
     def test_campaign_defaults(self):
-        args = build_parser().parse_args(["campaign"])
+        args = build_parser().parse_args(RUN)
         assert args.workers == 1
         assert args.cache_dir is None
-        assert args.samples == 60
-        assert not args.no_stop_on_detection
+        params = _stage_params(load_study(args.study))
+        assert params["samples"] == 60
+        assert params["stop_on_detection"]
 
     def test_calibrate_options(self):
         args = build_parser().parse_args(
@@ -184,12 +191,14 @@ class TestCalibrateCommand:
 
 
 class TestCampaignCommand:
+    """Defect campaigns run as `run calibrate-then-campaign --set ...`."""
+
     def test_block_campaign_with_cache_and_workers(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         out = tmp_path / "campaign.json"
-        argv = ["campaign", "--blocks", "vcm_generator",
-                "--monte-carlo", "3", "--workers", "2",
-                "--cache-dir", str(cache_dir), "--json", str(out)]
+        argv = RUN + ["--set", "campaign.blocks=vcm_generator",
+                      "--set", "calibrate.n_monte_carlo=3", "--workers", "2",
+                      "--cache-dir", str(cache_dir), "--json", str(out)]
         assert main(argv) == 0
         cold = json.loads(out.read_text())
         assert cold["blocks"][0]["block"] == "vcm_generator"
@@ -211,26 +220,30 @@ class TestCampaignCommand:
         assert "(100%)" in warm["engine"]
 
     def test_bare_blocks_flag_means_every_block(self, tmp_path):
-        """`--blocks` with no values (argparse yields []) runs all blocks,
-        exactly like omitting the flag."""
+        """An empty `campaign.blocks=` runs all blocks, exactly like
+        omitting the entry."""
         out = tmp_path / "out.json"
-        assert main(["campaign", "--monte-carlo", "3", "--samples", "5",
-                     "--blocks", "--json", str(out)]) == 0
+        assert main(RUN + ["--set", "calibrate.n_monte_carlo=3",
+                           "--set", "campaign.samples=5",
+                           "--set", "campaign.blocks=",
+                           "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["blocks"]) == 10  # every A/M-S block
         assert "engine" in payload
 
     def test_block_subset_is_order_invariant(self, tmp_path):
-        """--blocks A B and --blocks B A simulate the same defects."""
+        """campaign.blocks=A,B and campaign.blocks=B,A simulate the same
+        defects."""
         out = tmp_path / "out.json"
-        common = ["campaign", "--monte-carlo", "3", "--seed", "5",
-                  "--samples", "10", "--exhaustive-threshold", "20",
-                  "--json", str(out)]
-        assert main(common + ["--blocks", "vcm_generator",
-                              "offset_compensation"]) == 0
+        common = RUN + ["--set", "calibrate.n_monte_carlo=3",
+                        "--set", "seed=5", "--set", "campaign.samples=10",
+                        "--set", "campaign.exhaustive_threshold=20",
+                        "--json", str(out)]
+        assert main(common + ["--set", "campaign.blocks="
+                              "vcm_generator,offset_compensation"]) == 0
         forward = json.loads(out.read_text())
-        assert main(common + ["--blocks", "offset_compensation",
-                              "vcm_generator"]) == 0
+        assert main(common + ["--set", "campaign.blocks="
+                              "offset_compensation,vcm_generator"]) == 0
         backward = json.loads(out.read_text())
         by_block = lambda payload: {b["block"]: (b["n_simulated"],
                                                  b["n_detected"],
@@ -241,19 +254,23 @@ class TestCampaignCommand:
 
 class TestPipelineCommand:
     def test_matches_two_invocation_flow(self, tmp_path, capsys):
-        """`run calibrate-then-campaign --workers 2` == `calibrate` +
-        `campaign` run serially."""
+        """`run calibrate-then-campaign --workers 2` == `calibrate` + the
+        same study run serially."""
         pipe_out = tmp_path / "pipe.json"
         camp_out = tmp_path / "camp.json"
+        cal_out = tmp_path / "cal.json"
         assert main(["run", "calibrate-then-campaign", "--workers", "2",
                      "--cache-dir", str(tmp_path / "cache"),
                      "--json", str(pipe_out)] + SMALL_STUDY) == 0
-        assert main(["campaign", "--json", str(camp_out), "--monte-carlo",
-                     "3", "--blocks", "vcm_generator", "--seed", "1"]) == 0
+        assert main(["calibrate", "--json", str(cal_out), "--monte-carlo",
+                     "3", "--seed", "1"]) == 0
+        assert main(["run", "calibrate-then-campaign",
+                     "--json", str(camp_out)] + SMALL_STUDY) == 0
 
         pipe = json.loads(pipe_out.read_text())
         camp = json.loads(camp_out.read_text())
         assert pipe["deltas"] == camp["deltas"]
+        assert json.loads(cal_out.read_text())["deltas"] == camp["deltas"]
         for p, c in zip(pipe["blocks"], camp["blocks"]):
             assert p["block"] == c["block"]
             assert p["n_simulated"] == c["n_simulated"]
@@ -279,9 +296,9 @@ class TestPipelineCommand:
 
 class TestBlockStudyCommand:
     def test_matches_sequential_campaign_flow(self, tmp_path, capsys):
-        """`run block-study` == `campaign` (one graph vs calibrate +
-        per-block sweep) under the same seed, with the identical JSON
-        schema."""
+        """`run block-study` == `run calibrate-then-campaign` (per-block
+        windows at a uniform k vs one global set) under the same seed, with
+        the identical JSON schema."""
         study_out = tmp_path / "study.json"
         camp_out = tmp_path / "camp.json"
         assert main(["run", "block-study", "--workers", "2",
@@ -291,11 +308,12 @@ class TestBlockStudyCommand:
                      "--set", "campaign.exhaustive_threshold=20",
                      "--set", "campaign.blocks="
                               "vcm_generator,offset_compensation"]) == 0
-        assert main(["campaign", "--json", str(camp_out),
-                     "--monte-carlo", "3", "--seed", "1", "--samples", "10",
-                     "--exhaustive-threshold", "20",
-                     "--blocks", "vcm_generator",
-                     "offset_compensation"]) == 0
+        assert main(RUN + ["--json", str(camp_out),
+                           "--set", "calibrate.n_monte_carlo=3",
+                           "--set", "seed=1", "--set", "campaign.samples=10",
+                           "--set", "campaign.exhaustive_threshold=20",
+                           "--set", "campaign.blocks="
+                                    "vcm_generator,offset_compensation"]) == 0
 
         study = json.loads(study_out.read_text())
         camp = json.loads(camp_out.read_text())
@@ -353,13 +371,9 @@ class TestBlockStudyCommand:
 
 class TestPerBlockJsonSchema:
     def test_identical_keys_across_subcommands(self, tmp_path):
-        """campaign and `run` over every canned study emit the same
-        per-block keys, with the engine report at the top level only."""
+        """`run` over every canned study emits the same per-block keys,
+        with the engine report at the top level only."""
         payloads = {}
-        out = tmp_path / "campaign.json"
-        assert main(["campaign", "--json", str(out), "--monte-carlo", "3",
-                     "--seed", "1", "--blocks", "vcm_generator"]) == 0
-        payloads["campaign"] = json.loads(out.read_text())
         for name, extra in [("calibrate-then-campaign", []),
                             ("block-study", []),
                             ("yield-loss-study",
@@ -379,11 +393,10 @@ class TestPerBlockJsonSchema:
             assert "engine" not in block, name
             assert "engine_wall_time" not in block["timing"], name
             assert "cache_hit_rate" not in block["timing"], name
-            # Same seed, same draws: the numbers agree across subcommands.
-            assert block["coverage"] == \
-                payloads["campaign"]["blocks"][0]["coverage"], name
-            assert block["n_detected"] == \
-                payloads["campaign"]["blocks"][0]["n_detected"], name
+            # Same seed, same draws: the numbers agree across studies.
+            reference = payloads["calibrate-then-campaign"]["blocks"][0]
+            assert block["coverage"] == reference["coverage"], name
+            assert block["n_detected"] == reference["n_detected"], name
 
 
 class TestRunCommand:
@@ -482,10 +495,11 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", str(cache_dir),
                      "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["artifacts"] == 3
+        # 3 Monte Carlo instances + the windows reduction.
+        assert payload["artifacts"] == 4
         assert payload["total_bytes"] > 0
         assert payload["oldest_age"] >= payload["newest_age"] >= 0
-        assert f"3 artifacts" in capsys.readouterr().out
+        assert f"4 artifacts" in capsys.readouterr().out
 
     def test_stats_counts_expired(self, tmp_path, capsys):
         cache_dir = self._warm_cache(tmp_path)
@@ -500,9 +514,9 @@ class TestCacheCommand:
                      "--cache-max-age", "0.000001",
                      "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["evicted"] == 3
+        assert payload["evicted"] == 4
         assert payload["artifacts"] == 0
-        assert "evicted 3 artifacts" in capsys.readouterr().out
+        assert "evicted 4 artifacts" in capsys.readouterr().out
 
     def test_evict_requires_a_bound(self, tmp_path, capsys):
         assert main(["cache", "evict",
@@ -512,7 +526,8 @@ class TestCacheCommand:
 
 class TestPipelineCacheSharing:
     def test_calibrate_artifacts_are_shared_with_pipeline(self, tmp_path):
-        """`calibrate --cache-dir X` warms the pipeline's calibrate stage."""
+        """`calibrate --cache-dir X` warms the pipeline's calibrate and
+        windows stages."""
         cache = str(tmp_path / "cache")
         common = ["--monte-carlo", "3", "--seed", "1", "--cache-dir", cache]
         assert main(["calibrate"] + common) == 0
@@ -520,8 +535,9 @@ class TestPipelineCacheSharing:
         assert main(["run", "calibrate-then-campaign", "--cache-dir", cache,
                      "--json", str(out)] + SMALL_STUDY) == 0
         engine = json.loads(out.read_text())["engine"]
-        # 3 Monte Carlo parents replayed from the standalone calibrate run.
-        assert "3 cached" in engine
+        # 3 Monte Carlo parents and the windows reduction replayed from the
+        # standalone calibrate run.
+        assert "4 cached" in engine
 
 
 class TestWarehouseCommand:

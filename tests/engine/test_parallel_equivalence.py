@@ -1,19 +1,28 @@
-"""Serial-vs-parallel bit-identity and cache behaviour of the drivers.
+"""Serial-vs-parallel bit-identity and cache behaviour of the study stages.
 
 These tests pin the engine's core guarantee at the workload level: a defect
-campaign, a window calibration or a Monte Carlo run sharded across a process
-pool produces results byte-identical to the serial run, and a warm cache
-replays them near-instantly.
+campaign, a window calibration or a yield sweep run as a study and sharded
+across a process pool produces results byte-identical to the serial run --
+and to the plain in-process model functions -- and a warm cache replays
+them near-instantly.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.adc import SarAdc
-from repro.analysis import MonteCarloRunner, yield_loss_sweep
+from repro.analysis import yield_loss_sweep
 from repro.core import calibrate_windows, collect_defect_free_residuals
-from repro.defects import DefectCampaign, SamplingPlan
-from repro.engine import ResultCache, SerialBackend, SharedMemoryBackend
+from repro.defects import DefectCampaign, LikelihoodModel, SamplingPlan
+from repro.defects.simulator import defect_batch_tasks
+from repro.engine import (CALIBRATE_THEN_CAMPAIGN, STATUS_CACHED,
+                          STATUS_EXECUTED, ResultCache, SharedMemoryBackend,
+                          StageSpec, StudySpec, run_study)
+
+#: Monte Carlo instances of the campaign studies' calibrations.
+MC = 3
 
 
 def record_key(result):
@@ -23,248 +32,278 @@ def record_key(result):
             for r in result.records]
 
 
-def vbg_evaluate(adc, index):
-    """Module-level Monte Carlo evaluation (picklable for the pool)."""
-    return adc.operating_point().vbg
+def campaign_spec(seed=11, **campaign):
+    """The calibrate -> campaign study with ``campaign.*`` overrides."""
+    return CALIBRATE_THEN_CAMPAIGN.override({
+        "seed": seed, "calibrate.n_monte_carlo": MC,
+        **{f"campaign.{key}": value for key, value in campaign.items()}})
 
 
-def vdd_evaluate(adc, index):
-    """A second module-level evaluation with its own cache identity."""
-    return adc.operating_point().vbg * 2.0
+def calibration_spec(seed, n_monte_carlo, k=5.0, yield_k_values=None):
+    """A calibrate + windows study (what `repro-campaign calibrate` runs),
+    optionally with a yield sweep over the same calibration."""
+    stages = [StageSpec(stage="calibrate",
+                        params={"n_monte_carlo": n_monte_carlo}),
+              StageSpec(stage="windows", after=("calibrate",),
+                        params={"k": k})]
+    if yield_k_values is not None:
+        stages.append(StageSpec(stage="yield", after=("calibrate",),
+                                params={"k_values": list(yield_k_values)}))
+    return StudySpec(name="calibration", seed=seed, stages=tuple(stages))
 
 
-def numpy_evaluate(adc, index):
-    """Evaluation returning a non-JSON numpy scalar (needs a codec)."""
-    import numpy
-    return numpy.float64(adc.operating_point().vbg)
+def campaign_statuses(outcome):
+    return set(outcome.stage_statuses("campaign").values())
+
+
+#: Two blocks large enough that a 50-defect budget is an LWRS draw each.
+LWRS_100 = dict(blocks=["subdac1", "reference_buffer"], samples=50,
+                exhaustive_threshold=0)
+
+
+class _FixedTokenFactory:
+    """An ADC factory whose cache token ignores the state of what it builds:
+    only the campaign's ADC fingerprint can tell its two variants apart."""
+
+    token = "tests.fixed-token-factory"
+
+    def __init__(self, varied):
+        self.varied = varied
+
+    def __call__(self):
+        adc = SarAdc()
+        if self.varied:
+            adc.sample_variation(np.random.default_rng(0), None)
+        return adc
 
 
 class TestCampaignEquivalence:
-    def test_exhaustive_block_campaign_identical(self, campaign):
-        serial = campaign.run(SamplingPlan(exhaustive=True),
-                              blocks=["vcm_generator"])
-        parallel = campaign.run(SamplingPlan(exhaustive=True),
-                                blocks=["vcm_generator"],
-                                backend=SharedMemoryBackend(max_workers=2))
-        assert record_key(parallel) == record_key(serial)
+    def test_exhaustive_block_campaign_identical(self):
+        spec = campaign_spec(blocks=["vcm_generator"], exhaustive=True)
+        serial = run_study(spec)
+        parallel = run_study(spec, backend=SharedMemoryBackend(max_workers=2))
+        assert record_key(parallel.results["vcm_generator"]) == \
+            record_key(serial.results["vcm_generator"])
 
-    def test_lwrs_campaign_100_defects_4_workers_identical(self, campaign):
+    def test_lwrs_campaign_100_defects_4_workers_identical(self):
         """Acceptance criterion: >=100 LWRS defects, 4 workers, identical."""
-        plan = SamplingPlan(exhaustive=False, n_samples=100)
-        serial = campaign.run(plan, rng=np.random.default_rng(11))
-        parallel = campaign.run(plan, rng=np.random.default_rng(11),
-                                backend=SharedMemoryBackend(max_workers=4))
-        assert serial.n_simulated == 100
-        assert record_key(parallel) == record_key(serial)
-        assert parallel.overall_report().coverage.value == \
-            serial.overall_report().coverage.value
-        assert parallel.engine_report.workers == 4
+        spec = campaign_spec(**LWRS_100)
+        serial = run_study(spec)
+        parallel = run_study(spec, backend=SharedMemoryBackend(max_workers=4))
+        assert sum(r.n_simulated for r in serial.results.values()) == 100
+        assert all(not r.plan.exhaustive for r in serial.results.values())
+        for block, result in serial.results.items():
+            assert record_key(parallel.results[block]) == record_key(result)
+            assert parallel.results[block].block_report(block) \
+                .coverage.value == result.block_report(block).coverage.value
+        assert parallel.report.workers == 4
 
-    def test_warm_cache_replays_identically_and_fast(self, campaign, tmp_path):
+    def test_warm_cache_replays_identically_and_fast(self, tmp_path):
         """Acceptance criterion: warm rerun <10% of the cold wall-clock."""
-        cache = ResultCache(str(tmp_path / "cache"), namespace="defects")
-        plan = SamplingPlan(exhaustive=False, n_samples=100)
-        cold = campaign.run(plan, rng=np.random.default_rng(11), cache=cache)
-        warm = campaign.run(plan, rng=np.random.default_rng(11), cache=cache)
-        assert record_key(warm) == record_key(cold)
-        assert warm.engine_report.n_cache_hits == 100
-        assert warm.engine_report.n_executed == 0
-        assert warm.engine_report.wall_time < \
-            0.1 * cold.engine_report.wall_time
+        cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
+        spec = campaign_spec(**LWRS_100)
+        cold = run_study(spec, cache=cache)
+        warm = run_study(spec, cache=cache)
+        for block, result in cold.results.items():
+            assert record_key(warm.results[block]) == record_key(result)
+        assert warm.report.n_cache_hits == warm.report.n_tasks == MC + 1 + 100
+        assert warm.report.n_executed == 0
+        assert warm.report.wall_time < 0.1 * cold.report.wall_time
 
-    def test_cache_invalidated_by_spec_change(self, deltas, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"), namespace="defects")
-        stop = DefectCampaign(adc=SarAdc(), deltas=deltas,
-                              stop_on_detection=True)
-        full = DefectCampaign(adc=SarAdc(), deltas=deltas,
-                              stop_on_detection=False)
-        first = stop.run(SamplingPlan(exhaustive=True),
-                         blocks=["vcm_generator"], cache=cache)
-        second = full.run(SamplingPlan(exhaustive=True),
-                          blocks=["vcm_generator"], cache=cache)
-        # stop_on_detection is part of the task spec: nothing may be reused.
-        assert second.engine_report.n_cache_hits == 0
+    def test_cache_invalidated_by_spec_change(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
+        first = run_study(campaign_spec(blocks=["vcm_generator"],
+                                        stop_on_detection=True), cache=cache)
+        second = run_study(campaign_spec(blocks=["vcm_generator"],
+                                         stop_on_detection=False),
+                           cache=cache)
+        # stop_on_detection is part of the task spec: no campaign artifact
+        # may be reused (the calibration it shares is).
+        assert campaign_statuses(second) == {STATUS_EXECUTED}
+        assert set(second.stage_statuses("calibrate").values()) == \
+            {STATUS_CACHED}
+        first_records = first.results["vcm_generator"].records
+        second_records = second.results["vcm_generator"].records
         assert any(f.cycles_run < s.cycles_run
-                   for f, s in zip(first.records, second.records)
+                   for f, s in zip(first_records, second_records)
                    if f.detected)
 
-    def test_cache_keyed_on_current_adc_state(self, deltas, tmp_path):
-        """Mutating the IP after construction must invalidate cache keys."""
-        cache = ResultCache(str(tmp_path / "cache"), namespace="defects")
-        adc = SarAdc()
-        campaign = DefectCampaign(adc=adc, deltas=deltas)
-        pristine = campaign.run(SamplingPlan(exhaustive=True),
-                                blocks=["rs_latch"], cache=cache)
-        adc.sample_variation(np.random.default_rng(0), None)
-        varied = campaign.run(SamplingPlan(exhaustive=True),
-                              blocks=["rs_latch"], cache=cache)
-        assert pristine.engine_report.n_cache_hits == 0
-        assert varied.engine_report.n_cache_hits == 0
+    def test_cache_keyed_on_current_adc_state(self, tmp_path):
+        """A different IP state under the same factory token must
+        invalidate the campaign's cache keys."""
+        cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
+        spec = campaign_spec(blocks=["rs_latch"])
+        pristine = run_study(spec, cache=cache,
+                             adc_factory=_FixedTokenFactory(varied=False))
+        varied = run_study(spec, cache=cache,
+                           adc_factory=_FixedTokenFactory(varied=True))
+        assert campaign_statuses(pristine) == {STATUS_EXECUTED}
+        assert campaign_statuses(varied) == {STATUS_EXECUTED}
+        # The token-keyed calibration is shared; only the ADC differs.
+        assert set(varied.stage_statuses("calibrate").values()) == \
+            {STATUS_CACHED}
 
     def test_likelihood_model_partitions_cache(self, deltas, tmp_path):
-        """Cached records carry defect likelihoods, so campaigns under
-        different likelihood models must never share artifacts."""
-        from repro.defects import DefectKind, LikelihoodModel
-        cache = ResultCache(str(tmp_path / "cache"), namespace="defects")
+        """Cached records carry defect likelihoods, so campaign tasks over
+        defects with different priors must never share artifacts."""
         default = DefectCampaign(adc=SarAdc(), deltas=deltas)
         skewed = DefectCampaign(
             adc=SarAdc(), deltas=deltas,
             likelihood_model=LikelihoodModel(block_scale={"rs_latch": 7.0}))
-        base = default.run(SamplingPlan(exhaustive=True), blocks=["rs_latch"],
-                           cache=cache)
-        replay = skewed.run(SamplingPlan(exhaustive=True), blocks=["rs_latch"],
-                            cache=cache)
-        assert replay.engine_report.n_cache_hits == 0
+        base = default.run(SamplingPlan(exhaustive=True), blocks=["rs_latch"])
+        replay = skewed.run(SamplingPlan(exhaustive=True),
+                            blocks=["rs_latch"])
         # The skewed campaign's records must carry its own (7x) priors.
         for base_rec, skew_rec in zip(base.records, replay.records):
             assert skew_rec.defect.likelihood == \
                 pytest.approx(7.0 * base_rec.defect.likelihood)
+        # ... and a campaign task's cache key covers them.
+        cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
+        key = {"adc": "same-adc", "windows": "same-windows"}
 
-    def test_progress_reports_cache_hits(self, campaign, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"), namespace="defects")
-        campaign.run(SamplingPlan(exhaustive=True), blocks=["rs_latch"],
-                     cache=cache)
+        def keys(result):
+            return {cache.key_for(task.spec, None) for task in
+                    defect_batch_tasks("campaign", "rs_latch",
+                                       [r.defect for r in result.records],
+                                       4, key)}
+        assert not keys(base) & keys(replay)
+
+    def test_progress_reports_cache_hits(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
+        spec = campaign_spec(blocks=["rs_latch"])
+        run_study(spec, cache=cache)
         seen = []
-        campaign.run(SamplingPlan(exhaustive=True), blocks=["rs_latch"],
-                     cache=cache,
-                     progress=lambda i, n, rec: seen.append((i, n)))
-        universe_size = len(campaign.universe.by_block("rs_latch"))
-        assert len(seen) == universe_size
-        assert seen[-1][1] == universe_size
+        warm = run_study(spec, cache=cache,
+                         progress=lambda outcome: seen.append(outcome))
+        defects = [record for outcome in seen
+                   if outcome.task.task_id.startswith("campaign/")
+                   for record in outcome.result]
+        universe_size = len(warm.results["rs_latch"].universe)
+        assert len(defects) == universe_size
+        assert all(outcome.from_cache for outcome in seen)
+        assert seen[-1].done == seen[-1].total == warm.report.n_tasks
 
-    def test_engine_report_attached(self, campaign):
-        result = campaign.run(SamplingPlan(exhaustive=True),
-                              blocks=["rs_latch"])
-        assert result.engine_report is not None
-        assert result.engine_report.n_tasks == result.n_simulated
+    def test_engine_report_attached(self):
+        outcome = run_study(campaign_spec(blocks=["rs_latch"]))
+        result = outcome.results["rs_latch"]
+        assert outcome.report is not None
+        assert outcome.report.stage_counts["campaign"] == result.n_simulated
         timing = result.timing_summary()
         assert timing["wall_time"] > 0
         assert timing["modeled_sim_time"] > 0
-        assert "engine_wall_time" in timing
+        # Engine numbers live on the study's one report, not per block.
+        assert "engine_wall_time" not in timing
 
 
 class TestCalibrationEquivalence:
     def test_residual_pools_identical_across_backends(self):
-        serial = collect_defect_free_residuals(
+        spec = calibration_spec(seed=5, n_monte_carlo=6)
+        serial = run_study(spec)
+        parallel = run_study(spec, backend=SharedMemoryBackend(max_workers=3))
+        assert serial.stage_results("calibrate") == \
+            parallel.stage_results("calibrate")
+        # ... and the study's per-instance rows are the plain loop's pools.
+        plain = collect_defect_free_residuals(
             n_monte_carlo=6, rng=np.random.default_rng(5))
-        parallel = collect_defect_free_residuals(
-            n_monte_carlo=6, rng=np.random.default_rng(5),
-            backend=SharedMemoryBackend(max_workers=3))
-        assert serial == parallel
+        rows = list(serial.stage_results("calibrate").values())
+        assert plain == {name: [value for row in rows for value in row[name]]
+                         for name in plain}
 
     def test_calibration_identical_across_backends(self):
-        serial = calibrate_windows(n_monte_carlo=5,
-                                   rng=np.random.default_rng(3))
-        parallel = calibrate_windows(n_monte_carlo=5,
-                                     rng=np.random.default_rng(3),
-                                     backend=SharedMemoryBackend(max_workers=2))
+        spec = calibration_spec(seed=3, n_monte_carlo=5)
+        serial = run_study(spec).calibration
+        parallel = run_study(
+            spec, backend=SharedMemoryBackend(max_workers=2)).calibration
         assert serial.deltas == parallel.deltas
         assert serial.sigmas == parallel.sigmas
+        plain = calibrate_windows(n_monte_carlo=5,
+                                  rng=np.random.default_rng(3))
+        assert plain.deltas == serial.deltas
+        assert plain.sigmas == serial.sigmas
 
     def test_calibration_cache_round_trip(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
-        cold = calibrate_windows(n_monte_carlo=4,
-                                 rng=np.random.default_rng(3), cache=cache)
-        warm = calibrate_windows(n_monte_carlo=4,
-                                 rng=np.random.default_rng(3), cache=cache)
+        cold = run_study(calibration_spec(seed=3, n_monte_carlo=4),
+                         cache=cache).calibration
+        warm = run_study(calibration_spec(seed=3, n_monte_carlo=4),
+                         cache=cache).calibration
         assert cold.deltas == warm.deltas
-        assert len(cache) == 4
-        # A different rng seed must not reuse the artifacts.
-        other = calibrate_windows(n_monte_carlo=4,
-                                  rng=np.random.default_rng(4), cache=cache)
-        assert len(cache) == 8
+        assert len(cache) == 4 + 1  # instances + the windows reduction
+        # A different root seed must not reuse the artifacts.
+        other = run_study(calibration_spec(seed=4, n_monte_carlo=4),
+                          cache=cache).calibration
+        assert len(cache) == 2 * (4 + 1)
         assert other.deltas != cold.deltas
 
-    def test_custom_invariances_never_cached(self, tmp_path, invariances):
+    def test_untokenable_factory_uncached(self, tmp_path):
+        """A factory without a stable token cannot be content-hashed, so the
+        study never touches the cache."""
         cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
-        collect_defect_free_residuals(invariances=list(invariances),
-                                      n_monte_carlo=2,
-                                      rng=np.random.default_rng(0),
-                                      cache=cache)
+        run_study(calibration_spec(seed=0, n_monte_carlo=2), cache=cache,
+                  adc_factory=functools.partial(SarAdc))
         assert len(cache) == 0
 
 
 class TestMonteCarloEquivalence:
-    def test_samples_independent_of_backend(self):
-        serial = MonteCarloRunner(seed=7).run(vbg_evaluate, 8)
-        parallel = MonteCarloRunner(
-            seed=7, backend=SharedMemoryBackend(max_workers=2)).run(
-            vbg_evaluate, 8)
-        assert serial.samples == parallel.samples
-        assert parallel.engine_report.backend == "shm"
+    """The ``calibrate`` stage is the study layer's Monte Carlo over
+    process-variation samples: one task per instance, seeded up front."""
+
+    @staticmethod
+    def _rows(outcome):
+        return list(outcome.stage_results("calibrate").values())
 
     def test_samples_independent_of_sample_count_prefix(self):
-        """Per-sample SeedSequence children: sample i does not depend on how
-        many samples run before or after it."""
-        short = MonteCarloRunner(seed=7).run(vbg_evaluate, 4)
-        long = MonteCarloRunner(seed=7).run(vbg_evaluate, 8)
-        assert long.samples[:4] == short.samples
-
-    def test_cached_run_with_spec(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"), namespace="mc")
-        runner = MonteCarloRunner(seed=7, cache=cache)
-        cold = runner.run(vbg_evaluate, 5, spec={"metric": "vbg"})
-        warm = runner.run(vbg_evaluate, 5, spec={"metric": "vbg"})
-        assert cold.samples == warm.samples
-        assert warm.engine_report.n_cache_hits == 5
+        """Per-sample seeds: instance i does not depend on how many
+        instances run after it."""
+        short = run_study(calibration_spec(seed=7, n_monte_carlo=2))
+        long = run_study(calibration_spec(seed=7, n_monte_carlo=4))
+        assert self._rows(long)[:2] == self._rows(short)
 
     def test_cache_prefix_reused_across_sample_counts(self, tmp_path):
-        """Per-sample seeding: a longer run reuses a shorter run's prefix."""
-        cache = ResultCache(str(tmp_path / "cache"), namespace="mc")
-        runner = MonteCarloRunner(seed=7, cache=cache)
-        short = runner.run(vbg_evaluate, 4, spec={"metric": "vbg"})
-        longer = runner.run(vbg_evaluate, 8, spec={"metric": "vbg"})
-        assert longer.engine_report.n_cache_hits == 4
-        assert longer.samples[:4] == short.samples
-
-    def test_evaluate_identity_partitions_cache(self, tmp_path):
-        """Two evaluations sharing a user spec must not share artifacts."""
-        cache = ResultCache(str(tmp_path / "cache"), namespace="mc")
-        runner = MonteCarloRunner(seed=7, cache=cache)
-        runner.run(vbg_evaluate, 3, spec={"metric": "shared"})
-        second = runner.run(vdd_evaluate, 3, spec={"metric": "shared"})
-        assert second.engine_report.n_cache_hits == 0
-        assert len(cache) == 6
-
-    def test_codec_enables_caching_non_json_samples(self, tmp_path):
-        import numpy
-        from repro.engine import ResultCodec
-        cache = ResultCache(str(tmp_path / "cache"), namespace="mc")
-        codec = ResultCodec(encode=float, decode=numpy.float64)
-        runner = MonteCarloRunner(seed=7, cache=cache)
-        cold = runner.run(numpy_evaluate, 3, spec={"metric": "vbg"},
-                          codec=codec)
-        warm = runner.run(numpy_evaluate, 3, spec={"metric": "vbg"},
-                          codec=codec)
-        assert warm.engine_report.n_cache_hits == 3
-        assert [float(s) for s in warm.samples] == \
-            [float(s) for s in cold.samples]
+        """The instance count is not part of an instance's cache key, so a
+        longer calibration replays a shorter one's instances."""
+        cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
+        short = run_study(calibration_spec(seed=7, n_monte_carlo=2),
+                          cache=cache)
+        longer = run_study(calibration_spec(seed=7, n_monte_carlo=4),
+                           cache=cache)
+        statuses = list(longer.stage_statuses("calibrate").values())
+        assert statuses == [STATUS_CACHED] * 2 + [STATUS_EXECUTED] * 2
+        assert self._rows(longer)[:2] == self._rows(short)
 
     def test_variation_spec_partitions_cache(self, tmp_path):
         """A different variation spec must never replay cached samples."""
         from repro.circuit import VariationSpec
-        cache = ResultCache(str(tmp_path / "cache"), namespace="mc")
-        nominal = MonteCarloRunner(seed=7, cache=cache)
-        wide = MonteCarloRunner(
-            seed=7, cache=cache,
+        cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
+        spec = calibration_spec(seed=7, n_monte_carlo=3)
+        run_study(spec, cache=cache)
+        wide = run_study(
+            spec, cache=cache,
             variation_spec=VariationSpec(resistor_global_sigma=0.15))
-        nominal.run(vbg_evaluate, 3, spec={"metric": "vbg"})
-        second = wide.run(vbg_evaluate, 3, spec={"metric": "vbg"})
-        assert second.engine_report.n_cache_hits == 0
-        assert len(cache) == 6  # disjoint artifact sets, nothing shared
+        assert set(wide.stage_statuses("calibrate").values()) == \
+            {STATUS_EXECUTED}
+        assert len(cache) == 2 * (3 + 1)  # disjoint artifact sets
 
 
 class TestYieldLossEquivalence:
     def test_sweep_identical_across_backends(self, calibration):
+        """The yield stage over the session calibration's own draws (root
+        seed 2024, 20 instances) matches the plain sweep point for point."""
         k_values = (2.0, 4.0, 6.0)
-        serial = yield_loss_sweep(calibration, k_values=k_values)
-        parallel = yield_loss_sweep(calibration, k_values=k_values,
-                                    backend=SharedMemoryBackend(max_workers=2))
+        spec = calibration_spec(seed=2024, n_monte_carlo=20,
+                                yield_k_values=k_values)
+        serial = run_study(spec).yield_points
+        parallel = run_study(
+            spec, backend=SharedMemoryBackend(max_workers=2)).yield_points
         assert serial == parallel
+        assert serial == yield_loss_sweep(calibration, k_values=k_values)
 
-    def test_sweep_cache_round_trip(self, calibration, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"), namespace="yield")
-        cold = yield_loss_sweep(calibration, k_values=(3.0, 5.0), cache=cache)
-        warm = yield_loss_sweep(calibration, k_values=(3.0, 5.0), cache=cache)
-        assert cold == warm
-        assert len(cache) == 2
+    def test_sweep_cache_round_trip(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
+        spec = calibration_spec(seed=7, n_monte_carlo=MC,
+                                yield_k_values=(3.0, 5.0))
+        cold = run_study(spec, cache=cache)
+        warm = run_study(spec, cache=cache)
+        assert cold.yield_points == warm.yield_points
+        assert set(warm.stage_statuses("yield").values()) == {STATUS_CACHED}
+        assert len(cache) == MC + 1 + 2  # instances, windows, two points

@@ -385,7 +385,6 @@ class TestCalibrateThenCampaign:
             MC + 1 + outcome.results[BLOCK].n_simulated
         assert "calibrate" in outcome.report.group_durations
         assert BLOCK in outcome.report.group_durations
-        assert outcome.results[BLOCK].engine_report is outcome.report
 
 
 # -------------------------------------------------------------- block study
@@ -514,7 +513,6 @@ class TestBlockStudy:
             {"calibrate", "windows", "campaign", "summary"}
         for block in STUDY_BLOCKS:
             assert block in outcome.report.group_durations
-            assert outcome.results[block].engine_report is outcome.report
         assert "campaign" in outcome.report.stage_summary()
 
     def test_per_block_k_override(self):
@@ -550,12 +548,12 @@ class TestBlockStudy:
 
     def test_calibrate_artifacts_shared_with_standalone_calibrate(
             self, tmp_path):
-        """The calibrate stage replays `calibrate_windows` artifacts."""
-        from repro.core import calibrate_windows
-        cache = ResultCache(str(tmp_path / "cache"),
-                            namespace="calibration")
-        calibrate_windows(k=5.0, n_monte_carlo=MC,
-                          rng=np.random.default_rng(SEED), cache=cache)
+        """The calibrate stage replays `repro-campaign calibrate`
+        artifacts."""
+        from repro.engine.cli import main
+        assert main(["calibrate", "--k", "5", "--monte-carlo", str(MC),
+                     "--seed", str(SEED), "--quiet",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
         outcome = self._study(
             cache=ResultCache(str(tmp_path / "cache"),
                               namespace="calibration"))
@@ -634,7 +632,7 @@ class TestYieldLossStudy:
             assert graph.dependencies(f"yield/{i}/k={k:g}") == tuple(
                 f"calib/{j}" for j in range(MC))
         assert graph.dependencies("escape") == tuple(
-            plan.base.block_task_ids[BLOCK])
+            plan.block_task_ids[BLOCK])
         assert plan.pipeline.stage_names() == \
             ["calibrate", "windows", "campaign", "yield", "escape"]
 

@@ -368,7 +368,6 @@ class TestStudyOutcomeAccessors:
         plan = build_study(BLOCK_STUDY.override({
             "calibrate.n_monte_carlo": MC, "campaign.blocks": [BLOCK],
             "campaign.samples": 10, "campaign.exhaustive_threshold": 20}))
-        assert plan.base is plan
         assert plan.windows_task_ids == {BLOCK: f"windows/{BLOCK}"}
         assert plan.summary_task_ids == {BLOCK: f"summary/{BLOCK}"}
         assert plan.pipeline.stage_names() == \

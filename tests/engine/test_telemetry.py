@@ -20,7 +20,6 @@ Covers the tentpole guarantees of the observability layer:
 import io
 import json
 
-import numpy as np
 import pytest
 
 from repro.circuit.errors import EngineError, TaskExecutionError
@@ -32,7 +31,7 @@ from repro.engine import (CampaignEngine, ChromeTraceSink, EVENT_TYPES,
                           summarize_trace)
 from repro.engine.spec import BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN
 
-from test_backend_equivalence import CASES
+from test_backend_equivalence import CASES, case_spec
 
 #: The event types that terminate a task (one per task per run).
 TERMINAL = ("task_completed", "cache_hit", "task_failed", "task_skipped")
@@ -248,8 +247,9 @@ class TestThroughputSatellite:
 
 
 # One randomized case of each kind from the backend-equivalence generator:
-# enough to span every driver (flat campaigns, calibration, the yield
-# sweep, and both study graphs) without re-running all ~23 cases.
+# enough to span every study shape (single-block campaigns, calibration,
+# the yield sweep, and both canned study graphs) without re-running all ~23
+# cases.
 EQUIVALENCE_CASES = [next(c for c in CASES if c["kind"] == kind)
                      for kind in ("campaign", "calibration", "yield",
                                   "pipeline", "block-study")]
@@ -284,45 +284,10 @@ def _event_signature(events):
     }
 
 
-def _run_case_events(case, backend, deltas, calibration):
+def _run_case_events(case, backend):
     """Execute one randomized spec with telemetry; return the signature."""
-    from repro.adc import SarAdc
-    from repro.analysis import yield_loss_sweep
-    from repro.core import collect_defect_free_residuals
-    from repro.defects import DefectCampaign, SamplingPlan
-
     bus, sink = collecting_bus()
-    kind = case["kind"]
-    if kind == "campaign":
-        campaign = DefectCampaign(
-            adc=SarAdc(), deltas=deltas,
-            stop_on_detection=case["stop_on_detection"])
-        plan = SamplingPlan(exhaustive=case["exhaustive"],
-                            n_samples=case["n_samples"])
-        campaign.run(plan, blocks=[case["block"]],
-                     rng=np.random.default_rng(case["seed"]),
-                     backend=backend, telemetry=bus)
-    elif kind == "calibration":
-        collect_defect_free_residuals(
-            n_monte_carlo=case["n_mc"],
-            rng=np.random.default_rng(case["seed"]), backend=backend,
-            telemetry=bus)
-    elif kind == "yield":
-        yield_loss_sweep(calibration, k_values=case["k_values"],
-                         backend=backend, telemetry=bus)
-    elif kind == "pipeline":
-        run_study(CALIBRATE_THEN_CAMPAIGN.override({
-            "seed": case["seed"], "calibrate.n_monte_carlo": 3,
-            "campaign.blocks": [case["block"]],
-            "campaign.samples": case["n_samples"]}),
-            backend=backend, telemetry=bus)
-    else:  # block-study
-        run_study(BLOCK_STUDY.override({
-            "seed": case["seed"], "calibrate.n_monte_carlo": 3,
-            "campaign.blocks": case["blocks"],
-            "campaign.samples": case["n_samples"],
-            "campaign.exhaustive_threshold": case["threshold"]}),
-            backend=backend, telemetry=bus)
+    run_study(case_spec(case), backend=backend, telemetry=bus)
     return _event_signature(sink.events)
 
 
@@ -332,13 +297,12 @@ _SERIAL_EVENT_BASELINE = {}
 @pytest.mark.parametrize("backend_name", ["multiprocess", "shm"])
 @pytest.mark.parametrize("case", EQUIVALENCE_CASES,
                          ids=[c["id"] for c in EQUIVALENCE_CASES])
-def test_event_stream_matches_serial(case, backend_name, deltas, calibration,
-                                    cli_backend):
+def test_event_stream_matches_serial(case, backend_name, cli_backend):
     if case["id"] not in _SERIAL_EVENT_BASELINE:
         _SERIAL_EVENT_BASELINE[case["id"]] = _run_case_events(
-            case, SerialBackend(), deltas, calibration)
+            case, SerialBackend())
     backend = cli_backend(backend_name)
-    assert _run_case_events(case, backend, deltas, calibration) == \
+    assert _run_case_events(case, backend) == \
         _SERIAL_EVENT_BASELINE[case["id"]]
 
 
@@ -610,61 +574,73 @@ class TestBatchedTelemetry:
     throughput figures keep counting executed tasks only.
     """
 
-    def _batched_campaign(self, deltas, batch_size, cache=None):
-        from repro.adc import SarAdc
-        from repro.defects import DefectCampaign, SamplingPlan
-
-        campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
-        plan = SamplingPlan(exhaustive=False, n_samples=12)
+    def _batched_campaign(self, batch_size, cache=None):
+        """12 LWRS defects of one block, batched, after a 3-instance
+        calibration; returns the outcome and the run's events."""
+        spec = CALIBRATE_THEN_CAMPAIGN.override({
+            "seed": 5, "calibrate.n_monte_carlo": 3,
+            "campaign.blocks": ["vcm_generator"], "campaign.samples": 12,
+            "campaign.exhaustive_threshold": 0,
+            "campaign.batch_size": batch_size})
         bus, sink = collecting_bus()
-        result = campaign.run(plan, blocks=["vcm_generator"],
-                              rng=np.random.default_rng(5), telemetry=bus,
-                              cache=cache, batch_size=batch_size)
-        return result, sink.events
+        outcome = run_study(spec, telemetry=bus, cache=cache)
+        return outcome, sink.events
 
-    def test_task_events_count_batches_and_items_count_defects(self, deltas):
-        result, events = self._batched_campaign(deltas, batch_size=5)
-        completed = [e for e in events if e.type == "task_completed"]
+    @staticmethod
+    def _campaign_events(events):
+        return [e for e in events if e.stage == "campaign"]
+
+    def test_task_events_count_batches_and_items_count_defects(self):
+        outcome, events = self._batched_campaign(batch_size=5)
+        completed = [e for e in self._campaign_events(events)
+                     if e.type == "task_completed"]
         # 12 defects in batches of 5 -> 3 batch tasks ...
         assert len(completed) == 3
-        assert result.engine_report.n_executed == 3
+        assert outcome.report.stage_counts["campaign"] == 3
         # ... whose item payloads sum back to the per-defect total.
         assert sum(e.data["items"] for e in completed) == 12
-        assert len(result.records) == 12
-        _assert_reconciles(events, result.engine_report)
+        assert len(outcome.results["vcm_generator"].records) == 12
+        _assert_reconciles(events, outcome.report)
 
-    def test_trace_summary_reports_item_totals(self, deltas):
-        result, events = self._batched_campaign(deltas, batch_size=5)
+    def test_trace_summary_reports_item_totals(self):
+        outcome, events = self._batched_campaign(batch_size=5)
         summary = summarize_trace(events)
-        assert summary.counts["n_executed"] == 3
-        assert summary.n_items == 12
-        assert "[12 items]" in format_summary(summary)
+        campaign = next(row for row in summary.stages
+                        if row.stage == "campaign")
+        assert campaign.executed == 3
+        assert campaign.items == 12
+        # 3 calibration instances + 1 windows reduction + 12 defects.
+        assert summary.n_items == 16
+        assert "[16 items]" in format_summary(summary)
 
-    def test_unbatched_stream_and_summary_are_unchanged(self, deltas):
+    def test_unbatched_stream_and_summary_are_unchanged(self):
         """batch_size=1 must not leak batching into the telemetry surface:
         no ``items`` payloads, no items clause in the rendered summary."""
-        result, events = self._batched_campaign(deltas, batch_size=1)
+        outcome, events = self._batched_campaign(batch_size=1)
         assert all("items" not in e.data for e in events)
         summary = summarize_trace(events)
         assert summary.n_items == summary.counts["n_executed"]
         assert "items" not in format_summary(summary)
-        assert "items" not in result.engine_report.stage_summary()
+        assert "items" not in outcome.report.stage_summary()
 
-    def test_throughput_stays_executed_only(self, deltas, tmp_path):
+    def test_throughput_stays_executed_only(self, tmp_path):
         """Cache-hit batches contribute items to the trace but never to
         ``tasks_per_second``."""
         cache = ResultCache(tmp_path / "cache")
-        self._batched_campaign(deltas, batch_size=5, cache=cache)
-        warm, events = self._batched_campaign(deltas, batch_size=5,
-                                              cache=cache)
-        report = warm.engine_report
-        assert report.n_cache_hits == 3 and report.n_executed == 0
+        self._batched_campaign(batch_size=5, cache=cache)
+        warm, events = self._batched_campaign(batch_size=5, cache=cache)
+        report = warm.report
+        assert report.n_cache_hits == report.n_tasks and \
+            report.n_executed == 0
         assert report.tasks_per_second == 0.0
-        hits = [e for e in events if e.type == "cache_hit"]
+        hits = [e for e in self._campaign_events(events)
+                if e.type == "cache_hit"]
+        assert len(hits) == 3
         assert sum(e.data["items"] for e in hits) == 12
-        assert summarize_trace(events).n_items == 12
+        assert next(row for row in summarize_trace(events).stages
+                    if row.stage == "campaign").items == 12
 
-    def test_block_study_stage_summary_reports_defect_totals(self, deltas):
+    def test_block_study_stage_summary_reports_defect_totals(self):
         """The study graph's campaign stage counts batches as tasks and
         defects as items, and renders the item total next to the stage."""
         outcome = run_study(BLOCK_STUDY.override({

@@ -1,0 +1,67 @@
+"""The model layers are plain computations: only the study layer runs them
+through the campaign engine.
+
+Scheduling, caching and tracing live in :mod:`repro.engine` and are reached
+through :func:`repro.engine.run_study`; a model module that builds its own
+engine, backend, cache or telemetry bus would be a second entry point.
+This scans the model packages' source for any reference to those names.
+"""
+
+import ast
+from pathlib import Path
+
+import repro
+
+MODEL_PACKAGES = ("core", "defects", "analysis", "adc", "circuit", "digital",
+                  "functional_test", "dut")
+
+#: Engine names a model module must not import (or reach as attributes).
+FORBIDDEN = {"CampaignEngine", "ExecutionBackend", "ResultCache",
+             "TelemetryBus", "CampaignReport"}
+
+PACKAGE_ROOT = Path(repro.__file__).parent
+
+
+def _model_modules():
+    for package in MODEL_PACKAGES:
+        yield from sorted((PACKAGE_ROOT / package).rglob("*.py"))
+
+
+def engine_references(path):
+    """``(line, name)`` of every forbidden name a module imports or uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in FORBIDDEN]
+        elif isinstance(node, ast.Attribute) and node.attr in FORBIDDEN:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in FORBIDDEN:
+            found.append((node.lineno, node.id))
+    return found
+
+
+def test_every_model_package_is_scanned():
+    scanned = {path.relative_to(PACKAGE_ROOT).parts[0]
+               for path in _model_modules()}
+    assert scanned == set(MODEL_PACKAGES)
+
+
+def test_model_layers_do_not_drive_the_engine():
+    offenders = {}
+    for path in _model_modules():
+        references = engine_references(path)
+        if references:
+            offenders[str(path.relative_to(PACKAGE_ROOT))] = references
+    assert offenders == {}
+
+
+def test_scanner_flags_engine_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from ..engine import CampaignEngine, Task\n"
+                     "from ..engine.telemetry import TelemetryBus\n"
+                     "import repro.engine as engine\n"
+                     "cache = engine.ResultCache('x')\n")
+    assert engine_references(probe) == [
+        (1, "CampaignEngine"), (2, "TelemetryBus"), (4, "ResultCache")]
