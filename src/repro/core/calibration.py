@@ -34,7 +34,7 @@ from ..adc.sar_adc import SarAdc
 from ..circuit.errors import CalibrationError
 from ..circuit.units import VDD
 from ..circuit.variation import VariationSpec
-from ..engine import ResultCodec, Task
+from ..engine import Task
 from .invariance import Invariance, build_invariances
 from .stimulus import SymBistStimulus
 from .window_comparator import WindowComparator
@@ -111,15 +111,6 @@ def _residual_worker(context: Mapping[str, Any], task: Optional[Task],
         for inv in invariances:
             rows[inv.name].append(inv.evaluate(signals))
     return rows
-
-
-#: Cache codec of the per-sample residual tasks.  The result -- one
-#: per-cycle float list per invariance -- is natively JSON, but the lists
-#: dominate the artifact, so ``sidecar=True`` externalizes them to ``.npy``
-#: files (bit-identical on read; see :mod:`repro.engine.cache`).  Declared
-#: by the study registry's ``calibrate`` stage kind.
-RESIDUAL_CODEC = ResultCodec(encode=lambda rows: rows,
-                             decode=lambda rows: rows, sidecar=True)
 
 
 def calibration_task_spec(factory_name: str,

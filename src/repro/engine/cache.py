@@ -34,19 +34,15 @@ three complementary bounds, all optional:
 Both bounds are enforced opportunistically on :meth:`put`; a cache opened
 read-only never deletes anything except artifacts it observes to be expired.
 
-Sidecar arrays
---------------
-Array-heavy results (residual pools, per-cycle signal traces) bloat the JSON
-artifacts and dominate parse time.  A :class:`~repro.engine.ResultCodec`
-with ``sidecar=True`` asks :meth:`put` to *externalize* them: every long
-homogeneous float list in the encoded result is written to its own
-``<key>.<i>.npy`` file next to the JSON entry, which keeps a
-``{"__npy__": i}`` reference in its place.  :meth:`get` transparently
-internalizes the references back into plain Python lists, so readers see a
-bit-identical result whichever representation is on disk (float64 round-trips
-JSON exactly).  Sidecars count toward the size budget and are evicted,
-cleared and expired together with their JSON entry; an entry whose sidecar
-is missing or unreadable reads as a miss.
+Artifact format
+---------------
+Every artifact is exactly one ``<key>.json`` file; float lists are stored
+inline (``json`` round-trips float64 exactly and rejects NaN/Infinity).  An
+entry carrying a ``"sidecars"`` field was written by an older release that
+kept long float lists in ``<key>.<i>.npy`` files; it reads as a miss and the
+next :meth:`ResultCache.put` overwrites it.  Such ``.npy`` files are never
+written now, so :meth:`ResultCache.evict` and :meth:`ResultCache.clear`
+sweep any that are older than :data:`TMP_GRACE_SECONDS`.
 """
 
 from __future__ import annotations
@@ -57,22 +53,15 @@ import os
 import re
 import tempfile
 import time
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..circuit.errors import EngineError
 
 #: Sentinel distinguishing "no cached entry" from a cached ``None`` result.
 MISS = object()
 
-#: Homogeneous float lists at least this long are externalized to ``.npy``
-#: sidecars by sidecar-enabled codecs; shorter ones stay inline JSON.
-SIDECAR_MIN_FLOATS = 16
-
-#: Reference marker replacing an externalized array inside the JSON entry.
-SIDECAR_MARKER = "__npy__"
-
-#: ``.tmp`` files (and orphaned ``.npy`` sidecars) older than this many
-#: seconds are presumed leftovers of a crashed writer and are swept by
+#: ``.tmp`` files (and old-format ``.npy`` sidecars) older than this many
+#: seconds are presumed leftovers and are swept by
 #: :meth:`ResultCache.evict`/:meth:`ResultCache.clear`; younger ones may
 #: belong to an in-flight :meth:`ResultCache.put` and are left alone.
 TMP_GRACE_SECONDS = 600.0
@@ -151,24 +140,6 @@ class ResultCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.cache_dir, f"{key}.json")
 
-    def _sidecar_path(self, key: str, index: int) -> str:
-        return os.path.join(self.cache_dir, f"{key}.{index}.npy")
-
-    def _sidecar_paths(self, key: str) -> Iterator[str]:
-        """Existing sidecar files of one artifact, in index order.
-
-        Sidecar indices are contiguous from 0 by construction (and an
-        overwrite replaces the low indices in place), so scanning until the
-        first missing index covers every sidecar without a directory listing.
-        """
-        index = 0
-        while True:
-            path = self._sidecar_path(key, index)
-            if not os.path.exists(path):
-                return
-            yield path
-            index += 1
-
     # ---------------------------------------------------------------- storage
     def get(self, key: str) -> Any:
         """Stored result for ``key``, or the :data:`MISS` sentinel.
@@ -196,49 +167,34 @@ class ResultCache:
             self._unlink(path)
             self.misses += 1
             return MISS
-        result = entry.get("result")
-        if entry.get("sidecars"):
-            result = self._internalize(key, result, entry["sidecars"])
-            if result is MISS:
-                # A torn artifact (sidecar lost but JSON survived, or vice
-                # versa mid-eviction): drop the remains and re-execute.
-                self._unlink(path)
-                self.misses += 1
-                return MISS
+        if "sidecars" in entry:
+            # Old-format entry whose float lists live in ``.npy`` sidecars:
+            # a miss, overwritten under the same key by the next put.
+            self.misses += 1
+            return MISS
         self.hits += 1
         try:
             os.utime(path, None)
         except OSError:
             pass  # recency tracking is best-effort
-        return result
+        return entry.get("result")
 
     def put(self, key: str, result: Any, task_id: Optional[str] = None,
-            spec: Optional[Mapping[str, Any]] = None,
-            sidecar: bool = False) -> None:
+            spec: Optional[Mapping[str, Any]] = None) -> None:
         """Store one artifact atomically (write + rename).
 
-        With ``sidecar=True`` long homogeneous float lists of the encoded
-        result are written to ``<key>.<i>.npy`` files (see the module
-        docstring); the JSON entry keeps references.  Triggers an eviction
-        pass when the running size total exceeds ``max_bytes`` or an age
-        sweep is due (see :meth:`_eviction_due`).
+        Triggers an eviction pass when the running size total exceeds
+        ``max_bytes`` or an age sweep is due (see :meth:`_eviction_due`).
         """
         os.makedirs(self.cache_dir, exist_ok=True)
-        arrays: List[List[float]] = []
-        if sidecar:
-            result = _externalize(result, arrays, task_id)
         entry = {"key": key, "task_id": task_id, "spec": spec,
                  "result": result, "created": time.time()}
-        if arrays:
-            entry["sidecars"] = len(arrays)
         try:
             body = json.dumps(entry, sort_keys=True, allow_nan=False)
         except (TypeError, ValueError) as exc:
             raise EngineError(
                 f"result of task {task_id!r} is not JSON-serialisable; "
                 f"provide a codec to the engine: {exc}") from exc
-        for index, values in enumerate(arrays):
-            self._write_sidecar(key, index, values, task_id)
         fd, tmp_path = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -279,53 +235,6 @@ class ResultCache:
             except OSError:
                 pass
 
-    def _write_sidecar(self, key: str, index: int, values: List[float],
-                       task_id: Optional[str]) -> None:
-        """Write one ``.npy`` sidecar atomically (write + rename)."""
-        import numpy as np
-        array = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(array)):
-            raise EngineError(
-                f"result of task {task_id!r} contains NaN/Infinity, which "
-                f"the JSON artifact store rejects; provide a codec to the "
-                f"engine that encodes them explicitly")
-        fd, tmp_path = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.save(handle, array, allow_pickle=False)
-            self._publish(tmp_path, self._sidecar_path(key, index))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
-    def _internalize(self, key: str, result: Any, n_sidecars: int) -> Any:
-        """Resolve ``{"__npy__": i}`` references back into plain lists."""
-        import numpy as np
-        arrays: List[Any] = []
-        for index in range(n_sidecars):
-            try:
-                arrays.append(np.load(self._sidecar_path(key, index),
-                                      allow_pickle=False).tolist())
-            except (OSError, ValueError):
-                return MISS
-
-        def resolve(value: Any) -> Any:
-            if isinstance(value, dict):
-                if SIDECAR_MARKER in value:
-                    return arrays[value[SIDECAR_MARKER]]
-                return {k: resolve(v) for k, v in value.items()}
-            if isinstance(value, list):
-                return [resolve(v) for v in value]
-            return value
-
-        try:
-            return resolve(result)
-        except (IndexError, TypeError):
-            return MISS
-
     def _eviction_due(self, bytes_written: int) -> bool:
         """Whether this write warrants a (full-scan) eviction pass.
 
@@ -363,84 +272,52 @@ class ResultCache:
             self.evictions += 1
         return removed
 
-    def _remove_artifact(self, path: str) -> bool:
-        """Delete one JSON entry and its sidecars; True when the entry went."""
-        key = os.path.basename(path)[:-len(".json")]
+    @staticmethod
+    def _remove_artifact(path: str) -> bool:
+        """Delete one JSON entry; True when it went."""
         try:
             os.unlink(path)
-        except FileNotFoundError:
-            return False
         except OSError:
             return False
-        for sidecar in list(self._sidecar_paths(key)):
-            try:
-                os.unlink(sidecar)
-            except OSError:
-                pass
         return True
 
     def _artifact_stats(self) -> List[Tuple[float, int, str]]:
-        """``(mtime, size, path)`` of every artifact, oldest first.
-
-        ``size`` covers the JSON entry *plus* its ``.npy`` sidecars (grouped
-        by key prefix), so the size budget sees the artifact's whole
-        footprint; ``path`` is the JSON entry, the handle :meth:`_unlink`
-        removes the group by.
-        """
+        """``(mtime, size, path)`` of every JSON artifact, oldest first."""
         try:
             names = os.listdir(self.cache_dir)
         except FileNotFoundError:
             return []
-        sidecar_bytes: Dict[str, int] = {}
-        entries: List[Tuple[str, str]] = []
-        for name in names:
-            path = os.path.join(self.cache_dir, name)
-            if name.endswith(".json"):
-                entries.append((name[:-len(".json")], path))
-            elif name.endswith(".npy"):
-                key = name.split(".", 1)[0]
-                try:
-                    sidecar_bytes[key] = sidecar_bytes.get(key, 0) + \
-                        os.stat(path).st_size
-                except OSError:
-                    continue
         stats = []
-        for key, path in entries:
+        for name in names:
+            if not name.endswith(".json"):
+                continue
+            path = os.path.join(self.cache_dir, name)
             try:
                 st = os.stat(path)
             except OSError:
                 continue
-            stats.append((st.st_mtime,
-                          st.st_size + sidecar_bytes.get(key, 0), path))
+            stats.append((st.st_mtime, st.st_size, path))
         stats.sort()
         return stats
 
     def _sweep_stale_files(self, grace: float = TMP_GRACE_SECONDS) -> int:
-        """Remove crash leftovers: stale ``.tmp`` files and orphaned
-        ``.npy`` sidecars (no JSON entry) older than ``grace`` seconds.
+        """Remove leftovers older than ``grace`` seconds: ``.tmp`` files of
+        a crashed writer and old-format ``.npy`` sidecars.
 
-        A killed process can die between ``mkstemp`` and ``os.replace`` (or
-        between sidecar and JSON writes); nothing references the leftovers,
-        so without this sweep they are invisible to the size budget and
-        never reclaimed.  Young files may belong to a concurrent writer and
-        are kept.
+        A killed process can die between ``mkstemp`` and ``os.replace``;
+        nothing references the temp file, so without this sweep it is
+        invisible to the size budget and never reclaimed.  ``.npy`` files
+        are never written by this version, so each one is a leftover.  Young
+        files may belong to a concurrent writer and are kept.
         """
         try:
             names = os.listdir(self.cache_dir)
         except FileNotFoundError:
             return 0
-        json_keys = {name[:-len(".json")] for name in names
-                     if name.endswith(".json")}
         cutoff = time.time() - grace
         removed = 0
         for name in names:
-            if name.endswith(".tmp"):
-                stale = True
-            elif name.endswith(".npy"):
-                stale = name.split(".", 1)[0] not in json_keys
-            else:
-                continue
-            if not stale:
+            if not name.endswith((".tmp", ".npy")):
                 continue
             path = os.path.join(self.cache_dir, name)
             try:
@@ -500,8 +377,8 @@ class ResultCache:
         ``max_bytes`` removal then drops least-recently-used artifacts until
         the directory is below a low-water mark slightly under the budget
         (so steady writes do not re-trigger a scan every time).  Every pass
-        also sweeps stale ``.tmp`` files and orphaned sidecars left by a
-        crashed writer (see :meth:`_sweep_stale_files`).
+        also sweeps stale ``.tmp`` and ``.npy`` leftovers (see
+        :meth:`_sweep_stale_files`).
         """
         removed = self._sweep_stale_files()
         stats = self._artifact_stats()
@@ -564,32 +441,6 @@ class ResultCache:
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "artifacts": len(self), "evictions": self.evictions}
-
-
-def _externalize(value: Any, arrays: List[List[float]],
-                 task_id: Optional[str]) -> Any:
-    """Pull long homogeneous float lists out of ``value`` into ``arrays``.
-
-    Returns a structurally equal value with each pulled list replaced by a
-    ``{"__npy__": index}`` reference.  Only lists of plain floats at least
-    :data:`SIDECAR_MIN_FLOATS` long are externalized -- exactly the shapes
-    float64 round-trips bit-identically -- so internalization reproduces the
-    pure-JSON result byte for byte.
-    """
-    if isinstance(value, dict):
-        if SIDECAR_MARKER in value:
-            raise EngineError(
-                f"result of task {task_id!r} contains a reserved "
-                f"{SIDECAR_MARKER!r} key; sidecar encoding cannot store it")
-        return {key: _externalize(entry, arrays, task_id)
-                for key, entry in value.items()}
-    if isinstance(value, list):
-        if len(value) >= SIDECAR_MIN_FLOATS and \
-                all(type(entry) is float for entry in value):
-            arrays.append(value)
-            return {SIDECAR_MARKER: len(arrays) - 1}
-        return [_externalize(entry, arrays, task_id) for entry in value]
-    return value
 
 
 def callable_token(fn: Any) -> Optional[str]:

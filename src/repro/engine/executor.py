@@ -78,17 +78,10 @@ ProgressCallback = Callable[[TaskOutcome], None]
 
 @dataclass(frozen=True)
 class ResultCodec:
-    """Converts worker results to/from the JSON stored by the cache.
-
-    ``sidecar=True`` marks the encoded result as array-heavy: the cache
-    externalizes its long float lists to ``.npy`` sidecar files instead of
-    inlining them in the JSON entry (bit-identical on read either way; see
-    :mod:`repro.engine.cache`).
-    """
+    """Converts worker results to/from the JSON stored by the cache."""
 
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]
-    sidecar: bool = False
 
 
 #: Codec for results that are natively JSON-serialisable.
@@ -605,8 +598,7 @@ class CampaignEngine:
                     if self.cache is not None and keys[index] is not None:
                         codec = codec_for(task)
                         self.cache.put(keys[index], codec.encode(result),
-                                       task_id=task.task_id, spec=task.spec,
-                                       sidecar=codec.sidecar)
+                                       task_id=task.task_id, spec=task.spec)
                     if tele is not None:
                         tele.executed(task, duration, span)
                     complete(index, result, duration, from_cache=False)

@@ -54,6 +54,7 @@ from .telemetry import TelemetryBus
 from .executor import (CampaignEngine, CampaignReport, EngineRun,
                        IDENTITY_CODEC, ProgressCallback, ResultCodec,
                        STATUS_CACHED, STATUS_EXECUTED)
+from .registry import stage_definition
 from .task import Task, TaskGraph
 
 #: Stage worker contract: ``worker(stage_context, task, rng, inputs)``.
@@ -291,7 +292,6 @@ def _register_calibrate_stage(pipeline: Pipeline, adc_factory: Any,
                               stimulus: Any, invariances: Sequence[Any],
                               variation_spec: Any, seed: int,
                               n_monte_carlo: int, stage: str = "calibrate",
-                              codec: Optional[ResultCodec] = None,
                               task_prefix: str = "",
                               annotate: Optional[Callable[[Any], Any]] = None
                               ) -> "tuple[List[str], Any, str, bool]":
@@ -306,7 +306,7 @@ def _register_calibrate_stage(pipeline: Pipeline, adc_factory: Any,
     ``annotate`` the cache spec) when several variants of one study share a
     pipeline.  Returns ``(calib_ids, calib_spec, seeds_token, cacheable)``.
     """
-    from ..core.calibration import RESIDUAL_CODEC, calibration_task_spec
+    from ..core.calibration import calibration_task_spec
 
     calib_seeds = [int(s) for s in np.random.default_rng(seed).integers(
         0, 2 ** 63 - 1, size=n_monte_carlo)]
@@ -319,7 +319,7 @@ def _register_calibrate_stage(pipeline: Pipeline, adc_factory: Any,
         calib_spec = annotate(calib_spec)
     pipeline.add_stage(
         stage, _calibration_stage_worker,
-        codec=codec if codec is not None else RESIDUAL_CODEC,
+        codec=stage_definition("calibrate").make_codec(),
         context={"adc_factory": adc_factory, "invariances": invariances,
                  "stimulus": stimulus, "variation_spec": variation_spec})
     calib_ids = []
@@ -357,8 +357,7 @@ def _register_campaign_stage(pipeline: Pipeline, adc: Any, fingerprint: str,
                              stimulus: Any, mode: Any,
                              stop_on_detection: bool,
                              invariance_names: Sequence[str],
-                             stage: str = "campaign",
-                             codec: Optional[ResultCodec] = None) -> str:
+                             stage: str = "campaign") -> str:
     """Add the shared defect-campaign stage for a pre-built DUT.
 
     The single source of the campaign-stage worker context (the behavioral
@@ -368,13 +367,12 @@ def _register_campaign_stage(pipeline: Pipeline, adc: Any, fingerprint: str,
     windows from its windows parent.  Returns the per-process
     ``worker_token``.
     """
-    from ..defects.simulator import (MODEL_SECONDS_PER_CYCLE, RECORD_CODEC,
-                                     _defect_worker)
+    from ..defects.simulator import MODEL_SECONDS_PER_CYCLE, _defect_worker
 
     worker_token = uuid.uuid4().hex
     pipeline.add_stage(
         stage, _defect_worker,
-        codec=codec if codec is not None else RECORD_CODEC,
+        codec=stage_definition("campaign").make_codec(),
         context={"token": worker_token, "adc": adc,
                  "fingerprint": fingerprint,
                  "stimulus": stimulus, "mode": mode,

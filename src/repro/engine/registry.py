@@ -163,8 +163,7 @@ class StageDefinition:
     #: compile (checked by the expanders with actionable messages).
     requires: Tuple[str, ...] = ()
     #: Lazy factory of the stage kind's result codec -- how this kind's
-    #: results serialize into the artifact store (including whether they are
-    #: array-heavy enough for ``.npy`` sidecars).  Lazy so registering a
+    #: results serialize into the artifact store.  Lazy so registering a
     #: stage does not import its workload modules; ``None`` means the
     #: results are natively JSON (identity codec).
     codec: Optional[Callable[[], ResultCodec]] = None
@@ -244,8 +243,7 @@ def _expand_calibrate(build: Any, name: str,
      build.cacheable) = _register_calibrate_stage(
         build.pipeline, build.adc_factory, build.stimulus,
         build.invariances, build.variation_spec, build.seed, n_monte_carlo,
-        stage=name, codec=stage_definition("calibrate").make_codec(),
-        task_prefix=build.task_prefix, annotate=build.annotate)
+        stage=name, task_prefix=build.task_prefix, annotate=build.annotate)
     build.calibrate_stage = name
 
 
@@ -331,8 +329,7 @@ def _expand_campaign(build: Any, name: str, params: Dict[str, Any]) -> None:
     adc, fingerprint, universe = build.dut()
     build.worker_token = _register_campaign_stage(
         build.pipeline, adc, fingerprint, build.stimulus, build.mode,
-        build.stop_on_detection, build.invariance_names, stage=name,
-        codec=stage_definition("campaign").make_codec())
+        build.stop_on_detection, build.invariance_names, stage=name)
     build.campaign_stage = name
 
     # Per-block LWRS draws derive from the root seed + block path
@@ -482,11 +479,6 @@ def _expand_escape(build: Any, name: str, params: Dict[str, Any]) -> None:
 # future artifact migrator -- can resolve a kind's storage shape without
 # compiling a study.
 
-def _calibrate_codec() -> ResultCodec:
-    from ..core.calibration import RESIDUAL_CODEC
-    return RESIDUAL_CODEC
-
-
 def _campaign_codec() -> ResultCodec:
     from ..defects.simulator import RECORD_CODEC
     return RECORD_CODEC
@@ -507,7 +499,6 @@ register_stage(StageDefinition(
     doc="defect-free Monte Carlo instances (one task per sample); "
         "per-sample seeds derive from default_rng(root seed)",
     expand=_expand_calibrate,
-    codec=_calibrate_codec,
     params=(
         StageParam("n_monte_carlo", "int", default=50,
                    doc="Monte Carlo samples of the window calibration"),

@@ -1,7 +1,7 @@
 """SQL-queryable warehouse over the engine's artifact store.
 
 The :class:`~repro.engine.ResultCache` is a content-addressed pile of JSON
-files (plus ``.npy`` sidecars): perfect for replay, useless for questions.
+files: perfect for replay, useless for questions.
 This package projects the completed results into one SQLite database --
 one wide row per artifact, keyed by the artifact key, carrying the study
 name, stage kind, task id, block path, seed material, the detection /

@@ -1,14 +1,11 @@
 """Populate the warehouse from cache artifacts (live sink or backfill).
 
-Every completed result the engine caches is one JSON entry (plus optional
-``.npy`` sidecars) whose ``spec.driver`` string names the workload that
-produced it.  The indexer maps each driver to its registry stage kind
-(:data:`DRIVER_KINDS` -- the same kinds whose payload codecs the stage
-registry declares, see ``StageDefinition.codec``) and runs the kind's
-column extractor over the stored payload.  Extraction only reads the
-*scalar* summary columns, so it never loads ``.npy`` sidecars: an
-externalized array shows up as its ``{"__npy__": i}`` reference and is
-simply not a column.
+Every completed result the engine caches is one JSON entry whose
+``spec.driver`` string names the workload that produced it.  The indexer
+maps each driver to its registry stage kind (:data:`DRIVER_KINDS` -- the
+same kinds whose payload codecs the stage registry declares, see
+``StageDefinition.codec``) and runs the kind's column extractor over the
+stored payload.  Extraction only reads the *scalar* summary columns.
 
 Two feeding paths share :func:`index_cache`:
 
@@ -230,7 +227,6 @@ def entry_row(entry: Mapping[str, Any], cache_dir: str,
         "dut_fingerprint": _dut_of(spec),
         "variant": _variant_of(spec),
         "created": _finite(entry.get("created")),
-        "sidecars": _count(entry.get("sidecars")) or 0,
     })
     extractor = _EXTRACTORS.get(row["stage_kind"])
     if extractor is not None:
@@ -245,14 +241,6 @@ def entry_row(entry: Mapping[str, Any], cache_dir: str,
         row["json_bytes"] = os.stat(json_path).st_size
     except OSError:
         row["json_bytes"] = None
-    sidecar_bytes = 0
-    for index in range(row["sidecars"]):
-        try:
-            sidecar_bytes += os.stat(
-                os.path.join(cache_dir, f"{key}.{index}.npy")).st_size
-        except OSError:
-            continue
-    row["sidecar_bytes"] = sidecar_bytes
     return row
 
 

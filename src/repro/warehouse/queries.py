@@ -83,19 +83,14 @@ _register(CannedQuery(
 
 _register(CannedQuery(
     name="cache-composition",
-    doc="artifact count and on-disk footprint (JSON + .npy sidecars) per "
-        "stage kind",
+    doc="artifact count and on-disk footprint (JSON bytes) per stage kind",
     sql="""
         SELECT stage_kind,
                COUNT(*) AS artifacts,
-               SUM(COALESCE(json_bytes, 0)) AS json_bytes,
-               SUM(COALESCE(sidecar_bytes, 0)) AS sidecar_bytes,
-               SUM(COALESCE(sidecars, 0)) AS sidecar_files,
-               SUM(COALESCE(json_bytes, 0) + COALESCE(sidecar_bytes, 0))
-                   AS total_bytes
+               SUM(COALESCE(json_bytes, 0)) AS json_bytes
         FROM results
         GROUP BY stage_kind
-        ORDER BY total_bytes DESC, stage_kind
+        ORDER BY json_bytes DESC, stage_kind
     """))
 
 

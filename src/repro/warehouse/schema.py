@@ -32,7 +32,7 @@ timings
     ``duration`` from the run's telemetry (NULL for backfilled or cached
     rows -- only an executed task has a span).
 footprint
-    ``json_bytes``, ``sidecar_bytes``, ``sidecars`` (the ``.npy`` count).
+    ``json_bytes`` (the artifact's one JSON file).
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ from ..circuit.errors import EngineError
 #: by a different version is rejected with an actionable error (re-index
 #: from the cache directory, which remains the source of truth).
 #: History: 1 = initial schema; 2 = added ``dut_fingerprint`` / ``variant``
-#: (parametric DUT sweeps).
-SCHEMA_VERSION = 2
+#: (parametric DUT sweeps); 3 = ``json_bytes`` is the whole footprint
+#: (artifacts are one JSON file each).
+SCHEMA_VERSION = 3
 
 RESULTS_DDL = """
 CREATE TABLE IF NOT EXISTS results (
@@ -78,9 +79,7 @@ CREATE TABLE IF NOT EXISTS results (
     execute                 REAL,
     ship                    REAL,
     duration                REAL,
-    json_bytes              INTEGER,
-    sidecar_bytes           INTEGER,
-    sidecars                INTEGER
+    json_bytes              INTEGER
 );
 CREATE INDEX IF NOT EXISTS ix_results_stage_kind ON results (stage_kind);
 CREATE INDEX IF NOT EXISTS ix_results_block ON results (block);
@@ -101,7 +100,7 @@ RESULT_COLUMNS = (
     "ci_half_width", "k", "empirical", "empirical_ci_half_width",
     "analytic_per_run", "n_undetected", "modeled_sim_time", "wall_time",
     "queue_wait", "deserialize", "execute", "ship", "duration",
-    "json_bytes", "sidecar_bytes", "sidecars")
+    "json_bytes")
 
 
 def open_warehouse(path: str, readonly: bool = False) -> sqlite3.Connection:

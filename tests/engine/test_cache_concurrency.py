@@ -74,29 +74,6 @@ class TestConcurrentPut:
             assert cache.get(f"key-{i}") == {"key": f"key-{i}"}
         assert _tmp_files(cache) == []
 
-    def test_sidecar_writers_race_cleanly(self, cache):
-        # the .npy sidecar path uses the same publish-or-discard rename
-        payload = {"residuals": [float(i) for i in range(600)]}
-        errors = []
-        barrier = threading.Barrier(2)
-
-        def hammer():
-            try:
-                barrier.wait(timeout=10.0)
-                for _ in range(50):
-                    cache.put("sidecar-key", payload, sidecar=True)
-            except Exception as exc:  # pragma: no cover - the regression
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-        assert not errors, errors
-        assert cache.get("sidecar-key") == payload
-        assert _tmp_files(cache) == []
-
     def test_lost_race_unlinks_own_tmp(self, cache, monkeypatch):
         # Force the loser's path deterministically: os.replace fails while
         # the destination already exists -> the loser must swallow the

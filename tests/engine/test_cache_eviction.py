@@ -203,7 +203,7 @@ class TestStats:
 
 
 class TestStaleFileSweep:
-    """Crash leftovers: ``.tmp`` files and orphaned ``.npy`` sidecars."""
+    """Leftovers: ``.tmp`` files and old-format ``.npy`` sidecars."""
 
     def test_injected_crash_during_put_does_not_leak_tmp(self, tmp_path,
                                                          monkeypatch):
@@ -240,30 +240,33 @@ class TestStaleFileSweep:
         assert not os.path.exists(leaked)
         assert cache.get(key) is not MISS  # live artifacts untouched
 
-    def test_orphaned_sidecar_swept_referenced_one_kept(self, tmp_path):
+    def test_evict_sweeps_stale_npy_leftovers(self, tmp_path):
         from repro.engine.cache import TMP_GRACE_SECONDS
         cache = ResultCache(str(tmp_path))
-        key = cache.key_for({"i": 1})
-        cache.put(key, {"pool": [float(i) for i in range(32)]}, sidecar=True)
-        referenced = os.path.join(str(tmp_path), f"{key}.0.npy")
-        orphan = os.path.join(str(tmp_path), "0" * 64 + ".0.npy")
-        with open(orphan, "wb") as handle:
-            handle.write(b"\x93NUMPY")
+        key = _put(cache, 1)
+        # No version writes ``.npy`` files any more, so even one named
+        # after a live artifact's key is an old-format leftover.
+        stale = os.path.join(str(tmp_path), f"{key}.0.npy")
+        young = os.path.join(str(tmp_path), "0" * 64 + ".0.npy")
+        for path in (stale, young):
+            with open(path, "wb") as handle:
+                handle.write(b"\x93NUMPY")
         stamp = time.time() - 2 * TMP_GRACE_SECONDS
-        os.utime(orphan, (stamp, stamp))
-        os.utime(referenced, (stamp, stamp))
+        os.utime(stale, (stamp, stamp))
         assert cache.evict() == 1
-        assert not os.path.exists(orphan)
-        assert os.path.exists(referenced)  # has a JSON entry: not an orphan
+        assert not os.path.exists(stale)
+        assert os.path.exists(young)  # within the grace period: kept
+        assert cache.get(key) is not MISS
 
     def test_clear_sweeps_stale_leftovers(self, tmp_path):
         from repro.engine.cache import TMP_GRACE_SECONDS
         cache = ResultCache(str(tmp_path))
         _put(cache, 1)
-        leaked = os.path.join(str(tmp_path), "dead.tmp")
-        with open(leaked, "w", encoding="utf-8") as handle:
-            handle.write("x")
         stamp = time.time() - 2 * TMP_GRACE_SECONDS
-        os.utime(leaked, (stamp, stamp))
+        for name in ("dead.tmp", "0" * 64 + ".0.npy"):
+            leaked = os.path.join(str(tmp_path), name)
+            with open(leaked, "w", encoding="utf-8") as handle:
+                handle.write("x")
+            os.utime(leaked, (stamp, stamp))
         assert cache.clear() == 1
         assert os.listdir(str(tmp_path)) == []

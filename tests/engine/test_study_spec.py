@@ -372,3 +372,64 @@ class TestStudyOutcomeAccessors:
         assert plan.summary_task_ids == {BLOCK: f"summary/{BLOCK}"}
         assert plan.pipeline.stage_names() == \
             ["calibrate", "windows", "campaign", "summary"]
+
+
+def _rewrite_as_sidecar_format(cache_dir):
+    """Rewrite every calibrate artifact into the old ``.npy`` sidecar
+    layout: each residual list goes to ``{key}.{i}.npy``, a
+    ``{"__npy__": i}`` marker takes its place and the entry gains
+    ``"sidecars": n``.  Returns the number of rewritten artifacts."""
+    import os
+
+    rewritten = 0
+    for name in os.listdir(cache_dir):
+        if not name.endswith(".json"):
+            continue
+        path = os.path.join(cache_dir, name)
+        with open(path, encoding="utf-8") as handle:
+            entry = json.load(handle)
+        if entry["spec"]["driver"] != "symbist-calibration":
+            continue
+        rewritten += 1
+        if "sidecars" in entry:
+            continue  # already in the old layout
+        key = entry["key"]
+        result = {}
+        for index, (invariance, values) in enumerate(
+                sorted(entry["result"].items())):
+            np.save(os.path.join(cache_dir, f"{key}.{index}.npy"),
+                    np.asarray(values, dtype=np.float64))
+            result[invariance] = {"__npy__": index}
+        entry["result"] = result
+        entry["sidecars"] = len(result)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle, sort_keys=True)
+    return rewritten
+
+
+class TestOldFormatCacheReplay:
+    """A cache whose calibrate artifacts use the old ``.npy`` sidecar
+    layout replays with exactly those tasks re-executed."""
+
+    def test_replay_reexecutes_only_the_calibrate_tasks(self, tmp_path):
+        from repro.engine import ResultCache
+
+        spec = CALIBRATE_THEN_CAMPAIGN.override({
+            "seed": SEED, "calibrate.n_monte_carlo": MC,
+            "campaign.blocks": [BLOCK], "campaign.samples": 10})
+        cache_dir = str(tmp_path / "cache")
+        cold = run_study(spec, cache=ResultCache(cache_dir))
+        assert _rewrite_as_sidecar_format(cache_dir) == MC
+
+        replay = run_study(spec, cache=ResultCache(cache_dir))
+        statuses = replay.pipeline.run.statuses
+        executed = sorted(task_id for task_id, status in statuses.items()
+                          if status == "executed")
+        assert executed == sorted(f"calib/{i}" for i in range(MC))
+        assert replay.report.n_cache_hits == replay.report.n_tasks - MC
+        assert replay.calibration.deltas == cold.calibration.deltas
+        assert _record_digest(replay.results[BLOCK]) == \
+            _record_digest(cold.results[BLOCK])
+
+        again = run_study(spec, cache=ResultCache(cache_dir))
+        assert again.report.n_executed == 0

@@ -178,75 +178,38 @@ class TestNonFiniteRejection:
         assert not [name for name in os.listdir(str(tmp_path))
                     if name.endswith(".tmp")]
 
-    def test_sidecar_put_rejects_non_finite_array(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        key = cache.key_for({"x": 1})
-        pool = [1.0] * 31 + [float("inf")]
-        with pytest.raises(EngineError):
-            cache.put(key, {"pool": pool}, sidecar=True)
-        assert cache.get(key) is MISS
 
+class TestArtifactFormat:
+    """Every artifact is one JSON file; old sidecar entries are misses."""
 
-class TestSidecarArtifacts:
-    def test_round_trip_is_bit_identical_to_pure_json(self, tmp_path):
+    def test_put_writes_one_file_and_round_trips_bit_identical(self,
+                                                               tmp_path):
         import numpy as np
-        rng = np.random.default_rng(7)
-        result = {"pools": {"inv_a": rng.standard_normal(64).tolist(),
-                            "inv_b": rng.standard_normal(64).tolist()},
-                  "meta": {"short": [1.0, 2.0], "n": 64}}
-        plain = ResultCache(str(tmp_path / "plain"))
-        sidecar = ResultCache(str(tmp_path / "sidecar"))
-        key = plain.key_for({"x": 1})
-        plain.put(key, result)
-        sidecar.put(key, result, sidecar=True)
-        got_plain = plain.get(key)
-        got_sidecar = sidecar.get(key)
-        assert got_plain == result
-        assert got_sidecar == result
-        assert json.dumps(got_sidecar, sort_keys=True) == \
-            json.dumps(got_plain, sort_keys=True)
-        npy = [name for name in os.listdir(str(tmp_path / "sidecar"))
-               if name.endswith(".npy")]
-        assert sorted(npy) == [f"{key}.0.npy", f"{key}.1.npy"]
-
-    def test_short_and_mixed_lists_stay_inline(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         key = cache.key_for({"x": 1})
-        cache.put(key, {"short": [1.0] * 8, "mixed": [1.0] * 30 + [1]},
-                  sidecar=True)
-        assert not [name for name in os.listdir(str(tmp_path))
-                    if name.endswith(".npy")]
-        assert cache.get(key) == {"short": [1.0] * 8,
-                                  "mixed": [1.0] * 30 + [1]}
+        pool = np.random.default_rng(7).standard_normal(64).tolist()
+        cache.put(key, {"pool": pool})
+        assert os.listdir(str(tmp_path)) == [f"{key}.json"]
+        got = cache.get(key)
+        assert got == {"pool": pool}
+        assert [v.hex() for v in got["pool"]] == [v.hex() for v in pool]
 
-    def test_missing_sidecar_is_a_miss_and_drops_the_entry(self, tmp_path):
+    def test_old_sidecar_entry_is_a_miss_and_put_replaces_it(self,
+                                                             tmp_path):
+        import numpy as np
         cache = ResultCache(str(tmp_path))
         key = cache.key_for({"x": 1})
-        cache.put(key, {"pool": [float(i) for i in range(32)]}, sidecar=True)
-        os.unlink(os.path.join(str(tmp_path), f"{key}.0.npy"))
+        pool = [float(i) for i in range(32)]
+        with open(os.path.join(str(tmp_path), f"{key}.json"), "w",
+                  encoding="utf-8") as handle:
+            json.dump({"key": key, "task_id": "t", "spec": None,
+                       "result": {"pool": {"__npy__": 0}},
+                       "created": 0.0, "sidecars": 1}, handle)
+        np.save(os.path.join(str(tmp_path), f"{key}.0.npy"),
+                np.asarray(pool))
         assert cache.get(key) is MISS
-        assert not os.path.exists(os.path.join(str(tmp_path),
-                                               f"{key}.json"))
-
-    def test_sidecars_count_toward_total_bytes(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        key = cache.key_for({"x": 1})
-        cache.put(key, {"pool": [float(i) for i in range(256)]},
-                  sidecar=True)
-        json_bytes = os.stat(os.path.join(str(tmp_path),
-                                          f"{key}.json")).st_size
-        npy_bytes = os.stat(os.path.join(str(tmp_path),
-                                         f"{key}.0.npy")).st_size
-        assert cache.total_bytes() == json_bytes + npy_bytes
-
-    def test_clear_removes_sidecars(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        cache.put(cache.key_for({"x": 1}),
-                  {"pool": [float(i) for i in range(32)]}, sidecar=True)
-        assert cache.clear() == 1
-        assert os.listdir(str(tmp_path)) == []
-
-    def test_reserved_marker_key_is_rejected(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        with pytest.raises(EngineError):
-            cache.put(cache.key_for({"x": 1}), {"__npy__": 0}, sidecar=True)
+        cache.put(key, {"pool": pool}, task_id="t")
+        with open(os.path.join(str(tmp_path), f"{key}.json"),
+                  encoding="utf-8") as handle:
+            assert "sidecars" not in json.load(handle)
+        assert cache.get(key) == {"pool": pool}

@@ -7,10 +7,12 @@ live :class:`WarehouseSink`; the indexed rows are then checked against the
 :class:`CampaignReport` counts, the per-block JSON payload the CLI emits
 (``_block_json``) and the stored block-summary artifacts.  A second, warm
 run of each case replays every artifact through the cache -- calibrate
-residual pools through their ``.npy`` sidecars -- and must produce
-bit-identical summaries, which pins the sidecar round-trip in vivo.
+residual pools included, each stored inline in its one JSON file -- and
+must produce bit-identical summaries, which pins the JSON round-trip in
+vivo.
 """
 
+import os
 import sqlite3
 
 import numpy as np
@@ -121,18 +123,20 @@ def test_warehouse_reconciles_with_report_and_block_json(
 
 
 @pytest.mark.parametrize("case", CASES[:1], ids=[CASES[0]["id"]])
-def test_warm_replay_through_sidecars_is_bit_identical(case, tmp_path):
-    """Cold run writes ``.npy`` sidecars; the warm run replays everything
-    through them and must reproduce the summaries bit for bit."""
+def test_warm_replay_is_bit_identical(case, tmp_path):
+    """Cold run writes one JSON file per artifact; the warm run replays
+    everything from them and must reproduce the summaries bit for bit."""
     cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
     db = str(tmp_path / "wh.sqlite")
     cold = _run_case(case, SerialBackend(), cache, db, study="cold")
     connection = sqlite3.connect(db)
-    sidecars = connection.execute(
-        "SELECT SUM(sidecars) FROM results WHERE stage_kind = 'calibrate'"
+    calibrate_rows = connection.execute(
+        "SELECT COUNT(*) FROM results WHERE stage_kind = 'calibrate'"
     ).fetchone()[0]
     connection.close()
-    assert sidecars > 0  # residual pools were externalized
+    assert calibrate_rows > 0  # residual pools were cached
+    names = os.listdir(cache.cache_dir)
+    assert not [name for name in names if not name.endswith(".json")]
 
     warm = _run_case(case, SerialBackend(), cache, db, study="warm")
     assert warm.report.n_executed == 0

@@ -17,16 +17,16 @@ def _seed_cache(tmp_path):
     """A cache directory holding one artifact of each stage kind."""
     cache = ResultCache(str(tmp_path / "cache"), namespace="test")
 
-    def put(task_id, spec, result, sidecar=False):
+    def put(task_id, spec, result):
         key = cache.key_for(spec)
-        cache.put(key, result, task_id=task_id, spec=spec, sidecar=sidecar)
+        cache.put(key, result, task_id=task_id, spec=spec)
         return key
 
     keys = {
         "calibrate": put(
             "calib/0",
             {"driver": "symbist-calibration", "factory": "f"},
-            {"inv_a": [float(i) for i in range(32)]}, sidecar=True),
+            {"inv_a": [float(i) for i in range(32)]}),
         "windows": put(
             "windows/sc_array",
             {"driver": "symbist-block-windows", "block": "sc_array",
@@ -167,7 +167,7 @@ class TestIndexer:
         assert batch == ("sc_array", 2, 1, 3.0, 0.75)
         connection.close()
 
-    def test_seed_material_and_sidecar_footprint(self, tmp_path):
+    def test_seed_material_and_json_footprint(self, tmp_path):
         cache, keys = _seed_cache(tmp_path)
         connection = open_warehouse(str(tmp_path / "wh.sqlite"))
         index_cache(connection, cache.cache_dir)
@@ -175,11 +175,11 @@ class TestIndexer:
             "SELECT seeds FROM results WHERE key = ?",
             (keys["campaign"],)).fetchone()[0]
         assert seeds == "sha:abc"  # lifted from the nested windows spec
-        sidecars, sidecar_bytes = connection.execute(
-            "SELECT sidecars, sidecar_bytes FROM results WHERE key = ?",
-            (keys["calibrate"],)).fetchone()
-        npy = os.path.join(cache.cache_dir, f"{keys['calibrate']}.0.npy")
-        assert sidecars == 1 and sidecar_bytes == os.stat(npy).st_size
+        json_bytes = connection.execute(
+            "SELECT json_bytes FROM results WHERE key = ?",
+            (keys["calibrate"],)).fetchone()[0]
+        path = os.path.join(cache.cache_dir, f"{keys['calibrate']}.json")
+        assert json_bytes == os.stat(path).st_size
         connection.close()
 
     def test_reindex_is_idempotent(self, tmp_path):
@@ -376,9 +376,9 @@ class TestQueries:
         headers, rows = run_canned_query(connection, "cache-composition")
         by_kind = {row[0]: row for row in rows}
         assert sum(row[1] for row in rows) == len(keys)
-        total = sum(row[headers.index("total_bytes")] for row in rows)
+        total = sum(row[headers.index("json_bytes")] for row in rows)
         assert total == cache.total_bytes()
-        assert by_kind["calibrate"][headers.index("sidecar_files")] == 1
+        assert by_kind["calibrate"][headers.index("artifacts")] == 1
         connection.close()
 
     def test_slowest_stages_uses_live_timings(self, tmp_path):
