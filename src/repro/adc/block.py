@@ -15,7 +15,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..circuit.netlist import Netlist
-from ..circuit.variation import GaussianParameter, VariationSpec, vary_netlist
+from ..circuit.variation import (GaussianParameter, VariationSpec,
+                                 reset_variation, vary_netlist)
 
 
 class AnalogBlock:
@@ -94,7 +95,13 @@ class AnalogBlock:
             self._sampled[name] = param.sample(rng)
 
     def reset_variation(self) -> None:
-        """Return all behavioral parameters to their nominal values."""
+        """Undo :meth:`sample_variation`: every behavioral parameter back to
+        its nominal value and every passive's value scale back to 1.0.
+
+        Injected shorts and opens stay; a passive-deviation defect is a
+        value scale too, so it is cleared like a drawn one.
+        """
+        reset_variation(self.netlist)
         for name, param in self._parameters.items():
             self._sampled[name] = param.nominal
 

@@ -7,24 +7,29 @@ Section VI: "For our experiment we use a comparison window with delta = 5 *
 sigma, i.e. k = 5, so as to guarantee that yield loss is negligible."
 
 :func:`calibrate_windows` runs the Monte Carlo analysis on defect-free
-instances of the IP: each iteration draws a process-variation sample, sweeps
-the full test stimulus and records the residual of every invariance at every
-counter code.  The per-invariance sigma is the standard deviation of the
-pooled residuals; the window half-width is ``delta = k * sigma + |mean|``
-(the systematic part of the residual is absorbed into the window so that it
-does not eat into the k-sigma guard band), with a per-invariance floor for the
-inherently discrete invariances (the sign-consistency and complementary-rail
-checks have zero variance when defect-free).
+instances of the IP: each iteration draws a process-variation sample,
+simulates the test stimulus through the golden trace -- the staged residual
+kernel that batched defect evaluation shares -- and records the residual of
+every invariance at every counter cycle.  The per-invariance sigma is the
+standard deviation of the pooled residuals; the window half-width is
+``delta = k * sigma + |mean|`` (the systematic part of the residual is
+absorbed into the window so that it does not eat into the k-sigma guard
+band), with a per-invariance floor for the inherently discrete invariances
+(the sign-consistency and complementary-rail checks have zero variance when
+defect-free).
 
 Each process-variation instance draws from its own per-sample seed and is
 evaluated by :func:`_residual_worker`, the same function the study layer's
-``calibrate`` stage runs as one task per instance.  A sharded, cached or
-traced calibration is a study (``calibrate`` + ``windows`` stages run through
-:func:`repro.engine.run_study`) and yields the very same pools.
+``calibrate`` stage runs as one task per instance.  A process keeps one ADC
+per factory and re-varies it per instance instead of rebuilding it.  A
+sharded, cached or traced calibration is a study (``calibrate`` +
+``windows`` stages run through :func:`repro.engine.run_study`) and yields
+the very same pools.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence)
 
@@ -35,6 +40,7 @@ from ..circuit.errors import CalibrationError
 from ..circuit.units import VDD
 from ..circuit.variation import VariationSpec
 from ..engine import Task
+from .golden_trace import build_golden_trace
 from .invariance import Invariance, build_invariances
 from .stimulus import SymBistStimulus
 from .window_comparator import WindowComparator
@@ -88,29 +94,46 @@ class WindowCalibration:
                                  residual_pools=self.residual_pools)
 
 
+#: The calibration ADCs of this process, one per factory and thread (a
+#: serial daemon runs studies on several threads of one process).
+_CALIBRATION_ADCS = threading.local()
+
+
+def _calibration_adc(adc_factory: Callable[[], SarAdc]) -> SarAdc:
+    """The kept ADC of ``adc_factory``, built (and checked clean) once."""
+    adcs: Dict[Any, SarAdc] = vars(_CALIBRATION_ADCS).setdefault(
+        "by_factory", {})
+    adc = adcs.get(adc_factory)
+    if adc is None:
+        adc = adc_factory()
+        if adc.has_defect:
+            raise CalibrationError(
+                "the ADC factory built a device with defects or drawn "
+                "variation; Monte Carlo calibration needs a clean, nominal "
+                "device to re-vary")
+        adcs[adc_factory] = adc
+    return adc
+
+
 def _residual_worker(context: Mapping[str, Any], task: Optional[Task],
                      rng: np.random.Generator,
                      inputs: Mapping[str, Any]) -> Dict[str, List[float]]:
-    """Per-cycle residuals of one defect-free MC instance.
+    """Residuals of one defect-free MC instance, per invariance per cycle.
 
-    Called in-process by :func:`collect_defect_free_residuals` and as the
-    engine worker of the study layer's ``calibrate`` stage; only
-    ``context`` and ``rng`` are consulted.
+    The instance is the factory's kept ADC, reset to nominal and re-varied
+    from ``rng`` -- the same device a freshly built ADC plus
+    ``sample_variation`` is -- and its residuals come from one staged
+    :func:`~repro.core.golden_trace.build_golden_trace` sweep.  Called
+    in-process by :func:`collect_defect_free_residuals` and as the engine
+    worker of the study layer's ``calibrate`` stage; only ``context`` and
+    ``rng`` are consulted.
     """
-    stimulus: SymBistStimulus = context["stimulus"]
-    invariances: Sequence[Invariance] = context["invariances"]
-    adc = context["adc_factory"]()
+    adc = _calibration_adc(context["adc_factory"])
+    adc.reset_variation()
     adc.sample_variation(rng, context["variation_spec"])
-    op = adc.operating_point(input_diff=stimulus.input_diff,
-                             input_cm=stimulus.input_cm)
-    adc.sarcell.comparator.rs_latch.reset_state()
-    rows: Dict[str, List[float]] = {inv.name: [] for inv in invariances}
-    for cycle in range(stimulus.n_cycles):
-        code = stimulus.code_for_cycle(cycle)
-        signals = adc.evaluate_test_cycle(code, op)
-        for inv in invariances:
-            rows[inv.name].append(inv.evaluate(signals))
-    return rows
+    trace = build_golden_trace(adc, context["stimulus"],
+                               context["invariances"])
+    return {name: column.tolist() for name, column in trace.residuals.items()}
 
 
 def calibration_task_spec(factory_name: str,

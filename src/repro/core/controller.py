@@ -15,8 +15,10 @@ stop-on-detection accounting), exactly as it would on silicon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..adc.sar_adc import OperatingPoint, SarAdc
 from ..circuit.errors import BistConfigurationError
@@ -84,49 +86,34 @@ class SymBistResult:
                 for name, res in self.check_results.items()}
 
 
-def resolve_detection(mode: CheckingMode, n_cycles: int,
-                      names: Sequence[str],
-                      check_results: Mapping[str, WindowCheckResult],
+def resolve_detection(mode: CheckingMode, outside: np.ndarray,
                       stop_on_detection: bool
-                      ) -> Tuple[bool, Optional[Tuple[str, int]], int, int]:
+                      ) -> Tuple[bool, Optional[Tuple[int, int]], int, int]:
     """Walk the checking schedule and resolve the pass/fail accounting.
 
-    Returns ``(passed, first_detection, cycles_scheduled, cycles_run)`` for
-    the given checking mode, exactly as the on-chip controller would compute
-    them: sequential mode walks one invariance at a time (name-major order),
-    parallel mode checks every invariance within each counter cycle
-    (cycle-major order).  This is shared between the full
-    :class:`SymBistController` run and the batched defect evaluator, which
-    must agree bit-for-bit on the schedule accounting.
+    ``outside`` is the boolean ``invariance x cycle`` matrix of settled
+    samples that left their window.  Returns ``(passed, first_detection,
+    cycles_scheduled, cycles_run)`` for the given checking mode, exactly as
+    the on-chip controller would compute them, where ``first_detection`` is
+    the ``(invariance row, cycle)`` of the earliest detection in the
+    schedule: sequential mode walks one invariance at a time (row-major
+    order), parallel mode checks every invariance within each counter cycle
+    (cycle-major order).  This is the one schedule policy of the full
+    :class:`SymBistController` run and of the batched defect evaluator.
     """
-    if mode is CheckingMode.SEQUENTIAL:
-        schedule = [(name, cycle) for name in names
-                    for cycle in range(n_cycles)]
+    n_rows, n_cycles = outside.shape
+    sequential = mode is CheckingMode.SEQUENTIAL
+    cycles_scheduled = n_rows * n_cycles if sequential else n_cycles
+    if not outside.any():
+        return True, None, cycles_scheduled, cycles_scheduled
+    if sequential:
+        row, cycle = divmod(int(np.argmax(outside)), n_cycles)
+        steps = row * n_cycles + cycle + 1
     else:
-        schedule = [(name, cycle) for cycle in range(n_cycles)
-                    for name in names]
-
-    first_detection: Optional[Tuple[str, int]] = None
-    first_index: Optional[int] = None
-    for index, (name, cycle) in enumerate(schedule):
-        if cycle in check_results[name].violations:
-            first_detection = (name, cycle)
-            first_index = index
-            break
-
-    if mode is CheckingMode.SEQUENTIAL:
-        cycles_scheduled = len(schedule)
-        cycles_run = cycles_scheduled
-        if stop_on_detection and first_index is not None:
-            cycles_run = first_index + 1
-    else:
-        cycles_scheduled = n_cycles
-        cycles_run = cycles_scheduled
-        if stop_on_detection and first_detection is not None:
-            cycles_run = first_detection[1] + 1
-
-    passed = all(res.passed for res in check_results.values())
-    return passed, first_detection, cycles_scheduled, cycles_run
+        cycle, row = divmod(int(np.argmax(outside.T)), n_rows)
+        steps = cycle + 1
+    cycles_run = steps if stop_on_detection else cycles_scheduled
+    return False, (row, cycle), cycles_scheduled, cycles_run
 
 
 class SymBistController:
@@ -181,16 +168,6 @@ class SymBistController:
                    for inv in self.invariances}
         return settled, sim.waveforms
 
-    def _schedule(self) -> List[Tuple[str, int]]:
-        """The (invariance, counter-cycle) pairs in execution order."""
-        names = [inv.name for inv in self.invariances]
-        n_cycles = self.stimulus.n_cycles
-        if self.mode is CheckingMode.SEQUENTIAL:
-            return [(name, cycle) for name in names for cycle in range(n_cycles)]
-        # Parallel: all invariances are checked during the same cycle; order
-        # within a cycle is irrelevant for timing.
-        return [(name, cycle) for cycle in range(n_cycles) for name in names]
-
     def run(self) -> SymBistResult:
         """Execute the SymBIST test and return the full result."""
         settled, waveforms = self._evaluate_residuals()
@@ -199,10 +176,14 @@ class SymBistController:
             for name, residuals in settled.items()}
 
         # Walk the schedule to find the first detection and the cycle count.
-        passed, first_detection, cycles_scheduled, cycles_run = \
-            resolve_detection(self.mode, self.stimulus.n_cycles,
-                              [inv.name for inv in self.invariances],
-                              check_results, self.stop_on_detection)
+        outside = np.zeros((len(self.invariances), self.stimulus.n_cycles),
+                           dtype=bool)
+        for row, inv in enumerate(self.invariances):
+            outside[row, check_results[inv.name].violations] = True
+        passed, first, cycles_scheduled, cycles_run = resolve_detection(
+            self.mode, outside, self.stop_on_detection)
+        first_detection = None if first is None else \
+            (self.invariances[first[0]].name, first[1])
         return SymBistResult(
             passed=passed,
             check_results=check_results,

@@ -31,9 +31,10 @@ the clocked checker only sampling valid decisions).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from ..circuit.errors import BistConfigurationError
 from ..circuit.units import VCM2_NOMINAL, VCM_NOMINAL, VDD
@@ -58,7 +59,10 @@ class Invariance:
     description:
         Human-readable statement of the invariant property.
     residual:
-        ``residual(signals) -> float``; zero in defect-free operation.
+        ``residual(signals)``; zero in defect-free operation.  ``signals``
+        maps each signal name to one cycle's float or to a float64 column
+        over all cycles (:mod:`repro.core.golden_trace`); the residual is a
+        float or a column accordingly, with the same float arithmetic.
     covered_blocks:
         Hierarchy paths of the blocks this invariance primarily observes
         (used for reporting; coverage itself is always measured, not assumed).
@@ -68,7 +72,7 @@ class Invariance:
 
     name: str
     description: str
-    residual: Callable[[Mapping[str, float]], float]
+    residual: Callable[[Mapping[str, Any]], Any]
     covered_blocks: Tuple[str, ...] = ()
     paper_equation: str = ""
 
@@ -77,47 +81,45 @@ class Invariance:
         return float(self.residual(signals))
 
 
-def _require(signals: Mapping[str, float], *names: str) -> List[float]:
+def _require(signals: Mapping[str, Any], *names: str) -> List[Any]:
+    """The named signals, each a float (one cycle) or a float64 column."""
     try:
-        return [float(signals[n]) for n in names]
+        return [signals[n] for n in names]
     except KeyError as exc:
         raise BistConfigurationError(
             f"invariance evaluation is missing signal {exc.args[0]!r}") from exc
 
 
-def _msb_sum(signals: Mapping[str, float]) -> float:
+def _msb_sum(signals: Mapping[str, Any]) -> Any:
     m_p, m_m, vref32 = _require(signals, "M+", "M-", "VREF32")
     return m_p + m_m - vref32
 
 
-def _lsb_sum(signals: Mapping[str, float]) -> float:
+def _lsb_sum(signals: Mapping[str, Any]) -> Any:
     l_p, l_m, vref32 = _require(signals, "L+", "L-", "VREF32")
     return l_p + l_m - vref32
 
 
-def _dac_sum(signals: Mapping[str, float]) -> float:
+def _dac_sum(signals: Mapping[str, Any]) -> Any:
     dac_p, dac_m = _require(signals, "DAC+", "DAC-")
     return dac_p + dac_m - 2.0 * VCM_NOMINAL
 
 
-def _preamp_cm(signals: Mapping[str, float]) -> float:
+def _preamp_cm(signals: Mapping[str, Any]) -> Any:
     lin_p, lin_m = _require(signals, "LIN+", "LIN-")
     return lin_p + lin_m - 2.0 * VCM2_NOMINAL
 
 
-def _sign_consistency(signals: Mapping[str, float]) -> float:
+def _sign_consistency(signals: Mapping[str, Any]) -> Any:
     lin_p, lin_m, q_p, q_m = _require(signals, "LIN+", "LIN-", "Q+", "Q-")
     lin_diff = lin_p - lin_m
-    if abs(lin_diff) < SIGN_DEADBAND:
-        return 0.0
-    expected = math.copysign(1.0, lin_diff)
-    observed = math.copysign(1.0, q_p - q_m) if q_p != q_m else 0.0
-    if observed == expected:
-        return 0.0
-    return SIGN_VIOLATION_MAGNITUDE if expected > 0 else -SIGN_VIOLATION_MAGNITUDE
+    expected = np.copysign(1.0, lin_diff)
+    observed = np.where(q_p != q_m, np.copysign(1.0, q_p - q_m), 0.0)
+    consistent = (np.abs(lin_diff) < SIGN_DEADBAND) | (observed == expected)
+    return np.where(consistent, 0.0, SIGN_VIOLATION_MAGNITUDE * expected)
 
 
-def _latch_sum(signals: Mapping[str, float]) -> float:
+def _latch_sum(signals: Mapping[str, Any]) -> Any:
     q_p, q_m = _require(signals, "Q+", "Q-")
     return q_p + q_m - VDD
 

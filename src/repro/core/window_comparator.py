@@ -15,10 +15,8 @@ BIST infrastructure itself can be the subject of what-if studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Iterable, List, Optional
 
 from ..circuit.errors import BistConfigurationError
 
@@ -95,7 +93,14 @@ class WindowComparator:
         return deviation <= self.delta
 
     def check_samples(self, residuals: Iterable[float]) -> WindowCheckResult:
-        """Check a sequence of settled samples (one per clock cycle)."""
+        """Check a sequence of settled samples (one per clock cycle).
+
+        A sample is a violation iff ``|value - center - offset| > delta``:
+        hysteresis only gates the re-arm flag below and never suppresses a
+        violation, which is what lets the batched defect evaluator
+        (:mod:`repro.defects.batching`) check a whole residual matrix with
+        one array comparison.
+        """
         residual_list = [float(r) for r in residuals]
         violations: List[int] = []
         outside = False
@@ -109,22 +114,6 @@ class WindowComparator:
                 outside = False
         return WindowCheckResult(name=self.name, delta=self.delta,
                                  residuals=residual_list,
-                                 violations=violations)
-
-    def check_array(self, residuals: Sequence[float]) -> WindowCheckResult:
-        """Vectorized :meth:`check_samples` -- bit-identical violations.
-
-        A sample is a violation iff its deviation exceeds ``delta``;
-        hysteresis only gates the internal re-arm flag of the scalar loop and
-        never suppresses an appended violation, so the vectorized comparison
-        reproduces :meth:`check_samples` exactly (float64 numpy comparisons
-        follow the same IEEE-754 semantics as the Python scalar ones).
-        """
-        values = np.asarray(residuals, dtype=float)
-        deviation = np.abs(values - self.center - self.offset)
-        violations = [int(i) for i in np.flatnonzero(deviation > self.delta)]
-        return WindowCheckResult(name=self.name, delta=self.delta,
-                                 residuals=[float(v) for v in values],
                                  violations=violations)
 
     # ------------------------------------------------------------------- bounds

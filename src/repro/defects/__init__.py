@@ -15,8 +15,7 @@ from .coverage import (CoverageEstimate, Z_95, combine_detected_likelihood,
 from .injection import DefectInjector
 from .likelihood import DEFAULT_TYPE_PRIORS, LikelihoodModel
 from .model import Defect, DefectKind, enumerate_device_defects
-from .batching import (BatchedDefectEvaluator, GoldenTrace, LOCAL_STAGE,
-                       STAGE_DOWNSTREAM, build_golden_trace)
+from .batching import BatchedDefectEvaluator, LOCAL_STAGE, STAGE_DOWNSTREAM
 from .sampling import (SamplingPlan, batch_spans, block_seed_sequence,
                        lwrs_sample, per_block_selection, select_defects,
                        variant_seed)
@@ -29,13 +28,13 @@ __all__ = [
     "BatchedDefectEvaluator", "BlockCoverageReport", "CampaignResult",
     "CoverageEstimate",
     "DEFAULT_TYPE_PRIORS", "Defect", "DefectCampaign", "DefectInjector",
-    "DefectKind", "DefectSimulationRecord", "DefectUniverse", "GoldenTrace",
+    "DefectKind", "DefectSimulationRecord", "DefectUniverse",
     "LOCAL_STAGE", "LikelihoodModel", "MODEL_SECONDS_PER_CYCLE",
     "RECORD_CODEC", "STAGE_DOWNSTREAM",
     "SamplingPlan", "Z_95",
     "BlockScore", "DiagnosisReport", "diagnose", "diagnosis_accuracy",
     "batch_spans",
-    "block_seed_sequence", "build_defect_universe", "build_golden_trace",
+    "block_seed_sequence", "build_defect_universe",
     "combine_detected_likelihood", "enumerate_device_defects",
     "exhaustive_coverage", "lwrs_coverage", "lwrs_sample",
     "per_block_selection", "select_defects", "variant_seed",

@@ -1,26 +1,28 @@
-"""Batched defect evaluation against a cached defect-free golden trace.
+"""Batched defect evaluation against the golden trace of the clean ADC.
 
-The per-defect hot path of a campaign re-simulates the whole behavioral ADC
-per defect: the transient engine sweeps every counter cycle, and each cycle
-re-evaluates every block -- including the ``netlist.has_defect`` scans and the
-Vcm generator's linear-network solve -- even though a single injected defect
-only perturbs one block and its downstream cone.
+The full re-simulation of a defect sweeps the whole behavioral ADC once per
+clock cycle, although a single injected defect only perturbs one block and
+its downstream cone.  The batched evaluator runs defects on the repository's
+one staged residual kernel instead, the golden trace
+(:mod:`repro.core.golden_trace`), which Monte Carlo window calibration uses
+for every defect-free instance too:
 
-This module replaces that full re-simulation with a *staged* evaluation
-against a cached defect-free **golden trace** per stimulus:
-
-* the golden trace records, per counter code, the settled outputs of every
-  pipeline stage (operating point, Vcm, sub-DACs, SC array, pre-amplifier,
-  comparator latch) plus the per-cycle RS-latch outputs and the assembled
-  signal dictionaries / invariance residuals;
+* the evaluator keeps the golden trace of the clean ADC per stimulus: the
+  settled output of every pipeline stage per counter code, the per-cycle
+  RS-latch outputs, every signal as one float64 column and every invariance
+  residual as one column;
 * for a defect that is provably **local** to one block
-  (:data:`LOCAL_STAGE`), only that block's stage and its downstream closure
-  (:data:`STAGE_DOWNSTREAM`) are re-evaluated -- with the *same* block
-  ``evaluate`` methods and the same float arithmetic, so every reused or
-  recomputed value is bit-identical to what a full simulation would produce;
-* the RS latch (the only stateful element) is always replayed per cycle from
-  its reset state, exactly like
+  (:data:`LOCAL_STAGE`), only that block's stage and the codes of its
+  downstream closure (:data:`STAGE_DOWNSTREAM`) whose inputs changed are
+  re-evaluated -- with the *same* block ``evaluate``/``sweep`` methods and
+  the same float arithmetic -- then the changed stages' columns are rebuilt
+  and each invariance is evaluated once over the columns;
+* the RS latch (the only stateful element) is replayed per cycle from its
+  reset state, exactly like
   :meth:`~repro.core.controller.SymBistController.run` does;
+* all window checks are one array comparison over the invariance x cycle
+  residual matrix, and :func:`~repro.core.controller.resolve_detection`
+  reads the first detection of the checking schedule from it;
 * a defect whose block is *not* in the locality map is reported as non-local
   (:meth:`BatchedDefectEvaluator.is_local` returns False) and the caller
   falls back to the full simulation.
@@ -34,12 +36,16 @@ therefore indistinguishable from a full re-simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..adc.sar_adc import OperatingPoint, SarAdc
-from ..adc.sc_array import ScArrayInputs
+import numpy as np
+
+from ..adc.sar_adc import SarAdc
 from ..core.controller import resolve_detection
+from ..core.golden_trace import (CODE_STAGE_SIGNALS, RS_SIGNALS,
+                                 build_golden_trace, operating_columns,
+                                 output_columns, residual_columns,
+                                 sc_array_inputs)
 from ..core.invariance import Invariance, build_invariances
 from ..core.stimulus import SymBistStimulus
 from ..core.test_time import CheckingMode
@@ -79,28 +85,6 @@ STAGE_DOWNSTREAM: Dict[str, frozenset] = {
 }
 
 
-@dataclass
-class GoldenTrace:
-    """Defect-free settled trace of one (ADC state, stimulus) pair.
-
-    Per-*code* lists hold one entry per distinct counter code; the per-*cycle*
-    lists (RS latch, signals, residuals) hold one entry per clock cycle,
-    which differs when the stimulus replays the counter (``repeats > 1``).
-    """
-
-    fingerprint: str
-    op: OperatingPoint
-    vcm: float
-    sub1: List  # SubDacOutput per code
-    sub2: List  # SubDacOutput per code
-    sc: List    # ScArrayOutput per code
-    pre: List   # PreampOutput per code
-    ql: List    # LatchOutput per code
-    q: List     # LatchOutput per cycle (RS latch replay)
-    signals: List[Dict[str, float]]        # per cycle
-    residuals: Dict[str, List[float]]      # per invariance, per cycle
-
-
 class BatchedDefectEvaluator:
     """Evaluates defects of one campaign against a shared golden trace.
 
@@ -112,7 +96,7 @@ class BatchedDefectEvaluator:
 
     def __init__(self, adc: SarAdc, stimulus: SymBistStimulus,
                  deltas: Dict[str, float], mode: CheckingMode,
-                 stop_on_detection: bool, fingerprint: str,
+                 stop_on_detection: bool,
                  invariances: Optional[Sequence[Invariance]] = None) -> None:
         self.adc = adc
         self.stimulus = stimulus
@@ -121,20 +105,24 @@ class BatchedDefectEvaluator:
         self.invariances = list(invariances) if invariances is not None \
             else build_invariances()
         self.set_deltas(deltas)
-        self.golden = build_golden_trace(adc, stimulus, fingerprint,
-                                         self.invariances)
+        self.golden = build_golden_trace(adc, stimulus, self.invariances)
 
     def set_deltas(self, deltas: Dict[str, float]) -> None:
-        """Rebuild the window checkers for a new delta table.
+        """Rebuild the comparison windows for a new delta table.
 
         The golden trace is defect-free signal data -- independent of the
         comparison windows -- so per-block delta overrides (block-study
         graphs refresh the campaign's deltas per task) only need the
-        checkers rebuilt, never a re-simulation.
+        windows rebuilt, never a re-simulation.
         """
         self.deltas = dict(deltas)
-        self.checkers = {name: WindowComparator(name=name, delta=delta)
-                         for name, delta in deltas.items()}
+        checkers = [WindowComparator(name=inv.name, delta=deltas[inv.name])
+                    for inv in self.invariances]
+        # One row per invariance: the window rule of
+        # WindowComparator.check_samples as column vectors.
+        self._centers = np.array([[c.center] for c in checkers])
+        self._offsets = np.array([[c.offset] for c in checkers])
+        self._deltas = np.array([[c.delta] for c in checkers])
 
     # ------------------------------------------------------------------ policy
     @staticmethod
@@ -159,20 +147,19 @@ class BatchedDefectEvaluator:
         if not self.is_local(defect):
             return None
         settled = self._settled_residuals(LOCAL_STAGE[defect.block_path])
+        residuals = np.array([settled[inv.name] for inv in self.invariances])
+        outside = np.abs(residuals - self._centers - self._offsets) \
+            > self._deltas
+        passed, first, _, cycles_run = resolve_detection(
+            self.mode, outside, self.stop_on_detection)
+        if first is None:
+            return (not passed, None, None, cycles_run)
+        return (not passed, self.invariances[first[0]].name, first[1],
+                cycles_run)
 
-        check_results = {
-            name: self.checkers[name].check_array(residuals)
-            for name, residuals in settled.items()}
-        passed, first_detection, _, cycles_run = resolve_detection(
-            self.mode, self.stimulus.n_cycles,
-            [inv.name for inv in self.invariances], check_results,
-            self.stop_on_detection)
-        detecting = first_detection[0] if first_detection else None
-        detection_cycle = first_detection[1] if first_detection else None
-        return (not passed, detecting, detection_cycle, cycles_run)
-
-    def _settled_residuals(self, stage: str) -> Dict[str, List[float]]:
-        """Per-invariance settled residuals for a defect local to ``stage``.
+    def _settled_residuals(self, stage: str) -> Dict[str, np.ndarray]:
+        """Per-invariance settled residual columns for a defect local to
+        ``stage``.
 
         Only the defective stage itself is unconditionally recomputed (its
         netlist carries the defect).  Every downstream stage has a *clean*
@@ -181,7 +168,10 @@ class BatchedDefectEvaluator:
         trace -- where the inputs are bit-equal, recomputing would reproduce
         the golden value exactly, and the golden value is reused instead.
         The per-code/per-cycle ``changed`` flags below track exactly that
-        input-difference condition.
+        input-difference condition.  When no stage output changed, the
+        golden residuals are returned as they are; otherwise the changed
+        stages' signal columns replace the golden ones and every invariance
+        is evaluated once over the columns.
         """
         golden = self.golden
         adc = self.adc
@@ -226,7 +216,7 @@ class BatchedDefectEvaluator:
         sc_codes = [c for c in codes if dirty_sc[c]]
         if sc_codes:
             swept = cell.dac.sc_array.sweep(
-                _sc_inputs(adc.dut, op, vcm, sub1, sub2, sc_codes))
+                sc_array_inputs(adc.dut, op, vcm, sub1, sub2, sc_codes))
             for c, out in zip(sc_codes, swept):
                 sc[c] = out
                 changed_sc[c] = out != golden.sc[c]
@@ -262,114 +252,31 @@ class BatchedDefectEvaluator:
         # from reset when its own netlist is defective or any of its inputs
         # changed; otherwise the replay would reproduce the golden per-cycle
         # outputs exactly and they are reused instead.
-        n_cycles = stimulus.n_cycles
+        cycle_codes = golden.cycle_codes
+        q_changed = False
         if stage == "rs" or any(ql_changed):
             q = cell.comparator.rs_latch.replay(
-                [ql[stimulus.code_for_cycle(cycle)]
-                 for cycle in range(n_cycles)])
-            q_changed = [q[cycle] != golden.q[cycle]
-                         for cycle in range(n_cycles)]
-        else:
-            q = golden.q
-            q_changed = [False] * n_cycles
+                [ql[c] for c in cycle_codes.tolist()])
+            q_changed = q != golden.q
 
-        code_changed = [op_changed or vcm_changed or changed1[c] or changed2[c]
-                        or changed_sc[c] or changed_pre[c] or ql_changed[c]
-                        for c in codes]
-        settled: Dict[str, List[float]] = {inv.name: []
-                                           for inv in self.invariances}
-        for cycle in range(n_cycles):
-            code = stimulus.code_for_cycle(cycle)
-            if not code_changed[code] and not q_changed[cycle]:
-                # Every signal of this cycle is bit-equal to the golden
-                # trace, so each invariance residual is too.
-                for inv in self.invariances:
-                    settled[inv.name].append(
-                        golden.residuals[inv.name][cycle])
-                continue
-            signals = _assemble_signals(adc.dut, op, vcm, sub1[code],
-                                        sub2[code], sc[code], pre[code],
-                                        ql[code], q[cycle])
-            for inv in self.invariances:
-                settled[inv.name].append(inv.evaluate(signals))
-        return settled
-
-
-def _sc_inputs(dut, op, vcm, sub1, sub2,
-               codes: Sequence[int]) -> List[ScArrayInputs]:
-    """The SC-array inputs of each counter code in ``codes``."""
-    vref_mid = op.vref[dut.mid_tap]
-    return [ScArrayInputs(in_p=op.in_p, in_m=op.in_m,
-                          m_p=sub1[c].out_p, m_m=sub1[c].out_n,
-                          l_p=sub2[c].out_p, l_m=sub2[c].out_n,
-                          vcm=vcm, vref_mid=vref_mid) for c in codes]
-
-
-def _assemble_signals(dut, op, vcm, sub1, sub2, sc, pre, ql,
-                      q) -> Dict[str, float]:
-    """One cycle's signal dictionary, matching ``SarAdc.evaluate_test_cycle``
-    (the reference taps and the supply are the device's, not the paper's)."""
-    return {
-        "M+": sub1.out_p, "M-": sub1.out_n,
-        "L+": sub2.out_p, "L-": sub2.out_n,
-        "DAC+": sc.dac_p, "DAC-": sc.dac_m,
-        "LIN+": pre.lin_p, "LIN-": pre.lin_m,
-        "QL+": ql.q_p, "QL-": ql.q_m,
-        "Q+": q.q_p, "Q-": q.q_m,
-        "VCM": vcm,
-        "VREF32": op.vref[-1],
-        "VREF16": op.vref[dut.mid_tap],
-        "VBG": op.vbg,
-        "IBIAS": op.ibias,
-        "IN+": op.in_p,
-        "IN-": op.in_m,
-        "VDD": dut.vdd,
-    }
-
-
-def build_golden_trace(adc: SarAdc, stimulus: SymBistStimulus,
-                       fingerprint: str,
-                       invariances: Optional[Sequence[Invariance]] = None
-                       ) -> GoldenTrace:
-    """Simulate the defect-free ADC once, staged, and record everything.
-
-    Must be called with no defect injected (the campaign clears defects
-    before fingerprinting).  The trace is computed through the very same
-    staged path the evaluator uses -- the stimulus codes sweep each block's
-    ``evaluate``/``sweep`` method once per distinct code, and the RS latch is
-    replayed per cycle from reset -- so golden values are bit-identical to a
-    full :class:`~repro.core.controller.SymBistController` re-simulation.
-    """
-    invariances = list(invariances) if invariances is not None \
-        else build_invariances()
-    cell = adc.sarcell
-    op = adc.operating_point(input_diff=stimulus.input_diff,
-                             input_cm=stimulus.input_cm)
-    vcm = cell.vcm_generator.evaluate(op.vbg)
-    codes = range(stimulus.n_codes)
-    sub1 = cell.dac.subdac1.sweep(codes, op.vref)
-    sub2 = cell.dac.subdac2.sweep(codes, op.vref)
-    sc = cell.dac.sc_array.sweep(
-        _sc_inputs(adc.dut, op, vcm, sub1, sub2, codes))
-    pre = cell.comparator.preamplifier.sweep(
-        [(sc[c].dac_p, sc[c].dac_m) for c in codes], op.ibias,
-        cell.comparator.offset_compensation)
-    ql = cell.comparator.latch.sweep(
-        [(pre[c].lin_p, pre[c].lin_m) for c in codes])
-
-    q = cell.comparator.rs_latch.replay(
-        [ql[stimulus.code_for_cycle(cycle)]
-         for cycle in range(stimulus.n_cycles)])
-    signals: List[Dict[str, float]] = []
-    residuals: Dict[str, List[float]] = {inv.name: [] for inv in invariances}
-    for cycle in range(stimulus.n_cycles):
-        code = stimulus.code_for_cycle(cycle)
-        cycle_signals = _assemble_signals(adc.dut, op, vcm, sub1[code],
-                                          sub2[code], sc[code], pre[code],
-                                          ql[code], q[cycle])
-        signals.append(cycle_signals)
-        for inv in invariances:
-            residuals[inv.name].append(inv.evaluate(cycle_signals))
-    return GoldenTrace(fingerprint=fingerprint, op=op, vcm=vcm,
-                       sub1=sub1, sub2=sub2, sc=sc, pre=pre, ql=ql, q=q,
-                       signals=signals, residuals=residuals)
+        changed = {"sub1": any(changed1), "sub2": any(changed2),
+                   "sc": any(changed_sc), "pre": any(changed_pre),
+                   "ql": any(ql_changed)}
+        if not (op_changed or vcm_changed or q_changed
+                or any(changed.values())):
+            # Every signal is bit-equal to the golden trace, so every
+            # invariance residual is too.
+            return golden.residuals
+        columns = dict(golden.columns)
+        if op_changed or vcm_changed:
+            columns.update(operating_columns(adc.dut, op, vcm,
+                                             stimulus.n_cycles))
+        outputs = {"sub1": sub1, "sub2": sub2, "sc": sc, "pre": pre,
+                   "ql": ql}
+        for name, stage_changed in changed.items():
+            if stage_changed:
+                columns.update(output_columns(
+                    outputs[name], CODE_STAGE_SIGNALS[name], cycle_codes))
+        if q_changed:
+            columns.update(output_columns(q, RS_SIGNALS))
+        return residual_columns(self.invariances, columns)

@@ -399,8 +399,7 @@ class DefectCampaign:
         if evaluator is None:
             evaluator = BatchedDefectEvaluator(
                 adc=self.adc, stimulus=self.stimulus, deltas=self.deltas,
-                mode=self.mode, stop_on_detection=self.stop_on_detection,
-                fingerprint=fingerprint)
+                mode=self.mode, stop_on_detection=self.stop_on_detection)
             self._batch_evaluators.clear()
             self._batch_evaluators[fingerprint] = evaluator
         elif evaluator.deltas != self.deltas:

@@ -135,6 +135,26 @@ class TestDefectAndVariationManagement:
         varied = adc.evaluate_test_cycle(10)["DAC+"]
         assert varied != pytest.approx(nominal, abs=1e-12)
 
+    def test_reset_variation_restores_a_fresh_adc(self, adc):
+        """A drawn then reset ADC is the nominal device again -- clean
+        netlists and a fresh ADC's fingerprint -- so re-varying it draws
+        exactly what a freshly built ADC draws."""
+        from repro.defects.simulator import adc_fingerprint
+
+        def fingerprint(device):
+            return adc_fingerprint(device, device.build_hierarchy())
+
+        adc.sample_variation(np.random.default_rng(3))
+        assert adc.has_defect  # drawn passive value scales
+        adc.reset_variation()
+        assert not adc.has_defect
+        assert fingerprint(adc) == fingerprint(SarAdc())
+
+        fresh = SarAdc()
+        adc.sample_variation(np.random.default_rng(4))
+        fresh.sample_variation(np.random.default_rng(4))
+        assert fingerprint(adc) == fingerprint(fresh)
+
     def test_defective_adc_still_converts(self, adc):
         adc.sarcell.dac.subdac1.netlist.device("swp_16").defect.open_terminal = "p"
         code = adc.convert(0.0)

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.adc import SarAdc
+from repro.adc.sar_adc import DutAdcFactory
 from repro.circuit import CalibrationError
 from repro.core import (DEFAULT_DELTA_FLOORS, GENERIC_DELTA_FLOOR,
-                        WindowComparator, calibrate_windows,
-                        collect_defect_free_residuals)
+                        WindowComparator, build_invariances,
+                        calibrate_windows, collect_defect_free_residuals)
+from repro.core.calibration import _calibration_adc, _residual_worker
+from repro.core.stimulus import SymBistStimulus
+from repro.dut import default_dut
 
 
 class TestCalibration:
@@ -86,3 +91,85 @@ class TestResidualPools:
     def test_collect_requires_positive_samples(self):
         with pytest.raises(CalibrationError):
             collect_defect_free_residuals(n_monte_carlo=0)
+
+
+# --------------------------------------------------------------- oracle
+#: Device variants and Monte Carlo seeds of the calibration oracle.
+ORACLE_SEEDS = {
+    "default": range(10),
+    "8bit": range(10),
+    "vdd1.08": range(10),
+    "12bit": range(3),
+}
+
+ORACLE_DUTS = {
+    "default": default_dut(),
+    "8bit": default_dut().merged({"resolution_bits": 8}),
+    "vdd1.08": default_dut().merged({"vdd": 1.08}),
+    "12bit": default_dut().merged({"resolution_bits": 12}),
+}
+
+
+def _oracle_context(dut):
+    return {"adc_factory": DutAdcFactory(dut),
+            "invariances": build_invariances(),
+            "stimulus": SymBistStimulus(input_diff=dut.test_input_diff,
+                                        input_cm=dut.common_mode,
+                                        counter_bits=dut.half_bits),
+            "variation_spec": dut.variation_spec()}
+
+
+def _per_cycle_reference(context, seed):
+    """One Monte Carlo instance the slow way: a freshly built factory ADC,
+    one variation draw, and every invariance evaluated cycle by cycle."""
+    stimulus = context["stimulus"]
+    adc = context["adc_factory"]()
+    adc.sample_variation(np.random.default_rng(seed),
+                         context["variation_spec"])
+    op = adc.operating_point(input_diff=stimulus.input_diff,
+                             input_cm=stimulus.input_cm)
+    adc.sarcell.comparator.rs_latch.reset_state()
+    rows = {inv.name: [] for inv in context["invariances"]}
+    for cycle in range(stimulus.n_cycles):
+        signals = adc.evaluate_test_cycle(stimulus.code_for_cycle(cycle), op)
+        for inv in context["invariances"]:
+            rows[inv.name].append(inv.evaluate(signals))
+    return rows
+
+
+class TestGoldenTraceCalibrationOracle:
+    def test_reused_adc_matches_fresh_per_cycle_reference(self):
+        """The worker's kept, re-varied ADC and its golden-trace residuals
+        reproduce a fresh ADC's per-cycle residuals exactly, whatever ran
+        on it before: the instances run forward and then reversed, with the
+        device variants' factories interleaved."""
+        contexts = {name: _oracle_context(dut)
+                    for name, dut in ORACLE_DUTS.items()}
+        expected = {(name, seed): _per_cycle_reference(contexts[name], seed)
+                    for name, seeds in ORACLE_SEEDS.items()
+                    for seed in seeds}
+        order = [(name, seed) for seed in range(10)
+                 for name, seeds in ORACLE_SEEDS.items() if seed in seeds]
+        mismatches = [
+            (name, seed) for name, seed in order + order[::-1]
+            if _residual_worker(contexts[name], None,
+                                np.random.default_rng(seed), {})
+            != expected[(name, seed)]]
+        assert mismatches == []
+
+    def test_one_adc_per_factory(self):
+        factory = DutAdcFactory(default_dut().merged({"resolution_bits": 8}))
+        adc = _calibration_adc(factory)
+        assert _calibration_adc(DutAdcFactory(factory.dut)) is adc
+        assert _calibration_adc(DutAdcFactory()) is not adc
+
+    def test_non_clean_factory_adc_is_rejected(self):
+        def drawn_adc():
+            adc = SarAdc()
+            adc.sample_variation(np.random.default_rng(0))
+            return adc
+
+        context = dict(_oracle_context(default_dut()),
+                       adc_factory=drawn_adc)
+        with pytest.raises(CalibrationError, match="clean"):
+            _residual_worker(context, None, np.random.default_rng(1), {})

@@ -1,5 +1,6 @@
 """Tests for the SymBIST invariance definitions (repro.core.invariance)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,3 +111,31 @@ class TestResiduals:
         signals["M+"], signals["M-"] = b, a
         swapped = invariance_by_name("msb_sum").evaluate(signals)
         assert forward == pytest.approx(swapped)
+
+
+#: Signal levels that hit the sign invariance's edge cases: equal latch
+#: outputs, signed zeros and differences at the dead band.
+_EDGE_LEVELS = st.sampled_from([0.0, -0.0, 0.01, 0.03, SIGN_DEADBAND,
+                                VCM2_NOMINAL, VDD])
+_LEVELS = st.floats(min_value=-1.5, max_value=1.5) | _EDGE_LEVELS
+_NAMES = ("M+", "M-", "L+", "L-", "DAC+", "DAC-", "LIN+", "LIN-", "Q+", "Q-",
+          "VREF32")
+
+
+@given(cycles=st.lists(st.fixed_dictionaries({name: _LEVELS
+                                              for name in _NAMES}),
+                       min_size=1, max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_column_residuals_equal_per_cycle_residuals(cycles):
+    """One definition per invariance: evaluated on float64 columns, each
+    residual equals the per-cycle value, bit for bit and sign of zero
+    included."""
+    columns = {name: np.array([signals[name] for signals in cycles])
+               for name in _NAMES}
+    for inv in build_invariances():
+        per_cycle = [inv.evaluate(signals) for signals in cycles]
+        column = np.asarray(inv.residual(columns))
+        assert column.dtype == np.float64
+        assert column.tolist() == per_cycle
+        assert np.signbit(column).tolist() == \
+            [bool(np.signbit(value)) for value in per_cycle]

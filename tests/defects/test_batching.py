@@ -23,10 +23,12 @@ from hypothesis import strategies as st
 from repro.adc import SarAdc
 from repro.adc.sar_adc import DutAdcFactory
 from repro.circuit.errors import CoverageError
-from repro.core import build_invariances, calibrate_windows, run_symbist
+from repro.core import (build_golden_trace, build_invariances,
+                        calibrate_windows, run_symbist)
 from repro.core.stimulus import SymBistStimulus
+from repro.core.test_time import CheckingMode
 from repro.defects import (DefectCampaign, LOCAL_STAGE, STAGE_DOWNSTREAM,
-                           batch_spans, build_golden_trace)
+                           batch_spans)
 from repro.dut import default_dut
 
 
@@ -102,21 +104,34 @@ class TestGoldenTrace:
         every stimulus kind on every device variant."""
         stimulus = STIMULI[kind](DUTS[dut])
         adc = SarAdc(dut=DUTS[dut])
-        golden = build_golden_trace(adc, stimulus, fingerprint="golden-test")
+        golden = build_golden_trace(adc, stimulus)
         result = run_symbist(adc, _UNIT_DELTAS, stimulus=stimulus)
-        assert golden.residuals == result.settled_residuals
+        assert all(column.dtype == np.float64
+                   for column in golden.residuals.values())
+        assert {name: column.tolist()
+                for name, column in golden.residuals.items()} == \
+            result.settled_residuals
 
     @pytest.mark.parametrize("dut, kind", CASES)
     def test_golden_signals_equal_full_resimulation(self, dut, kind):
+        """Each golden signal column is the per-cycle full simulation's
+        value of that signal, cycle by cycle."""
         stimulus = STIMULI[kind](DUTS[dut])
         adc = SarAdc(dut=DUTS[dut])
-        golden = build_golden_trace(adc, stimulus, fingerprint="golden-test")
+        golden = build_golden_trace(adc, stimulus)
         op = adc.operating_point(input_diff=stimulus.input_diff,
                                  input_cm=stimulus.input_cm)
         adc.sarcell.comparator.rs_latch.reset_state()
         full = [adc.evaluate_test_cycle(stimulus.code_for_cycle(cycle), op)
                 for cycle in range(stimulus.n_cycles)]
-        assert golden.signals == full
+        assert all(column.dtype == np.float64
+                   for column in golden.columns.values())
+        assert golden.cycle_codes.tolist() == \
+            [stimulus.code_for_cycle(cycle)
+             for cycle in range(stimulus.n_cycles)]
+        assert {name: column.tolist()
+                for name, column in golden.columns.items()} == \
+            {name: [signals[name] for signals in full] for name in full[0]}
 
     def test_every_universe_block_is_in_the_locality_map(self, deltas):
         """No silent full-simulation fallback for the shipped ADC: every
@@ -157,27 +172,35 @@ def _record_key(record):
             record.cycles_run, record.modeled_sim_time)
 
 
-def _dut_campaign(dut):
+def _dut_campaign(dut, mode=CheckingMode.SEQUENTIAL):
     """A campaign on ``dut`` with its own stimulus and calibrated windows."""
     stimulus = _dut_stimulus(dut)
     calibration = calibrate_windows(
         adc_factory=DutAdcFactory(dut), stimulus=stimulus, n_monte_carlo=5,
         rng=np.random.default_rng(7), variation_spec=dut.variation_spec())
     return DefectCampaign(adc=SarAdc(dut=dut), deltas=calibration.deltas,
-                          stimulus=stimulus)
+                          stimulus=stimulus, mode=mode)
+
+
+def _oracle_param(dut, mode):
+    """One oracle case; the sequential schedule keeps the bare device id."""
+    case_id = dut if mode is CheckingMode.SEQUENTIAL \
+        else f"{dut}-{mode.value}"
+    marks = [pytest.mark.slow] if dut == "12bit" else []
+    return pytest.param(dut, mode, id=case_id, marks=marks)
 
 
 class TestBatchedOracle:
     # The 12-bit universe holds 4983 defects of 64 test cycles each; its
     # full re-simulations take ~30 s, so that case runs with the slow tests
     # (its golden signals and residuals are checked above on every run).
-    @pytest.mark.parametrize("dut", [
-        pytest.param(dut, marks=pytest.mark.slow) if dut == "12bit" else dut
+    @pytest.mark.parametrize("dut, mode", [
+        _oracle_param(dut, mode) for mode in CheckingMode
         for dut in sorted(DUTS)])
-    def test_every_tenth_defect_matches_simulate_defect(self, dut):
+    def test_every_tenth_defect_matches_simulate_defect(self, dut, mode):
         """Golden-trace batches report what the full re-simulation
-        reports, on every device variant."""
-        campaign = _dut_campaign(DUTS[dut])
+        reports, on every device variant and in both checking schedules."""
+        campaign = _dut_campaign(DUTS[dut], mode)
         defects = campaign.universe.defects[::10]
         batched = campaign.simulate_defect_batch(defects)
         full = [campaign.simulate_defect(defect) for defect in defects]

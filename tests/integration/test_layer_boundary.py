@@ -65,3 +65,29 @@ def test_scanner_flags_engine_imports(tmp_path):
                      "cache = engine.ResultCache('x')\n")
     assert engine_references(probe) == [
         (1, "CampaignEngine"), (2, "TelemetryBus"), (4, "ResultCache")]
+
+
+def imported_modules(path):
+    """``(line, module)`` of everything a ``repro.core`` module imports,
+    relative imports resolved (``from .. import x`` yields ``repro.x``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = {0: "", 1: "repro.core", 2: "repro"}[node.level]
+            module = ".".join(filter(None, [base, node.module]))
+            yield node.lineno, module
+            yield from ((node.lineno, f"{module}.{alias.name}")
+                        for alias in node.names)
+
+
+def test_core_does_not_import_the_defect_layer():
+    """The residual kernel calibration and defect evaluation share lives in
+    ``repro.core``; the defect layer builds on it, never the reverse."""
+    offenders = {
+        str(path.relative_to(PACKAGE_ROOT)): line
+        for path in sorted((PACKAGE_ROOT / "core").rglob("*.py"))
+        for line, module in imported_modules(path)
+        if module == "repro.defects" or module.startswith("repro.defects.")}
+    assert offenders == {}

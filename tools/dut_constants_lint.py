@@ -17,9 +17,10 @@ This linter greps ``src/repro/adc``, ``src/repro/functional_test`` and
 * ``2 ** 10`` / ``2**10`` / ``1 << 10`` / ``1<<10`` -- a hard-coded
   10-bit code count (use ``dut.n_codes`` / ``dut.resolution_bits``).
 
-``src/repro/defects`` re-evaluates the ADC's signals itself (the batched
-golden-trace evaluation), so it is also checked for what the model reads
-from the device there:
+``src/repro/defects`` (the batched defect evaluation) and the golden
+trace, ``src/repro/core/golden_trace.py``, assemble the ADC's signals
+themselves, so they are also checked for what the model reads from the
+device there:
 
 * ``vref[16]``-style literal reference-ladder tap indices (use
   ``dut.mid_tap``, or ``vref[-1]`` for the top tap); and
@@ -45,6 +46,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DEFECTS_DIR = os.path.join("src", "repro", "defects")
 
+#: The golden-trace module, which assembles the signals outside ``adc``.
+GOLDEN_TRACE = os.path.join("src", "repro", "core", "golden_trace.py")
+
 LINTED_DIRS = [
     os.path.join("src", "repro", "adc"),
     os.path.join("src", "repro", "functional_test"),
@@ -62,7 +66,7 @@ FORBIDDEN = [
      "hard-coded 10-bit code count; use dut.n_codes"),
 ]
 
-#: Additional patterns of :data:`DEFECTS_DIR`.
+#: Additional patterns of :data:`DEFECTS_DIR` and :data:`GOLDEN_TRACE`.
 FORBIDDEN_IN_DEFECTS = [
     (re.compile(r"\bvref\[\s*\d+\s*\]"),
      "literal reference-ladder tap index; use dut.mid_tap or vref[-1]"),
@@ -84,7 +88,8 @@ def _units_vdd_imports(source: str) -> List[int]:
 
 def lint_file(rel_path: str) -> List[str]:
     problems = []
-    in_defects = rel_path.startswith(DEFECTS_DIR + os.sep)
+    in_defects = rel_path.startswith(DEFECTS_DIR + os.sep) \
+        or rel_path == GOLDEN_TRACE
     patterns = FORBIDDEN + (FORBIDDEN_IN_DEFECTS if in_defects else [])
     with open(os.path.join(REPO_ROOT, rel_path), encoding="utf-8") as handle:
         source = handle.read()
@@ -120,6 +125,11 @@ def main() -> int:
                 rel = os.path.relpath(os.path.join(dirpath, name), REPO_ROOT)
                 problems.extend(lint_file(rel))
                 checked += 1
+    if os.path.isfile(os.path.join(REPO_ROOT, GOLDEN_TRACE)):
+        problems.extend(lint_file(GOLDEN_TRACE))
+        checked += 1
+    else:
+        problems.append(f"missing linted file: {GOLDEN_TRACE}")
     for problem in problems:
         print(f"dut-lint: {problem}", file=sys.stderr)
     if not problems:
