@@ -69,9 +69,15 @@ def _calibrated_cache(path):
     return cache
 
 
-def _coverage_key(outcome):
+def _records_key(result):
+    """The detection outcome of every record of one block's result."""
     return [(r.defect.defect_id, r.detected, r.detection_cycle)
-            for result in outcome.results.values() for r in result.records]
+            for r in result.records]
+
+
+def _coverage_key(outcome):
+    return [key for result in outcome.results.values()
+            for key in _records_key(result)]
 
 
 def test_engine_scaling(benchmark, tmp_path):
@@ -267,7 +273,7 @@ def test_variant_sweep_beats_sequential_single_variant_runs():
     from repro.engine import StudySpec, VariantSpec, build_study
 
     def digest(outcome):
-        return {block: _coverage_key(outcome.results[block])
+        return {block: _records_key(outcome.results[block])
                 for block in SWEEP_BLOCKS}
 
     # Three sequential single-variant runs, each with its own pool (what
@@ -315,7 +321,7 @@ def test_spec_compilation_overhead():
     """Declarative studies must compile for free next to running them.
 
     ``build_study`` resolves the canned block-study spec against the stage
-    registry and emits its ~600-task graph: the DUT build, the LWRS
+    registry and emits its ~90-task graph: the DUT build, the LWRS
     selection and the task/spec construction dominate.  Compiling the spec
     must stay under 1% of the default block study's serial wall-clock --
     the composition layer is free, the simulations are the cost.

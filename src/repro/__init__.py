@@ -73,8 +73,9 @@ the shell as ``repro-campaign run`` (see :mod:`repro.engine.cli`), e.g.::
     repro-campaign run block-study --workers 4 --cache-dir .repro-cache
 """
 
-from . import (adc, analysis, circuit, core, defects, digital, engine,
-               functional_test)
+import importlib
+
+from . import adc, circuit, core, defects, engine
 from .adc import SarAdc
 from .circuit import ReproError
 from .core import (SymBistController, SymBistResult, SymBistStimulus,
@@ -94,3 +95,17 @@ __all__ = [
     "calibrate_windows", "circuit", "core", "defects", "digital", "engine",
     "functional_test", "run_symbist",
 ]
+
+# Loaded on first attribute access (PEP 562): a study imports what it needs
+# of these inside the stages that use them.
+_LAZY_SUBPACKAGES = frozenset({"analysis", "digital", "functional_test"})
+
+
+def __getattr__(name):
+    if name in _LAZY_SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _LAZY_SUBPACKAGES)

@@ -546,10 +546,13 @@ register_stage(StageDefinition(
         StageParam("blocks", "str_list", default=None, nullable=True,
                    doc="restrict the campaign to these block paths "
                        "(default: every block)"),
-        StageParam("batch_size", "int", default=1,
+        StageParam("batch_size", "int", default=32,
                    doc="defects evaluated per task as one vectorized sweep "
                        "against a cached defect-free golden trace; results "
-                       "are bit-identical for every batch size"),
+                       "are bit-identical for every batch size.  The "
+                       "default is a constant, never derived from the "
+                       "worker count, because the batch layout is part of "
+                       "every task id and cache key"),
     )))
 
 register_stage(StageDefinition(

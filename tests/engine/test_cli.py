@@ -111,7 +111,7 @@ class TestParser:
         assert args.workers == 1
         assert _stage_params(load_study(args.study)) == {
             "samples": 60, "exhaustive": False, "exhaustive_threshold": 120,
-            "stop_on_detection": True, "blocks": None, "batch_size": 1}
+            "stop_on_detection": True, "blocks": None, "batch_size": 32}
         args = build_parser().parse_args(
             ["run", "block-study", "--backend", "shm", "--workers", "2",
              "--set", "campaign.blocks=sc_array,vcm_generator"])
@@ -123,11 +123,11 @@ class TestParser:
 
     def test_batch_size_flag(self):
         """The batch size is a spec entry (`--set campaign.batch_size=N`),
-        not a flag; it defaults to 1 and must be positive."""
+        not a flag; it defaults to 32 and must be positive."""
         from repro.circuit.errors import EngineError
         with pytest.raises(SystemExit):
             build_parser().parse_args(RUN + ["--batch-size", "64"])
-        assert _stage_params(load_study("block-study"))["batch_size"] == 1
+        assert _stage_params(load_study("block-study"))["batch_size"] == 32
         spec = load_study("block-study").override(
             dict([_parse_set_assignment("campaign.batch_size=64")]))
         assert _stage_params(spec)["batch_size"] == 64
@@ -341,7 +341,8 @@ class TestBlockStudyCommand:
                   "--set", "campaign.blocks=vcm_generator,offset_compensation"]
         unbatched_out = tmp_path / "unbatched.json"
         batched_out = tmp_path / "batched.json"
-        assert main(common + ["--json", str(unbatched_out)]) == 0
+        assert main(common + ["--set", "campaign.batch_size=1",
+                              "--json", str(unbatched_out)]) == 0
         assert main(common + ["--set", "campaign.batch_size=4",
                               "--json", str(batched_out)]) == 0
 

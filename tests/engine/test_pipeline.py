@@ -1,5 +1,7 @@
 """Tests for dependency-aware task graphs and the Pipeline API."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -380,9 +382,10 @@ class TestCalibrateThenCampaign:
 
     def test_single_report_spans_stages(self):
         outcome = run_study(_campaign_spec())
-        # MC calibration tasks + 1 windows reduction + 35 batches of one.
+        # MC calibration tasks + 1 windows reduction + 35 defects in
+        # batches of the default 32.
         assert outcome.report.n_tasks == \
-            MC + 1 + outcome.results[BLOCK].n_simulated
+            MC + 1 + math.ceil(outcome.results[BLOCK].n_simulated / 32)
         assert "calibrate" in outcome.report.group_durations
         assert BLOCK in outcome.report.group_durations
 
@@ -502,7 +505,7 @@ class TestBlockStudy:
 
     def test_single_report_spans_all_stages(self):
         outcome = self._study()
-        n_defect_tasks = sum(result.n_simulated
+        n_defect_tasks = sum(math.ceil(result.n_simulated / 32)
                              for result in outcome.results.values())
         n_blocks = len(STUDY_BLOCKS)
         assert outcome.report.n_tasks == MC + 2 * n_blocks + n_defect_tasks

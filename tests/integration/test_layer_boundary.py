@@ -8,6 +8,9 @@ This scans the model packages' source for any reference to those names.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -91,3 +94,34 @@ def test_core_does_not_import_the_defect_layer():
         for line, module in imported_modules(path)
         if module == "repro.defects" or module.startswith("repro.defects.")}
     assert offenders == {}
+
+
+#: Subpackages the CLI imports only inside the stages and subcommands that
+#: use them, never at start-up.
+ON_DEMAND = ("repro.digital", "repro.analysis", "repro.functional_test",
+             "repro.service", "repro.warehouse")
+
+
+def _modules_loaded_by(statement):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT.parent), env.get("PYTHONPATH")]))
+    script = f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, check=True)
+    return completed.stdout.split()
+
+
+def test_cli_import_loads_no_on_demand_subpackage():
+    loaded = _modules_loaded_by("import repro.engine.cli")
+    assert "repro.engine.cli" in loaded
+    assert [name for name in loaded
+            if name.startswith(ON_DEMAND)] == []
+
+
+def test_lazy_subpackages_load_on_first_access():
+    loaded = _modules_loaded_by(
+        "import repro\nrepro.digital\nfrom repro import functional_test\n"
+        "assert set(repro.__all__) <= set(dir(repro))")
+    assert {"repro.digital", "repro.functional_test"} <= set(loaded)
+    assert "repro.analysis" not in loaded
