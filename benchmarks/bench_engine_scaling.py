@@ -276,45 +276,57 @@ def test_variant_sweep_beats_sequential_single_variant_runs():
         return {block: _records_key(outcome.results[block])
                 for block in SWEEP_BLOCKS}
 
-    # Three sequential single-variant runs, each with its own pool (what
-    # three `repro-campaign run` invocations would do).
-    sequential_wall = 0.0
-    n_sequential_tasks = 0
-    sequential = {}
-    for name, dut in SWEEP_VARIANTS:
-        spec = StudySpec(name=f"single-{name}",
-                         seed=variant_seed(BENCHMARK_SEED, name),
-                         stages=_sweep_stages(), dut=dut).validated()
-        outcome = build_study(spec).run(
-            backend=SharedMemoryBackend(max_workers=N_WORKERS))
-        assert outcome.ok
-        sequential_wall += outcome.report.wall_time
-        n_sequential_tasks += outcome.report.n_tasks
-        sequential[name] = digest(outcome)
-
     sweep_spec = StudySpec(
         name="variant-sweep-bench", seed=BENCHMARK_SEED,
         stages=_sweep_stages(),
         variants=tuple(VariantSpec(name=name, dut=dut)
                        for name, dut in SWEEP_VARIANTS)).validated()
-    swept = build_study(sweep_spec).run(
-        backend=SharedMemoryBackend(max_workers=N_WORKERS))
-    assert swept.ok
 
-    for name, _ in SWEEP_VARIANTS:
-        assert digest(swept.variants[name]) == sequential[name]
+    # The two sides differ by less than a shared host's run-to-run noise,
+    # so each is timed over alternating rounds and compared by its fastest
+    # round, as test_batched_campaign_speedup does.
+    rounds = 2
+    sequential_walls, swept_walls = [], []
+    for _ in range(rounds):
+        # Three sequential single-variant runs, each with its own pool
+        # (what three `repro-campaign run` invocations would do).
+        sequential_wall = 0.0
+        n_sequential_tasks = 0
+        sequential = {}
+        for name, dut in SWEEP_VARIANTS:
+            spec = StudySpec(name=f"single-{name}",
+                             seed=variant_seed(BENCHMARK_SEED, name),
+                             stages=_sweep_stages(), dut=dut).validated()
+            outcome = build_study(spec).run(
+                backend=SharedMemoryBackend(max_workers=N_WORKERS))
+            assert outcome.ok
+            sequential_wall += outcome.report.wall_time
+            n_sequential_tasks += outcome.report.n_tasks
+            sequential[name] = digest(outcome)
+        sequential_walls.append(sequential_wall)
 
+        swept = build_study(sweep_spec).run(
+            backend=SharedMemoryBackend(max_workers=N_WORKERS))
+        assert swept.ok
+        swept_walls.append(swept.report.wall_time)
+
+        for name, _ in SWEEP_VARIANTS:
+            assert digest(swept.variants[name]) == sequential[name]
+
+    sequential_wall = min(sequential_walls)
+    swept_wall = min(swept_walls)
     print()
     print(format_table(
-        ["sweep shape", "workers", "#tasks", "wall (s)"],
+        ["sweep shape", "workers", "#tasks", "fastest wall (s)"],
         [[f"{len(SWEEP_VARIANTS)} sequential single-variant runs",
           N_WORKERS, n_sequential_tasks, f"{sequential_wall:.2f}"],
          ["variant sweep (one graph)", N_WORKERS,
-          swept.report.n_tasks, f"{swept.report.wall_time:.2f}"]],
+          swept.report.n_tasks, f"{swept_wall:.2f}"]],
         title=f"DUT corner sweep: one graph vs "
-              f"{len(SWEEP_VARIANTS)} sequential runs"))
+              f"{len(SWEEP_VARIANTS)} sequential runs, "
+              f"fastest of {rounds} rounds"))
 
-    assert swept.report.wall_time < sequential_wall
+    assert swept_wall < sequential_wall
 
 
 def test_spec_compilation_overhead():

@@ -20,6 +20,10 @@ for every defect-free instance too:
 * the RS latch (the only stateful element) is replayed per cycle from its
   reset state, exactly like
   :meth:`~repro.core.controller.SymBistController.run` does;
+* defects are collapsed by their effect: the residual matrix depends only
+  on the output of the defective stage, so it is memoised by that output
+  (:func:`stage_key`) and a defect whose stage output was seen before
+  skips the downstream propagation;
 * all window checks are one array comparison over the invariance x cycle
   residual matrix, and :func:`~repro.core.controller.resolve_detection`
   reads the first detection of the checking schedule from it;
@@ -32,11 +36,27 @@ and its own netlist/parameter state: stages upstream of and parallel to the
 defective block see identical inputs and a clean netlist, so recomputing them
 would reproduce the golden values exactly -- reusing the golden values is
 therefore indistinguishable from a full re-simulation.
+
+The residual memo is exact for the same reason.  Every stage downstream of
+the defective block has a clean netlist, so the residual matrix is a pure
+function of the defective stage's output.  Keys are the raw float64 bytes
+of every field of that output, never float equality: two defects share an
+entry only when their stage outputs are bit-equal, and ``-0.0`` against
+``0.0`` only costs a miss.  Entries hold residuals, not outcomes, so they
+survive :meth:`BatchedDefectEvaluator.set_deltas`; the window check runs
+per defect.  The memo lives on the evaluator, that is per clean-ADC
+fingerprint and per process, and is dropped with it.  It holds at most one
+entry per defect evaluated, each one read-only invariance x cycle matrix
+plus its key (about 2.2 kB on the paper's device).  Many defects perturb
+their block identically, and LWRS draws with replacement, so entries are
+far fewer than defects: the 2775 defects of the paper's device collapse to
+665 distinct stage outputs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import fields, is_dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -84,6 +104,13 @@ STAGE_DOWNSTREAM: Dict[str, frozenset] = {
     "rs": frozenset(),
 }
 
+#: The :class:`~repro.core.golden_trace.GoldenTrace` field that holds each
+#: stage's output.
+STAGE_TRACE_FIELD: Dict[str, str] = {
+    "op": "op", "vcm": "vcm", "sub1": "sub1", "sub2": "sub2", "sc": "sc",
+    "pre": "pre", "latch": "ql", "rs": "q",
+}
+
 
 class BatchedDefectEvaluator:
     """Evaluates defects of one campaign against a shared golden trace.
@@ -106,6 +133,12 @@ class BatchedDefectEvaluator:
             else build_invariances()
         self.set_deltas(deltas)
         self.golden = build_golden_trace(adc, stimulus, self.invariances)
+        self._golden_residuals = np.array(
+            [self.golden.residuals[inv.name] for inv in self.invariances])
+        self._golden_residuals.flags.writeable = False
+        #: Settled residual matrix (invariances x cycles, read-only) of each
+        #: distinct defective-stage output seen so far, by :func:`stage_key`.
+        self.memo: Dict[Tuple[str, bytes], np.ndarray] = {}
 
     def set_deltas(self, deltas: Dict[str, float]) -> None:
         """Rebuild the comparison windows for a new delta table.
@@ -146,8 +179,7 @@ class BatchedDefectEvaluator:
         """
         if not self.is_local(defect):
             return None
-        settled = self._settled_residuals(LOCAL_STAGE[defect.block_path])
-        residuals = np.array([settled[inv.name] for inv in self.invariances])
+        residuals = self._settled_residuals(LOCAL_STAGE[defect.block_path])
         outside = np.abs(residuals - self._centers - self._offsets) \
             > self._deltas
         passed, first, _, cycles_run = resolve_detection(
@@ -157,21 +189,72 @@ class BatchedDefectEvaluator:
         return (not passed, self.invariances[first[0]].name, first[1],
                 cycles_run)
 
-    def _settled_residuals(self, stage: str) -> Dict[str, np.ndarray]:
-        """Per-invariance settled residual columns for a defect local to
-        ``stage``.
+    def _settled_residuals(self, stage: str) -> np.ndarray:
+        """The read-only invariance x cycle residual matrix of a defect
+        local to ``stage``.
 
         Only the defective stage itself is unconditionally recomputed (its
-        netlist carries the defect).  Every downstream stage has a *clean*
-        netlist and is a pure function of its inputs, so it is recomputed
-        only for the codes whose inputs actually differ from the golden
-        trace -- where the inputs are bit-equal, recomputing would reproduce
-        the golden value exactly, and the golden value is reused instead.
-        The per-code/per-cycle ``changed`` flags below track exactly that
-        input-difference condition.  When no stage output changed, the
-        golden residuals are returned as they are; otherwise the changed
-        stages' signal columns replace the golden ones and every invariance
-        is evaluated once over the columns.
+        netlist carries the defect), on the golden values of its inputs.
+        When its output is equal to the golden one, every signal is too and
+        the golden residuals are returned.  Otherwise the residuals are a
+        pure function of that output, so they are looked up in
+        :attr:`memo` by :func:`stage_key` and propagated downstream only on
+        a miss.
+        """
+        golden = self.golden
+        output = self._defective_output(stage)
+        if output == getattr(golden, STAGE_TRACE_FIELD[stage]):
+            return self._golden_residuals
+        key = stage_key(stage, output)
+        residuals = self.memo.get(key)
+        if residuals is None:
+            residuals = self._propagate(stage, output)
+            residuals.flags.writeable = False
+            self.memo[key] = residuals
+        return residuals
+
+    def _defective_output(self, stage: str):
+        """The defective ``stage`` recomputed on its golden inputs (every
+        stage upstream of it is clean)."""
+        golden = self.golden
+        cell = self.adc.sarcell
+        codes = range(self.stimulus.n_codes)
+        if stage == "op":
+            return self.adc.operating_point(
+                input_diff=self.stimulus.input_diff,
+                input_cm=self.stimulus.input_cm)
+        if stage == "vcm":
+            return cell.vcm_generator.evaluate(golden.op.vbg)
+        if stage == "sub1":
+            return cell.dac.subdac1.sweep(codes, golden.op.vref)
+        if stage == "sub2":
+            return cell.dac.subdac2.sweep(codes, golden.op.vref)
+        if stage == "sc":
+            return cell.dac.sc_array.sweep(sc_array_inputs(
+                self.adc.dut, golden.op, golden.vcm, golden.sub1,
+                golden.sub2, codes))
+        if stage == "pre":
+            return cell.comparator.preamplifier.sweep(
+                [(out.dac_p, out.dac_m) for out in golden.sc],
+                golden.op.ibias, cell.comparator.offset_compensation)
+        if stage == "latch":
+            return cell.comparator.latch.sweep(
+                [(out.lin_p, out.lin_m) for out in golden.pre])
+        return cell.comparator.rs_latch.replay(
+            [golden.ql[c] for c in golden.cycle_codes.tolist()])
+
+    def _propagate(self, stage: str, output) -> np.ndarray:
+        """Residual matrix of a defective ``stage`` whose ``output`` differs
+        from the golden trace.
+
+        Every downstream stage has a *clean* netlist and is a pure function
+        of its inputs, so it is recomputed only for the codes whose inputs
+        actually differ from the golden trace -- where the inputs are
+        bit-equal, recomputing would reproduce the golden value exactly, and
+        the golden value is reused instead.  The per-code/per-cycle
+        ``changed`` flags below track exactly that input-difference
+        condition.  The changed stages' signal columns then replace the
+        golden ones and every invariance is evaluated once over the columns.
         """
         golden = self.golden
         adc = self.adc
@@ -181,102 +264,129 @@ class BatchedDefectEvaluator:
         codes = range(n_codes)
         no_change = [False] * n_codes
 
-        if stage == "op":
-            op = adc.operating_point(input_diff=stimulus.input_diff,
-                                     input_cm=stimulus.input_cm)
-            op_changed = op != golden.op
-        else:
-            op = golden.op
-            op_changed = False
+        op_changed = stage == "op"
+        op = output if op_changed else golden.op
 
-        if stage == "vcm" or op_changed:
+        if stage == "vcm":
+            vcm = output
+        elif op_changed:
             vcm = cell.vcm_generator.evaluate(op.vbg)
         else:
             vcm = golden.vcm
         vcm_changed = vcm != golden.vcm
 
-        if stage == "sub1" or op_changed:
-            sub1 = cell.dac.subdac1.sweep(codes, op.vref)
-            changed1 = [sub1[c] != golden.sub1[c] for c in codes]
+        if stage == "sub1":
+            sub1, changed1 = _merge(golden.sub1, codes, output)
+        elif op_changed:
+            sub1, changed1 = _merge(golden.sub1, codes,
+                                    cell.dac.subdac1.sweep(codes, op.vref))
         else:
             sub1, changed1 = golden.sub1, no_change
-        if stage == "sub2" or op_changed:
-            sub2 = cell.dac.subdac2.sweep(codes, op.vref)
-            changed2 = [sub2[c] != golden.sub2[c] for c in codes]
+        if stage == "sub2":
+            sub2, changed2 = _merge(golden.sub2, codes, output)
+        elif op_changed:
+            sub2, changed2 = _merge(golden.sub2, codes,
+                                    cell.dac.subdac2.sweep(codes, op.vref))
         else:
             sub2, changed2 = golden.sub2, no_change
 
         if stage == "sc":
-            dirty_sc = [True] * n_codes
+            sc, changed_sc = _merge(golden.sc, codes, output)
         else:
-            dirty_sc = [op_changed or vcm_changed or changed1[c] or changed2[c]
-                        for c in codes]
-        sc = list(golden.sc)
-        changed_sc = list(no_change)
-        sc_codes = [c for c in codes if dirty_sc[c]]
-        if sc_codes:
+            sc_codes = [c for c in codes if op_changed or vcm_changed
+                        or changed1[c] or changed2[c]]
             swept = cell.dac.sc_array.sweep(
-                sc_array_inputs(adc.dut, op, vcm, sub1, sub2, sc_codes))
-            for c, out in zip(sc_codes, swept):
-                sc[c] = out
-                changed_sc[c] = out != golden.sc[c]
+                sc_array_inputs(adc.dut, op, vcm, sub1, sub2, sc_codes)) \
+                if sc_codes else []
+            sc, changed_sc = _merge(golden.sc, sc_codes, swept)
 
         if stage == "pre":
-            pre_codes = list(codes)
+            pre, changed_pre = _merge(golden.pre, codes, output)
         else:
             pre_codes = [c for c in codes if op_changed or changed_sc[c]]
-        pre = list(golden.pre)
-        changed_pre = list(no_change)
-        if pre_codes:
             swept = cell.comparator.preamplifier.sweep(
                 [(sc[c].dac_p, sc[c].dac_m) for c in pre_codes], op.ibias,
-                cell.comparator.offset_compensation)
-            for c, out in zip(pre_codes, swept):
-                pre[c] = out
-                changed_pre[c] = out != golden.pre[c]
+                cell.comparator.offset_compensation) if pre_codes else []
+            pre, changed_pre = _merge(golden.pre, pre_codes, swept)
 
         if stage == "latch":
-            ql_codes = list(codes)
+            ql, ql_changed = _merge(golden.ql, codes, output)
         else:
             ql_codes = [c for c in codes if changed_pre[c]]
-        ql = list(golden.ql)
-        ql_changed = list(no_change)
-        if ql_codes:
             swept = cell.comparator.latch.sweep(
-                [(pre[c].lin_p, pre[c].lin_m) for c in ql_codes])
-            for c, out in zip(ql_codes, swept):
-                ql[c] = out
-                ql_changed[c] = out != golden.ql[c]
+                [(pre[c].lin_p, pre[c].lin_m) for c in ql_codes]) \
+                if ql_codes else []
+            ql, ql_changed = _merge(golden.ql, ql_codes, swept)
 
         # The RS latch is the only stateful element.  It must be replayed
         # from reset when its own netlist is defective or any of its inputs
         # changed; otherwise the replay would reproduce the golden per-cycle
         # outputs exactly and they are reused instead.
         cycle_codes = golden.cycle_codes
-        q_changed = False
-        if stage == "rs" or any(ql_changed):
+        if stage == "rs":
+            q = output
+        elif any(ql_changed):
             q = cell.comparator.rs_latch.replay(
                 [ql[c] for c in cycle_codes.tolist()])
-            q_changed = q != golden.q
+        else:
+            q = golden.q
+        q_changed = q != golden.q
 
-        changed = {"sub1": any(changed1), "sub2": any(changed2),
-                   "sc": any(changed_sc), "pre": any(changed_pre),
-                   "ql": any(ql_changed)}
-        if not (op_changed or vcm_changed or q_changed
-                or any(changed.values())):
-            # Every signal is bit-equal to the golden trace, so every
-            # invariance residual is too.
-            return golden.residuals
         columns = dict(golden.columns)
         if op_changed or vcm_changed:
             columns.update(operating_columns(adc.dut, op, vcm,
                                              stimulus.n_cycles))
-        outputs = {"sub1": sub1, "sub2": sub2, "sc": sc, "pre": pre,
-                   "ql": ql}
-        for name, stage_changed in changed.items():
-            if stage_changed:
+        changed = {"sub1": (sub1, changed1), "sub2": (sub2, changed2),
+                   "sc": (sc, changed_sc), "pre": (pre, changed_pre),
+                   "ql": (ql, ql_changed)}
+        for name, (outputs, flags) in changed.items():
+            if any(flags):
                 columns.update(output_columns(
-                    outputs[name], CODE_STAGE_SIGNALS[name], cycle_codes))
+                    outputs, CODE_STAGE_SIGNALS[name], cycle_codes))
         if q_changed:
             columns.update(output_columns(q, RS_SIGNALS))
-        return residual_columns(self.invariances, columns)
+        residuals = residual_columns(self.invariances, columns)
+        return np.array([residuals[inv.name] for inv in self.invariances])
+
+
+def _merge(golden: List, codes: Sequence[int], swept: Sequence
+           ) -> Tuple[List, List[bool]]:
+    """The golden per-code outputs with each code of ``codes`` replaced by
+    its ``swept`` output, and per-code flags of which outputs changed."""
+    outputs = list(golden)
+    changed = [False] * len(golden)
+    for c, out in zip(codes, swept):
+        outputs[c] = out
+        changed[c] = out != golden[c]
+    return outputs, changed
+
+
+def _float_values(output) -> List:
+    """Every value of a stage output, in order: each field of a dataclass
+    (:func:`dataclasses.fields`; a stage's per-code or per-cycle outputs
+    share one type) and each item of a list, flattened."""
+    if is_dataclass(output):
+        output = [output]
+    elif not isinstance(output, list):
+        return [output]
+    if output and is_dataclass(output[0]):
+        names = [f.name for f in fields(output[0])]
+        output = [getattr(item, name) for item in output for name in names]
+    values: List = []
+    for value in output:
+        if isinstance(value, list):
+            values.extend(_float_values(value))
+        else:
+            values.append(value)
+    return values
+
+
+def stage_key(stage: str, output) -> Tuple[str, bytes]:
+    """Memo key of one stage output: the stage name and the float64 bytes
+    of every value of the output (:func:`_float_values`).
+
+    Two outputs get the same key only when they are bit-equal, so ``-0.0``
+    and ``0.0`` -- equal as floats -- get different keys and cost at most a
+    memo miss, never a wrong hit.
+    """
+    return stage, np.array(_float_values(output), dtype=np.float64).tobytes()

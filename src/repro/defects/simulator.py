@@ -35,6 +35,7 @@ import hashlib
 import pickle
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -376,11 +377,16 @@ class DefectCampaign:
         self.seconds_per_cycle = seconds_per_cycle
         self.hierarchy = self.adc.build_hierarchy()
         self.likelihood_model = likelihood_model
-        self.universe = build_defect_universe(self.hierarchy, likelihood_model)
         self.injector = DefectInjector(self.hierarchy)
         #: Batched-evaluation state, keyed by ADC fingerprint so a golden
         #: trace is never reused across different IP states.
         self._batch_evaluators: Dict[str, BatchedDefectEvaluator] = {}
+
+    @cached_property
+    def universe(self) -> DefectUniverse:
+        """The IP's defect universe, enumerated on first use: a study's
+        campaign workers only evaluate the defects their tasks carry."""
+        return build_defect_universe(self.hierarchy, self.likelihood_model)
 
     def _adc_fingerprint(self) -> str:
         return adc_fingerprint(self.adc, self.hierarchy)

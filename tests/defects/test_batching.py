@@ -10,10 +10,14 @@ Three pillars of the batching equivalence guarantee:
   variant -- and so is every batched defect record (the
   ``simulate_defect`` oracle);
 * a defect that is not provably local to one pipeline stage falls back to
-  the full simulation and produces the exact same record.
+  the full simulation and produces the exact same record;
+* every block of the IP is local to its mapped stage (the locality
+  oracle), and the residual memo keyed by the defective stage's output
+  (:func:`~repro.defects.batching.stage_key`) covers every bit of that
+  output and returns the records a fresh evaluator returns.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,8 +31,10 @@ from repro.core import (build_golden_trace, build_invariances,
                         calibrate_windows, run_symbist)
 from repro.core.stimulus import SymBistStimulus
 from repro.core.test_time import CheckingMode
-from repro.defects import (DefectCampaign, LOCAL_STAGE, STAGE_DOWNSTREAM,
-                           batch_spans)
+from repro.defects import (DefectCampaign, DefectInjector, LOCAL_STAGE,
+                           STAGE_DOWNSTREAM, batch_spans,
+                           build_defect_universe)
+from repro.defects.batching import STAGE_TRACE_FIELD, stage_key
 from repro.dut import default_dut
 
 
@@ -227,3 +233,171 @@ class TestWholeUniverseOracle:
                       if _record_key(record)
                       != _record_key(campaign.simulate_defect(defect))]
         assert mismatches == []
+
+
+# --------------------------------------------------------- locality oracle
+def _defect_cone(defect):
+    """The stages a defect may change: its block's stage, that stage's
+    downstream closure and the RS latch, which is downstream of every
+    stage (:data:`STAGE_DOWNSTREAM` leaves it out because it is always
+    replayed)."""
+    stage = LOCAL_STAGE[defect.block_path]
+    return {stage, "rs"} | STAGE_DOWNSTREAM[stage]
+
+
+def _stages_outside_cone_changed(defects):
+    """``(defect_id, stage)`` of every stage outside a defect's cone whose
+    output in the injected ADC's golden trace is not bit-equal to the
+    clean trace's."""
+    adc = SarAdc()
+    hierarchy = adc.build_hierarchy()
+    injector = DefectInjector(hierarchy)
+    stimulus = SymBistStimulus()
+    clean = build_golden_trace(adc, stimulus)
+    changed = []
+    for defect in defects:
+        with injector.injected(defect):
+            trace = build_golden_trace(adc, stimulus)
+        for stage, name in STAGE_TRACE_FIELD.items():
+            if stage not in _defect_cone(defect) and \
+                    stage_key(stage, getattr(trace, name)) != \
+                    stage_key(stage, getattr(clean, name)):
+                changed.append((defect.defect_id, stage))
+    return changed
+
+
+def _default_universe():
+    return build_defect_universe(SarAdc().build_hierarchy())
+
+
+class TestLocalityOracle:
+    def test_every_ams_block_is_in_the_locality_map(self):
+        """Every analog block of the IP's hierarchy -- not only those the
+        defect universe happens to hold -- is mapped to its stage."""
+        blocks = [entry.path
+                  for entry in SarAdc().build_hierarchy().blocks("ams")]
+        assert blocks
+        assert set(blocks) <= set(LOCAL_STAGE)
+
+    def test_every_tenth_defect_changes_only_its_cone(self):
+        """Injecting a defect leaves every stage outside its block's stage
+        and downstream closure bit-equal to the clean golden trace."""
+        assert _stages_outside_cone_changed(
+            _default_universe().defects[::10]) == []
+
+    @pytest.mark.slow
+    def test_every_defect_changes_only_its_cone(self):
+        defects = _default_universe().defects
+        assert len(defects) == 2775
+        assert _stages_outside_cone_changed(defects) == []
+
+
+# ------------------------------------------------------------ residual memo
+def _records(campaign, defects):
+    return [_record_key(r) for r in campaign.simulate_defect_batch(defects)]
+
+
+@pytest.fixture(scope="module")
+def warm_campaign(deltas):
+    """A campaign whose evaluator has seen every defect of the universe."""
+    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
+    campaign.simulate_defect_batch(campaign.universe.defects)
+    return campaign
+
+
+def _block_memo_keys(deltas, block):
+    """Memo keys of a fresh evaluator that evaluated ``block``'s defects."""
+    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
+    defects = campaign.universe.by_block(block).defects
+    campaign.simulate_defect_batch(defects)
+    keys = set(campaign._batch_evaluator().memo)
+    assert 0 < len(keys) < len(defects)
+    return keys
+
+
+def _one_ulp_variants(output):
+    """Every copy of a stage output with exactly one float moved up by one
+    ulp, in field order, enumerated through :func:`dataclasses.fields`
+    independently of :func:`stage_key`."""
+    if isinstance(output, float):
+        return [float(np.nextafter(output, np.inf))]
+    if isinstance(output, list):
+        return [output[:i] + [variant] + output[i + 1:]
+                for i, item in enumerate(output)
+                for variant in _one_ulp_variants(item)]
+    return [replace(output, **{f.name: variant})
+            for f in fields(output)
+            for variant in _one_ulp_variants(getattr(output, f.name))]
+
+
+class TestResidualMemo:
+    def test_warm_memo_matches_fresh_evaluators_under_two_windows(
+            self, warm_campaign, deltas):
+        """Records from an evaluator that has seen the whole universe equal
+        those of an evaluator per defect (empty memo), for two delta tables
+        switched through ``set_deltas``: the memo holds residuals, not
+        outcomes."""
+        defects = warm_campaign.universe.defects[::10]
+        evaluator = warm_campaign._batch_evaluator()
+        n_entries = len(evaluator.memo)
+        tight = {name: 0.25 * delta for name, delta in deltas.items()}
+        per_table = []
+        for table in (deltas, tight):
+            warm_campaign.deltas = dict(table)
+            warm = _records(warm_campaign, defects)
+            assert warm_campaign._batch_evaluator() is evaluator
+            fresh_campaign = DefectCampaign(adc=SarAdc(), deltas=table)
+            fresh = []
+            for defect in defects:
+                fresh_campaign._batch_evaluators.clear()
+                fresh += _records(fresh_campaign, [defect])
+            assert warm == fresh
+            per_table.append(warm)
+        warm_campaign.deltas = dict(deltas)
+        assert per_table[0] != per_table[1]
+        assert len(evaluator.memo) == n_entries  # every lookup was a hit
+
+    def test_defects_collapse_onto_stage_outputs(self, warm_campaign, deltas):
+        """The default universe needs fewer entries than defects, and the
+        entries are keyed by stage output, not by block: the blocks of the
+        ``op`` and the ``pre`` stage fill one key space each."""
+        memo = warm_campaign._batch_evaluator().memo
+        assert len(memo) < len(warm_campaign.universe)
+        for stage, blocks in (("op", ("bandgap", "reference_buffer")),
+                              ("pre", ("preamplifier",
+                                       "offset_compensation"))):
+            assert {key for key in memo if key[0] == stage} == \
+                set().union(*(_block_memo_keys(deltas, block)
+                              for block in blocks))
+
+    def test_stored_matrices_are_read_only(self, warm_campaign):
+        memo = warm_campaign._batch_evaluator().memo
+        n_invariances = len(build_invariances())
+        for matrix in memo.values():
+            assert not matrix.flags.writeable
+            assert matrix.dtype == np.float64
+            assert matrix.shape == (n_invariances,
+                                    SymBistStimulus().n_cycles)
+        with pytest.raises(ValueError):
+            next(iter(memo.values()))[0, 0] = 0.0
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_TRACE_FIELD))
+    def test_key_holds_every_field_bit_for_bit(self, stage):
+        """Each float of the stage output -- every dataclass field, every
+        code or cycle, in order -- is one float64 word of the key, so a
+        one-ulp move of any of them changes exactly that word."""
+        golden = build_golden_trace(SarAdc(), SymBistStimulus())
+        output = getattr(golden, STAGE_TRACE_FIELD[stage])
+        name, key = stage_key(stage, output)
+        assert name == stage
+        variants = _one_ulp_variants(output)
+        assert len(key) == 8 * len(variants)
+        for index, variant in enumerate(variants):
+            moved = stage_key(stage, variant)[1]
+            words = [i for i in range(len(variants))
+                     if moved[8 * i:8 * i + 8] != key[8 * i:8 * i + 8]]
+            assert words == [index]
+
+    def test_signed_zeros_get_different_keys(self):
+        assert stage_key("vcm", 0.0) != stage_key("vcm", -0.0)
+        assert stage_key("vcm", 0.5) == stage_key("vcm", 0.5)

@@ -18,6 +18,26 @@ class TestCampaignSetup:
         assert len(campaign.universe) > 1000
         assert campaign.universe.block_paths()[0] == "bandgap"
 
+    def test_universe_is_enumerated_on_first_read(self, deltas, monkeypatch):
+        """A study's campaign workers construct a campaign per process but
+        never read its universe, so construction must not enumerate it."""
+        from repro.defects import simulator
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build_defect_universe(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "build_defect_universe",
+                            counting_build)
+        campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
+        assert calls == []
+        universe = campaign.universe
+        assert len(calls) == 1
+        assert campaign.universe is universe
+        assert len(calls) == 1
+        assert len(universe) == 2775
+
 
 class TestSingleDefectSimulation:
     def test_detected_defect_record(self, campaign):
