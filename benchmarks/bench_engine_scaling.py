@@ -199,37 +199,50 @@ def test_block_study_beats_sequential_per_block_loop(tmp_path):
         pytest.skip("single-CPU runner: pool utilization not measurable")
     overrides = {"samples": BLOCK_SAMPLES,
                  "exhaustive_threshold": BLOCK_EXHAUSTIVE_THRESHOLD}
-    pooled = run_study(_spec(**overrides),
-                       backend=SharedMemoryBackend(max_workers=N_WORKERS),
-                       cache=_calibrated_cache(tmp_path / "pooled"))
-    blocks = list(pooled.results)
+    # The two sides differ by less than a shared host's run-to-run noise,
+    # so each is timed over alternating rounds and compared by its fastest
+    # round, as test_variant_sweep_beats_sequential_single_variant_runs
+    # does.  Every round starts from its own calibration-only caches.
+    rounds = 2
+    pooled_walls, sequential_walls = [], []
+    for index in range(rounds):
+        pooled = run_study(
+            _spec(**overrides),
+            backend=SharedMemoryBackend(max_workers=N_WORKERS),
+            cache=_calibrated_cache(tmp_path / f"pooled-{index}"))
+        pooled_walls.append(pooled.report.wall_time)
+        blocks = list(pooled.results)
 
-    # The per-block shape: one serial study per block (per-block seeds
-    # derive from the root seed + block path, so both flows simulate
-    # identical defects).
-    sequential_wall = 0.0
-    sequential_key = []
-    n_tasks = 0
-    sequential_cache = _calibrated_cache(tmp_path / "sequential")
-    for block in blocks:
-        outcome = run_study(_spec(blocks=[block], **overrides),
-                            backend=SerialBackend(), cache=sequential_cache)
-        sequential_wall += outcome.report.wall_time
-        sequential_key.extend(_coverage_key(outcome))
-        n_tasks += outcome.report.n_tasks
-    report = pooled.report
+        # The per-block shape: one serial study per block (per-block seeds
+        # derive from the root seed + block path, so both flows simulate
+        # identical defects).
+        sequential_wall = 0.0
+        sequential_key = []
+        n_tasks = 0
+        sequential_cache = _calibrated_cache(tmp_path / f"sequential-{index}")
+        for block in blocks:
+            outcome = run_study(_spec(blocks=[block], **overrides),
+                                backend=SerialBackend(),
+                                cache=sequential_cache)
+            sequential_wall += outcome.report.wall_time
+            sequential_key.extend(_coverage_key(outcome))
+            n_tasks += outcome.report.n_tasks
+        sequential_walls.append(sequential_wall)
+        assert _coverage_key(pooled) == sequential_key  # same records
 
+    pooled_wall = min(pooled_walls)
+    sequential_wall = min(sequential_walls)
     print()
     print(format_table(
-        ["sweep shape", "workers", "#tasks", "wall (s)", "tasks/s"],
+        ["sweep shape", "workers", "#tasks", "fastest wall (s)"],
         [["sequential per-block studies", 1, n_tasks,
-          f"{sequential_wall:.2f}", f"{n_tasks / sequential_wall:.1f}"],
-         ["one graph", N_WORKERS, report.n_tasks,
-          f"{report.wall_time:.2f}", f"{report.tasks_per_second:.1f}"]],
-        title=f"per-block sweep: one graph vs {len(blocks)} sequential runs"))
+          f"{sequential_wall:.2f}"],
+         ["one graph", N_WORKERS, pooled.report.n_tasks,
+          f"{pooled_wall:.2f}"]],
+        title=f"per-block sweep: one graph vs {len(blocks)} sequential runs, "
+              f"fastest of {rounds} rounds"))
 
-    assert _coverage_key(pooled) == sequential_key  # same records
-    assert report.wall_time < sequential_wall
+    assert pooled_wall < sequential_wall
 
 
 #: Variant corners of the multi-DUT sweep comparison.

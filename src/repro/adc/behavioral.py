@@ -17,7 +17,10 @@ block uses the same conventions:
 * :func:`passive_state` returns the effective electrical role of a resistor or
   capacitor (value, shorted, or open),
 * :class:`StageEffect` accumulates the behavioral consequences of several
-  device defects inside one amplifier/buffer stage.
+  device defects inside one amplifier/buffer stage,
+* :func:`clamp_column` and :func:`tanh_column` are the two element-wise
+  operations of the blocks' column kernels that numpy cannot be trusted to
+  compute as Python does (see their docstrings).
 
 The mappings are deliberately conservative and documented: they follow the
 standard reasoning used in defect-oriented A/M-S test (a drain-source short
@@ -27,9 +30,12 @@ circuit, a gate-source short turns an enhancement device off, ...).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Tuple
+
+import numpy as np
 
 from ..circuit.components import Device, DeviceKind, PullDirection
 from ..circuit.errors import DefectError
@@ -150,24 +156,6 @@ def switch_state(device: Device, nominal_on: bool) -> bool:
     return nominal_on
 
 
-def switch_conductance(device: Device, nominal_on: bool,
-                       ron_nominal: float) -> float:
-    """Conductance contributed by a (possibly defective) tap/sampling switch.
-
-    A switch that is effectively off (see :func:`switch_state`) contributes
-    zero conductance; an effectively-on switch contributes ``1 / ron`` with
-    the on-resistance read from the device parameters (falling back to
-    ``ron_nominal``) and floored at 1 mOhm.  This is the shared arithmetic of
-    every conductance-weighted multiplexer/sampler in the ADC model, kept in
-    one place so the scalar and the batched evaluation paths agree
-    bit-for-bit.
-    """
-    if not switch_state(device, nominal_on):
-        return 0.0
-    ron = float(device.params.get("ron", ron_nominal))
-    return 1.0 / max(ron, 1e-3)
-
-
 def passive_state(device: Device) -> Tuple[PassiveState, float]:
     """Return the effective role and value of a resistor or capacitor.
 
@@ -208,6 +196,28 @@ def effective_capacitance(device: Device) -> Tuple[float, bool]:
     if state is PassiveState.SHORTED:
         return device.effective_value(), True
     return value, False
+
+
+def clamp_column(values: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``min(max(v, low), high)`` per element, exactly as Python computes it.
+
+    Python's ``max(v, low)`` keeps ``v`` unless ``low > v`` and ``min(w,
+    high)`` keeps ``w`` unless ``high < w``; the two ``np.where`` calls make
+    the same choices, so a ``-0.0`` (or NaN) input survives as it would in
+    the scalar code.  ``np.clip`` / ``np.maximum`` may return either zero
+    when comparing ``-0.0`` with ``0.0`` on their SIMD paths.
+    """
+    values = np.where(low > values, low, values)
+    return np.where(high < values, high, values)
+
+
+def tanh_column(values: np.ndarray) -> np.ndarray:
+    """libm ``tanh`` of every element (``math.tanh`` over ``.tolist()``).
+
+    numpy's own ``tanh`` uses SIMD approximations on some hosts whose
+    results differ from libm's in the last bit.
+    """
+    return np.array([math.tanh(v) for v in values.tolist()], dtype=float)
 
 
 @dataclass

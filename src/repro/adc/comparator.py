@@ -26,10 +26,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..dut import DutSpec, default_dut
-from .behavioral import (MosState, PassiveState, combine_effects,
-                         diff_stage_effect, mos_state, passive_state,
-                         switch_state)
+from .behavioral import (MosState, PassiveState, clamp_column,
+                         combine_effects, diff_stage_effect, mos_state,
+                         passive_state, switch_state, tanh_column)
 from .block import AnalogBlock
 
 
@@ -149,13 +151,24 @@ class Preamplifier(AnalogBlock):
 
     def sweep(self, pairs: "Sequence[Tuple[float, float]]", ibias: float,
               offset_comp: OffsetCompensation) -> "List[PreampOutput]":
-        """Amplify many ``(dac_p, dac_m)`` pairs against one defect state.
+        """Amplify many ``(dac_p, dac_m)`` pairs against one defect state:
+        :meth:`columns` over the pairs."""
+        dac = np.array(pairs, dtype=float).reshape(-1, 2)
+        lin_p, lin_m = self.columns(self.resolve(ibias, offset_comp),
+                                    dac[:, 0], dac[:, 1])
+        return [PreampOutput(lin_p=p, lin_m=m)
+                for p, m in zip(lin_p.tolist(), lin_m.tolist())]
 
-        Everything except the final differential arithmetic -- the offset
-        compensation, the bias point, and the structural stage effects -- is
-        a pure function of the netlist state, the block parameters and
-        ``ibias``, so it is resolved once for the whole sweep.  This is the
-        pre-amplifier hot path of the batched defect evaluator.
+    def resolve(self, ibias: float, offset_comp: OffsetCompensation
+                ) -> Tuple[float, float, float, Optional[float],
+                           Optional[float]]:
+        """Input-independent state of the stage, the argument of
+        :meth:`columns`: ``(offset, vcm2, gain, stuck_p, stuck_n)``.
+
+        The offset compensation, the bias point and the structural stage
+        effects are a pure function of the netlist state, the block
+        parameters and ``ibias``.  ``stuck_p`` / ``stuck_n`` is the level an
+        output is pinned at, or ``None``.
         """
         comp_factor, extra_offset, stuck_side = offset_comp.evaluate()
         offset = self.parameter("raw_offset") * (1.0 - comp_factor) \
@@ -204,27 +217,27 @@ class Preamplifier(AnalogBlock):
         gain *= max(amp.gain_scale, 0.0)
         vcm2 += amp.cm_shift
         offset += amp.offset
+        # A shorted auto-zero capacitor pins its output after the stage.
+        stuck_p = 0.2 if stuck_side == "p" else amp.stuck_positive
+        stuck_n = 0.2 if stuck_side == "n" else amp.stuck_negative
+        return offset, vcm2, gain, stuck_p, stuck_n
 
+    def columns(self, resolved: tuple, dac_p: np.ndarray,
+                dac_m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``LIN+`` / ``LIN-`` columns of many ``DAC+/-`` pairs against one
+        state from :meth:`resolve`: the stage's only per-pair arithmetic."""
+        offset, vcm2, gain, stuck_p, stuck_n = resolved
         swing = self.SWING_LIMIT
-        outputs = []
-        for dac_p, dac_m in pairs:
-            diff_in = dac_p - dac_m + offset
-            diff_out = 2.0 * swing * math.tanh(gain * diff_in / (2.0 * swing))
-
-            lin_p = vcm2 + 0.5 * diff_out
-            lin_m = vcm2 - 0.5 * diff_out
-            if amp.stuck_positive is not None:
-                lin_p = amp.stuck_positive
-            if amp.stuck_negative is not None:
-                lin_m = amp.stuck_negative
-            if stuck_side == "p":
-                lin_p = 0.2
-            elif stuck_side == "n":
-                lin_m = 0.2
-            lin_p = min(max(lin_p, self.dut.vss), vdd)
-            lin_m = min(max(lin_m, self.dut.vss), vdd)
-            outputs.append(PreampOutput(lin_p=lin_p, lin_m=lin_m))
-        return outputs
+        diff_in = dac_p - dac_m + offset
+        diff_out = 2.0 * swing * tanh_column(gain * diff_in / (2.0 * swing))
+        lin_p = vcm2 + 0.5 * diff_out
+        lin_m = vcm2 - 0.5 * diff_out
+        if stuck_p is not None:
+            lin_p = np.full(lin_p.shape, stuck_p)
+        if stuck_n is not None:
+            lin_m = np.full(lin_m.shape, stuck_n)
+        return (clamp_column(lin_p, self.dut.vss, self.dut.vdd),
+                clamp_column(lin_m, self.dut.vss, self.dut.vdd))
 
 
 def _stage_stuck(key: str, value: float):
@@ -276,78 +289,68 @@ class ComparatorLatch(AnalogBlock):
         return self.sweep(((lin_p, lin_m),))[0]
 
     def sweep(self, pairs: Sequence[Tuple[float, float]]) -> List[LatchOutput]:
-        """Resolve many ``(lin_p, lin_m)`` pairs against one defect state.
+        """Resolve many ``(lin_p, lin_m)`` pairs against one defect state:
+        :meth:`columns` over the pairs."""
+        lin = np.array(pairs, dtype=float).reshape(-1, 2)
+        q_p, q_m = self.columns(self.resolve(), lin[:, 0], lin[:, 1])
+        return [LatchOutput(q_p=p, q_m=m)
+                for p, m in zip(q_p.tolist(), q_m.tolist())]
 
-        The clock and cross-coupled device states are a pure function of the
-        netlist state and are resolved once for the whole sweep; the per-pair
-        arithmetic is unchanged.
+    def resolve(self) -> tuple:
+        """Input-independent state of the latch, the argument of
+        :meth:`columns`: ``(offset, clk_state, nmos_states, pmos_states)``
+        with ``(MosState, output)`` pairs for the cross-coupled devices."""
+        nl = self.netlist
+        return (self.parameter("latch_offset"),
+                mos_state(nl.device("mn_clk")),
+                [(mos_state(nl.device(name)), target)
+                 for name, target in (("mn_cross_p", "p"),
+                                      ("mn_cross_n", "n"))],
+                [(mos_state(nl.device(name)), target)
+                 for name, target in (("mp_cross_p", "p"),
+                                      ("mp_cross_n", "n"))])
+
+    def columns(self, resolved: tuple, lin_p: np.ndarray,
+                lin_m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``QL+`` / ``QL-`` columns of many ``LIN+/-`` pairs against one
+        state from :meth:`resolve`: the latch's only per-pair arithmetic.
+
+        Every ``max``/``min`` below is written as the ``np.where`` that makes
+        Python's choice (see :func:`~repro.adc.behavioral.clamp_column`).
         """
-        offset = self.parameter("latch_offset")
-        clk_state = mos_state(self.netlist.device("mn_clk"))
-        nmos_states = [(mos_state(self.netlist.device(name)), target)
-                       for name, target in (("mn_cross_p", "p"),
-                                            ("mn_cross_n", "n"))]
-        pmos_states = [(mos_state(self.netlist.device(name)), target)
-                       for name, target in (("mp_cross_p", "p"),
-                                            ("mp_cross_n", "n"))]
+        offset, clk_state, nmos_states, pmos_states = resolved
         vdd, vss = self.dut.vdd, self.dut.vss
-        outputs = []
-        for lin_p, lin_m in pairs:
-            decision_high = (lin_p - lin_m) > offset
-            q_p = vdd if decision_high else vss
-            q_m = vss if decision_high else vdd
+        if clk_state is MosState.STUCK_OFF:
+            # The latch never evaluates: both outputs stay precharged high.
+            return np.full(lin_p.shape, vdd), np.full(lin_p.shape, vdd)
+        decision_high = (lin_p - lin_m) > offset
+        q = {"p": np.where(decision_high, vdd, vss),
+             "n": np.where(decision_high, vss, vdd)}
+        if clk_state is MosState.STUCK_ON:
+            # The latch is always evaluating; behaviourally it still
+            # resolves but with degraded levels.
+            q = {side: column * 0.9 for side, column in q.items()}
 
-            if clk_state is MosState.STUCK_OFF:
-                # The latch never evaluates: both outputs stay precharged high.
-                outputs.append(LatchOutput(q_p=vdd, q_m=vdd))
-                continue
-            if clk_state is MosState.STUCK_ON:
-                # The latch is always evaluating; behaviourally it still
-                # resolves but with degraded levels.
-                q_p, q_m = q_p * 0.9, q_m * 0.9
-
-            # Cross-coupled devices: losing one of the four regeneration
-            # devices leaves the affected output fighting its precharge, so
-            # it settles at a defect-dependent intermediate level instead of
-            # a clean rail.
-            for state, target in nmos_states:
-                if state is MosState.STUCK_ON:
-                    if target == "p":
-                        q_p = vss
-                    else:
-                        q_m = vss
-                elif state is MosState.STUCK_OFF:
-                    if target == "p":
-                        q_p = max(q_p, 0.7 * vdd)
-                    else:
-                        q_m = max(q_m, 0.7 * vdd)
-                elif state is MosState.DEGRADED:
-                    # Weakened pull-down: the high level is unaffected but a
-                    # low output cannot be fully discharged.
-                    if target == "p":
-                        q_p = max(q_p, 0.45 * vdd)
-                    else:
-                        q_m = max(q_m, 0.45 * vdd)
-            for state, target in pmos_states:
-                if state is MosState.STUCK_ON:
-                    if target == "p":
-                        q_p = vdd
-                    else:
-                        q_m = vdd
-                elif state is MosState.STUCK_OFF:
-                    if target == "p":
-                        q_p = min(q_p, 0.3 * vdd)
-                    else:
-                        q_m = min(q_m, 0.3 * vdd)
-                elif state is MosState.DEGRADED:
-                    # Weakened pull-up: the high level droops.
-                    if target == "p":
-                        q_p = min(q_p, 0.62 * vdd)
-                    else:
-                        q_m = min(q_m, 0.62 * vdd)
-            outputs.append(LatchOutput(q_p=min(max(q_p, vss), vdd),
-                                       q_m=min(max(q_m, vss), vdd)))
-        return outputs
+        # Cross-coupled devices: losing one of the four regeneration devices
+        # leaves the affected output fighting its precharge, so it settles
+        # at a defect-dependent intermediate level instead of a clean rail.
+        for state, target in nmos_states:
+            if state is MosState.STUCK_ON:
+                q[target] = np.full(lin_p.shape, vss)
+            elif state in (MosState.STUCK_OFF, MosState.DEGRADED):
+                # A degraded device is a weakened pull-down: the high level
+                # is unaffected but a low output cannot be fully discharged.
+                floor = (0.7 if state is MosState.STUCK_OFF else 0.45) * vdd
+                q[target] = np.where(floor > q[target], floor, q[target])
+        for state, target in pmos_states:
+            if state is MosState.STUCK_ON:
+                q[target] = np.full(lin_p.shape, vdd)
+            elif state in (MosState.STUCK_OFF, MosState.DEGRADED):
+                # A degraded device is a weakened pull-up: the high level
+                # droops.
+                ceiling = (0.3 if state is MosState.STUCK_OFF else 0.62) * vdd
+                q[target] = np.where(ceiling < q[target], ceiling, q[target])
+        return (clamp_column(q["p"], vss, vdd), clamp_column(q["n"], vss, vdd))
 
 
 class RsLatch(AnalogBlock):
@@ -382,77 +385,90 @@ class RsLatch(AnalogBlock):
 
     def evaluate(self, latch: LatchOutput) -> LatchOutput:
         """Latch the comparator decision and drive complementary outputs."""
-        self._state, output = self._step(latch, self._state,
-                                         self.resolve_defect_actions())
-        return output
+        _, q_p, q_m = self.step_columns(
+            np.array([latch.q_p]), np.array([latch.q_m]),
+            np.array([self._state], dtype=np.int64),
+            self.resolve_defect_actions())
+        return LatchOutput(q_p=q_p.item(), q_m=q_m.item())
 
     def replay(self, latches: Sequence[LatchOutput]) -> List[LatchOutput]:
         """Reset, then evaluate every input in order.
 
         Bit-identical to :meth:`reset_state` followed by :meth:`evaluate`
-        per input: the defect actions are a pure function of the netlist
-        state and are resolved once for the whole replay.  This is the
-        RS-latch hot path of the batched defect evaluator.
+        per input: the state each input is latched from is the last
+        decision set or reset before it (0 from reset), so the whole replay
+        is one :meth:`step_columns` call.  This is the RS-latch hot path of
+        the batched defect evaluator.
         """
         self.reset_state()
-        actions = self.resolve_defect_actions()
-        outputs = []
-        for latch in latches:
-            self._state, output = self._step(latch, self._state, actions)
-            outputs.append(output)
-        return outputs
+        q_p = np.array([latch.q_p for latch in latches], dtype=float)
+        q_m = np.array([latch.q_m for latch in latches], dtype=float)
+        set_high, reset_high = self._set_reset(q_p, q_m)
+        # Index of the last input up to each position that set or reset the
+        # latch (-1: none).
+        last = np.maximum.accumulate(
+            np.where(set_high != reset_high, np.arange(len(latches)), -1))
+        after = np.where(last >= 0, set_high[last], self._state)
+        prior = np.concatenate(([self._state], after))[:len(latches)]
+        _, out_p, out_m = self.step_columns(q_p, q_m, prior,
+                                            self.resolve_defect_actions())
+        return [LatchOutput(q_p=p, q_m=m)
+                for p, m in zip(out_p.tolist(), out_m.tolist())]
 
-    def step_each(self, latches: Sequence[LatchOutput], states: List[int],
-                  actions: list) -> List[LatchOutput]:
-        """Evaluate ``latches[i]`` against its own stored state ``states[i]``.
+    def _set_reset(self, q_p: np.ndarray, q_m: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(set_high, reset_high)`` of each input.  Exactly one high sets
+        or resets the latch; neither holds it; both is the invalid input."""
+        return q_p > self._threshold, q_m > self._threshold
 
-        Used to step many independent conversions in lockstep: ``states``
-        holds one stored decision per conversion and is updated in place,
-        and ``actions`` come from one :meth:`resolve_defect_actions` call.
-        Afterwards the latch holds the last conversion's state, as
-        evaluating the conversions one after another would leave it.
+    def step_columns(self, q_p: np.ndarray, q_m: np.ndarray,
+                     states: np.ndarray, actions: list
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One evaluation of each input ``(q_p[i], q_m[i])`` from its own
+        stored ``states[i]``: ``(next_states, out_p, out_m)``.  The latch's
+        only per-input arithmetic.
+
+        ``states`` is an int64 column of stored decisions and ``actions``
+        come from one :meth:`resolve_defect_actions` call.  Afterwards the
+        latch holds the last input's next state.
         """
-        outputs = []
-        for index, latch in enumerate(latches):
-            states[index], output = self._step(latch, states[index], actions)
-            outputs.append(output)
-        if states:
-            self._state = states[-1]
-        return outputs
-
-    def _step(self, latch: LatchOutput, state: int,
-              actions: list) -> Tuple[int, LatchOutput]:
-        """One evaluation from stored ``state``: ``(next_state, output)``."""
-        set_high = latch.q_p > self._threshold
-        reset_high = latch.q_m > self._threshold
-        if set_high and not reset_high:
-            state = 1
-        elif reset_high and not set_high:
-            state = 0
-        elif set_high and reset_high:
-            # Invalid input (both comparator outputs high): both RS outputs
-            # are driven high, which the complementary-output invariance sees.
-            return state, self._apply_actions(self.dut.vdd, self.dut.vdd,
-                                              actions)
-        # else: hold the previous state.
-        q_p = self.dut.vdd if state else self.dut.vss
-        q_m = self.dut.vss if state else self.dut.vdd
+        set_high, reset_high = self._set_reset(q_p, q_m)
+        states = np.where(set_high != reset_high, set_high, states)
+        vdd, vss = self.dut.vdd, self.dut.vss
+        held = states != 0
+        out_p = np.where(held, vdd, vss)
+        out_m = np.where(held, vss, vdd)
         # A weak (mid-rail) comparator-latch level does not switch the RS gate
         # cleanly; the corresponding output degrades instead of regenerating,
         # which keeps such upstream defects observable at the checker.
-        if self._weak_low < latch.q_p < self._weak_high:
-            q_p = latch.q_p
-        if self._weak_low < latch.q_m < self._weak_high:
-            q_m = latch.q_m
-        return state, self._apply_actions(q_p, q_m, actions)
+        out_p = np.where((self._weak_low < q_p) & (q_p < self._weak_high),
+                         q_p, out_p)
+        out_m = np.where((self._weak_low < q_m) & (q_m < self._weak_high),
+                         q_m, out_m)
+        # Invalid input (both comparator outputs high): the state holds and
+        # both RS outputs are driven high, which the complementary-output
+        # invariance sees.
+        invalid = set_high & reset_high
+        out_p = np.where(invalid, vdd, out_p)
+        out_m = np.where(invalid, vdd, out_m)
+        for target, value in actions:
+            if value is None:
+                value = out_p * 0.5 + 0.25 * vdd
+            if target == "p":
+                out_p = np.broadcast_to(value, q_p.shape)
+            else:
+                out_m = np.broadcast_to(value, q_p.shape)
+        if len(states):
+            self._state = int(states[-1])
+        return (states, clamp_column(out_p, vss, vdd),
+                clamp_column(out_m, vss, vdd))
 
     def resolve_defect_actions(self) -> list:
         """Input-independent ``(target, value)`` overrides of the NAND devices.
 
         ``value is None`` marks the one input-dependent case: a stuck-off
-        pull-up leaves its output at a level derived from the opposite
-        output, so it is resolved per evaluation in
-        :meth:`_apply_actions`.
+        pull-up leaves its output at a level derived from the positive
+        output, so it is resolved per input in :meth:`step_columns`.
         """
         vdd, vss = self.dut.vdd, self.dut.vss
         actions = []
@@ -480,19 +496,6 @@ class RsLatch(AnalogBlock):
                 actions.append((target,
                                 vdd - rail if rail == vss else None))
         return actions
-
-    def _apply_actions(self, q_p: float, q_m: float,
-                       actions: list) -> LatchOutput:
-        vdd, vss = self.dut.vdd, self.dut.vss
-        for target, value in actions:
-            if value is None:
-                value = q_p * 0.5 + 0.25 * vdd
-            if target == "p":
-                q_p = value
-            else:
-                q_m = value
-        return LatchOutput(q_p=min(max(q_p, vss), vdd),
-                           q_m=min(max(q_m, vss), vdd))
 
 
 @dataclass

@@ -40,7 +40,6 @@ from .block import AnalogBlock
 from .reference_buffer import ReferenceBuffer
 from .sar_control import SarControl
 from .sarcell import SarCell
-from .sc_array import ScArrayInputs
 
 #: Default DC differential input applied during the SymBIST test.  The paper
 #: notes the value can be set arbitrarily; a non-zero value is used so that
@@ -234,12 +233,13 @@ class SarAdc:
         :meth:`SarCell.evaluate` per bit: every block model is a pure
         function of its inputs and its own defect and parameter state,
         which are fixed for the call, and a sample's decisions depend only
-        on its own earlier decisions.  So the Vcm level and the sub-DAC
-        outputs of every counter code are resolved once, each bit runs one
-        sweep per block over all samples, and the RS latch -- the one
-        stateful block -- steps each sample from its own stored state.
-        The SAR register and the RS latch are left as the last sample's
-        conversion leaves them.
+        on its own earlier decisions.  So the Vcm level, the sub-DAC outputs
+        of every counter code and each block's input-independent state are
+        resolved once; then each bit runs one column kernel per block over
+        all samples (float64 signal columns, int64 codes), and the RS latch
+        -- the one stateful block -- steps each sample from its own stored
+        state.  The SAR register and the RS latch are left as the last
+        sample's conversion leaves them.
         """
         if not input_diffs:
             return []
@@ -252,36 +252,40 @@ class SarAdc:
         vref_mid = op.vref[self.dut.mid_tap]
         sub1 = dac.subdac1.sweep(counter_codes, op.vref)
         sub2 = dac.subdac2.sweep(counter_codes, op.vref)
-        rs_latch = comparator.rs_latch
+        m_p = np.array([out.out_p for out in sub1])
+        m_m = np.array([out.out_n for out in sub1])
+        l_p = np.array([out.out_p for out in sub2])
+        l_m = np.array([out.out_n for out in sub2])
+        sc_array, preamplifier = dac.sc_array, comparator.preamplifier
+        latch, rs_latch = comparator.latch, comparator.rs_latch
+        sc_state = sc_array.resolve()
+        pre_state = preamplifier.resolve(op.ibias,
+                                         comparator.offset_compensation)
+        latch_state = latch.resolve()
         rs_actions = rs_latch.resolve_defect_actions()
-        samples = [(input_cm + 0.5 * diff, input_cm - 0.5 * diff)
-                   for diff in input_diffs]
-        codes = [0] * len(samples)
-        rs_states = [0] * len(samples)
+        diffs = np.array(input_diffs, dtype=float)
+        in_p = input_cm + 0.5 * diffs
+        in_m = input_cm - 0.5 * diffs
+        codes = np.zeros(len(diffs), dtype=np.int64)
+        rs_states = np.zeros(len(diffs), dtype=np.int64)
         logic = cell.sar_logic
         for bit in range(logic.n_bits - 1, -1, -1):
-            trials = [code | (1 << bit) for code in codes]
-            sc = dac.sc_array.sweep([ScArrayInputs(
-                in_p=in_p, in_m=in_m,
-                m_p=sub1[trial >> half].out_p, m_m=sub1[trial >> half].out_n,
-                l_p=sub2[trial & lsb_mask].out_p,
-                l_m=sub2[trial & lsb_mask].out_n,
-                vcm=vcm, vref_mid=vref_mid)
-                for (in_p, in_m), trial in zip(samples, trials)])
-            pre = comparator.preamplifier.sweep(
-                [(out.dac_p, out.dac_m) for out in sc], op.ibias,
-                comparator.offset_compensation)
-            ql = comparator.latch.sweep([(out.lin_p, out.lin_m)
-                                         for out in pre])
-            stored = rs_latch.step_each(ql, rs_states, rs_actions)
+            trials = codes | (1 << bit)
+            msb, lsb = trials >> half, trials & lsb_mask
+            dac_p, dac_m = sc_array.columns(
+                sc_state, in_p, in_m, m_p[msb], m_m[msb], l_p[lsb], l_m[lsb],
+                vcm, vref_mid)
+            lin_p, lin_m = preamplifier.columns(pre_state, dac_p, dac_m)
+            ql_p, ql_m = latch.columns(latch_state, lin_p, lin_m)
+            rs_states, q_p, q_m = rs_latch.step_columns(ql_p, ql_m, rs_states,
+                                                        rs_actions)
             # The comparator output is high when DAC+ > DAC-, i.e. when the
             # input is *below* the trial level; the bit is kept otherwise.
-            codes = [code if out.decision else trial
-                     for code, trial, out in zip(codes, trials, stored)]
+            codes = np.where(q_p > q_m, codes, trials)
         logic.start_conversion()
         for bit in range(logic.n_bits - 1, -1, -1):
-            logic.apply_decision((codes[-1] >> bit) & 1)
-        return codes
+            logic.apply_decision((int(codes[-1]) >> bit) & 1)
+        return codes.tolist()
 
     # ----------------------------------------------------------------- ranges
     def ideal_input_range(self) -> Tuple[float, float]:

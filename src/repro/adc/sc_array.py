@@ -27,10 +27,12 @@ cancellation on one side only and shift the sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..dut import DutSpec, default_dut
-from .behavioral import effective_capacitance, switch_state
+from .behavioral import clamp_column, effective_capacitance, switch_state
 from .block import AnalogBlock
 
 #: Residual coupling of the ideal DAC voltage through a permanently-on reset
@@ -122,11 +124,36 @@ class ScArray(AnalogBlock):
                 switch_state(reset_sw, nominal_on=False),
                 switch_state(input_sw, nominal_on=False))
 
-    def _side(self, state: tuple, vin: float, m_level: float, l_level: float,
-              vcm: float, vref_mid: float, mismatch: float) -> float:
-        """Top-plate voltage of one side after charge redistribution."""
+    def resolve(self) -> tuple:
+        """Input-independent state of the array: ``(state_p, state_n,
+        mismatch_p, mismatch_n)``, the argument of :meth:`columns`."""
+        return (self._side_state("p"), self._side_state("n"),
+                self.parameter("mismatch_p"), self.parameter("mismatch_n"))
+
+    def columns(self, resolved: tuple, in_p: np.ndarray, in_m: np.ndarray,
+                m_p: np.ndarray, m_m: np.ndarray, l_p: np.ndarray,
+                l_m: np.ndarray, vcm, vref_mid
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """``DAC+`` / ``DAC-`` columns of many cycles against one
+        state from :meth:`resolve`: the array's only per-cycle arithmetic.
+
+        Every signal is a float64 column (``vcm`` and ``vref_mid`` may be
+        scalars); see :func:`~repro.adc.behavioral.clamp_column` for why
+        the result is bit-identical to the scalar charge model.
+        """
+        state_p, state_n, mismatch_p, mismatch_n = resolved
+        return (self._side_column(state_p, in_p, m_p, l_p, vcm, vref_mid,
+                                  mismatch_p),
+                self._side_column(state_n, in_m, m_m, l_m, vcm, vref_mid,
+                                  mismatch_n))
+
+    def _side_column(self, state: tuple, vin: np.ndarray,
+                     m_level: np.ndarray, l_level: np.ndarray, vcm,
+                     vref_mid, mismatch: float) -> np.ndarray:
+        """Top-plate voltage column of one side after charge redistribution."""
         (short, cs, cm, cl, reset_closed_sampling, input_closed_sampling,
          reset_closed_conversion, input_closed_conversion) = state
+        shape = np.shape(vin)
 
         # A shorted capacitor ties the top plate to its bottom-plate driver.
         if short == "m":
@@ -135,7 +162,8 @@ class ScArray(AnalogBlock):
             return self._clamp(l_level)
         if short == "vcm":
             # During conversion the sampling bottom plate is driven to Vcm.
-            return self._clamp(vcm)
+            return self._clamp(np.broadcast_to(np.asarray(vcm, dtype=float),
+                                               shape))
 
         top_initial = vcm if reset_closed_sampling else _UNRESET_TOP_PLATE
 
@@ -150,7 +178,7 @@ class ScArray(AnalogBlock):
         c_total = cs + cm + cl
         if c_total <= 0.0:
             # Every capacitor open: the comparator input floats.
-            return _UNRESET_TOP_PLATE
+            return np.full(shape, _UNRESET_TOP_PLATE)
 
         delta_q = (cs * (convert_bottom_s - sample_bottom_s)
                    + cm * (m_level - vref_mid)
@@ -163,28 +191,19 @@ class ScArray(AnalogBlock):
             top = vcm + _RESET_STUCK_ON_COUPLING * (top - vcm)
         return self._clamp(top)
 
-    def _clamp(self, value: float) -> float:
-        return min(max(value, self.dut.vss), self.dut.vdd)
+    def _clamp(self, values: np.ndarray) -> np.ndarray:
+        return clamp_column(values, self.dut.vss, self.dut.vdd)
 
     def evaluate(self, inputs: ScArrayInputs) -> ScArrayOutput:
         """Compute ``DAC+`` / ``DAC-`` for one conversion cycle."""
         return self.sweep((inputs,))[0]
 
     def sweep(self, inputs: Sequence[ScArrayInputs]) -> List[ScArrayOutput]:
-        """Compute ``DAC+`` / ``DAC-`` for many cycles against one defect state.
-
-        Bit-identical to calling :meth:`evaluate` per cycle: the capacitor
-        and switch states and the mismatch parameters are a pure function
-        of the netlist and parameter state, so they are resolved once for
-        the whole sweep and the per-cycle arithmetic is unchanged.
-        """
-        state_p = self._side_state("p")
-        state_n = self._side_state("n")
-        mismatch_p = self.parameter("mismatch_p")
-        mismatch_n = self.parameter("mismatch_n")
-        return [ScArrayOutput(
-            dac_p=self._side(state_p, x.in_p, x.m_p, x.l_p, x.vcm,
-                             x.vref_mid, mismatch_p),
-            dac_m=self._side(state_n, x.in_m, x.m_m, x.l_m, x.vcm,
-                             x.vref_mid, mismatch_n))
-            for x in inputs]
+        """Compute ``DAC+`` / ``DAC-`` for many cycles against one defect
+        state: :meth:`columns` over the inputs' fields."""
+        table = np.array([(x.in_p, x.in_m, x.m_p, x.m_m, x.l_p, x.l_m,
+                           x.vcm, x.vref_mid) for x in inputs],
+                         dtype=float).reshape(-1, 8)
+        dac_p, dac_m = self.columns(self.resolve(), *table.T)
+        return [ScArrayOutput(dac_p=p, dac_m=m)
+                for p, m in zip(dac_p.tolist(), dac_m.tolist())]

@@ -37,12 +37,13 @@ above describe the paper's 10-bit device).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.components import Device
 from ..circuit.errors import SimulationError
 from ..dut import DutSpec, default_dut
-from .behavioral import MosState, mos_state, switch_conductance, switch_state
+from .behavioral import MosState, mos_state, switch_state
 from .block import AnalogBlock
 
 #: Nominal on-resistance of a tap switch.
@@ -152,109 +153,80 @@ class SubDac(AnalogBlock):
             return True
         return None
 
-    def _driver_enable(self, tap: int, selected: bool) -> bool:
-        """Effective enable of tap ``tap`` given decoder-driver defects."""
-        pull_up = self.netlist.device(f"drv_{tap:02d}_p")
-        pull_down = self.netlist.device(f"drv_{tap:02d}_n")
-        if not pull_up.has_defect and not pull_down.has_defect:
-            return selected
-        forced_value = self._forced_inverter_output(pull_up, pull_down)
-        if forced_value is None:
-            return selected
-        return forced_value
+    def _tap_state(self, side: str, tap: int
+                   ) -> Tuple[float, bool, bool, Optional[bool]]:
+        """``(g, con_on, con_off, forced)`` of one tap of one multiplexer:
+        its conductance, whether its switch conducts when enabled/disabled,
+        and the forced enable value of its decoder driver (``None`` when the
+        driver switches normally)."""
+        if side == "p":
+            switch_dev = self.netlist.device(f"swp_{tap:02d}")
+            driver_tap = tap
+        else:
+            switch_dev = self.netlist.device(f"swn_{tap:02d}")
+            driver_tap = self._top - tap
+        pull_up = self.netlist.device(f"drv_{driver_tap:02d}_p")
+        pull_down = self.netlist.device(f"drv_{driver_tap:02d}_n")
+        forced = None
+        if pull_up.has_defect or pull_down.has_defect:
+            forced = self._forced_inverter_output(pull_up, pull_down)
+        return (_conductance(switch_dev), switch_state(switch_dev, True),
+                switch_state(switch_dev, False), forced)
 
-    def _mux_output(self, side: str, code: int,
-                    vref: Sequence[float]) -> float:
-        """Conductance-weighted tap voltage seen at one multiplexer output."""
-        total_g = 0.0
-        weighted = 0.0
+    @cached_property
+    def _clean_tables(self) -> Dict[str, Tuple[List[float], List[bool],
+                                               List[bool],
+                                               List[Optional[bool]]]]:
+        """:meth:`_tap_state` of every tap of both multiplexers with every
+        device clean.  Tap conductances depend only on the switches' ``ron``
+        parameters, which neither defects nor Monte Carlo draws change."""
+        n = self.n_levels
+        return {side: ([_conductance(self.netlist.device(
+                            f"sw{side}_{tap:02d}")) for tap in range(n)],
+                       [True] * n, [False] * n, [None] * n)
+                for side in ("p", "n")}
+
+    @cached_property
+    def _device_taps(self) -> Dict[str, List[Tuple[str, int]]]:
+        """The ``(side, tap)`` multiplexer entries each device takes part
+        in: a tap switch in one, an enable driver in one per side."""
+        taps: Dict[str, List[Tuple[str, int]]] = {}
         for tap in range(self.n_levels):
-            if side == "p":
-                nominal_sel = (tap == code)
-                switch_dev = self.netlist.device(f"swp_{tap:02d}")
-                driver_tap = tap
-            else:
-                nominal_sel = (tap == self._top - code)
-                switch_dev = self.netlist.device(f"swn_{tap:02d}")
-                driver_tap = self._top - tap
-            enable = self._driver_enable(driver_tap, nominal_sel)
-            conductance = switch_conductance(switch_dev, enable, _RON)
-            if conductance <= 0.0:
-                continue
-            total_g += conductance
-            weighted += conductance * vref[tap]
-        if total_g <= 0.0:
-            return self._float_level
-        return weighted / total_g
+            taps[f"swp_{tap:02d}"] = [("p", tap)]
+            taps[f"swn_{tap:02d}"] = [("n", tap)]
+            for half in ("p", "n"):
+                taps[f"drv_{tap:02d}_{half}"] = [("p", tap),
+                                                  ("n", self._top - tap)]
+        return taps
 
-    def _buffer(self, side: str, raw: float) -> float:
-        """Apply the (possibly defective) output buffer of one side."""
-        sf = self.netlist.device(f"buf{side}_sf")
-        bias = self.netlist.device(f"buf{side}_bias")
-        offset = self.parameter(f"buffer_offset_{side}")
-        return self._apply_buffer(raw, offset, mos_state(sf), mos_state(bias))
-
-    def _apply_buffer(self, raw: float, offset: float, sf_state: MosState,
-                      bias_state: MosState) -> float:
-        """The buffer arithmetic for pre-resolved device states.
-
-        Shared by :meth:`_buffer` (one lookup per call) and the batched
-        :meth:`sweep` (states resolved once per sweep) so the two paths are
-        the same float arithmetic.
-        """
-        value = raw + offset
-        if sf_state is MosState.STUCK_OFF:
-            value = self._float_level
-        elif sf_state is MosState.STUCK_ON:
-            value = raw * 0.9
-        elif sf_state is MosState.DEGRADED:
-            value = raw + offset - 0.02
-        if bias_state is MosState.STUCK_ON:
-            value = max(value - 0.1, self.dut.vss)
-        elif bias_state is MosState.STUCK_OFF:
-            value = min(value + 0.05, self.dut.vdd)
-        return min(max(value, self.dut.vss), self.dut.vdd)
-
-    def _mux_table(self, side: str) -> Tuple[List[float], List[bool],
-                                             List[bool], List[Optional[bool]],
-                                             List[int]]:
+    def _mux_table(self, side: str, defective: Sequence[Device]
+                   ) -> Tuple[List[float], List[bool], List[bool],
+                              List[Optional[bool]], List[int]]:
         """Code-independent per-tap state of one (defective) multiplexer.
 
-        Returns ``(g, con_on, con_off, forced, anomalous)``: the tap
-        conductances, whether each tap switch conducts when enabled/disabled,
-        the forced enable value of each tap's decoder driver (``None`` when
-        the driver switches normally), and the sorted list of *anomalous*
+        Returns ``(g, con_on, con_off, forced, anomalous)``: the per-tap
+        entries of :meth:`_tap_state` and the sorted list of *anomalous*
         taps -- taps that deviate from clean behaviour (forced enable, a
         switch that conducts while disabled, or one that does not conduct
         while enabled).  Every non-anomalous tap contributes conductance
         exactly when it is the nominally selected tap, which is what lets
         :meth:`_mux_from_table` visit only ``anomalous + [selected]``.
+
+        The table starts from :attr:`_clean_tables`; only the taps whose
+        switch or driver pair is among the ``defective`` devices are
+        re-resolved, because every other tap is clean.
         """
-        g: List[float] = []
-        con_on: List[bool] = []
-        con_off: List[bool] = []
-        forced: List[Optional[bool]] = []
+        g, con_on, con_off, forced = (
+            list(column) for column in self._clean_tables[side])
+        touched = sorted({tap for device in defective
+                          for entry_side, tap in
+                          self._device_taps.get(device.name, ())
+                          if entry_side == side})
         anomalous: List[int] = []
-        for tap in range(self.n_levels):
-            if side == "p":
-                switch_dev = self.netlist.device(f"swp_{tap:02d}")
-                driver_tap = tap
-            else:
-                switch_dev = self.netlist.device(f"swn_{tap:02d}")
-                driver_tap = self._top - tap
-            pull_up = self.netlist.device(f"drv_{driver_tap:02d}_p")
-            pull_down = self.netlist.device(f"drv_{driver_tap:02d}_n")
-            f = None
-            if pull_up.has_defect or pull_down.has_defect:
-                f = self._forced_inverter_output(pull_up, pull_down)
-            on = switch_state(switch_dev, True)
-            off = switch_state(switch_dev, False)
-            ron = float(switch_dev.params.get("ron", _RON))
-            g.append(1.0 / max(ron, 1e-3))
-            con_on.append(on)
-            con_off.append(off)
-            forced.append(f)
-            if f is not None or not on or off:
+        for tap in touched:
+            g[tap], con_on[tap], con_off[tap], forced[tap] = \
+                self._tap_state(side, tap)
+            if forced[tap] is not None or not con_on[tap] or con_off[tap]:
                 anomalous.append(tap)
         return g, con_on, con_off, forced, anomalous
 
@@ -262,12 +234,13 @@ class SubDac(AnalogBlock):
                         table: Tuple[List[float], List[bool], List[bool],
                                      List[Optional[bool]], List[int]],
                         sel: int, vref: Sequence[float]) -> float:
-        """:meth:`_mux_output` against a precomputed :meth:`_mux_table`.
+        """Conductance-weighted tap voltage seen at one multiplexer output
+        when tap ``sel`` is selected.
 
-        Bit-identical: contributing taps are accumulated in ascending tap
-        order with the same conductance arithmetic; taps skipped here are
-        exactly the taps the full scan skips with zero conductance (clean,
-        not selected).
+        Equal to the walk over every tap that sums the conductance of each
+        conducting one: contributing taps are accumulated in ascending tap
+        order, and the taps skipped here are exactly those that contribute
+        zero conductance (clean, not selected).
         """
         g, con_on, con_off, forced, anomalous = table
         if sel in anomalous:
@@ -289,6 +262,23 @@ class SubDac(AnalogBlock):
             return self._float_level
         return weighted / total_g
 
+    def _apply_buffer(self, raw: float, offset: float, sf_state: MosState,
+                      bias_state: MosState) -> float:
+        """The (possibly defective) output buffer of one side, for device
+        states resolved once per sweep."""
+        value = raw + offset
+        if sf_state is MosState.STUCK_OFF:
+            value = self._float_level
+        elif sf_state is MosState.STUCK_ON:
+            value = raw * 0.9
+        elif sf_state is MosState.DEGRADED:
+            value = raw + offset - 0.02
+        if bias_state is MosState.STUCK_ON:
+            value = max(value - 0.1, self.dut.vss)
+        elif bias_state is MosState.STUCK_OFF:
+            value = min(value + 0.05, self.dut.vdd)
+        return min(max(value, self.dut.vss), self.dut.vdd)
+
     def evaluate(self, code: int, vref: Sequence[float]) -> SubDacOutput:
         """Convert a half-resolution ``code`` into the complementary outputs.
 
@@ -299,47 +289,30 @@ class SubDac(AnalogBlock):
         vref:
             The reference levels ``VREF[0] .. VREF[2**half_bits]``.
         """
-        if not 0 <= code <= self._code_max:
-            raise SimulationError(
-                f"sub-DAC code must be in [0, {self._code_max}], got {code}")
-        if len(vref) != self.n_levels:
-            raise SimulationError(
-                f"expected {self.n_levels} reference levels, got {len(vref)}")
-        if not self.netlist.has_defect:
-            # Fast path for the defect-free multiplexer: exactly one switch per
-            # output is closed, so the mux output is the selected tap and the
-            # buffer only adds its (process-variation) offset.
-            out_p = self._clamp(vref[code] + self.parameter("buffer_offset_p"))
-            out_n = self._clamp(vref[self._top - code]
-                                + self.parameter("buffer_offset_n"))
-            return SubDacOutput(out_p=out_p, out_n=out_n)
-        out_p = self._buffer("p", self._mux_output("p", code, vref))
-        out_n = self._buffer("n", self._mux_output("n", code, vref))
-        return SubDacOutput(out_p=out_p, out_n=out_n)
+        return self.sweep((code,), vref)[0]
 
     def sweep(self, codes: Sequence[int],
               vref: Sequence[float]) -> List[SubDacOutput]:
         """Evaluate many codes against one defect state of the netlist.
 
-        Bit-identical to calling :meth:`evaluate` per code, but the
-        ``netlist.has_defect`` scan (which walks every device of the block
-        and dominates the defect-free cost) runs once for the whole sweep
-        instead of once per code.  This is the sub-DAC hot path of the
+        One ``netlist.defective_devices()`` scan per sweep decides the path.
+        Defect-free, exactly one switch per output is closed, so the mux
+        output is the selected tap and the buffer only adds its
+        (process-variation) offset.  Otherwise the per-tap mux behaviour and
+        the buffer device states are resolved once and each code is
+        evaluated against the tables.  This is the sub-DAC hot path of the
         batched defect evaluator.
         """
         if len(vref) != self.n_levels:
             raise SimulationError(
                 f"expected {self.n_levels} reference levels, got {len(vref)}")
-        has_defect = self.netlist.has_defect
+        defective = self.netlist.defective_devices()
         offset_p = self.parameter("buffer_offset_p")
         offset_n = self.parameter("buffer_offset_n")
         outputs: List[SubDacOutput] = []
-        if has_defect:
-            # The defect state is fixed for the whole sweep: resolve the
-            # per-tap mux behaviour and the buffer device states once, then
-            # evaluate each code against the tables.
-            table_p = self._mux_table("p")
-            table_n = self._mux_table("n")
+        if defective:
+            table_p = self._mux_table("p", defective)
+            table_n = self._mux_table("n", defective)
             sf_p = mos_state(self.netlist.device("bufp_sf"))
             bias_p = mos_state(self.netlist.device("bufp_bias"))
             sf_n = mos_state(self.netlist.device("bufn_sf"))
@@ -349,7 +322,7 @@ class SubDac(AnalogBlock):
                 raise SimulationError(
                     f"sub-DAC code must be in [0, {self._code_max}], "
                     f"got {code}")
-            if not has_defect:
+            if not defective:
                 outputs.append(SubDacOutput(
                     out_p=self._clamp(vref[code] + offset_p),
                     out_n=self._clamp(vref[self._top - code] + offset_n)))
@@ -365,6 +338,11 @@ class SubDac(AnalogBlock):
 
     def _clamp(self, value: float) -> float:
         return min(max(value, self.dut.vss), self.dut.vdd)
+
+
+def _conductance(switch: Device) -> float:
+    """On-conductance of a tap switch, from its ``ron`` floored at 1 mOhm."""
+    return 1.0 / max(float(switch.params.get("ron", _RON)), 1e-3)
 
 
 def make_subdac1(dut: Optional[DutSpec] = None) -> SubDac:

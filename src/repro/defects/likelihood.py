@@ -64,12 +64,18 @@ class LikelihoodModel:
 
     def likelihood(self, defect: Defect, device: Device) -> float:
         """Relative likelihood of one defect on its device."""
+        return self.kind_likelihood(defect.kind, defect.block_path, device)
+
+    def kind_likelihood(self, kind: DefectKind, block_path: str,
+                        device: Device) -> float:
+        """Relative likelihood of a ``kind`` defect on ``device`` of block
+        ``block_path`` (what :meth:`likelihood` returns for such a defect)."""
         try:
-            prior = self.type_priors[defect.kind]
+            prior = self.type_priors[kind]
         except KeyError as exc:
             raise DefectError(
-                f"no type prior configured for defect kind {defect.kind}") from exc
-        scale = self.block_scale.get(defect.block_path, 1.0)
+                f"no type prior configured for defect kind {kind}") from exc
+        scale = self.block_scale.get(block_path, 1.0)
         return prior * device.area_proxy() * scale
 
     def reweight(self, defect: Defect, device: Device) -> Defect:

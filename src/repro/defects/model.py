@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..circuit.components import Device, DeviceKind, PullDirection, TERMINALS
 from ..circuit.errors import DefectError
@@ -115,8 +115,14 @@ def _default_pull(device: Device, terminal: str) -> PullDirection:
     return PullDirection.DOWN
 
 
-def enumerate_device_defects(block_path: str, device: Device) -> List[Defect]:
+def enumerate_device_defects(
+        block_path: str, device: Device,
+        likelihood: Optional[Callable[[DefectKind], float]] = None
+) -> List[Defect]:
     """All defects of the standard model applicable to one device.
+
+    ``likelihood`` maps a defect kind to the likelihood its defects are
+    built with (1.0 when omitted).
 
     ======================  ==========================================
     device kind             defects
@@ -131,27 +137,32 @@ def enumerate_device_defects(block_path: str, device: Device) -> List[Defect]:
     defects: List[Defect] = []
     prefix = f"{block_path}/{device.name}"
     terminals = TERMINALS[device.kind]
+    weight = likelihood if likelihood is not None else (lambda kind: 1.0)
 
     for term_a, term_b in itertools.combinations(terminals, 2):
         defects.append(Defect(
             defect_id=f"{prefix}:short:{term_a}-{term_b}",
             block_path=block_path, device_name=device.name,
-            kind=DefectKind.SHORT, terminals=(term_a, term_b)))
+            kind=DefectKind.SHORT, terminals=(term_a, term_b),
+            likelihood=weight(DefectKind.SHORT)))
     for term in terminals:
         defects.append(Defect(
             defect_id=f"{prefix}:open:{term}",
             block_path=block_path, device_name=device.name,
             kind=DefectKind.OPEN, terminals=(term,),
-            pull=_default_pull(device, term)))
+            pull=_default_pull(device, term),
+            likelihood=weight(DefectKind.OPEN)))
     if device.kind.is_passive:
         defects.append(Defect(
             defect_id=f"{prefix}:passive_high",
             block_path=block_path, device_name=device.name,
-            kind=DefectKind.PASSIVE_HIGH))
+            kind=DefectKind.PASSIVE_HIGH,
+            likelihood=weight(DefectKind.PASSIVE_HIGH)))
         defects.append(Defect(
             defect_id=f"{prefix}:passive_low",
             block_path=block_path, device_name=device.name,
-            kind=DefectKind.PASSIVE_LOW))
+            kind=DefectKind.PASSIVE_LOW,
+            likelihood=weight(DefectKind.PASSIVE_LOW)))
         # For a two-terminal passive the short and the two opens are kept
         # (short, open at either end behaves identically in the model, but the
         # physical defect sites differ, as in layout-aware defect extraction).

@@ -109,6 +109,8 @@ def build_defect_universe(hierarchy: NetlistHierarchy,
     for block_path, device in hierarchy.iter_devices(group="ams"):
         if wanted is not None and block_path not in wanted:
             continue
-        for defect in enumerate_device_defects(block_path, device):
-            defects.append(likelihood_model.reweight(defect, device))
+        defects.extend(enumerate_device_defects(
+            block_path, device,
+            lambda kind: likelihood_model.kind_likelihood(kind, block_path,
+                                                          device)))
     return DefectUniverse(defects)

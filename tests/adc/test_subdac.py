@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adc import Bandgap, ReferenceBuffer, SubDac, make_subdac1, make_subdac2
+from repro.adc import (Bandgap, ReferenceBuffer, SarAdc, SubDac, make_subdac1,
+                       make_subdac2, switch_state)
 from repro.circuit import SimulationError
+from repro.defects.injection import DefectInjector
+from repro.defects.universe import build_defect_universe
+from repro.dut import default_dut
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +141,51 @@ class TestBufferDefects:
         dac.netlist.device("bufn_bias").defect.shorted_terminals = ("d", "s")
         nominal = vref[32 - 10]
         assert dac.evaluate(10, vref).out_n < nominal - 0.05
+
+
+def reference_mux_table(dac, side):
+    """The multiplexer table of one side by the full walk over every tap and
+    its four devices (what ``SubDac._mux_table`` computed before it started
+    from the clean table)."""
+    g, con_on, con_off, forced, anomalous = [], [], [], [], []
+    for tap in range(dac.n_levels):
+        switch = dac.netlist.device(f"sw{side}_{tap:02d}")
+        driver = tap if side == "p" else dac.n_levels - 1 - tap
+        pull_up = dac.netlist.device(f"drv_{driver:02d}_p")
+        pull_down = dac.netlist.device(f"drv_{driver:02d}_n")
+        f = None
+        if pull_up.has_defect or pull_down.has_defect:
+            f = dac._forced_inverter_output(pull_up, pull_down)
+        on, off = switch_state(switch, True), switch_state(switch, False)
+        g.append(1.0 / max(float(switch.params.get("ron", 200.0)), 1e-3))
+        con_on.append(on)
+        con_off.append(off)
+        forced.append(f)
+        if f is not None or not on or off:
+            anomalous.append(tap)
+    return g, con_on, con_off, forced, anomalous
+
+
+class TestMuxTables:
+    @pytest.mark.parametrize("bits", [10, 8, 12])
+    def test_touched_taps_table_equals_full_walk(self, bits):
+        """Every sub-DAC defect of the device: the table rebuilt from the
+        clean one equals the full 33-tap (for 10 bits) walk."""
+        adc = SarAdc(default_dut().merged({"resolution_bits": bits}))
+        hierarchy = adc.build_hierarchy()
+        injector = DefectInjector(hierarchy)
+        defects = build_defect_universe(
+            hierarchy, blocks=["subdac1", "subdac2"]).defects
+        assert defects
+        for defect in defects:
+            dac = adc.block(defect.block_path)
+            with injector.injected(defect):
+                defective = dac.netlist.defective_devices()
+                for side in ("p", "n"):
+                    assert dac._mux_table(side, defective) == \
+                        reference_mux_table(dac, side), defect.defect_id
+
+    def test_clean_table_has_no_anomalous_tap(self):
+        dac = make_subdac1()
+        assert dac._mux_table("p", []) == reference_mux_table(dac, "p")
+        assert dac._mux_table("n", [])[4] == []

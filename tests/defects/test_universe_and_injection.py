@@ -7,7 +7,8 @@ from repro.adc import SarAdc
 from repro.circuit import CoverageError, DefectError
 from repro.defects import (DefectInjector, DefectKind, DefectUniverse,
                            LikelihoodModel, SamplingPlan,
-                           build_defect_universe, lwrs_sample, select_defects)
+                           build_defect_universe, enumerate_device_defects,
+                           lwrs_sample, select_defects)
 
 
 class TestUniverseExtraction:
@@ -53,6 +54,25 @@ class TestUniverseExtraction:
         universe = build_defect_universe(adc.build_hierarchy(),
                                          blocks=["sc_array"])
         assert set(universe.block_paths()) == {"sc_array"}
+
+    @pytest.mark.parametrize("model", [
+        LikelihoodModel(),
+        LikelihoodModel(block_scale={"bandgap": 3.0, "sc_array": 0.7})])
+    def test_defects_are_built_with_their_final_likelihood(self, model):
+        """Equal, down to the likelihood bits, to enumerating every defect
+        at likelihood 1.0 and then reweighting a copy of it."""
+        hierarchy = SarAdc().build_hierarchy()
+        reference = [model.reweight(defect, device)
+                     for block_path, device in hierarchy.iter_devices(
+                         group="ams")
+                     for defect in enumerate_device_defects(block_path,
+                                                            device)]
+        built = build_defect_universe(hierarchy, model).defects
+        assert [d.defect_id for d in built] == \
+            [d.defect_id for d in reference]
+        assert [d.likelihood.hex() for d in built] == \
+            [d.likelihood.hex() for d in reference]
+        assert built == reference
 
     def test_probabilities_sum_to_one(self, session_universe):
         probs = session_universe.probabilities()
