@@ -381,13 +381,12 @@ def test_spec_compilation_overhead():
 
 
 def test_telemetry_overhead_under_five_percent(tmp_path):
-    """A fully-instrumented run must cost < 5% over an untraced one.
+    """A ``--trace`` run must cost < 5% over an untraced one.
 
-    The telemetry path adds one JSONL trace sink plus the in-process
-    metrics registry -- the full ``--trace`` configuration -- to the
-    serial benchmark campaign.  Per-event work is a dataclass, a dict and
-    one buffered ``write``; against a campaign whose per-task cost is an
-    ADC conversion sweep that must stay in the noise.  Min-of-rounds on
+    The telemetry path adds one JSONL trace sink -- what ``--trace``
+    runs -- to the serial benchmark campaign.  Per-event work is a
+    dataclass, a dict and one flushed ``write``; against a campaign whose
+    per-task cost is an ADC conversion sweep that must stay in the noise.  Min-of-rounds on
     both sides to suppress scheduler jitter.  The calibration replays from
     a cache, so the campaign dominates both sides.
     """
@@ -396,7 +395,7 @@ def test_telemetry_overhead_under_five_percent(tmp_path):
     import tempfile
     from pathlib import Path
 
-    from repro.engine import JsonlTraceSink, MetricsSink, TelemetryBus
+    from repro.engine import JsonlTraceSink, TelemetryBus
 
     rounds = 3
     calibration_dir = tmp_path / "calibration"
@@ -423,7 +422,7 @@ def test_telemetry_overhead_under_five_percent(tmp_path):
         trace_path = Path(tmp) / "bench-trace.jsonl"
 
         def traced_bus():
-            return TelemetryBus([JsonlTraceSink(trace_path), MetricsSink()])
+            return TelemetryBus([JsonlTraceSink(trace_path)])
 
         _run(SerialBackend())  # warm-up round
         bare_wall, bare = min_wall(lambda: None)
@@ -436,7 +435,7 @@ def test_telemetry_overhead_under_five_percent(tmp_path):
         ["configuration", "#executed", "wall (s)", "overhead"],
         [["untraced", bare.report.n_executed,
           f"{bare_wall:.3f}", "-"],
-         ["--trace + metrics", traced.report.n_executed,
+         ["--trace", traced.report.n_executed,
           f"{traced_wall:.3f}", f"{overhead:+.1f}%"]],
         title=f"telemetry overhead ({N_DEFECTS} LWRS defects, "
               f"min of {rounds} rounds)"))

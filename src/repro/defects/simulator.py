@@ -36,7 +36,7 @@ import pickle
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -481,9 +481,7 @@ class DefectCampaign:
 
     def run(self, plan: Optional[SamplingPlan] = None,
             rng: Optional[np.random.Generator] = None,
-            blocks: Optional[Sequence[str]] = None,
-            progress: Optional[Callable[[int, int, DefectSimulationRecord], None]] = None
-            ) -> CampaignResult:
+            blocks: Optional[Sequence[str]] = None) -> CampaignResult:
         """Run a campaign over the whole IP or a subset of blocks.
 
         Parameters
@@ -495,10 +493,6 @@ class DefectCampaign:
         blocks:
             Optional restriction to a list of block paths (used to produce the
             per-block rows of Table I with per-block LWRS budgets).
-        progress:
-            Optional callback ``progress(index, total, record)`` invoked once
-            per simulated defect, ``index`` counting the defects reported so
-            far (block by block, each block's defects in selection order).
         """
         plan = plan or SamplingPlan(exhaustive=True)
         universe = self.universe
@@ -516,7 +510,7 @@ class DefectCampaign:
             positions.setdefault(defect.block_path, []).append(index)
         block_records = self._simulate_blocks(
             {block: [defects[i] for i in indices]
-             for block, indices in positions.items()}, progress)
+             for block, indices in positions.items()})
         records: List[Any] = [None] * len(defects)
         for block, indices in positions.items():
             for index, record in zip(indices, block_records[block]):
@@ -524,8 +518,7 @@ class DefectCampaign:
         return CampaignResult(records=records, universe=universe, plan=plan,
                               stop_on_detection=self.stop_on_detection)
 
-    def _simulate_blocks(self, selection: Mapping[str, Sequence[Defect]],
-                         progress: Optional[Callable[[int, int, DefectSimulationRecord], None]]
+    def _simulate_blocks(self, selection: Mapping[str, Sequence[Defect]]
                          ) -> Dict[str, List[DefectSimulationRecord]]:
         """Simulate a per-block defect selection, one batch per block.
 
@@ -536,22 +529,12 @@ class DefectCampaign:
         """
         self.adc.clear_defects()
         fingerprint = self._adc_fingerprint()
-        total = sum(len(defects) for defects in selection.values())
-        done = 0
-        block_records: Dict[str, List[DefectSimulationRecord]] = {}
-        for block, defects in selection.items():
-            records = self.simulate_defect_batch(defects,
-                                                 fingerprint=fingerprint)
-            if progress is not None:
-                for record in records:
-                    progress(done, total, record)
-                    done += 1
-            block_records[block] = records
-        return block_records
+        return {block: self.simulate_defect_batch(defects,
+                                                  fingerprint=fingerprint)
+                for block, defects in selection.items()}
 
     def run_per_block(self, n_samples_per_block: int,
                       exhaustive_threshold: Optional[int] = None,
-                      progress: Optional[Callable[[int, int, DefectSimulationRecord], None]] = None,
                       seed: Optional[Any] = None,
                       blocks: Optional[Sequence[str]] = None,
                       exhaustive: bool = False
@@ -578,16 +561,13 @@ class DefectCampaign:
             Optional restriction to a block subset / force exhaustive
             simulation of every block (the ``campaign.blocks`` and
             ``campaign.exhaustive`` study parameters).
-        progress:
-            Follows the :meth:`run` convention.
         """
         selection = per_block_selection(
             self.universe, 0 if seed is None else seed, n_samples_per_block,
             exhaustive_threshold=exhaustive_threshold, blocks=blocks,
             exhaustive=exhaustive)
         block_records = self._simulate_blocks(
-            {block: defects for block, (_, defects) in selection.items()},
-            progress)
+            {block: defects for block, (_, defects) in selection.items()})
         return {block: CampaignResult(
                     records=block_records[block],
                     universe=self.universe.by_block(block), plan=plan,

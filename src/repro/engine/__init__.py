@@ -40,6 +40,9 @@ executes such workloads:
   engine run) and :data:`YIELD_LOSS_STUDY` (calibration + campaign +
   yield-loss sweep + functional escape analysis); customise them with
   :meth:`StudySpec.override`;
+* :mod:`repro.engine.telemetry` -- the :class:`TelemetryBus`, the one way
+  to observe a run, with its JSONL trace and progress sinks;
+  :mod:`repro.engine.trace` analyses a JSONL trace afterwards;
 * :mod:`repro.engine.cli` -- the ``repro-campaign`` command-line entry
   point, including ``repro-campaign run STUDY.toml`` for arbitrary specs.
 
@@ -59,8 +62,7 @@ from .cache import (MISS, ResultCache, callable_token, canonical_json,
                     factory_token)
 from .executor import (CampaignEngine, CampaignReport, EngineRun,
                        IDENTITY_CODEC, ResultCodec, STATUS_CACHED,
-                       STATUS_EXECUTED, STATUS_FAILED, STATUS_SKIPPED,
-                       TaskOutcome)
+                       STATUS_EXECUTED, STATUS_FAILED, STATUS_SKIPPED)
 from .pipeline import Pipeline, PipelineResult, PipelineStage
 from .registry import (StageDefinition, StageParam, available_stages,
                        register_stage, stage_definition)
@@ -69,8 +71,7 @@ from .spec import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN, CANNED_STUDIES,
                    VariantSpec, YIELD_LOSS_STUDY, build_study, load_study,
                    run_study)
 from .task import Task, TaskGraph
-from .telemetry import (ChromeTraceSink, EVENT_TYPES, JsonlTraceSink,
-                        MetricsRegistry, MetricsSink, ProgressSink, TaskSpan,
+from .telemetry import (EVENT_TYPES, JsonlTraceSink, ProgressSink, TaskSpan,
                         TelemetryBus, TelemetryEvent, TelemetrySink,
                         chrome_trace, follow_trace, read_trace)
 from .trace import TraceSummary, format_summary, summarize_trace
@@ -78,16 +79,16 @@ from .trace import TraceSummary, format_summary, summarize_trace
 __all__ = [
     "BLOCK_STUDY", "CALIBRATE_THEN_CAMPAIGN", "CANNED_STUDIES",
     "CampaignEngine",
-    "CampaignReport", "ChromeTraceSink", "EVENT_TYPES", "EngineRun",
+    "CampaignReport", "EVENT_TYPES", "EngineRun",
     "ExecutionBackend", "IDENTITY_CODEC", "JsonlTraceSink", "MISS",
-    "MetricsRegistry", "MetricsSink", "PayloadReport",
+    "PayloadReport",
     "Pipeline", "PipelineResult", "PipelineStage", "ProgressSink",
     "ResultCache", "ResultCodec",
     "STATUS_CACHED", "STATUS_EXECUTED", "STATUS_FAILED", "STATUS_SKIPPED",
     "SerialBackend", "SharedMemoryBackend", "StageDefinition", "StageParam",
     "StageSpec", "StudyOutcome", "StudyPlan", "StudySpec", "Task",
     "VariantSpec",
-    "TaskGraph", "TaskOutcome", "TaskSpan", "TelemetryBus", "TelemetryEvent",
+    "TaskGraph", "TaskSpan", "TelemetryBus", "TelemetryEvent",
     "TelemetrySink", "TraceSummary", "WorkStream", "YIELD_LOSS_STUDY",
     "available_stages", "build_study",
     "callable_token", "canonical_json", "chrome_trace", "factory_token",

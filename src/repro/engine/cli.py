@@ -164,18 +164,20 @@ def _telemetry_from_args(args: argparse.Namespace,
     unobserved runs skip event emission entirely).  Callers must
     ``close()`` it."""
     from . import JsonlTraceSink, ProgressSink, TelemetryBus
+    # Refuse bad combinations before any sink opens a file.
+    if getattr(args, "warehouse", None) and \
+            not getattr(args, "cache_dir", None):
+        from ..circuit.errors import EngineError
+        raise EngineError(
+            "--warehouse indexes cached artifacts, so it needs "
+            "--cache-dir; add one (or backfill later with "
+            "`repro-campaign warehouse index`)")
     sinks: List[Any] = []
     if getattr(args, "trace", None):
         sinks.append(JsonlTraceSink(args.trace))
     if getattr(args, "progress", False):
         sinks.append(ProgressSink())
     if getattr(args, "warehouse", None):
-        if not getattr(args, "cache_dir", None):
-            from ..circuit.errors import EngineError
-            raise EngineError(
-                "--warehouse indexes cached artifacts, so it needs "
-                "--cache-dir; add one (or backfill later with "
-                "`repro-campaign warehouse index`)")
         from ..warehouse import WarehouseSink
         sinks.append(WarehouseSink(args.warehouse, cache_dir=args.cache_dir,
                                    study=study))

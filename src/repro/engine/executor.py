@@ -57,26 +57,6 @@ STATUS_SKIPPED = "skipped"
 
 
 @dataclass(frozen=True)
-class TaskOutcome:
-    """One completed task, as seen by progress callbacks."""
-
-    index: int
-    task: Task
-    result: Any
-    duration: float
-    from_cache: bool
-    done: int
-    total: int
-
-
-#: ``progress(outcome)`` -- invoked once per completed task, in completion
-#: order (cache hits first, then live executions as they finish).  Failed and
-#: skipped tasks are not reported through progress; read
-#: :attr:`EngineRun.statuses` instead.
-ProgressCallback = Callable[[TaskOutcome], None]
-
-
-@dataclass(frozen=True)
 class ResultCodec:
     """Converts worker results to/from the JSON stored by the cache."""
 
@@ -104,11 +84,8 @@ class CampaignReport:
     n_cache_hits: int
     wall_time: float
     task_durations: Dict[str, float] = field(default_factory=dict)
-    group_durations: Dict[str, float] = field(default_factory=dict)
     #: Execution time per pipeline stage (only when the run was given a
-    #: ``stage_of`` mapping; pipelines pass theirs automatically).  Unlike
-    #: :attr:`group_durations` -- whose labels a task may override, e.g. with
-    #: its block path -- this always aggregates by stage.
+    #: ``stage_of`` mapping; pipelines pass theirs automatically).
     stage_durations: Dict[str, float] = field(default_factory=dict)
     #: Completed-task count per pipeline stage (same conditions).
     stage_counts: Dict[str, int] = field(default_factory=dict)
@@ -135,15 +112,8 @@ class CampaignReport:
     def tasks_per_second(self) -> float:
         """Executed-task throughput: cache hits are lookups, not work, so
         they are excluded (a warm-cache run reports ~0 tasks/s instead of
-        an absurd replay rate).  See :attr:`graph_tasks_per_second` for the
-        graph-resolution rate including hits."""
+        an absurd replay rate)."""
         return self.n_executed / self.wall_time if self.wall_time > 0 else 0.0
-
-    @property
-    def graph_tasks_per_second(self) -> float:
-        """Graph-resolution throughput: every task (executed, cached,
-        failed) over the wall time."""
-        return self.n_tasks / self.wall_time if self.wall_time > 0 else 0.0
 
     def summary(self) -> str:
         """One-line human-readable digest for logs and CLIs."""
@@ -398,8 +368,6 @@ class CampaignEngine:
     seed:
         Root seed (``int`` or ``SeedSequence``) from which one child
         ``SeedSequence`` per task is spawned, by task index.
-    progress:
-        Optional default :data:`ProgressCallback`.
     telemetry:
         Optional default :class:`~repro.engine.telemetry.TelemetryBus`;
         every run emits its lifecycle events (``run_started``,
@@ -409,12 +377,10 @@ class CampaignEngine:
     def __init__(self, backend: Optional[ExecutionBackend] = None,
                  cache: Optional[ResultCache] = None,
                  seed: Union[int, np.random.SeedSequence] = 0,
-                 progress: Optional[ProgressCallback] = None,
                  telemetry: Optional[TelemetryBus] = None) -> None:
         self.backend = backend or SerialBackend()
         self.cache = cache
         self.seed = seed
-        self.progress = progress
         self.telemetry = telemetry
 
     # ---------------------------------------------------------------- helpers
@@ -446,7 +412,6 @@ class CampaignEngine:
             worker: Callable[..., Any],
             context: Any = None,
             codec: CodecArg = None,
-            progress: Optional[ProgressCallback] = None,
             on_failure: str = "raise",
             stage_of: Optional[Mapping[str, str]] = None,
             telemetry: Optional[TelemetryBus] = None,
@@ -497,7 +462,6 @@ class CampaignEngine:
             raise EngineError(
                 f"on_failure must be 'raise' or 'skip', got {on_failure!r}")
         codec_for = _resolve_codec(codec)
-        progress = progress or self.progress
         bus = telemetry if telemetry is not None else self.telemetry
         n_tasks = len(graph)
         started = time.perf_counter()
@@ -514,7 +478,6 @@ class CampaignEngine:
         remaining = [len(task.depends_on) for task in graph]
         ready: deque = deque(i for i, task in enumerate(graph)
                              if not task.depends_on)
-        done = 0
         n_cache_hits = 0
         n_executed = 0
         in_flight = 0
@@ -522,17 +485,11 @@ class CampaignEngine:
         def complete(index: int, result: Any, duration: float,
                      from_cache: bool) -> None:
             """Record a finished task and release its children."""
-            nonlocal done
             task = graph[index]
             results[index] = result
             durations[task.task_id] = duration
             statuses[task.task_id] = STATUS_CACHED if from_cache \
                 else STATUS_EXECUTED
-            done += 1
-            if progress is not None:
-                progress(TaskOutcome(index=index, task=task, result=result,
-                                     duration=duration, from_cache=from_cache,
-                                     done=done, total=n_tasks))
             for child_id in graph.dependents(task.task_id):
                 child_index = graph.index_of(child_id)
                 remaining[child_index] -= 1
@@ -561,7 +518,7 @@ class CampaignEngine:
                     cancelled = True
                 if cancelled:
                     # Stop dispatching; keep draining what is in flight so
-                    # completed work still reaches the cache/progress.
+                    # completed work still reaches the cache.
                     ready.clear()
                 # Dispatch everything runnable; cache hits complete inline
                 # (and may push newly unblocked children back onto `ready`).
@@ -647,7 +604,6 @@ class CampaignEngine:
                       stage_of: Optional[Mapping[str, str]] = None,
                       statuses: Optional[Mapping[str, str]] = None
                       ) -> CampaignReport:
-        group_durations: Dict[str, float] = {}
         stage_durations: Dict[str, float] = {}
         stage_counts: Dict[str, int] = {}
         stage_failed: Dict[str, int] = {}
@@ -663,10 +619,6 @@ class CampaignEngine:
                     stage_skipped[stage] = stage_skipped.get(stage, 0) + 1
             if task.task_id not in durations:
                 continue
-            if task.group is not None:
-                group_durations[task.group] = \
-                    group_durations.get(task.group, 0.0) \
-                    + durations[task.task_id]
             if stage is not None:
                 stage_durations[stage] = stage_durations.get(stage, 0.0) \
                     + durations[task.task_id]
@@ -680,7 +632,6 @@ class CampaignEngine:
             n_cache_hits=n_cache_hits,
             wall_time=time.perf_counter() - started,
             task_durations=durations,
-            group_durations=group_durations,
             stage_durations=stage_durations,
             stage_counts=stage_counts,
             n_failed=n_failed,

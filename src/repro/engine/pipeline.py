@@ -52,8 +52,8 @@ from .backends import ExecutionBackend
 from .cache import ResultCache, canonical_json, factory_token
 from .telemetry import TelemetryBus
 from .executor import (CampaignEngine, CampaignReport, EngineRun,
-                       IDENTITY_CODEC, ProgressCallback, ResultCodec,
-                       STATUS_CACHED, STATUS_EXECUTED)
+                       IDENTITY_CODEC, ResultCodec, STATUS_CACHED,
+                       STATUS_EXECUTED)
 from .registry import stage_definition
 from .task import Task, TaskGraph
 
@@ -200,7 +200,6 @@ class Pipeline:
     def run(self, backend: Optional[ExecutionBackend] = None,
             cache: Optional[ResultCache] = None,
             seed: Any = 0,
-            progress: Optional[ProgressCallback] = None,
             on_failure: str = "raise",
             telemetry: Optional["TelemetryBus"] = None,
             cancel: Optional[Callable[[], bool]] = None) -> PipelineResult:
@@ -222,7 +221,7 @@ class Pipeline:
         if not len(self._graph):
             raise EngineError(f"pipeline {self.name!r} has no tasks")
         engine = CampaignEngine(backend=backend, cache=cache, seed=seed,
-                                progress=progress, telemetry=telemetry)
+                                telemetry=telemetry)
         context = {"stages": {name: (stage.worker, stage.context)
                               for name, stage in self._stages.items()},
                    "stage_of": dict(self._stage_of)}

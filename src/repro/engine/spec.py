@@ -60,7 +60,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 from ..circuit.errors import DutSpecError, EngineError
 from .backends import ExecutionBackend
 from .cache import ResultCache
-from .executor import CampaignReport, ProgressCallback
+from .executor import CampaignReport
 from .pipeline import Pipeline, PipelineResult
 from .registry import coerce_param, stage_definition
 from .telemetry import TelemetryBus
@@ -963,7 +963,6 @@ class StudyPlan:
 
     def run(self, backend: Optional[ExecutionBackend] = None,
             cache: Optional[ResultCache] = None,
-            progress: Optional[ProgressCallback] = None,
             on_failure: str = "raise",
             telemetry: Optional[TelemetryBus] = None,
             cancel: Optional[Callable[[], bool]] = None) -> StudyOutcome:
@@ -978,7 +977,6 @@ class StudyPlan:
 
         try:
             result = self.pipeline.run(backend=backend, cache=cache,
-                                       progress=progress,
                                        on_failure=on_failure,
                                        telemetry=telemetry,
                                        cancel=cancel)
@@ -1057,7 +1055,6 @@ class StudyPlan:
 def run_study(spec: StudySpec,
               backend: Optional[ExecutionBackend] = None,
               cache: Optional[ResultCache] = None,
-              progress: Optional[ProgressCallback] = None,
               on_failure: str = "raise",
               telemetry: Optional[TelemetryBus] = None,
               adc_factory: Optional[Callable[[], Any]] = None,
@@ -1068,9 +1065,8 @@ def run_study(spec: StudySpec,
     conventions (serial and uncached by default)."""
     plan = build_study(spec, adc_factory=adc_factory,
                        variation_spec=variation_spec)
-    return plan.run(backend=backend, cache=cache, progress=progress,
-                    on_failure=on_failure, telemetry=telemetry,
-                    cancel=cancel)
+    return plan.run(backend=backend, cache=cache, on_failure=on_failure,
+                    telemetry=telemetry, cancel=cancel)
 
 
 # ============================================================ canned studies

@@ -5,15 +5,17 @@ something watches it.  This module is that something: the engine emits a
 stream of :class:`TelemetryEvent` records through a :class:`TelemetryBus`
 (one event per scheduling decision and per task lifecycle transition), and
 the bus fans each event out to any number of :class:`TelemetrySink`\\ s --
-a crash-safe JSONL trace writer, a Chrome trace-event exporter (loadable in
-Perfetto / ``chrome://tracing``), a live terminal progress line and an
-in-process metrics registry.
+the crash-safe :class:`JsonlTraceSink`, the live terminal
+:class:`ProgressSink` and the warehouse indexer
+(:class:`~repro.warehouse.WarehouseSink`).  Everything else reads the JSONL
+trace afterwards: :func:`chrome_trace` converts it for Perfetto /
+``chrome://tracing`` and :mod:`repro.engine.trace` summarises it.
 
 The event stream is *logical*: the same workload produces the same event
 multiset (modulo timestamps, ordering and worker pids) whatever backend
 runs it, which is what the telemetry equivalence suite pins.  It is also
-the wire format a future campaign daemon streams to clients, so the schema
-is deliberately flat JSON.
+the wire format the campaign daemon (:mod:`repro.service.daemon`) tails
+for its clients, so the schema is deliberately flat JSON.
 
 Event schema
 ------------
@@ -38,7 +40,7 @@ optionally ``task_id``, ``stage``, ``group``, ``worker`` (pid) and a
 Worker-side spans
 -----------------
 Each executed task ships a :class:`TaskSpan` back with its result (through
-all three backends): the worker pid, the monotonic receipt/finish times and
+every backend): the worker pid, the monotonic receipt/finish times and
 the setup ("deserialize") share.  The parent combines it with its own
 submit/receive timestamps into the four per-task phases:
 
@@ -139,10 +141,6 @@ class TelemetryBus:
 
     def __init__(self, sinks: Sequence[TelemetrySink] = ()) -> None:
         self.sinks: List[TelemetrySink] = list(sinks)
-
-    def add_sink(self, sink: TelemetrySink) -> TelemetrySink:
-        self.sinks.append(sink)
-        return sink
 
     def emit(self, event_type: str, t: Optional[float] = None,
              task_id: Optional[str] = None, stage: Optional[str] = None,
@@ -347,21 +345,6 @@ def chrome_trace(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
     return {"traceEvents": meta + rows, "displayTimeUnit": "ms"}
 
 
-class ChromeTraceSink(TelemetrySink):
-    """Accumulates events and writes a Chrome trace JSON file on close."""
-
-    def __init__(self, path: Any) -> None:
-        self.path = os.fspath(path)
-        self.events: List[TelemetryEvent] = []
-
-    def handle(self, event: TelemetryEvent) -> None:
-        self.events.append(event)
-
-    def close(self) -> None:
-        with open(self.path, "w", encoding="utf-8") as handle:
-            json.dump(chrome_trace(self.events), handle)
-
-
 # ========================================================== terminal progress
 
 class ProgressSink(TelemetrySink):
@@ -453,164 +436,3 @@ class ProgressSink(TelemetrySink):
             self.stream.write("\n")
             self._line_open = False
             self.stream.flush()
-
-
-# ============================================================ metrics registry
-
-@dataclass
-class Counter:
-    """Monotonically increasing count."""
-
-    value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-@dataclass
-class Gauge:
-    """Last-written value (may go up and down)."""
-
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
-@dataclass
-class Histogram:
-    """Streaming summary (count/sum/min/max) of an observed distribution."""
-
-    count: int = 0
-    total: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        if not self.count:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-                    "mean": 0.0}
-        return {"count": self.count, "sum": self.total, "min": self.min,
-                "max": self.max, "mean": self.mean}
-
-
-def _metric_key(name: str, labels: Mapping[str, Any]) -> str:
-    if not labels:
-        return name
-    body = ",".join(f"{key}={labels[key]}" for key in sorted(labels))
-    return f"{name}{{{body}}}"
-
-
-class MetricsRegistry:
-    """Named counters/gauges/histograms with optional labels.
-
-    ``registry.counter("tasks_executed", stage="campaign").inc()`` -- the
-    metric instance is created on first use and shared afterwards.
-    """
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self.counters.setdefault(_metric_key(name, labels), Counter())
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self.gauges.setdefault(_metric_key(name, labels), Gauge())
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self.histograms.setdefault(_metric_key(name, labels),
-                                          Histogram())
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-data snapshot (JSON-serialisable)."""
-        return {
-            "counters": {key: counter.value
-                         for key, counter in self.counters.items()},
-            "gauges": {key: gauge.value
-                       for key, gauge in self.gauges.items()},
-            "histograms": {key: histogram.summary()
-                           for key, histogram in self.histograms.items()}}
-
-
-class MetricsSink(TelemetrySink):
-    """Folds the event stream into a :class:`MetricsRegistry`.
-
-    Maintained metrics: ``engine_queue_depth`` (submitted minus completed,
-    live), ``tasks_executed``/``cache_hits``/``tasks_failed``/
-    ``tasks_skipped`` counters (per stage when tagged),
-    ``task_<phase>_seconds`` histograms for the four span phases,
-    ``worker_busy_seconds``/``worker_utilization`` per worker, per-stage
-    ``stage_cache_hit_rate`` and the run's payload byte gauges (folding
-    :class:`~repro.engine.backends.PayloadReport` in).
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._busy: Dict[int, float] = {}
-        self._started: Optional[float] = None
-
-    def handle(self, event: TelemetryEvent) -> None:
-        registry = self.registry
-        stage_labels = {"stage": event.stage} if event.stage else {}
-        if event.type == "run_started":
-            self._started = event.t
-        elif event.type == "task_submitted":
-            registry.gauge("engine_queue_depth").inc()
-        elif event.type == "task_completed":
-            registry.gauge("engine_queue_depth").dec()
-            registry.counter("tasks_executed", **stage_labels).inc()
-            for phase in ("queue_wait", "deserialize", "execute", "ship"):
-                if phase in event.data:
-                    registry.histogram(f"task_{phase}_seconds",
-                                       **stage_labels) \
-                        .observe(event.data[phase])
-            if event.worker is not None:
-                self._busy[event.worker] = \
-                    self._busy.get(event.worker, 0.0) \
-                    + event.data.get("worker_seconds",
-                                     event.data.get("duration", 0.0))
-        elif event.type == "cache_hit":
-            registry.counter("cache_hits", **stage_labels).inc()
-        elif event.type == "task_failed":
-            registry.gauge("engine_queue_depth").dec()
-            registry.counter("tasks_failed", **stage_labels).inc()
-        elif event.type == "task_skipped":
-            registry.counter("tasks_skipped", **stage_labels).inc()
-        elif event.type == "stage_completed":
-            executed = event.data.get("executed", 0)
-            cached = event.data.get("cached", 0)
-            resolved = executed + cached
-            registry.gauge("stage_cache_hit_rate", stage=event.stage) \
-                .set(cached / resolved if resolved else 0.0)
-        elif event.type == "run_finished":
-            wall = event.data.get("wall_time")
-            if wall is None and self._started is not None:
-                wall = event.t - self._started
-            for worker, busy in self._busy.items():
-                registry.gauge("worker_busy_seconds", worker=worker).set(busy)
-                if wall:
-                    registry.gauge("worker_utilization", worker=worker) \
-                        .set(busy / wall)
-            for key in ("task_bytes", "context_bytes"):
-                if event.data.get(key) is not None:
-                    registry.gauge(f"payload_{key}").set(event.data[key])
-            if wall is not None:
-                registry.gauge("run_wall_seconds").set(wall)

@@ -129,13 +129,6 @@ class TestBlockCampaigns:
         with pytest.raises(CoverageError):
             result.block_report("bandgap")
 
-    def test_progress_callback_invoked(self, campaign, rng):
-        seen = []
-        campaign.run(SamplingPlan(exhaustive=True), blocks=["offset_compensation"],
-                     rng=rng, progress=lambda i, n, rec: seen.append((i, n)))
-        assert len(seen) == len(campaign.universe.by_block("offset_compensation"))
-        assert seen[0][1] == seen[-1][1] == len(seen)
-
     def test_undetected_defects_listing(self, campaign, rng):
         result = campaign.run(SamplingPlan(exhaustive=True),
                               blocks=["offset_compensation"], rng=rng)

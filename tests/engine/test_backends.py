@@ -7,6 +7,8 @@ from repro.circuit import EngineError, TaskExecutionError
 from repro.engine import (CampaignEngine, ResultCache, ResultCodec,
                           SerialBackend, SharedMemoryBackend, Task, TaskGraph)
 
+from test_telemetry import TERMINAL, collecting_bus
+
 
 # Module-level workers so the pool backend can pickle them.
 def square_worker(context, task, rng, inputs):
@@ -32,6 +34,12 @@ def tasks_of(n, **kwargs):
                       for i in range(n)])
 
 
+def terminal_events(sink):
+    """(type, task id) of every task's terminal event, in emission order."""
+    return [(event.type, event.task_id) for event in sink.events
+            if event.type in TERMINAL]
+
+
 class TestSerialBackend:
     def test_maps_in_order(self):
         run = CampaignEngine(backend=SerialBackend()).run(
@@ -50,14 +58,13 @@ class TestSerialBackend:
         with pytest.raises(TaskExecutionError, match="t3"):
             CampaignEngine().run(tasks_of(5), failing_worker)
 
-    def test_progress_callback(self):
-        seen = []
-        CampaignEngine().run(
-            tasks_of(3), square_worker,
-            progress=lambda outcome: seen.append(
-                (outcome.index, outcome.done, outcome.total,
-                 outcome.from_cache)))
-        assert seen == [(0, 1, 3, False), (1, 2, 3, False), (2, 3, 3, False)]
+    def test_completion_order_on_bus(self):
+        bus, sink = collecting_bus()
+        CampaignEngine(telemetry=bus).run(tasks_of(3), square_worker)
+        assert sink.events[0].data["n_tasks"] == 3
+        assert terminal_events(sink) == [("task_completed", "t0"),
+                                         ("task_completed", "t1"),
+                                         ("task_completed", "t2")]
 
     def test_empty_graph(self):
         run = CampaignEngine().run(TaskGraph(), square_worker)
@@ -201,11 +208,9 @@ class TestEngineCaching:
             return [Task(task_id="t", payload=2, spec={"op": "square"},
                          deterministic=True)]
         CampaignEngine(cache=cache).run(build(), square_worker)
-        seen = []
-        CampaignEngine(cache=cache).run(
-            build(), square_worker,
-            progress=lambda outcome: seen.append(outcome.from_cache))
-        assert seen == [True]
+        bus, sink = collecting_bus()
+        CampaignEngine(cache=cache, telemetry=bus).run(build(), square_worker)
+        assert terminal_events(sink) == [("cache_hit", "t")]
 
 
 class TestReport:
@@ -215,13 +220,9 @@ class TestReport:
         assert "3 tasks" in summary
         assert "serial" in summary
 
-    def test_group_durations(self):
-        graph = TaskGraph([Task(task_id="a", payload=1, group="g1"),
-                           Task(task_id="b", payload=2, group="g1"),
-                           Task(task_id="c", payload=3, group="g2")])
-        run = CampaignEngine().run(graph, square_worker)
-        assert set(run.report.group_durations) == {"g1", "g2"}
-        assert run.report.task_durations.keys() == {"a", "b", "c"}
+    def test_task_durations_cover_every_task(self):
+        run = CampaignEngine().run(tasks_of(3), square_worker)
+        assert run.report.task_durations.keys() == {"t0", "t1", "t2"}
 
 
 class TestMpContext:

@@ -1,6 +1,8 @@
 """Tests for the ``repro-campaign`` command-line entry point."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -559,6 +561,18 @@ class TestWarehouseCommand:
         assert main(["run", "block-study", "--warehouse",
                      str(tmp_path / "wh.sqlite")] + SMALL_STUDY) == 1
         assert "--cache-dir" in capsys.readouterr().err
+
+    def test_refused_warehouse_run_opens_no_trace(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "block-study", "--trace", str(trace),
+                         "--warehouse", str(tmp_path / "wh.sqlite")]
+                        + SMALL_STUDY) == 1
+            gc.collect()
+        assert not trace.exists()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_run_with_warehouse_answers_canned_query(self, tmp_path,
                                                      capsys):

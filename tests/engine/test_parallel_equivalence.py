@@ -22,6 +22,8 @@ from repro.engine import (CALIBRATE_THEN_CAMPAIGN, STATUS_CACHED,
                           STATUS_EXECUTED, ResultCache, SharedMemoryBackend,
                           StageSpec, StudySpec, run_study)
 
+from test_telemetry import TERMINAL, collecting_bus
+
 #: Monte Carlo instances of the campaign studies' calibrations.
 MC = 3
 
@@ -174,16 +176,15 @@ class TestCampaignEquivalence:
         cache = ResultCache(str(tmp_path / "cache"), namespace="calibration")
         spec = campaign_spec(blocks=["rs_latch"])
         run_study(spec, cache=cache)
-        seen = []
-        warm = run_study(spec, cache=cache,
-                         progress=lambda outcome: seen.append(outcome))
-        defects = [record for outcome in seen
-                   if outcome.task.task_id.startswith("campaign/")
-                   for record in outcome.result]
-        universe_size = len(warm.results["rs_latch"].universe)
-        assert len(defects) == universe_size
-        assert all(outcome.from_cache for outcome in seen)
-        assert seen[-1].done == seen[-1].total == warm.report.n_tasks
+        bus, sink = collecting_bus()
+        warm = run_study(spec, cache=cache, telemetry=bus)
+        terminal = [event for event in sink.events if event.type in TERMINAL]
+        assert {event.type for event in terminal} == {"cache_hit"}
+        assert len(terminal) == warm.report.n_tasks
+        # A batched task reports its defect count as ``items``.
+        n_defects = sum(event.data.get("items", 1) for event in terminal
+                        if event.task_id.startswith("campaign/"))
+        assert n_defects == len(warm.results["rs_latch"].universe)
 
     def test_engine_report_attached(self):
         outcome = run_study(campaign_spec(blocks=["rs_latch"]))

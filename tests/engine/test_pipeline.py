@@ -259,7 +259,7 @@ class TestPipeline:
         assert result.result_for("total") == [0, 2, 4]
         assert result.stage_results("produce") == \
             {"p/0": 0, "p/1": 2, "p/2": 4}
-        assert result.report.group_durations.keys() == {"produce", "reduce"}
+        assert result.report.stage_durations.keys() == {"produce", "reduce"}
 
     def test_multiprocess_pipeline_matches_serial(self):
         serial = self._build().run()
@@ -386,8 +386,8 @@ class TestCalibrateThenCampaign:
         # batches of the default 32.
         assert outcome.report.n_tasks == \
             MC + 1 + math.ceil(outcome.results[BLOCK].n_simulated / 32)
-        assert "calibrate" in outcome.report.group_durations
-        assert BLOCK in outcome.report.group_durations
+        assert outcome.report.stage_durations.keys() == \
+            {"calibrate", "windows", "campaign"}
 
 
 # -------------------------------------------------------------- block study
@@ -514,8 +514,6 @@ class TestBlockStudy:
             "campaign": n_defect_tasks, "summary": n_blocks}
         assert set(outcome.report.stage_durations) == \
             {"calibrate", "windows", "campaign", "summary"}
-        for block in STUDY_BLOCKS:
-            assert block in outcome.report.group_durations
         assert "campaign" in outcome.report.stage_summary()
 
     def test_per_block_k_override(self):

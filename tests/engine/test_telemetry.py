@@ -12,9 +12,9 @@ Covers the tentpole guarantees of the observability layer:
   suite's seeded case generator;
 * the JSONL trace is crash-safe to read (a truncated trailing line is
   tolerated, corruption elsewhere is an error);
-* the Chrome exporter produces structurally valid trace-event JSON;
-* the progress sink renders and refreshes in place;
-* the metrics sink folds the stream into counters/gauges/histograms.
+* the Chrome exporter turns a JSONL trace into structurally valid
+  trace-event JSON;
+* the progress sink renders and refreshes in place.
 """
 
 import io
@@ -23,8 +23,8 @@ import json
 import pytest
 
 from repro.circuit.errors import EngineError, TaskExecutionError
-from repro.engine import (CampaignEngine, ChromeTraceSink, EVENT_TYPES,
-                          JsonlTraceSink, MetricsSink, ProgressSink, ResultCache, SerialBackend,
+from repro.engine import (CampaignEngine, EVENT_TYPES, JsonlTraceSink,
+                          ProgressSink, ResultCache, SerialBackend,
                           SharedMemoryBackend, Task, TaskGraph, TelemetryBus,
                           TelemetryEvent, TelemetrySink, chrome_trace,
                           format_summary, read_trace, run_study,
@@ -236,14 +236,11 @@ class TestThroughputSatellite:
         warm = CampaignEngine(cache=cache).run(tasks, _double)
         assert warm.report.n_cache_hits == 5
         assert warm.report.tasks_per_second == 0.0
-        assert warm.report.graph_tasks_per_second > 0.0
 
     def test_executed_run_reports_positive_throughput(self):
         run = CampaignEngine().run(
             [Task(task_id=f"t/{i}", payload=i) for i in range(3)], _double)
         assert run.report.tasks_per_second > 0.0
-        assert run.report.graph_tasks_per_second >= \
-            run.report.tasks_per_second
 
 
 # One randomized case of each kind from the backend-equivalence generator:
@@ -358,14 +355,14 @@ class TestJsonlTrace:
 
 class TestChromeExport:
     def test_export_is_valid_trace_event_json(self, tmp_path):
-        path = tmp_path / "run.chrome.json"
-        bus = TelemetryBus([ChromeTraceSink(path)])
+        path = tmp_path / "run.jsonl"
+        bus = TelemetryBus([JsonlTraceSink(path)])
         run = CampaignEngine(
             backend=SharedMemoryBackend(max_workers=2),
             telemetry=bus).run(
             [Task(task_id=f"t/{i}", payload=i) for i in range(6)], _double)
         bus.close()
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(chrome_trace(read_trace(path))))
         assert data["displayTimeUnit"] == "ms"
         events = data["traceEvents"]
         assert isinstance(events, list) and events
@@ -441,39 +438,6 @@ class TestProgressSink:
         # run_started + run_finished always render; the 20 per-task events
         # are throttled away.
         assert stream.getvalue().count("\r") == 2
-
-
-class TestMetricsSink:
-    def test_folds_run_into_registry(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        tasks = [Task(task_id=f"t/{i}", payload=i, spec={"i": i},
-                      deterministic=True) for i in range(4)]
-        CampaignEngine(cache=cache).run(tasks, _double)
-        tasks.extend(Task(task_id=f"u/{i}", payload=i) for i in range(2))
-        sink = MetricsSink()
-        run = CampaignEngine(cache=cache,
-                             telemetry=TelemetryBus([sink])).run(
-            tasks, _double)
-        snapshot = sink.registry.as_dict()
-        assert snapshot["counters"]["tasks_executed"] == run.report.n_executed
-        assert snapshot["counters"]["cache_hits"] == run.report.n_cache_hits
-        assert snapshot["gauges"]["engine_queue_depth"] == 0
-        hist = snapshot["histograms"]["task_execute_seconds"]
-        assert hist["count"] == run.report.n_executed
-        assert any(key.startswith("worker_utilization")
-                   for key in snapshot["gauges"])
-        assert snapshot["gauges"]["run_wall_seconds"] > 0
-
-    def test_stage_cache_hit_rate(self):
-        sink = MetricsSink()
-        bus = TelemetryBus([sink])
-        graph = TaskGraph()
-        graph.add(Task(task_id="a", payload=1))
-        graph.add(Task(task_id="b", payload=2, depends_on=("a",)))
-        CampaignEngine(telemetry=bus).run(graph, _sum_inputs,
-                                          stage_of={"a": "s1", "b": "s2"})
-        gauges = sink.registry.as_dict()["gauges"]
-        assert gauges["stage_cache_hit_rate{stage=s1}"] == 0.0
 
 
 class TestTraceSummary:
