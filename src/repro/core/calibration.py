@@ -228,7 +228,7 @@ def calibration_from_windows(payload: Mapping[str, Any],
                              order: Sequence[str]) -> WindowCalibration:
     """Rebuild a :class:`WindowCalibration` from a windows-task payload.
 
-    The pipeline windows reductions (:mod:`repro.engine.pipeline`) return
+    The study layer's windows stage (:mod:`repro.engine.pipeline`) returns
     ``{"k", "n_samples", "sigmas", "means", "deltas"}`` dictionaries that may
     have round-tripped through the JSON result cache; this re-orders the
     per-invariance entries to the canonical ``order`` so checker order never

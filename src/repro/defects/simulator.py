@@ -191,8 +191,8 @@ def adc_fingerprint(adc: SarAdc, hierarchy: Any) -> str:
     (device parameters and defect states) and each block's sampled behavioral
     parameters.  Transient simulation state (latch memories) is deliberately
     excluded -- it drifts between runs without affecting results, since every
-    test run resets it.  Module-level so the ``calibrate -> campaign``
-    pipeline (:mod:`repro.engine.pipeline`) can fingerprint the IP without a
+    test run resets it.  Module-level so the study layer's ``campaign``
+    stage (:mod:`repro.engine.pipeline`) can fingerprint the IP without a
     calibrated :class:`DefectCampaign` in hand.
     """
     behavioral = [(blk.block_path, sorted(blk.variation_state().items()))

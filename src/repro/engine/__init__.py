@@ -24,8 +24,9 @@ executes such workloads:
 * :mod:`repro.engine.cache` -- :class:`ResultCache`, the JSON-on-disk
   artifact store keyed by task spec + seed + code version, with optional
   ``max_bytes``/``max_age`` LRU eviction;
-* :mod:`repro.engine.pipeline` -- the :class:`Pipeline` API (named stages
-  over one task graph) and the stage workers of the built-in studies;
+* :mod:`repro.engine.pipeline` -- the stage-tagged task graph a compiled
+  study runs (private to :class:`StudyPlan`) and the stage workers of the
+  built-in stages;
 * :mod:`repro.engine.registry` -- the **stage registry**: every composable
   simulation stage (``calibrate``, ``windows``, ``campaign``, ``yield``,
   ``escape``, ``block-summary``) registered under a stable name with a
@@ -50,7 +51,7 @@ The model layers (:mod:`repro.core.calibration`,
 :mod:`repro.defects.simulator`, :mod:`repro.analysis.yield_loss`) are plain
 in-process computations; their per-instance and per-batch functions are the
 stage workers of the study graphs.  :meth:`StudyPlan.run` (through its
-:class:`Pipeline`) is the one caller of :class:`CampaignEngine`: passing
+stage-tagged task graph) is the one caller of :class:`CampaignEngine`: passing
 ``backend=SharedMemoryBackend(max_workers=N)``, a :class:`ResultCache` or a
 :class:`TelemetryBus` to :func:`run_study` parallelises, caches or traces a
 study without changing its results.
@@ -63,7 +64,6 @@ from .cache import (MISS, ResultCache, callable_token, canonical_json,
 from .executor import (CampaignEngine, CampaignReport, EngineRun,
                        IDENTITY_CODEC, ResultCodec, STATUS_CACHED,
                        STATUS_EXECUTED, STATUS_FAILED, STATUS_SKIPPED)
-from .pipeline import Pipeline, PipelineResult, PipelineStage
 from .registry import (StageDefinition, StageParam, available_stages,
                        register_stage, stage_definition)
 from .spec import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN, CANNED_STUDIES,
@@ -81,8 +81,7 @@ __all__ = [
     "CampaignEngine",
     "CampaignReport", "EVENT_TYPES", "EngineRun",
     "ExecutionBackend", "IDENTITY_CODEC", "JsonlTraceSink", "MISS",
-    "PayloadReport",
-    "Pipeline", "PipelineResult", "PipelineStage", "ProgressSink",
+    "PayloadReport", "ProgressSink",
     "ResultCache", "ResultCodec",
     "STATUS_CACHED", "STATUS_EXECUTED", "STATUS_FAILED", "STATUS_SKIPPED",
     "SerialBackend", "SharedMemoryBackend", "StageDefinition", "StageParam",

@@ -444,7 +444,7 @@ class CampaignEngine:
             stage (:attr:`CampaignReport.stage_durations` /
             :attr:`CampaignReport.stage_counts`), independently of the
             per-task ``group`` labels (which e.g. campaign stages override
-            with block paths).  Pipelines pass theirs automatically.
+            with block paths).  Compiled studies pass theirs.
         telemetry:
             Optional :class:`~repro.engine.telemetry.TelemetryBus` for this
             run, overriding the engine default.

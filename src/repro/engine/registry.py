@@ -41,8 +41,11 @@ up as soon as the defining module is imported.
 from __future__ import annotations
 
 import hashlib
+import uuid
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..circuit.errors import CalibrationError, EngineError
 from .cache import canonical_json, factory_token
@@ -144,10 +147,10 @@ def coerce_param(param: StageParam, value: Any, where: str) -> Any:
 
 # --------------------------------------------------------------- definitions
 
-#: Expander contract: ``expand(build, name, params)`` adds the stage (and
+#: Expander contract: ``expand(plan, name, params)`` adds the stage (and
 #: its tasks, with dependency edges onto previously expanded stages) to
-#: ``build.pipeline``.  ``build`` is the mutable
-#: :class:`repro.engine.spec.StudyBuild` threaded through compilation.
+#: ``plan.pipeline`` and records what it produced on ``plan``, the
+#: :class:`repro.engine.spec.StudyPlan` being compiled.
 StageExpander = Callable[[Any, str, Dict[str, Any]], None]
 
 
@@ -159,9 +162,6 @@ class StageDefinition:
     doc: str
     expand: StageExpander
     params: Tuple[StageParam, ...] = ()
-    #: Stage kinds that must appear earlier in the study for this stage to
-    #: compile (checked by the expanders with actionable messages).
-    requires: Tuple[str, ...] = ()
     #: Lazy factory of the stage kind's result codec -- how this kind's
     #: results serialize into the artifact store.  Lazy so registering a
     #: stage does not import its workload modules; ``None`` means the
@@ -230,27 +230,48 @@ def available_stages() -> List[StageDefinition]:
 
 # ---------------------------------------------------------------- expanders
 
-def _expand_calibrate(build: Any, name: str,
+def _expand_calibrate(plan: Any, name: str,
                       params: Dict[str, Any]) -> None:
-    from .pipeline import _register_calibrate_stage
+    """One calib task per Monte Carlo sample, with per-sample seeds drawn up
+    front from ``default_rng(seed)`` exactly like
+    :func:`~repro.core.collect_defect_free_residuals`."""
+    from ..core.calibration import calibration_task_spec
+    from .pipeline import _calibration_stage_worker
 
     n_monte_carlo = params["n_monte_carlo"]
     if n_monte_carlo <= 0:
         raise EngineError(
             f"n_monte_carlo must be positive, got {n_monte_carlo}")
-    build.n_monte_carlo = n_monte_carlo
-    (build.calib_ids, build.calib_spec, build.seeds_token,
-     build.cacheable) = _register_calibrate_stage(
-        build.pipeline, build.adc_factory, build.stimulus,
-        build.invariances, build.variation_spec, build.seed, n_monte_carlo,
-        stage=name, task_prefix=build.task_prefix, annotate=build.annotate)
-    build.calibrate_stage = name
+    calib_seeds = [int(s) for s in np.random.default_rng(plan.seed).integers(
+        0, 2 ** 63 - 1, size=n_monte_carlo)]
+    token = factory_token(plan.adc_factory)
+    plan.cacheable = token is not None
+    if plan.cacheable:
+        plan.calib_spec = plan.annotate(calibration_task_spec(
+            token, plan.stimulus, plan.variation_spec,
+            plan.invariance_names))
+    plan.pipeline.add_stage(
+        name, _calibration_stage_worker,
+        codec=stage_definition("calibrate").make_codec(),
+        context={"adc_factory": plan.adc_factory,
+                 "invariances": plan.invariances,
+                 "stimulus": plan.stimulus,
+                 "variation_spec": plan.variation_spec})
+    for i, calib_seed in enumerate(calib_seeds):
+        task = Task(task_id=f"{plan.task_prefix}calib/{i}", payload=i,
+                    seed=calib_seed, spec=plan.calib_spec)
+        plan.pipeline.add_task(name, task)
+        plan.calibration_task_ids.append(task.task_id)
+    plan.seeds_token = hashlib.sha256(
+        canonical_json(calib_seeds).encode()).hexdigest()
+    plan.n_monte_carlo = n_monte_carlo
+    plan.calibrate_stage = name
 
 
-def _expand_windows(build: Any, name: str, params: Dict[str, Any]) -> None:
+def _expand_windows(plan: Any, name: str, params: Dict[str, Any]) -> None:
     from .pipeline import _windows_stage_worker
 
-    build.require(name, "calibrate")
+    plan.require(name, "calibrate")
     k = params["k"]
     per_block = params["per_block"]
     delta_floors = params["delta_floors"]
@@ -263,152 +284,161 @@ def _expand_windows(build: Any, name: str, params: Dict[str, Any]) -> None:
             # Same up-front check as calibrate_windows: fail before any
             # Monte Carlo work runs, not inside a windows reduction task.
             raise CalibrationError(f"k must be positive, got {k_value}")
-    build.nominal_k = k
-    build.delta_floors = dict(delta_floors) if delta_floors else None
-    build.windows_stage = name
-    build.per_block = per_block
+    plan.k = k
+    plan.delta_floors = floors = dict(delta_floors) if delta_floors else None
+    plan.windows_stage = name
+    plan.per_block = per_block
 
-    floors = dict(delta_floors) if delta_floors else None
     if not per_block:
         windows_spec = None
-        if build.cacheable:
-            windows_spec = build.annotate({
+        if plan.cacheable:
+            windows_spec = plan.annotate({
                 "driver": "symbist-pipeline-windows",
-                "calibration": build.calib_spec,
+                "calibration": plan.calib_spec,
                 "k": k,
-                "n_monte_carlo": build.n_monte_carlo,
-                "seeds": build.seeds_token,
+                "n_monte_carlo": plan.n_monte_carlo,
+                "seeds": plan.seeds_token,
                 "delta_floors": floors})
-        build.pipeline.add_stage(
+        plan.pipeline.add_stage(
             name, _windows_stage_worker,
-            context={"invariance_names": build.invariance_names, "k": k,
+            context={"invariance_names": plan.invariance_names, "k": k,
                      "delta_floors": floors})
-        build.pipeline.add_task(name, Task(
+        plan.pipeline.add_task(name, Task(
             task_id=name, spec=windows_spec, deterministic=True,
-            depends_on=tuple(build.calib_ids),
-            group=build.calibrate_stage))
-        build.windows_task_id = name
-        build.windows_specs[None] = windows_spec
+            depends_on=tuple(plan.calibration_task_ids),
+            group=plan.calibrate_stage))
+        plan.windows_task_id = name
+        plan.windows_specs[None] = windows_spec
         return
 
-    build.pipeline.add_stage(
+    plan.pipeline.add_stage(
         name, _windows_stage_worker,
-        context={"invariance_names": build.invariance_names,
+        context={"invariance_names": plan.invariance_names,
                  "delta_floors": floors})
-    for block in build.block_list():
+    for block in plan.block_list():
         k_block = float(block_k.get(block, k))
         windows_spec = None
-        if build.cacheable:
-            windows_spec = build.annotate({
+        if plan.cacheable:
+            windows_spec = plan.annotate({
                 "driver": "symbist-block-windows",
-                "calibration": build.calib_spec,
+                "calibration": plan.calib_spec,
                 "block": block,
                 "k": k_block,
-                "n_monte_carlo": build.n_monte_carlo,
-                "seeds": build.seeds_token,
+                "n_monte_carlo": plan.n_monte_carlo,
+                "seeds": plan.seeds_token,
                 "delta_floors": floors})
         windows_id = f"{name}/{block}"
-        build.pipeline.add_task(name, Task(
+        plan.pipeline.add_task(name, Task(
             task_id=windows_id, payload={"k": k_block}, spec=windows_spec,
-            deterministic=True, depends_on=tuple(build.calib_ids)))
-        build.windows_task_ids[block] = windows_id
-        build.windows_specs[block] = windows_spec
+            deterministic=True, depends_on=tuple(plan.calibration_task_ids)))
+        plan.windows_task_ids[block] = windows_id
+        plan.windows_specs[block] = windows_spec
 
 
-def _expand_campaign(build: Any, name: str, params: Dict[str, Any]) -> None:
+def _expand_campaign(plan: Any, name: str, params: Dict[str, Any]) -> None:
+    """Batches of sampled same-block defects; the stage worker is the
+    campaign's own :func:`repro.defects.simulator._defect_worker`, which
+    takes each batch's windows from its windows parent."""
     from ..defects.simulator import (MODEL_SECONDS_PER_CYCLE,
-                                     defect_batch_tasks)
-    from .pipeline import _register_campaign_stage
+                                     _defect_worker, defect_batch_tasks)
 
-    build.require(name, "windows")
-    build.stop_on_detection = params["stop_on_detection"]
+    plan.require(name, "windows")
+    plan.stop_on_detection = params["stop_on_detection"]
     batch_size = params["batch_size"]
     if batch_size <= 0:
         raise EngineError(
             f"batch_size must be positive, got {batch_size}")
-    adc, fingerprint, universe = build.dut()
-    build.worker_token = _register_campaign_stage(
-        build.pipeline, adc, fingerprint, build.stimulus, build.mode,
-        build.stop_on_detection, build.invariance_names, stage=name)
-    build.campaign_stage = name
+    adc, fingerprint, universe = plan.dut()
+    plan.worker_token = uuid.uuid4().hex
+    plan.pipeline.add_stage(
+        name, _defect_worker,
+        codec=stage_definition("campaign").make_codec(),
+        context={"token": plan.worker_token, "adc": adc,
+                 "fingerprint": fingerprint,
+                 "stimulus": plan.stimulus, "mode": plan.mode,
+                 "stop_on_detection": plan.stop_on_detection,
+                 "likelihood_model": None,
+                 "seconds_per_cycle": MODEL_SECONDS_PER_CYCLE,
+                 "invariance_names": list(plan.invariance_names)})
+    plan.campaign_stage = name
 
     # Per-block LWRS draws derive from the root seed + block path
     # (block_seed_sequence), exactly like DefectCampaign.run_per_block -- so
     # the selection is identical for any block order, block subset or worker
     # count.
-    selection = build.selection()
-    for block in build.block_list():
-        plan, defects = selection[block]
-        windows_id = build.windows_task_ids[block] if build.per_block \
-            else build.windows_task_id
+    selection = plan.selection()
+    for block in plan.block_list():
+        sampling, defects = selection[block]
+        windows_id = plan.windows_task_ids[block] if plan.per_block \
+            else plan.windows_task_id
         key = None
-        if build.cacheable:
-            key = build.annotate({
+        if plan.cacheable:
+            key = plan.annotate({
                 "adc": fingerprint,
-                "windows": build.windows_specs[
-                    block if build.per_block else None],
-                "mode": build.mode.value,
-                "stop_on_detection": build.stop_on_detection,
+                "windows": plan.windows_specs[
+                    block if plan.per_block else None],
+                "mode": plan.mode.value,
+                "stop_on_detection": plan.stop_on_detection,
                 "seconds_per_cycle": MODEL_SECONDS_PER_CYCLE})
         tasks = defect_batch_tasks(name, block, defects, batch_size, key,
                                    depends_on=(windows_id,))
         for task in tasks:
-            build.pipeline.add_task(name, task)
-        build.block_plans[block] = plan
-        build.block_universes[block] = universe.by_block(block)
-        build.block_task_ids[block] = [task.task_id for task in tasks]
-        build.block_defect_specs[block] = [task.spec for task in tasks] \
-            if build.cacheable else []
+            plan.pipeline.add_task(name, task)
+        plan.block_plans[block] = sampling
+        plan.block_universes[block] = universe.by_block(block)
+        plan.block_task_ids[block] = [task.task_id for task in tasks]
+        plan.block_defect_specs[block] = [task.spec for task in tasks] \
+            if plan.cacheable else []
 
 
-def _expand_block_summary(build: Any, name: str,
+def _expand_block_summary(plan: Any, name: str,
                           params: Dict[str, Any]) -> None:
     from .pipeline import _block_summary_stage_worker
 
-    build.require(name, "campaign")
-    if not build.per_block:
+    plan.require(name, "campaign")
+    if not plan.per_block:
         raise EngineError(
             f"stage {name!r} reduces per-block windows; set "
             f"per_block = true on the windows stage (or drop the summary)")
-    build.pipeline.add_stage(name, _block_summary_stage_worker)
-    build.summary_stage = name
-    for block in build.block_list():
-        block_universe = build.block_universes[block]
-        plan = build.block_plans[block]
-        windows_id = build.windows_task_ids[block]
+    plan.pipeline.add_stage(name, _block_summary_stage_worker)
+    plan.summary_stage = name
+    for block in plan.block_list():
+        block_universe = plan.block_universes[block]
+        exhaustive = plan.block_plans[block].exhaustive
+        windows_id = plan.windows_task_ids[block]
         summary_spec = None
-        if build.cacheable:
-            summary_spec = build.annotate({
+        if plan.cacheable:
+            summary_spec = plan.annotate({
                 "driver": "symbist-block-summary",
                 "block": block,
-                "windows": build.windows_specs[block],
+                "windows": plan.windows_specs[block],
                 "records": hashlib.sha256(canonical_json(
-                    build.block_defect_specs[block]).encode()).hexdigest(),
-                "exhaustive": plan.exhaustive,
+                    plan.block_defect_specs[block]).encode()).hexdigest(),
+                "exhaustive": exhaustive,
                 "universe_size": len(block_universe),
                 "universe_likelihood": block_universe.total_likelihood})
         summary_id = f"{name}/{block}"
-        build.pipeline.add_task(name, Task(
+        plan.pipeline.add_task(name, Task(
             task_id=summary_id,
-            payload={"block": block, "exhaustive": plan.exhaustive,
+            payload={"block": block, "exhaustive": exhaustive,
                      "universe_size": len(block_universe),
                      "universe_likelihood": block_universe.total_likelihood},
             spec=summary_spec, deterministic=True,
-            depends_on=(windows_id,) + tuple(build.block_task_ids[block])))
-        build.summary_task_ids[block] = summary_id
+            depends_on=(windows_id,) + tuple(plan.block_task_ids[block])))
+        plan.summary_task_ids[block] = summary_id
 
 
-def _expand_yield(build: Any, name: str, params: Dict[str, Any]) -> None:
+def _expand_yield(plan: Any, name: str, params: Dict[str, Any]) -> None:
     from .pipeline import _yield_stage_worker
 
-    build.require(name, "calibrate")
+    plan.require(name, "calibrate")
     k_values = params["k_values"]
     # Each Monte Carlo instance contributes one SymBIST run of residuals,
     # so the checker invocations per run are the device's stimulus length
     # -- what empirical_yield_loss derives from the pools (pool size over
     # instance count).  It stays in the cache key so existing artifacts
     # keep replaying.
-    n_cycles = build.stimulus.n_cycles
+    n_cycles = plan.stimulus.n_cycles
     if params["n_cycles"] not in (None, n_cycles):
         raise EngineError(
             f"yield.n_cycles = {params['n_cycles']} conflicts with the "
@@ -416,57 +446,57 @@ def _expand_yield(build: Any, name: str, params: Dict[str, Any]) -> None:
             f"parameter to use the device's value")
     if not k_values:
         raise EngineError("k_values must name at least one k")
-    build.pipeline.add_stage(
+    plan.pipeline.add_stage(
         name, _yield_stage_worker,
         codec=stage_definition("yield").make_codec(),
-        context={"invariance_names": build.invariance_names,
-                 "k": params["k"], "delta_floors": build.delta_floors})
-    build.yield_stage = name
-    build.k_values = [float(value) for value in k_values]
+        context={"invariance_names": plan.invariance_names,
+                 "k": params["k"], "delta_floors": plan.delta_floors})
+    plan.yield_stage = name
+    plan.k_values = [float(value) for value in k_values]
     for index, k_value in enumerate(k_values):
         spec = None
-        if build.cacheable:
+        if plan.cacheable:
             # Everything an empirical point depends on: the residual pools
             # (determined by the calibration spec + per-sample seeds) and
             # the point's own parameters.
-            spec = build.annotate(
+            spec = plan.annotate(
                 {"driver": "symbist-study-yield", "k": float(k_value),
                  "n_cycles": n_cycles,
-                 "calibration": build.calib_spec,
-                 "seeds": build.seeds_token})
+                 "calibration": plan.calib_spec,
+                 "seeds": plan.seeds_token})
         task = Task(task_id=f"{name}/{index}/k={k_value:g}",
                     payload=float(k_value), spec=spec, deterministic=True,
-                    depends_on=tuple(build.calib_ids))
-        build.pipeline.add_task(name, task)
-        build.yield_task_ids.append(task.task_id)
+                    depends_on=tuple(plan.calibration_task_ids))
+        plan.pipeline.add_task(name, task)
+        plan.yield_task_ids.append(task.task_id)
 
 
-def _expand_escape(build: Any, name: str, params: Dict[str, Any]) -> None:
+def _expand_escape(plan: Any, name: str, params: Dict[str, Any]) -> None:
     from .pipeline import _escape_stage_worker
 
-    build.require(name, "campaign")
+    plan.require(name, "campaign")
     max_defects = params["max_escape_defects"]
-    campaign_ids = [tid for block in build.block_list()
-                    for tid in build.block_task_ids[block]]
+    campaign_ids = [tid for block in plan.block_list()
+                    for tid in plan.block_task_ids[block]]
     escape_spec = None
-    if build.cacheable:
-        defect_specs = [build.pipeline.graph.get(tid).spec
+    if plan.cacheable:
+        defect_specs = [plan.pipeline.graph.get(tid).spec
                         for tid in campaign_ids]
-        escape_spec = build.annotate({
+        escape_spec = plan.annotate({
             "driver": "symbist-study-escape",
             "records": hashlib.sha256(
                 canonical_json(defect_specs).encode()).hexdigest(),
             "max_defects": max_defects,
-            "factory": factory_token(build.adc_factory)})
-    build.pipeline.add_stage(
+            "factory": factory_token(plan.adc_factory)})
+    plan.pipeline.add_stage(
         name, _escape_stage_worker,
         codec=stage_definition("escape").make_codec(),
-        context={"adc_factory": build.adc_factory,
-                 "stop_on_detection": build.stop_on_detection,
+        context={"adc_factory": plan.adc_factory,
+                 "stop_on_detection": plan.stop_on_detection,
                  "max_escape_defects": max_defects})
-    build.escape_stage = name
-    build.escape_task_id = name
-    build.pipeline.add_task(name, Task(
+    plan.escape_stage = name
+    plan.escape_task_id = name
+    plan.pipeline.add_task(name, Task(
         task_id=name, spec=escape_spec, deterministic=True,
         depends_on=tuple(campaign_ids)))
 
@@ -510,7 +540,6 @@ register_stage(StageDefinition(
         "residuals (delta = k*sigma + |mean|); one global reduction, or "
         "one per block with per_block",
     expand=_expand_windows,
-    requires=("calibrate",),
     params=(
         StageParam("k", "float", default=5.0,
                    doc="window guard-band multiplier"),
@@ -532,7 +561,6 @@ register_stage(StageDefinition(
         "block_seed_sequence(root seed, block path)",
     expand=_expand_campaign,
     codec=_campaign_codec,
-    requires=("windows",),
     params=(
         StageParam("samples", "int", default=60,
                    doc="LWRS budget for blocks too large to exhaust"),
@@ -561,7 +589,6 @@ register_stage(StageDefinition(
         "by the calibration samples",
     expand=_expand_yield,
     codec=_yield_codec,
-    requires=("calibrate",),
     params=(
         StageParam("k", "float", default=5.0,
                    doc="nominal guard-band multiplier of the calibration "
@@ -580,7 +607,6 @@ register_stage(StageDefinition(
     doc="functional escape analysis over the campaign's undetected defects",
     expand=_expand_escape,
     codec=_escape_codec,
-    requires=("campaign",),
     params=(
         StageParam("max_escape_defects", "int", default=20, nullable=True,
                    doc="functional-test budget: analyse at most this many "
@@ -592,5 +618,4 @@ register_stage(StageDefinition(
     doc="per-block yield/coverage reduction over the campaign records "
         "(the Table I rows), one task per block",
     expand=_expand_block_summary,
-    requires=("windows", "campaign"),
     params=()))

@@ -11,8 +11,8 @@ bespoke ~300-line builder; this module makes them **data** instead:
 * :class:`StudySpec` is an ordered list of stage specs plus the root seed
   and study-wide shared parameters, round-trippable to/from TOML and JSON;
 * :func:`build_study` compiles a spec against the stage registry into a
-  :class:`StudyPlan` -- one :class:`~repro.engine.pipeline.Pipeline` whose
-  results are bit-identical under the same root seed on any backend;
+  :class:`StudyPlan` -- one task graph whose results are bit-identical
+  under the same root seed on any backend;
 * :meth:`StudyPlan.run` executes the graph and assembles a
   :class:`StudyOutcome` with named-stage accessors (``calibration``,
   ``results``, ``summaries``, ``yield_points``, ``escapes``).
@@ -60,14 +60,15 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 from ..circuit.errors import DutSpecError, EngineError
 from .backends import ExecutionBackend
 from .cache import ResultCache
-from .executor import CampaignReport
-from .pipeline import Pipeline, PipelineResult
+from .executor import (CampaignReport, EngineRun, STATUS_CACHED,
+                       STATUS_EXECUTED)
+from .pipeline import Pipeline
 from .registry import coerce_param, stage_definition
 from .telemetry import TelemetryBus
 
 __all__ = [
     "BLOCK_STUDY", "CALIBRATE_THEN_CAMPAIGN", "CANNED_STUDIES", "StageSpec",
-    "StudyBuild", "StudyOutcome", "StudyPlan", "StudySpec", "VariantSpec",
+    "StudyOutcome", "StudyPlan", "StudySpec", "VariantSpec",
     "YIELD_LOSS_STUDY", "build_study", "load_study", "run_study",
 ]
 
@@ -588,17 +589,151 @@ def load_study(path: str) -> StudySpec:
 
 # =================================================================== compile
 
-class StudyBuild:
-    """Mutable state threaded through stage expansion by :func:`build_study`.
+def build_study(spec: StudySpec,
+                adc_factory: Optional[Callable[[], Any]] = None,
+                variation_spec: Optional[Any] = None) -> "StudyPlan":
+    """Compile a :class:`StudySpec` into a runnable :class:`StudyPlan`.
 
-    Expanders (see :mod:`repro.engine.registry`) read shared context (the
-    stimulus, invariances, device under test, LWRS selection) from here and
-    record what they produced (task ids, cache spec fragments) for
-    downstream stages and the final :class:`StudyPlan`.
+    Walks the spec's stages in order, resolves each against the stage
+    registry (typed parameter validation with actionable errors) and calls
+    its expander to add the stage's tasks and dependency edges to the
+    plan's task graph.  Every random draw derives
+    from the root seed through a stage-specific derivation, so the results
+    are bit-identical on any backend, and equal specs compile to graphs
+    with equal content-addressed cache specs (a warm cache replays them).
+
+    A spec with a ``[dut]`` table compiles against that device (through a
+    :class:`~repro.adc.sar_adc.DutAdcFactory`); ``[[variants]]`` fans the
+    stage list out once per variant into one shared task graph -- per-variant
+    stage instances (``<variant>/<stage>``), per-variant task ids and
+    per-variant root seeds derived from ``(root seed, variant label)``.
+
+    ``adc_factory``/``variation_spec`` stay Python-level arguments (they
+    are code, not data); a non-importable factory disables caching.  An
+    explicit ``adc_factory`` is rejected
+    alongside a declared ``[dut]``/``[[variants]]`` section -- the factory
+    is bound to one device and would silently shadow the spec's.
+    """
+    from ..defects.sampling import variant_seed
+    from ..dut import DutSpec
+
+    spec = spec.validated()
+    base_dut = DutSpec.from_jsonable(spec.dut)
+    if adc_factory is not None and (spec.dut or spec.variants):
+        raise EngineError(
+            f"study {spec.name!r} declares a [dut]/[[variants]] section; "
+            f"drop the explicit adc_factory argument (the factory is "
+            f"derived from the spec)")
+
+    plan = StudyPlan(spec, base_dut, adc_factory, variation_spec)
+    if not spec.variants:
+        plan._expand()
+        return plan
+    for variant in spec.variants:
+        sub = StudyPlan(spec, base_dut.merged(variant.dut),
+                        variation_spec=variation_spec, variant=variant.name,
+                        pipeline=plan.pipeline,
+                        seed=variant_seed(spec.seed, variant.name))
+        sub._expand()
+        plan.variants[variant.name] = sub
+    # Stage parameters are study-wide, so every variant resolved the same.
+    plan.k, plan.n_monte_carlo = sub.k, sub.n_monte_carlo
+    return plan
+
+
+# ======================================================================= run
+
+@dataclass
+class StudyOutcome:
+    """Everything produced by one study run, with named-stage accessors.
+
+    One class for every study shape (it replaces the per-study Outcome
+    dataclasses): fields not produced by the study's stages stay at their
+    empty defaults, e.g. ``yield_points`` is ``[]`` for a plain
+    calibrate -> campaign study.
     """
 
-    def __init__(self, spec: StudySpec, adc_factory: Any,
-                 variation_spec: Any, dut_spec: Any = None,
+    spec: StudySpec
+    #: The underlying engine run: per-task statuses, raw results, errors
+    #: and whether it was cancelled.
+    run: EngineRun
+    #: Task id -> stage name of every task in the run.
+    stage_of: Mapping[str, str]
+    #: One :class:`~repro.core.WindowCalibration` per windows reduction
+    #: that completed -- keyed by block for per-block windows, by the
+    #: windows task id for a global reduction.
+    calibrations: Dict[str, Any] = field(default_factory=dict)
+    #: One :class:`~repro.defects.simulator.CampaignResult` per fully
+    #: completed block, in sweep order; blocks with failed or skipped tasks
+    #: are absent (see :meth:`stage_statuses` for their status).
+    results: Dict[str, Any] = field(default_factory=dict)
+    #: One JSON-ready per-block reduction per completed block-summary task.
+    summaries: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: One :class:`~repro.analysis.YieldLossPoint` per requested ``k``, in
+    #: ``k_values`` order; points whose task failed/skipped are absent.
+    yield_points: List[Any] = field(default_factory=list)
+    #: The :class:`~repro.analysis.EscapeAnalysisResult`, or None when the
+    #: study has no escape stage (or its task failed).
+    escapes: Optional[Any] = None
+    #: The variant label this outcome belongs to (None outside variant
+    #: studies) and the DUT fingerprint it ran against.
+    variant: Optional[str] = None
+    dut_fingerprint: str = ""
+    #: Per-variant outcomes of a multi-variant study, in declaration order;
+    #: empty for single-DUT studies (whose results live on the fields
+    #: above).
+    variants: Dict[str, "StudyOutcome"] = field(default_factory=dict)
+
+    @property
+    def report(self) -> CampaignReport:
+        """The single report spanning every stage."""
+        return self.run.report
+
+    @property
+    def ok(self) -> bool:
+        return self.run.ok
+
+    @property
+    def calibration(self) -> Optional[Any]:
+        """The study's window calibration (the global reduction, or the
+        first block's for per-block studies); None when it failed."""
+        return next(iter(self.calibrations.values()), None)
+
+    def stage_results(self, stage: str) -> Dict[str, Any]:
+        """Raw results of one named stage's completed tasks, in task
+        order."""
+        statuses = self.stage_statuses(stage)
+        return {tid: result
+                for tid, result in zip(self.run.task_ids, self.run.results)
+                if statuses.get(tid) in (STATUS_EXECUTED, STATUS_CACHED)}
+
+    def stage_statuses(self, stage: str) -> Dict[str, str]:
+        """Terminal status of every task of one named stage, in task
+        order."""
+        statuses = {tid: self.run.statuses.get(tid, "unknown")
+                    for tid in self.run.task_ids
+                    if self.stage_of.get(tid) == stage}
+        if not statuses:
+            raise EngineError(
+                f"study {self.spec.name!r} has no stage {stage!r}")
+        return statuses
+
+
+class StudyPlan:
+    """A compiled (not yet run) study: its task graph plus what assembling
+    the :class:`StudyOutcome` needs.
+
+    :func:`build_study` constructs one plan per device and the stage
+    expanders of :mod:`repro.engine.registry` fill it in: they read shared
+    context (stimulus, invariances, device under test, LWRS selection) from
+    it and record what they add (stage names, task ids, cache spec
+    fragments) on it.  One class serves every study shape; fields
+    describing stages a study does not declare stay empty.
+    """
+
+    def __init__(self, spec: StudySpec, dut_spec: Any,
+                 adc_factory: Optional[Callable[[], Any]] = None,
+                 variation_spec: Any = None,
                  variant: Optional[str] = None,
                  pipeline: Optional[Pipeline] = None,
                  seed: Optional[int] = None) -> None:
@@ -606,68 +741,77 @@ class StudyBuild:
         from ..core.invariance import build_invariances
         from ..core.stimulus import SymBistStimulus
         from ..core.test_time import CheckingMode
-        from ..dut import default_dut
 
         self.spec = spec
-        self.dut_spec = dut_spec if dut_spec is not None else default_dut()
+        self.dut_spec = dut_spec
+        #: The variant label this plan's stages belong to (None outside
+        #: variant studies) and the DUT fingerprint they compile against.
         self.variant = variant
-        #: Prefixed onto task ids (and pipeline stage names, by
-        #: ``build_study``) so several variants share one task graph without
-        #: id collisions; empty on the default single-DUT path, which keeps
-        #: every historical id byte-identical.
+        self.dut_fingerprint = dut_spec.fingerprint()
+        #: Prefixed onto task ids and stage names so several variants share
+        #: one task graph without id collisions; empty on the default
+        #: single-DUT path, which keeps every historical id byte-identical.
         self.task_prefix = f"{variant}/" if variant else ""
         self.seed = spec.seed if seed is None else seed
         if adc_factory is not None:
             self.adc_factory = adc_factory
-        elif self.dut_spec.is_default:
+        elif dut_spec.is_default:
             self.adc_factory = SarAdc
         else:
-            self.adc_factory = DutAdcFactory(self.dut_spec)
+            self.adc_factory = DutAdcFactory(dut_spec)
         self.variation_spec = variation_spec if variation_spec is not None \
-            else self.dut_spec.variation_spec()
+            else dut_spec.variation_spec()
+        #: The stage-tagged task graph, shared by every variant of a study.
         self.pipeline = pipeline if pipeline is not None \
             else Pipeline(spec.name)
         # At the default DutSpec these are exactly SymBistStimulus()'s own
         # defaults, so the stimulus dataclass -- and every cache spec it
         # feeds -- is identical to the historical construction.
         self.stimulus = SymBistStimulus(
-            input_diff=self.dut_spec.test_input_diff,
-            input_cm=self.dut_spec.common_mode,
-            counter_bits=self.dut_spec.half_bits)
+            input_diff=dut_spec.test_input_diff,
+            input_cm=dut_spec.common_mode,
+            counter_bits=dut_spec.half_bits)
         self.invariances = build_invariances()
         self.invariance_names = [inv.name for inv in self.invariances]
         self.mode = CheckingMode.SEQUENTIAL
-
         #: kind -> instance label, filled as stages expand.
         self.expanded: Dict[str, str] = {}
+        #: Per-variant sub-plans of a multi-variant study, in declaration
+        #: order, all sharing :attr:`pipeline`; empty for single-DUT studies.
+        self.variants: Dict[str, "StudyPlan"] = {}
 
-        # calibrate outputs
+        # calibrate
         self.calibrate_stage: Optional[str] = None
         self.n_monte_carlo = 0
-        self.calib_ids: List[str] = []
+        self.calibration_task_ids: List[str] = []
         self.calib_spec: Any = None
         self.seeds_token: Optional[str] = None
         self.cacheable = False
 
-        # windows outputs
+        # windows
         self.windows_stage: Optional[str] = None
         self.per_block = False
-        self.nominal_k = 5.0
+        self.k = 5.0
         self.delta_floors: Optional[Dict[str, float]] = None
         self.windows_task_id: Optional[str] = None
         self.windows_task_ids: Dict[str, str] = {}
         self.windows_specs: Dict[Any, Any] = {}
 
-        # campaign outputs
+        # campaign
         self.campaign_stage: Optional[str] = None
         self.stop_on_detection = True
+        #: Key of the per-process campaign built by the campaign stage
+        #: workers; used to release the parent-process instance after the
+        #: run.
         self.worker_token = ""
+        #: The swept blocks, in sweep order (see :meth:`block_list`).
+        self.blocks: List[str] = []
         self.block_plans: Dict[str, Any] = {}
         self.block_universes: Dict[str, Any] = {}
         self.block_task_ids: Dict[str, List[str]] = {}
         self.block_defect_specs: Dict[str, List[Any]] = {}
 
-        # summary / yield / escape outputs
+        # block summary, yield, escape
         self.summary_stage: Optional[str] = None
         self.summary_task_ids: Dict[str, str] = {}
         self.yield_stage: Optional[str] = None
@@ -678,9 +822,26 @@ class StudyBuild:
 
         self._dut: Optional[Tuple[Any, str, Any]] = None
         self._selection: Optional[Mapping[str, Any]] = None
-        self._block_list: Optional[List[str]] = None
 
-    # ------------------------------------------------------------- plumbing
+    # ------------------------------------------------------------ compile
+    def _expand(self) -> None:
+        """Expand every stage of the spec into :attr:`pipeline` (labels
+        prefixed by the plan's variant, if any)."""
+        spec = self.spec
+        for entry in spec.stages:
+            definition = stage_definition(entry.stage)
+            label = self.task_prefix + entry.label
+            if entry.stage in self.expanded:
+                raise EngineError(
+                    f"study {spec.name!r} declares the {entry.stage!r} "
+                    f"stage twice; multiple instances of one stage kind are "
+                    f"not supported yet")
+            params = definition.resolve_params(
+                spec.params, entry.params,
+                f"study {spec.name!r}, stage {label!r}")
+            definition.expand(self, label, params)
+            self.expanded[entry.stage] = label
+
     def require(self, name: str, kind: str) -> str:
         """The instance label of an already expanded ``kind``, or raise."""
         try:
@@ -692,16 +853,16 @@ class StudyBuild:
                 f"stage list") from None
 
     def annotate(self, spec: Dict[str, Any]) -> Dict[str, Any]:
-        """Fold the build's DUT fingerprint / variant label into one cache
+        """Fold the plan's DUT fingerprint / variant label into one cache
         spec.  A no-op (the very same dict) for a default-DUT non-variant
-        build, so historical cache keys stay byte-identical; otherwise the
+        plan, so historical cache keys stay byte-identical; otherwise the
         extra keys both segregate cache entries and let the warehouse
         indexer attribute artifacts to their variant."""
         if self.dut_spec.is_default and self.variant is None:
             return spec
         annotated = dict(spec)
         if not self.dut_spec.is_default:
-            annotated["dut"] = self.dut_spec.fingerprint()
+            annotated["dut"] = self.dut_fingerprint
         if self.variant is not None:
             annotated["variant"] = self.variant
         return annotated
@@ -730,13 +891,11 @@ class StudyBuild:
     def block_list(self) -> List[str]:
         """The swept blocks, in sweep order (campaign ``blocks`` param, or
         every block of the universe)."""
-        if self._block_list is None:
-            params = self._campaign_params()
-            universe = self.dut()[2]
-            blocks = params["blocks"]
-            self._block_list = list(blocks) if blocks \
-                else universe.block_paths()
-        return self._block_list
+        if not self.blocks:
+            blocks = self._campaign_params()["blocks"]
+            self.blocks = list(blocks) if blocks \
+                else self.dut()[2].block_paths()
+        return self.blocks
 
     def selection(self) -> Mapping[str, Any]:
         """The per-block LWRS selection, derived from ``(root seed, block
@@ -750,217 +909,7 @@ class StudyBuild:
                 blocks=self.block_list(), exhaustive=params["exhaustive"])
         return self._selection
 
-    # ----------------------------------------------------------------- plan
-    def plan(self) -> "StudyPlan":
-        return StudyPlan(
-            spec=self.spec, pipeline=self.pipeline,
-            k=self.nominal_k, n_monte_carlo=self.n_monte_carlo,
-            stop_on_detection=self.stop_on_detection,
-            invariance_names=list(self.invariance_names),
-            blocks=list(self._block_list or []),
-            block_plans=self.block_plans,
-            block_universes=self.block_universes,
-            block_task_ids=self.block_task_ids,
-            calibration_task_ids=list(self.calib_ids),
-            calibrate_stage=self.calibrate_stage,
-            windows_stage=self.windows_stage,
-            per_block=self.per_block,
-            windows_task_id=self.windows_task_id,
-            windows_task_ids=dict(self.windows_task_ids),
-            campaign_stage=self.campaign_stage,
-            summary_stage=self.summary_stage,
-            summary_task_ids=dict(self.summary_task_ids),
-            yield_stage=self.yield_stage,
-            yield_task_ids=list(self.yield_task_ids),
-            k_values=list(self.k_values),
-            escape_stage=self.escape_stage,
-            escape_task_id=self.escape_task_id,
-            worker_token=self.worker_token,
-            variant=self.variant,
-            dut_fingerprint=self.dut_spec.fingerprint())
-
-
-def build_study(spec: StudySpec,
-                adc_factory: Optional[Callable[[], Any]] = None,
-                variation_spec: Optional[Any] = None) -> "StudyPlan":
-    """Compile a :class:`StudySpec` into a runnable :class:`StudyPlan`.
-
-    Walks the spec's stages in order, resolves each against the stage
-    registry (typed parameter validation with actionable errors) and calls
-    its expander to add the stage's tasks and dependency edges to one
-    :class:`~repro.engine.pipeline.Pipeline`.  Every random draw derives
-    from the root seed through a stage-specific derivation, so the results
-    are bit-identical on any backend, and equal specs compile to graphs
-    with equal content-addressed cache specs (a warm cache replays them).
-
-    A spec with a ``[dut]`` table compiles against that device (through a
-    :class:`~repro.adc.sar_adc.DutAdcFactory`); ``[[variants]]`` fans the
-    stage list out once per variant into one shared pipeline -- per-variant
-    stage instances (``<variant>/<stage>``), per-variant task ids and
-    per-variant root seeds derived from ``(root seed, variant label)``.
-
-    ``adc_factory``/``variation_spec`` stay Python-level arguments (they
-    are code, not data); a non-importable factory disables caching.  An
-    explicit ``adc_factory`` is rejected
-    alongside a declared ``[dut]``/``[[variants]]`` section -- the factory
-    is bound to one device and would silently shadow the spec's.
-    """
-    from ..defects.sampling import variant_seed
-    from ..dut import DutSpec
-
-    spec = spec.validated()
-    base_dut = DutSpec.from_jsonable(spec.dut)
-    if adc_factory is not None and (spec.dut or spec.variants):
-        raise EngineError(
-            f"study {spec.name!r} declares a [dut]/[[variants]] section; "
-            f"drop the explicit adc_factory argument (the factory is "
-            f"derived from the spec)")
-
-    if not spec.variants:
-        build = StudyBuild(spec, adc_factory, variation_spec,
-                           dut_spec=base_dut)
-        _expand_stages(build, spec)
-        return build.plan()
-
-    pipeline = Pipeline(spec.name)
-    parent = StudyPlan(
-        spec=spec, pipeline=pipeline, k=5.0, n_monte_carlo=0,
-        stop_on_detection=True, invariance_names=[], blocks=[],
-        block_plans={}, block_universes={}, block_task_ids={},
-        calibration_task_ids=[], dut_fingerprint=base_dut.fingerprint())
-    for variant in spec.variants:
-        build = StudyBuild(
-            spec, None, variation_spec,
-            dut_spec=base_dut.merged(variant.dut), variant=variant.name,
-            pipeline=pipeline, seed=variant_seed(spec.seed, variant.name))
-        _expand_stages(build, spec)
-        parent.variants[variant.name] = build.plan()
-    return parent
-
-
-def _expand_stages(build: StudyBuild, spec: StudySpec) -> None:
-    """Expand every stage of ``spec`` into ``build``'s pipeline (labels
-    prefixed by the build's variant, if any)."""
-    for entry in spec.stages:
-        definition = stage_definition(entry.stage)
-        label = build.task_prefix + entry.label
-        if entry.stage in build.expanded:
-            raise EngineError(
-                f"study {spec.name!r} declares the {entry.stage!r} stage "
-                f"twice; multiple instances of one stage kind are not "
-                f"supported yet")
-        params = definition.resolve_params(
-            spec.params, entry.params,
-            f"study {spec.name!r}, stage {label!r}")
-        definition.expand(build, label, params)
-        build.expanded[entry.stage] = label
-
-
-# ======================================================================= run
-
-@dataclass
-class StudyOutcome:
-    """Everything produced by one study run, with named-stage accessors.
-
-    One class for every study shape (it replaces the per-study Outcome
-    dataclasses): fields not produced by the study's stages stay at their
-    empty defaults, e.g. ``yield_points`` is ``[]`` for a plain
-    calibrate -> campaign study.
-    """
-
-    spec: StudySpec
-    #: Per-stage statuses and raw results of the underlying engine run.
-    pipeline: PipelineResult
-    #: The single report spanning every stage.
-    report: CampaignReport
-    #: One :class:`~repro.core.WindowCalibration` per windows reduction
-    #: that completed -- keyed by block for per-block windows, by the
-    #: windows task id for a global reduction.
-    calibrations: Dict[str, Any] = field(default_factory=dict)
-    #: One :class:`~repro.defects.simulator.CampaignResult` per fully
-    #: completed block, in sweep order; blocks with failed or skipped tasks
-    #: are absent (inspect :attr:`pipeline` for their status).
-    results: Dict[str, Any] = field(default_factory=dict)
-    #: One JSON-ready per-block reduction per completed block-summary task.
-    summaries: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: One :class:`~repro.analysis.YieldLossPoint` per requested ``k``, in
-    #: ``k_values`` order; points whose task failed/skipped are absent.
-    yield_points: List[Any] = field(default_factory=list)
-    #: The :class:`~repro.analysis.EscapeAnalysisResult`, or None when the
-    #: study has no escape stage (or its task failed).
-    escapes: Optional[Any] = None
-    #: The variant label this outcome belongs to (None outside variant
-    #: studies) and the DUT fingerprint it ran against.
-    variant: Optional[str] = None
-    dut_fingerprint: str = ""
-    #: Per-variant outcomes of a multi-variant study, in declaration order;
-    #: empty for single-DUT studies (whose results live on the fields
-    #: above).
-    variants: Dict[str, "StudyOutcome"] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.pipeline.ok
-
-    @property
-    def calibration(self) -> Optional[Any]:
-        """The study's window calibration (the global reduction, or the
-        first block's for per-block studies); None when it failed."""
-        return next(iter(self.calibrations.values()), None)
-
-    def stage_results(self, stage: str) -> Dict[str, Any]:
-        """Raw results of one named stage's completed tasks."""
-        return self.pipeline.stage_results(stage)
-
-    def stage_statuses(self, stage: str) -> Dict[str, str]:
-        """Terminal status of every task of one named stage."""
-        return self.pipeline.stage_statuses(stage)
-
-
-@dataclass
-class StudyPlan:
-    """A compiled (not yet run) study graph plus assembly metadata.
-
-    Produced by :func:`build_study`.  One class serves every study shape
-    (it replaces the per-study Plan dataclasses); fields describing stages
-    a study does not declare stay empty.
-    """
-
-    spec: StudySpec
-    pipeline: Pipeline
-    k: float
-    n_monte_carlo: int
-    stop_on_detection: bool
-    invariance_names: List[str]
-    blocks: List[str]
-    block_plans: Dict[str, Any]
-    block_universes: Dict[str, Any]
-    block_task_ids: Dict[str, List[str]]
-    calibration_task_ids: List[str]
-    calibrate_stage: Optional[str] = None
-    windows_stage: Optional[str] = None
-    per_block: bool = False
-    windows_task_id: Optional[str] = None
-    windows_task_ids: Dict[str, str] = field(default_factory=dict)
-    campaign_stage: Optional[str] = None
-    summary_stage: Optional[str] = None
-    summary_task_ids: Dict[str, str] = field(default_factory=dict)
-    yield_stage: Optional[str] = None
-    yield_task_ids: List[str] = field(default_factory=list)
-    k_values: List[float] = field(default_factory=list)
-    escape_stage: Optional[str] = None
-    escape_task_id: Optional[str] = None
-    #: Key of the per-process campaign built by the campaign stage workers;
-    #: used to release the parent-process instance after the run.
-    worker_token: str = ""
-    #: The variant label this plan's stages belong to (None outside
-    #: variant studies) and the DUT fingerprint they compile against.
-    variant: Optional[str] = None
-    dut_fingerprint: str = ""
-    #: Per-variant sub-plans of a multi-variant study, in declaration
-    #: order, all sharing :attr:`pipeline`; empty for single-DUT studies.
-    variants: Dict[str, "StudyPlan"] = field(default_factory=dict)
-
+    # ---------------------------------------------------------------- run
     def run(self, backend: Optional[ExecutionBackend] = None,
             cache: Optional[ResultCache] = None,
             on_failure: str = "raise",
@@ -972,14 +921,13 @@ class StudyPlan:
 
         ``cancel`` is the engine's cooperative-stop probe; when it fires,
         the outcome assembles whatever completed and
-        ``outcome.pipeline.run.cancelled`` is True."""
+        ``outcome.run.cancelled`` is True."""
         from ..defects.simulator import _WORKER_STATE
 
         try:
-            result = self.pipeline.run(backend=backend, cache=cache,
-                                       on_failure=on_failure,
-                                       telemetry=telemetry,
-                                       cancel=cancel)
+            run = self.pipeline.run(backend=backend, cache=cache,
+                                    on_failure=on_failure,
+                                    telemetry=telemetry, cancel=cancel)
         finally:
             # Serial runs build the campaign in this process; drop it so
             # the ADC/hierarchy/injector do not outlive the run.  A variant
@@ -990,24 +938,24 @@ class StudyPlan:
                 if token:
                     _WORKER_STATE.pop(token, None)
 
-        outcome = self._assemble(result)
+        outcome = self._assemble(run)
         for label, plan in self.variants.items():
-            outcome.variants[label] = plan._assemble(result)
+            outcome.variants[label] = plan._assemble(run)
         return outcome
 
-    def _assemble(self, result: PipelineResult) -> StudyOutcome:
+    def _assemble(self, run: EngineRun) -> StudyOutcome:
         """Collect this plan's named-stage results out of one (possibly
-        shared) pipeline run."""
+        shared) engine run."""
         from ..core.calibration import calibration_from_windows
         from ..defects.simulator import CampaignResult
 
-        outcome = StudyOutcome(spec=self.spec, pipeline=result,
-                               report=result.report,
+        outcome = StudyOutcome(spec=self.spec, run=run,
+                               stage_of=self.pipeline.stage_of,
                                variant=self.variant,
                                dut_fingerprint=self.dut_fingerprint)
 
         if self.windows_stage is not None:
-            windows_results = result.stage_results(self.windows_stage)
+            windows_results = outcome.stage_results(self.windows_stage)
             if self.per_block:
                 outcome.calibrations = {
                     block: calibration_from_windows(
@@ -1021,7 +969,7 @@ class StudyPlan:
                         self.invariance_names)}
 
         if self.campaign_stage is not None:
-            records = result.stage_results(self.campaign_stage)
+            records = outcome.stage_results(self.campaign_stage)
             for block in self.blocks:
                 task_ids = self.block_task_ids[block]
                 if not all(tid in records for tid in task_ids):
@@ -1034,20 +982,20 @@ class StudyPlan:
                     stop_on_detection=self.stop_on_detection)
 
         if self.summary_stage is not None:
-            summary_results = result.stage_results(self.summary_stage)
+            summary_results = outcome.stage_results(self.summary_stage)
             outcome.summaries = {
                 block: summary_results[tid]
                 for block, tid in self.summary_task_ids.items()
                 if tid in summary_results}
 
         if self.yield_stage is not None:
-            yield_results = result.stage_results(self.yield_stage)
+            yield_results = outcome.stage_results(self.yield_stage)
             outcome.yield_points = [yield_results[tid]
                                     for tid in self.yield_task_ids
                                     if tid in yield_results]
 
         if self.escape_stage is not None:
-            outcome.escapes = result.stage_results(
+            outcome.escapes = outcome.stage_results(
                 self.escape_stage).get(self.escape_task_id)
         return outcome
 

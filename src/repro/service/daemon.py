@@ -374,7 +374,7 @@ class CampaignDaemon:
                 record.started_at = None
             self._persist(record)
             return
-        if record.cancel_requested or outcome.pipeline.run.cancelled:
+        if record.cancel_requested or outcome.run.cancelled:
             self._finish(record, STATE_CANCELLED)
             return
         self._write_json(self.result_path(record.study_id),

@@ -1,4 +1,4 @@
-"""Tests for dependency-aware task graphs and the Pipeline API."""
+"""Tests for dependency-aware task graphs and the stage-tagged pipeline."""
 
 import math
 
@@ -7,11 +7,12 @@ import pytest
 
 from repro.circuit import EngineError, TaskExecutionError
 from repro.engine import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN,
-                          CampaignEngine, Pipeline, ResultCache,
+                          CampaignEngine, ResultCache,
                           STATUS_CACHED, STATUS_EXECUTED, STATUS_FAILED,
                           STATUS_SKIPPED, SerialBackend, SharedMemoryBackend,
                           Task, TaskGraph, YIELD_LOSS_STUDY, build_study,
                           run_study)
+from repro.engine.pipeline import Pipeline
 
 
 # ------------------------------------------------------------- graph workers
@@ -207,7 +208,7 @@ class TestGraphExecution:
                                  _sum_worker, on_failure="ignore")
 
 
-# ------------------------------------------------------------- Pipeline API
+# ------------------------------------------------------------- Pipeline
 
 def _double_worker(context, task, rng, inputs):
     return 2 * task.payload
@@ -254,18 +255,18 @@ class TestPipeline:
         assert pipeline.graph.get("total").group == "reduce"
 
     def test_run_routes_tasks_to_stage_workers(self):
-        result = self._build().run()
-        assert result.ok
-        assert result.result_for("total") == [0, 2, 4]
-        assert result.stage_results("produce") == \
-            {"p/0": 0, "p/1": 2, "p/2": 4}
-        assert result.report.stage_durations.keys() == {"produce", "reduce"}
+        run = self._build().run()
+        assert run.ok
+        assert run.result_for("total") == [0, 2, 4]
+        assert {tid: run.result_for(tid) for tid in ("p/0", "p/1", "p/2")} \
+            == {"p/0": 0, "p/1": 2, "p/2": 4}
+        assert run.report.stage_durations.keys() == {"produce", "reduce"}
 
     def test_multiprocess_pipeline_matches_serial(self):
         serial = self._build().run()
         parallel = self._build().run(
             backend=SharedMemoryBackend(max_workers=2))
-        assert serial.run.results == parallel.run.results
+        assert serial.results == parallel.results
 
     def test_failed_stage_skips_downstream_stage(self):
         """A failed calibration-style stage marks campaign tasks skipped."""
@@ -276,15 +277,14 @@ class TestPipeline:
         for i in range(3):
             pipeline.add_task("campaign", Task(
                 task_id=f"defect/{i}", payload=i, depends_on=("calib/0",)))
-        result = pipeline.run(on_failure="skip")
-        assert result.stage_statuses("calibrate") == \
-            {"calib/0": STATUS_FAILED}
-        assert result.stage_statuses("campaign") == \
-            {f"defect/{i}": STATUS_SKIPPED for i in range(3)}
-        assert result.report.n_failed == 1
-        assert result.report.n_skipped == 3
-        assert result.stage_results("campaign") == {}
-        assert not result.ok
+        run = pipeline.run(on_failure="skip")
+        assert run.statuses == {
+            "calib/0": STATUS_FAILED,
+            **{f"defect/{i}": STATUS_SKIPPED for i in range(3)}}
+        assert run.report.n_failed == 1
+        assert run.report.n_skipped == 3
+        assert run.results == [None] * 4
+        assert not run.ok
 
 
 # ------------------------------------------------- calibrate-then-campaign
@@ -374,11 +374,11 @@ class TestCalibrateThenCampaign:
             _campaign_spec({"campaign.stop_on_detection": False}),
             cache=cache())
         assert all(status == STATUS_CACHED for status in
-                   mixed.pipeline.stage_statuses("calibrate").values())
-        assert mixed.pipeline.stage_statuses("windows") == \
+                   mixed.stage_statuses("calibrate").values())
+        assert mixed.stage_statuses("windows") == \
             {"windows": STATUS_CACHED}
         assert all(status == STATUS_EXECUTED for status in
-                   mixed.pipeline.stage_statuses("campaign").values())
+                   mixed.stage_statuses("campaign").values())
 
     def test_single_report_spans_stages(self):
         outcome = run_study(_campaign_spec())
@@ -558,7 +558,7 @@ class TestBlockStudy:
         outcome = self._study(
             cache=ResultCache(str(tmp_path / "cache"),
                               namespace="calibration"))
-        statuses = outcome.pipeline.stage_statuses("calibrate")
+        statuses = outcome.stage_statuses("calibrate")
         assert all(status == STATUS_CACHED for status in statuses.values())
 
     def test_failed_calibration_skips_every_block(self):
@@ -572,13 +572,13 @@ class TestBlockStudy:
         assert outcome.results == {}
         assert outcome.calibrations == {}
         assert outcome.summaries == {}
-        assert set(outcome.pipeline.stage_statuses("calibrate").values()) \
+        assert set(outcome.stage_statuses("calibrate").values()) \
             == {STATUS_FAILED}
-        assert set(outcome.pipeline.stage_statuses("windows").values()) \
+        assert set(outcome.stage_statuses("windows").values()) \
             == {STATUS_SKIPPED}
-        assert set(outcome.pipeline.stage_statuses("campaign").values()) \
+        assert set(outcome.stage_statuses("campaign").values()) \
             == {STATUS_SKIPPED}
-        assert set(outcome.pipeline.stage_statuses("summary").values()) \
+        assert set(outcome.stage_statuses("summary").values()) \
             == {STATUS_SKIPPED}
 
 

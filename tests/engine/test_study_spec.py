@@ -422,7 +422,7 @@ class TestOldFormatCacheReplay:
         assert _rewrite_as_sidecar_format(cache_dir) == MC
 
         replay = run_study(spec, cache=ResultCache(cache_dir))
-        statuses = replay.pipeline.run.statuses
+        statuses = replay.run.statuses
         executed = sorted(task_id for task_id, status in statuses.items()
                           if status == "executed")
         assert executed == sorted(f"calib/{i}" for i in range(MC))

@@ -85,6 +85,19 @@ class TestVariantFanOut:
             DutSpec(resolution_bits=8).fingerprint()
         assert len(set(fingerprints.values())) == 3
 
+    def test_payload_reports_the_resolved_k(self):
+        """Stage parameters are study-wide, so the parent plan -- and the
+        top-level ``k`` of the study JSON -- carry the windows stage's k."""
+        from repro.engine.cli import study_payload
+
+        spec = _variant_study(ROOT_SEED).override({"windows.k": 3.0})
+        plan = build_study(spec)
+        assert [vplan.k for vplan in plan.variants.values()] == [3.0] * 3
+        assert plan.k == 3.0
+        assert plan.n_monte_carlo == 3
+        payload = study_payload(spec, plan, plan.run(), workers=1)
+        assert payload["k"] == 3.0
+
     def test_variant_seed_is_stable_and_label_sensitive(self):
         assert variant_seed(7, "a") == variant_seed(7, "a")
         assert variant_seed(7, "a") != variant_seed(7, "b")
