@@ -478,8 +478,7 @@ def test_warehouse_query_beats_directory_crawl(tmp_path):
                   [{"defect": {"defect_id": f"{block}:d{i}:short",
                                "block_path": block},
                     "detected": bool(rng.integers(2)),
-                    "modeled_sim_time": float(rng.uniform(0.5, 4.0)),
-                    "wall_time": float(rng.uniform(0.001, 0.01))}],
+                    "modeled_sim_time": float(rng.uniform(0.5, 4.0))}],
                   task_id=f"campaign/{block}/{i}-{i + 1}", spec=spec)
 
     def crawl():
@@ -619,14 +618,11 @@ def test_daemon_warm_submission_beats_cold_cli_process(tmp_path):
               encoding="utf-8") as handle:
         cold_payload = json.load(handle)
 
-    def deterministic(payload):
-        payload = json.loads(json.dumps(payload))  # deep copy
-        payload.pop("engine", None)
-        for block in payload.get("blocks", []):
-            block.pop("timing", None)
-        return payload
-
-    assert deterministic(warm["result"]) == deterministic(cold_payload)
+    # The warm submission replayed every task the cold run executed, so
+    # only the engine summary's counts differ.
+    for payload in (warm["result"], cold_payload):
+        payload.pop("engine")
+    assert warm["result"] == cold_payload
 
     speedup = cold_wall / warm_wall
     print()

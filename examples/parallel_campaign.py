@@ -115,7 +115,8 @@ def main() -> None:
     print()
     print(format_table(headers, rows_for(serial.results),
                        title="pipeline, serial"))
-    print(f"   {serial.report.summary()}")
+    print(f"   {serial.report.summary()}, "
+          f"{serial.report.wall_time:.2f}s wall")
 
     assert serial.calibration.deltas == calibration.deltas, \
         "pipeline windows differ from calibrate_windows"
@@ -130,11 +131,13 @@ def main() -> None:
     parallel = run_study(
         spec, backend=SharedMemoryBackend(max_workers=args.workers),
         cache=ResultCache(cache_dir, namespace="pipeline"))
-    print(f"   {parallel.report.summary()}")
+    print(f"   {parallel.report.summary()}, "
+          f"{parallel.report.wall_time:.2f}s wall")
 
     print("4) warm cache replay (parents short-circuit instantly)...")
     warm = run_study(spec, cache=ResultCache(cache_dir, namespace="pipeline"))
-    print(f"   {warm.report.summary()}")
+    print(f"   {warm.report.summary()}, "
+          f"{warm.report.wall_time:.2f}s wall")
 
     for block in args.blocks:
         assert record_digest(parallel.results[block]) == \

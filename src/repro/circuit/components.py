@@ -41,11 +41,6 @@ class DeviceKind(str, Enum):
         """True for devices subject to the +/-50 % value-deviation defects."""
         return self in (DeviceKind.RESISTOR, DeviceKind.CAPACITOR)
 
-    @property
-    def is_transistor(self) -> bool:
-        return self in (DeviceKind.NMOS, DeviceKind.PMOS, DeviceKind.NPN,
-                        DeviceKind.PNP, DeviceKind.SWITCH)
-
 
 #: Ordered terminal names per device kind.  The order matters because nets are
 #: bound positionally when a device is added to a netlist.

@@ -15,11 +15,11 @@ with fully qualified names such as ``subdac1/rladder_07``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .components import (Device, DeviceKind, capacitor, diode, nmos, npn, pmos,
-                         pnp, resistor, switch)
+from .components import (Device, DeviceKind, capacitor, nmos, pmos, pnp,
+                         resistor, switch)
 from .errors import NetlistError
 
 
@@ -65,13 +65,6 @@ class Netlist:
     def add_pmos(self, name: str, d: str, g: str, s: str, b: str = "vdd",
                  w: float = 2e-6, l: float = 65e-9) -> Device:
         return self.add(pmos(name, d, g, s, b, w, l))
-
-    def add_diode(self, name: str, a: str, c: str, area: float = 1.0) -> Device:
-        return self.add(diode(name, a, c, area))
-
-    def add_npn(self, name: str, c: str, b: str, e: str,
-                area: float = 1.0) -> Device:
-        return self.add(npn(name, c, b, e, area))
 
     def add_pnp(self, name: str, c: str, b: str, e: str,
                 area: float = 1.0) -> Device:

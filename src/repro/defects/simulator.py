@@ -12,13 +12,14 @@ on top of the behavioral IP model:
    coverage with 95 % confidence intervals -- the content of Table I.
 
 Because the underlying electrical engine is a behavioral model rather than a
-SPICE netlist, wall-clock times are not comparable to the paper's
-"defect simulation time" column.  The runner therefore reports both the
-*real* (``time.perf_counter``) wall-clock time and a *modelled*
-transistor-level simulation time: the number of test clock cycles each defect
-simulation had to cover multiplied by a calibrated seconds-per-cycle
-constant, so that the effect of stop-on-detection on the campaign cost is
-reproduced.
+SPICE netlist, its wall-clock time is not comparable to the paper's
+"defect simulation time" column.  Each record therefore carries a
+*modelled* transistor-level simulation time instead: the number of test
+clock cycles the defect simulation had to cover multiplied by a calibrated
+seconds-per-cycle constant, so that the effect of stop-on-detection on the
+campaign cost is reproduced.  Records hold no measured time, so equal
+inputs give byte-identical records; where the wall time of a run went is
+the engine trace's business (``docs/observability.md``).
 
 A campaign run is a plain in-process loop: each block's ordered defect
 selection goes to :meth:`DefectCampaign.simulate_defect_batch`, which
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence
@@ -43,7 +43,7 @@ import numpy as np
 from ..adc.sar_adc import SarAdc
 from ..circuit.components import PullDirection
 from ..circuit.errors import CoverageError
-from ..core.controller import SymBistController, SymBistResult
+from ..core.controller import SymBistController
 from ..core.stimulus import SymBistStimulus
 from ..core.test_time import CheckingMode
 from ..core.window_comparator import WindowComparator
@@ -75,7 +75,6 @@ class DefectSimulationRecord:
     detection_cycle: Optional[int]
     cycles_run: int
     modeled_sim_time: float
-    wall_time: float
 
     @property
     def block_path(self) -> str:
@@ -90,7 +89,6 @@ class BlockCoverageReport:
     n_defects: int
     n_simulated: int
     modeled_sim_time: float
-    wall_time: float
     coverage: CoverageEstimate
 
 
@@ -107,18 +105,6 @@ class CampaignResult:
     @property
     def n_simulated(self) -> int:
         return len(self.records)
-
-    def timing_summary(self) -> Dict[str, float]:
-        """Real and modelled campaign cost.
-
-        Both sum the per-record costs of the simulations that *produced* the
-        records -- for records a study replayed from its cache that is the
-        original (cold-run) cost.
-        """
-        return {
-            "wall_time": sum(r.wall_time for r in self.records),
-            "modeled_sim_time": sum(r.modeled_sim_time for r in self.records),
-        }
 
     @property
     def n_detected(self) -> int:
@@ -159,15 +145,7 @@ class CampaignResult:
             n_defects=len(sub_universe),
             n_simulated=len(records),
             modeled_sim_time=sum(r.modeled_sim_time for r in records),
-            wall_time=sum(r.wall_time for r in records),
             coverage=self._coverage(records, sub_universe))
-
-    def per_block_reports(self) -> List[BlockCoverageReport]:
-        reports = []
-        for block_path in self.universe.block_paths():
-            if self.records_for_block(block_path):
-                reports.append(self.block_report(block_path))
-        return reports
 
     def overall_report(self) -> BlockCoverageReport:
         """Coverage of the complete A/M-S part (last row of Table I)."""
@@ -178,7 +156,6 @@ class CampaignResult:
             n_defects=len(self.universe),
             n_simulated=len(self.records),
             modeled_sim_time=sum(r.modeled_sim_time for r in self.records),
-            wall_time=sum(r.wall_time for r in self.records),
             coverage=self._coverage(self.records, self.universe))
 
 
@@ -325,18 +302,18 @@ def _record_to_jsonable(record: DefectSimulationRecord) -> Dict[str, Any]:
         "detection_cycle": record.detection_cycle,
         "cycles_run": record.cycles_run,
         "modeled_sim_time": record.modeled_sim_time,
-        "wall_time": record.wall_time,
     }
 
 
 def _record_from_jsonable(data: Mapping[str, Any]) -> DefectSimulationRecord:
+    # Records cached by older releases also carry a measured wall time;
+    # it is ignored, so those entries replay as compatible hits.
     return DefectSimulationRecord(
         defect=defect_from_jsonable(data["defect"]), detected=data["detected"],
         detecting_invariance=data["detecting_invariance"],
         detection_cycle=data["detection_cycle"],
         cycles_run=data["cycles_run"],
-        modeled_sim_time=data["modeled_sim_time"],
-        wall_time=data["wall_time"])
+        modeled_sim_time=data["modeled_sim_time"])
 
 
 def _records_to_jsonable(records: Sequence[DefectSimulationRecord]
@@ -429,10 +406,8 @@ class DefectCampaign:
         for defects that are not local to one block, and the oracle the
         batched evaluation is tested against.
         """
-        start = time.perf_counter()
         with self.injector.injected(defect):
             result = self._build_controller().run()
-        wall = time.perf_counter() - start
         detecting = result.first_detection[0] if result.first_detection else None
         detection_cycle = result.first_detection[1] if result.first_detection \
             else None
@@ -442,8 +417,7 @@ class DefectCampaign:
             detecting_invariance=detecting,
             detection_cycle=detection_cycle,
             cycles_run=result.cycles_run,
-            modeled_sim_time=result.cycles_run * self.seconds_per_cycle,
-            wall_time=wall)
+            modeled_sim_time=result.cycles_run * self.seconds_per_cycle)
 
     def simulate_defect_batch(self, defects: Sequence[Defect],
                               fingerprint: Optional[str] = None
@@ -454,8 +428,7 @@ class DefectCampaign:
         defect local to one block re-evaluates only that block's stage and
         its downstream cone against the cached defect-free trace
         (:mod:`repro.defects.batching`); a non-local defect falls back to
-        the full re-simulation.  Only ``wall_time`` -- which is measured,
-        never compared -- differs.  ``fingerprint`` is the clean ADC's
+        the full re-simulation.  ``fingerprint`` is the clean ADC's
         :func:`adc_fingerprint`, when the caller already has it.
         """
         evaluator = self._batch_evaluator(fingerprint)
@@ -464,10 +437,8 @@ class DefectCampaign:
             if not evaluator.is_local(defect):
                 records.append(self.simulate_defect(defect))
                 continue
-            start = time.perf_counter()
             with self.injector.injected(defect):
                 outcome = evaluator.evaluate(defect)
-            wall = time.perf_counter() - start
             detected, detecting, detection_cycle, cycles_run = outcome
             records.append(DefectSimulationRecord(
                 defect=defect,
@@ -475,8 +446,7 @@ class DefectCampaign:
                 detecting_invariance=detecting,
                 detection_cycle=detection_cycle,
                 cycles_run=cycles_run,
-                modeled_sim_time=cycles_run * self.seconds_per_cycle,
-                wall_time=wall))
+                modeled_sim_time=cycles_run * self.seconds_per_cycle))
         return records
 
     def run(self, plan: Optional[SamplingPlan] = None,

@@ -80,10 +80,6 @@ class Lfsr:
             raise DigitalTestError("n_bits must be non-negative")
         return [self.step() for _ in range(n_bits)]
 
-    def next_pattern(self, n_bits: int) -> List[int]:
-        """Alias of :meth:`next_bits`, named for pattern generation."""
-        return self.next_bits(n_bits)
-
 
 @dataclass
 class Misr:

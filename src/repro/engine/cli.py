@@ -249,7 +249,7 @@ def _block_json(block: str, result: Any, variant: Optional[str] = None,
         "ci_half_width": report.coverage.ci_half_width,
         "variant": variant,
         "dut_fingerprint": dut_fingerprint or default_dut().fingerprint(),
-        "timing": result.timing_summary()}
+        "timing": {"modeled_sim_time": report.modeled_sim_time}}
 
 
 def _parse_set_assignment(entry: str) -> "Tuple[str, Any]":
@@ -290,9 +290,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                      f"({len(plan.variants)} DUT variants: "
                      f"{', '.join(plan.variants)}; seed {spec.seed})...")
     else:
+        window = "" if plan.k is None else f"delta = {plan.k:g} sigma, "
         console.info(f"running study {spec.name!r} as one task graph "
-                     f"(delta = {plan.k:g} sigma, {plan.n_monte_carlo} MC "
-                     f"samples, seed {spec.seed})...")
+                     f"({window}{plan.n_monte_carlo} MC samples, "
+                     f"seed {spec.seed})...")
     telemetry = _telemetry_from_args(args, study=spec.name)
     try:
         outcome = plan.run(backend=_build_backend(args),
@@ -310,7 +311,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         _print_stage_tables(plan, outcome, spec.name)
 
     console.info()
-    console.info(f"engine: {outcome.report.summary()}")
+    console.info(f"engine: {outcome.report.summary()}, "
+                 f"{outcome.report.wall_time:.2f}s wall")
     stage_line = outcome.report.stage_summary()
     if stage_line:
         console.info(f"stages: {stage_line}")

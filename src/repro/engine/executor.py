@@ -116,7 +116,12 @@ class CampaignReport:
         return self.n_executed / self.wall_time if self.wall_time > 0 else 0.0
 
     def summary(self) -> str:
-        """One-line human-readable digest for logs and CLIs."""
+        """One-line digest of the task counts for logs and CLIs.
+
+        It holds no measured time, so the study JSON that embeds it is
+        byte-identical across runs; callers that show the wall time print
+        :attr:`wall_time` next to it.
+        """
         parts = [f"{self.n_tasks} tasks via {self.backend}"
                  f" ({self.workers} worker{'s' if self.workers != 1 else ''})",
                  f"{self.n_executed} executed",
@@ -125,8 +130,6 @@ class CampaignReport:
         if self.n_failed or self.n_skipped:
             parts.append(f"{self.n_failed} failed")
             parts.append(f"{self.n_skipped} skipped")
-        parts.extend([f"{self.wall_time:.2f}s wall",
-                      f"{self.tasks_per_second:.1f} tasks/s"])
         return ", ".join(parts)
 
     def stage_summary(self) -> str:

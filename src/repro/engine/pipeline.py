@@ -221,18 +221,20 @@ def _yield_stage_worker(context: Mapping[str, Any], task: Task,
     order), and sigma/mean derive through
     :func:`repro.core.calibration.windows_from_pools`, so the point is
     float-for-float what ``calibrate_windows(keep_pools=True)`` followed by
-    :func:`repro.analysis.empirical_yield_loss` computes.
+    :func:`repro.analysis.empirical_yield_loss` computes.  The point's own
+    ``k`` (the task payload) is the only multiplier involved:
+    ``empirical_yield_loss`` rebuilds the windows for it.
     """
     from ..analysis.yield_loss import empirical_yield_loss
     from ..core.calibration import WindowCalibration, windows_from_pools
     names = context["invariance_names"]
     pools = _pool_residuals(names, task, inputs)
-    sigmas, means, deltas = windows_from_pools(
-        pools, context["k"], context.get("delta_floors"))
+    k = task.payload
+    sigmas, means, deltas = windows_from_pools(pools, k)
     calibration = WindowCalibration(
-        k=context["k"], n_samples=len(task.depends_on), sigmas=sigmas,
+        k=k, n_samples=len(task.depends_on), sigmas=sigmas,
         means=means, deltas=deltas, residual_pools=pools)
-    return empirical_yield_loss(calibration, task.payload)
+    return empirical_yield_loss(calibration, k)
 
 
 def _escape_stage_worker(context: Mapping[str, Any], task: Task,
@@ -294,5 +296,4 @@ def _block_summary_stage_worker(context: Mapping[str, Any], task: Task,
             "coverage": coverage.value,
             "ci_half_width": coverage.ci_half_width,
             "modeled_sim_time": sum(r.modeled_sim_time for r in records),
-            "wall_time": sum(r.wall_time for r in records),
             "deltas": dict(windows["deltas"])}

@@ -285,7 +285,7 @@ def _expand_windows(plan: Any, name: str, params: Dict[str, Any]) -> None:
             # Monte Carlo work runs, not inside a windows reduction task.
             raise CalibrationError(f"k must be positive, got {k_value}")
     plan.k = k
-    plan.delta_floors = floors = dict(delta_floors) if delta_floors else None
+    floors = dict(delta_floors) if delta_floors else None
     plan.windows_stage = name
     plan.per_block = per_block
 
@@ -449,8 +449,7 @@ def _expand_yield(plan: Any, name: str, params: Dict[str, Any]) -> None:
     plan.pipeline.add_stage(
         name, _yield_stage_worker,
         codec=stage_definition("yield").make_codec(),
-        context={"invariance_names": plan.invariance_names,
-                 "k": params["k"], "delta_floors": plan.delta_floors})
+        context={"invariance_names": plan.invariance_names})
     plan.yield_stage = name
     plan.k_values = [float(value) for value in k_values]
     for index, k_value in enumerate(k_values):
@@ -590,9 +589,6 @@ register_stage(StageDefinition(
     expand=_expand_yield,
     codec=_yield_codec,
     params=(
-        StageParam("k", "float", default=5.0,
-                   doc="nominal guard-band multiplier of the calibration "
-                       "the points are reported against"),
         StageParam("k_values", "float_list",
                    default=(2.0, 3.0, 4.0, 5.0, 6.0),
                    doc="window multipliers of the yield-loss sweep"),

@@ -119,8 +119,8 @@ class StudySpec:
     """A declarative study: stages + root seed + shared parameters.
 
     ``params`` holds study-wide values applied to every stage whose schema
-    declares the parameter (e.g. one ``k`` feeding both the ``windows`` and
-    ``yield`` stages); per-stage ``params`` override them.  ``dut``
+    declares the parameter (e.g. ``k``, the ``windows`` stage's guard-band
+    multiplier); per-stage ``params`` override them.  ``dut``
     describes the device under test declaratively (a
     :class:`~repro.dut.DutSpec` payload; empty = the paper's device) and
     ``variants`` fans the whole stage list out over several DUT overlays in
@@ -791,8 +791,8 @@ class StudyPlan:
         # windows
         self.windows_stage: Optional[str] = None
         self.per_block = False
-        self.k = 5.0
-        self.delta_floors: Optional[Dict[str, float]] = None
+        #: The windows stage's guard-band multiplier; None without one.
+        self.k: Optional[float] = None
         self.windows_task_id: Optional[str] = None
         self.windows_task_ids: Dict[str, str] = {}
         self.windows_specs: Dict[Any, Any] = {}

@@ -37,9 +37,6 @@ class TransferCurve:
     def n_points(self) -> int:
         return len(self.inputs)
 
-    def codes_present(self) -> np.ndarray:
-        return np.unique(self.codes)
-
 
 @dataclass
 class LinearityResult:

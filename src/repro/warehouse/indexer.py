@@ -147,8 +147,6 @@ def _campaign_columns(result: Any) -> Dict[str, Any]:
         "modeled_sim_time": sum(
             _finite(record.get("modeled_sim_time")) or 0.0
             for record in records),
-        "wall_time": sum(_finite(record.get("wall_time")) or 0.0
-                         for record in records),
     })
     return columns
 
@@ -163,7 +161,6 @@ def _summary_columns(result: Any) -> Dict[str, Any]:
         "coverage": _finite(result.get("coverage")),
         "ci_half_width": _finite(result.get("ci_half_width")),
         "modeled_sim_time": _finite(result.get("modeled_sim_time")),
-        "wall_time": _finite(result.get("wall_time")),
     }
 
 

@@ -27,8 +27,8 @@ yield (yield rows)
 escape (escape rows)
     ``n_undetected``.
 timings
-    ``modeled_sim_time`` and ``wall_time`` from the stored payload;
-    ``queue_wait`` / ``deserialize`` / ``execute`` / ``ship`` /
+    ``modeled_sim_time`` (modelled, deterministic) from the stored
+    payload; ``queue_wait`` / ``deserialize`` / ``execute`` / ``ship`` /
     ``duration`` from the run's telemetry (NULL for backfilled or cached
     rows -- only an executed task has a span).
 footprint
@@ -47,8 +47,10 @@ from ..circuit.errors import EngineError
 #: from the cache directory, which remains the source of truth).
 #: History: 1 = initial schema; 2 = added ``dut_fingerprint`` / ``variant``
 #: (parametric DUT sweeps); 3 = ``json_bytes`` is the whole footprint
-#: (artifacts are one JSON file each).
-SCHEMA_VERSION = 3
+#: (artifacts are one JSON file each); 4 = dropped the measured wall-time
+#: column (results hold no measured time; ``execute``/``duration`` carry a
+#: run's cost).
+SCHEMA_VERSION = 4
 
 RESULTS_DDL = """
 CREATE TABLE IF NOT EXISTS results (
@@ -73,7 +75,6 @@ CREATE TABLE IF NOT EXISTS results (
     analytic_per_run        REAL,
     n_undetected            INTEGER,
     modeled_sim_time        REAL,
-    wall_time               REAL,
     queue_wait              REAL,
     deserialize             REAL,
     execute                 REAL,
@@ -98,7 +99,7 @@ RESULT_COLUMNS = (
     "dut_fingerprint", "variant",
     "created", "n_defects", "n_simulated", "n_detected", "coverage",
     "ci_half_width", "k", "empirical", "empirical_ci_half_width",
-    "analytic_per_run", "n_undetected", "modeled_sim_time", "wall_time",
+    "analytic_per_run", "n_undetected", "modeled_sim_time",
     "queue_wait", "deserialize", "execute", "ship", "duration",
     "json_bytes")
 

@@ -163,21 +163,10 @@ class TestNonLocalFallback:
         assert all(not evaluator.is_local(d) for d in defects)
         assert all(evaluator.evaluate(d) is None for d in defects)
 
-        batched = campaign.simulate_defect_batch(defects)
-        key = lambda r: (r.defect.defect_id, r.detected,
-                         r.detecting_invariance, r.detection_cycle,
-                         r.cycles_run, r.modeled_sim_time)
-        assert [key(r) for r in batched] == [key(r) for r in expected]
+        assert campaign.simulate_defect_batch(defects) == expected
 
 
 # ------------------------------------------------------------------ oracles
-def _record_key(record):
-    """Everything a record reports except the measured wall time."""
-    return (record.defect.defect_id, record.detected,
-            record.detecting_invariance, record.detection_cycle,
-            record.cycles_run, record.modeled_sim_time)
-
-
 def _dut_campaign(dut, mode=CheckingMode.SEQUENTIAL):
     """A campaign on ``dut`` with its own stimulus and calibrated windows."""
     stimulus = _dut_stimulus(dut)
@@ -210,8 +199,7 @@ class TestBatchedOracle:
         defects = campaign.universe.defects[::10]
         batched = campaign.simulate_defect_batch(defects)
         full = [campaign.simulate_defect(defect) for defect in defects]
-        assert [_record_key(r) for r in batched] == \
-            [_record_key(r) for r in full]
+        assert batched == full
         assert any(r.detected for r in full)
         assert not all(r.detected for r in full)
 
@@ -230,8 +218,7 @@ class TestWholeUniverseOracle:
         batched = campaign.simulate_defect_batch(defects)
         mismatches = [defect.defect_id
                       for defect, record in zip(defects, batched)
-                      if _record_key(record)
-                      != _record_key(campaign.simulate_defect(defect))]
+                      if record != campaign.simulate_defect(defect)]
         assert mismatches == []
 
 
@@ -293,10 +280,6 @@ class TestLocalityOracle:
 
 
 # ------------------------------------------------------------ residual memo
-def _records(campaign, defects):
-    return [_record_key(r) for r in campaign.simulate_defect_batch(defects)]
-
-
 @pytest.fixture(scope="module")
 def warm_campaign(deltas):
     """A campaign whose evaluator has seen every defect of the universe."""
@@ -344,13 +327,13 @@ class TestResidualMemo:
         per_table = []
         for table in (deltas, tight):
             warm_campaign.deltas = dict(table)
-            warm = _records(warm_campaign, defects)
+            warm = warm_campaign.simulate_defect_batch(defects)
             assert warm_campaign._batch_evaluator() is evaluator
             fresh_campaign = DefectCampaign(adc=SarAdc(), deltas=table)
             fresh = []
             for defect in defects:
                 fresh_campaign._batch_evaluators.clear()
-                fresh += _records(fresh_campaign, [defect])
+                fresh += fresh_campaign.simulate_defect_batch([defect])
             assert warm == fresh
             per_table.append(warm)
         warm_campaign.deltas = dict(deltas)

@@ -219,6 +219,10 @@ class TestReport:
         summary = run.report.summary()
         assert "3 tasks" in summary
         assert "serial" in summary
+        # Counts only: the study JSON embeds the summary, so it carries no
+        # measured time.
+        assert summary == "3 tasks via serial (1 worker), 3 executed, " \
+            "0 cached (0%)"
 
     def test_task_durations_cover_every_task(self):
         run = CampaignEngine().run(tasks_of(3), square_worker)

@@ -213,7 +213,7 @@ class TestCampaignCommand:
         # top level only, never inside the per-block payloads.
         assert "engine" in cold
         assert "engine" not in cold["blocks"][0]
-        assert "engine_wall_time" not in cold["blocks"][0]["timing"]
+        assert list(cold["blocks"][0]["timing"]) == ["modeled_sim_time"]
 
         # Warm rerun: same coverage, everything replayed from the cache.
         assert main(argv) == 0
@@ -394,8 +394,7 @@ class TestPerBlockJsonSchema:
             assert "engine" in payload, name
             block = payload["blocks"][0]
             assert "engine" not in block, name
-            assert "engine_wall_time" not in block["timing"], name
-            assert "cache_hit_rate" not in block["timing"], name
+            assert list(block["timing"]) == ["modeled_sim_time"], name
             # Same seed, same draws: the numbers agree across studies.
             reference = payloads["calibrate-then-campaign"]["blocks"][0]
             assert block["coverage"] == reference["coverage"], name
@@ -462,6 +461,49 @@ class TestYieldStudyCommand:
         assert warm["escapes"] == cold["escapes"]
         assert warm["deltas"] == cold["deltas"]
         assert "(100%)" in warm["engine"]
+
+
+class TestYieldWithoutWindows:
+    """A calibrate + yield study has no windows stage, hence no ``k``: each
+    yield point rebuilds its windows for its own ``k_values`` entry."""
+
+    def _spec_path(self, tmp_path, windows_k=None):
+        from repro.engine import StageSpec, StudySpec
+        stages = [StageSpec(stage="calibrate",
+                            params={"n_monte_carlo": 3})]
+        if windows_k is not None:
+            stages.append(StageSpec(stage="windows", after=("calibrate",),
+                                    params={"k": windows_k}))
+        stages.append(StageSpec(stage="yield", after=("calibrate",),
+                                params={"k_values": [2.0, 5.0]}))
+        path = tmp_path / f"yield-{windows_k}.toml"
+        path.write_text(StudySpec(name="yield-only",
+                                  stages=tuple(stages)).to_toml())
+        return str(path)
+
+    def _run(self, tmp_path, windows_k=None):
+        out = tmp_path / f"yield-{windows_k}.json"
+        assert main(["run", self._spec_path(tmp_path, windows_k),
+                     "--json", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_payload_k_is_null(self, tmp_path, capsys):
+        payload = self._run(tmp_path)
+        assert payload["k"] is None
+        assert [p["k"] for p in payload["yield_loss"]] == [2.0, 5.0]
+        printed = capsys.readouterr()
+        assert "sigma" not in printed.out + printed.err
+
+    def test_windows_k_does_not_move_yield_points(self, tmp_path):
+        alone = self._run(tmp_path)
+        with_windows = self._run(tmp_path, windows_k=3.0)
+        assert with_windows["k"] == 3.0
+        assert with_windows["yield_loss"] == alone["yield_loss"]
+
+    def test_yield_k_is_rejected(self, tmp_path, capsys):
+        assert main(["run", self._spec_path(tmp_path),
+                     "--set", "yield.k=3"]) == 1
+        assert "has no parameter 'k'" in capsys.readouterr().err
 
 
 class TestYieldStudyAcrossResolutions:

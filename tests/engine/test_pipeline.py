@@ -399,12 +399,6 @@ STUDY_SAMPLES = 10
 STUDY_THRESHOLD = 20
 
 
-def _summary_digest(summary):
-    """A block summary without its (non-deterministic) wall-clock entry."""
-    return {key: value for key, value in summary.items()
-            if key != "wall_time"}
-
-
 def _sequential_per_block_flow(seed=SEED, blocks=STUDY_BLOCKS):
     """calibrate_windows + run_per_block, as a user scripts Table I."""
     from repro.adc import SarAdc
@@ -489,8 +483,7 @@ class TestBlockStudy:
         for block in STUDY_BLOCKS:
             assert _record_digest(forward.results[block]) == \
                 _record_digest(backward.results[block])
-            assert _summary_digest(forward.summaries[block]) == \
-                _summary_digest(backward.summaries[block])
+            assert forward.summaries[block] == backward.summaries[block]
 
     def test_pool_backends_match_serial(self):
         serial = self._study()
@@ -500,8 +493,7 @@ class TestBlockStudy:
                 serial.calibrations[block].deltas
             assert _record_digest(pooled.results[block]) == \
                 _record_digest(serial.results[block])
-            assert _summary_digest(pooled.summaries[block]) == \
-                _summary_digest(serial.summaries[block])
+            assert pooled.summaries[block] == serial.summaries[block]
 
     def test_single_report_spans_all_stages(self):
         outcome = self._study()

@@ -48,9 +48,8 @@ def _variant_study(seed):
 
 
 def _variant_digest(outcome):
-    """Deterministic content of one variant's outcome, as comparable data
-    (wall-clock fields legitimately differ between backends and are
-    excluded)."""
+    """Deterministic content of one variant's outcome, as comparable
+    data."""
     result = outcome.results[BLOCK]
     return {
         "records": [(r.defect.defect_id, r.detected,
@@ -58,9 +57,7 @@ def _variant_digest(outcome):
                      r.cycles_run, r.modeled_sim_time)
                     for r in result.records],
         "deltas": outcome.calibrations[BLOCK].deltas,
-        "summary": {key: value
-                    for key, value in outcome.summaries[BLOCK].items()
-                    if key not in ("timing", "wall_time")},
+        "summary": outcome.summaries[BLOCK],
     }
 
 

@@ -92,11 +92,11 @@ def test_warehouse_reconciles_with_report_and_block_json(
     for block, summary in outcome.summaries.items():
         stored = connection.execute(
             "SELECT n_defects, n_simulated, n_detected, coverage, "
-            "wall_time FROM results WHERE stage_kind = 'block-summary' "
-            "AND block = ?", (block,)).fetchone()
+            "modeled_sim_time FROM results WHERE stage_kind = "
+            "'block-summary' AND block = ?", (block,)).fetchone()
         assert stored == (summary["n_defects"], summary["n_simulated"],
                           summary["n_detected"], summary["coverage"],
-                          summary["wall_time"])
+                          summary["modeled_sim_time"])
 
     # Campaign rows aggregate to the CampaignReport per-defect totals.
     report = outcome.report

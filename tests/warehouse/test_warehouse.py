@@ -32,6 +32,8 @@ def _seed_cache(tmp_path):
             {"driver": "symbist-block-windows", "block": "sc_array",
              "k": 5.0, "seeds": "sha:abc"},
             {"deltas": {"inv_a": 0.5}}),
+        # A retired driver's artifact, written when records still carried
+        # a measured wall time: it indexes all the same.
         "campaign": put(
             "block/sc_array/0/sc_array:c0:short",
             {"driver": "symbist-block-defect",
@@ -46,15 +48,14 @@ def _seed_cache(tmp_path):
             {"driver": "symbist-block-defect-batch",
              "members": [{"defect_id": "a"}, {"defect_id": "b"}],
              "windows": {"block": "sc_array", "seeds": "sha:abc"}},
-            [{"detected": True, "modeled_sim_time": 1.0, "wall_time": 0.5},
-             {"detected": False, "modeled_sim_time": 2.0,
-              "wall_time": 0.25}]),
+            [{"detected": True, "modeled_sim_time": 1.0},
+             {"detected": False, "modeled_sim_time": 2.0}]),
         "summary": put(
             "summary/sc_array",
             {"driver": "symbist-block-summary", "block": "sc_array"},
             {"block": "sc_array", "n_defects": 54, "n_simulated": 10,
              "n_detected": 9, "coverage": 0.99, "ci_half_width": 0.01,
-             "modeled_sim_time": 12.5, "wall_time": 0.5}),
+             "modeled_sim_time": 12.5}),
         "yield": put(
             "yield/0/k=3",
             {"driver": "symbist-study-yield", "k": 3.0, "seeds": "sha:y"},
@@ -147,9 +148,9 @@ class TestIndexer:
         index_cache(connection, cache.cache_dir)
         row = connection.execute(
             "SELECT block, n_defects, n_simulated, n_detected, coverage, "
-            "ci_half_width, wall_time FROM results WHERE key = ?",
+            "ci_half_width, modeled_sim_time FROM results WHERE key = ?",
             (keys["summary"],)).fetchone()
-        assert row == ("sc_array", 54, 10, 9, 0.99, 0.01, 0.5)
+        assert row == ("sc_array", 54, 10, 9, 0.99, 0.01, 12.5)
         connection.close()
 
     def test_campaign_batch_aggregates_records(self, tmp_path):
@@ -161,10 +162,9 @@ class TestIndexer:
             "FROM results WHERE key = ?", (keys["campaign"],)).fetchone()
         assert single == ("sc_array", 1, 1, 1.5)
         batch = connection.execute(
-            "SELECT block, n_simulated, n_detected, modeled_sim_time, "
-            "wall_time FROM results WHERE key = ?",
-            (keys["batch"],)).fetchone()
-        assert batch == ("sc_array", 2, 1, 3.0, 0.75)
+            "SELECT block, n_simulated, n_detected, modeled_sim_time "
+            "FROM results WHERE key = ?", (keys["batch"],)).fetchone()
+        assert batch == ("sc_array", 2, 1, 3.0)
         connection.close()
 
     def test_seed_material_and_json_footprint(self, tmp_path):
@@ -234,8 +234,7 @@ class TestIndexer:
         nested = cache.key_for(nested_spec)
         cache.put(nested,
                   {"defect": {"defect_id": "sc_array:c0:short"},
-                   "detected": True, "modeled_sim_time": 1.0,
-                   "wall_time": 0.01},
+                   "detected": True, "modeled_sim_time": 1.0},
                   task_id="vdd-low/block/sc_array/0/sc_array:c0:short",
                   spec=nested_spec)
         connection = open_warehouse(str(tmp_path / "wh.sqlite"))
@@ -262,8 +261,7 @@ class TestIndexer:
         cache.put(single,
                   {"defect": {"defect_id": "rs_latch.nor1:mos:short",
                               "block_path": "rs_latch"},
-                   "detected": True, "modeled_sim_time": 1.0,
-                   "wall_time": 0.01},
+                   "detected": True, "modeled_sim_time": 1.0},
                   task_id="defect/0/rs_latch.nor1:mos:short",
                   spec=single_spec)
         batch_spec = {"driver": "symbist-defect-batch",
@@ -271,12 +269,10 @@ class TestIndexer:
         batch = cache.key_for(batch_spec)
         cache.put(batch,
                   [{"defect": {"defect_id": "a", "block_path": "rs_latch"},
-                    "detected": True, "modeled_sim_time": 1.0,
-                    "wall_time": 0.01},
+                    "detected": True, "modeled_sim_time": 1.0},
                    {"defect": {"defect_id": "b",
                                "block_path": "vcm_generator"},
-                    "detected": False, "modeled_sim_time": 2.0,
-                    "wall_time": 0.02}],
+                    "detected": False, "modeled_sim_time": 2.0}],
                   task_id="defect-batch/0-2", spec=batch_spec)
         connection = open_warehouse(str(tmp_path / "wh.sqlite"))
         assert index_cache(connection, cache.cache_dir) == 2

@@ -7,9 +7,14 @@ and exactly the same deterministic values -- the root seed and ``k``, the
 window deltas, the yield-loss points, the escape analysis and the per-block
 numbers, per variant for a variant sweep.  Use it to compare runs that must
 be bit-identical: serial against a process pool, batch sizes, a cache
-replay, or a parent checkout against a change.  Engine/timing values (wall
-clock, tasks/s, worker counts) legitimately differ between runs and are not
-compared.
+replay, or a parent checkout against a change.  The ``engine`` summary and
+``workers`` describe how a run executed (backend, executed and cached task
+counts), so they legitimately differ between such runs and are not
+compared.  Per-block ``timing`` is not compared either: it holds only the
+deterministic ``modeled_sim_time`` now, but payloads written by older
+releases also carry a measured wall time there.  Two runs of one study on
+the same backend from equally warm caches write byte-identical JSON, so
+``cmp`` is the stricter check for them.
 
 Exits non-zero with one line per mismatch.
 """
