@@ -143,7 +143,7 @@ def test_batched_campaign_speedup():
         outcome = None
         for _ in range(rounds):
             outcome = _run(SerialBackend(), batch_size=batch_size)
-            walls.append(outcome.report.stage_durations["campaign"])
+            walls.append(outcome.report.stage("campaign").execute_seconds)
         return min(walls), outcome
 
     singleton_wall, singleton = min_wall(1)
@@ -168,10 +168,11 @@ def test_batched_campaign_speedup():
         ["evaluation", "#tasks", "wall (s)", "defects/s", "speedup"],
         [["full re-simulation", "-", f"{full_wall:.2f}",
           f"{N_DEFECTS / full_wall:.1f}", "-"],
-         ["batch size 1", singleton.report.stage_counts["campaign"],
+         ["batch size 1", singleton.report.stage("campaign").completed,
           f"{singleton_wall:.2f}", f"{N_DEFECTS / singleton_wall:.1f}",
           f"{full_wall / singleton_wall:.1f}x"],
-         [f"batch size {BATCH_SIZE}", batched.report.stage_counts["campaign"],
+         [f"batch size {BATCH_SIZE}",
+          batched.report.stage("campaign").completed,
           f"{batched_wall:.2f}", f"{N_DEFECTS / batched_wall:.1f}",
           f"{speedup:.1f}x"]],
         title=f"batched campaign ({N_DEFECTS} LWRS defects, serial, "

@@ -19,8 +19,8 @@ executes such workloads:
   results do not depend on worker count or completion order),
   content-addressed result caching, one topological scheduler for every
   task graph (no stage barriers; failed tasks skip their descendants;
-  cached parents unblock children immediately) and :class:`CampaignReport`
-  instrumentation;
+  cached parents unblock children immediately) and the run's
+  :class:`CampaignReport`;
 * :mod:`repro.engine.cache` -- :class:`ResultCache`, the JSON-on-disk
   artifact store keyed by task spec + seed + code version, with optional
   ``max_bytes``/``max_age`` LRU eviction;
@@ -43,7 +43,8 @@ executes such workloads:
   :meth:`StudySpec.override`;
 * :mod:`repro.engine.telemetry` -- the :class:`TelemetryBus`, the one way
   to observe a run, with its JSONL trace and progress sinks;
-  :mod:`repro.engine.trace` analyses a JSONL trace afterwards;
+  :mod:`repro.engine.trace` folds a run's events -- live, or read back
+  from its JSONL trace -- into its :class:`CampaignReport`;
 * :mod:`repro.engine.cli` -- the ``repro-campaign`` command-line entry
   point, including ``repro-campaign run STUDY.toml`` for arbitrary specs.
 
@@ -61,9 +62,9 @@ from .backends import (ExecutionBackend, PayloadReport, SerialBackend,
                        SharedMemoryBackend, WorkStream)
 from .cache import (MISS, ResultCache, callable_token, canonical_json,
                     factory_token)
-from .executor import (CampaignEngine, CampaignReport, EngineRun,
-                       IDENTITY_CODEC, ResultCodec, STATUS_CACHED,
-                       STATUS_EXECUTED, STATUS_FAILED, STATUS_SKIPPED)
+from .executor import (CampaignEngine, EngineRun, IDENTITY_CODEC,
+                       ResultCodec, STATUS_CACHED, STATUS_EXECUTED,
+                       STATUS_FAILED, STATUS_SKIPPED)
 from .registry import (StageDefinition, StageParam, available_stages,
                        register_stage, stage_definition)
 from .spec import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN, CANNED_STUDIES,
@@ -74,7 +75,7 @@ from .task import Task, TaskGraph
 from .telemetry import (EVENT_TYPES, JsonlTraceSink, ProgressSink, TaskSpan,
                         TelemetryBus, TelemetryEvent, TelemetrySink,
                         chrome_trace, follow_trace, read_trace)
-from .trace import TraceSummary, format_summary, summarize_trace
+from .trace import CampaignReport, format_summary, summarize_trace
 
 __all__ = [
     "BLOCK_STUDY", "CALIBRATE_THEN_CAMPAIGN", "CANNED_STUDIES",
@@ -88,7 +89,7 @@ __all__ = [
     "StageSpec", "StudyOutcome", "StudyPlan", "StudySpec", "Task",
     "VariantSpec",
     "TaskGraph", "TaskSpan", "TelemetryBus", "TelemetryEvent",
-    "TelemetrySink", "TraceSummary", "WorkStream", "YIELD_LOSS_STUDY",
+    "TelemetrySink", "WorkStream", "YIELD_LOSS_STUDY",
     "available_stages", "build_study",
     "callable_token", "canonical_json", "chrome_trace", "factory_token",
     "follow_trace", "format_summary",

@@ -31,7 +31,7 @@ Every study emits the same per-block JSON schema, with the single engine
 report of the run under the top-level ``engine`` key.
 
 ``--workers 1`` (the default) executes serially; any higher count runs the
-work on the process pool (``--backend shm``, alias ``multiprocess``) with
+work on the process pool (``--backend shm``) with
 byte-identical results.  The pool ships the campaign context (the
 behavioral ADC, windows, universe) to the workers once through a
 shared-memory segment; ``--mp-context`` picks the worker start method (fork,
@@ -80,7 +80,6 @@ def _build_backend(args: argparse.Namespace):
     choice = getattr(args, "backend", None)
     if choice == "serial" or (choice is None and args.workers <= 1):
         return SerialBackend()
-    # "shm" and its alias "multiprocess" name the one process-pool backend.
     return SharedMemoryBackend(max_workers=max(args.workers, 1),
                                mp_context=getattr(args, "mp_context", None))
 
@@ -105,12 +104,11 @@ def _add_engine_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (1 = serial; results are "
                              "identical for any value)")
-    parser.add_argument("--backend", choices=("serial", "multiprocess", "shm"),
-                        default=None,
+    parser.add_argument("--backend", choices=("serial", "shm"), default=None,
                         help="execution backend (default: serial when "
                              "--workers 1, shm otherwise); shm is the process "
                              "pool, which ships the campaign context once via "
-                             "shared memory, and multiprocess is its alias")
+                             "shared memory")
     parser.add_argument("--mp-context",
                         choices=("fork", "spawn", "forkserver"), default=None,
                         help="worker start method of the pool backend "
@@ -160,9 +158,8 @@ def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
 def _telemetry_from_args(args: argparse.Namespace,
                          study: Optional[str] = None):
     """Build the run's :class:`~repro.engine.TelemetryBus` from ``--trace``,
-    ``--progress`` and ``--warehouse`` (``None`` when none is given, so
-    unobserved runs skip event emission entirely).  Callers must
-    ``close()`` it."""
+    ``--progress`` and ``--warehouse`` (``None`` when none is given).
+    Callers must ``close()`` it."""
     from . import JsonlTraceSink, ProgressSink, TelemetryBus
     # Refuse bad combinations before any sink opens a file.
     if getattr(args, "warehouse", None) and \
@@ -546,28 +543,27 @@ def cmd_warehouse_sql(args: argparse.Namespace) -> int:
 
 def cmd_trace_summarize(args: argparse.Namespace) -> int:
     from . import format_summary, read_trace, summarize_trace
-    summary = summarize_trace(read_trace(args.trace_file))
-    console.info(format_summary(summary))
+    report = summarize_trace(read_trace(args.trace_file))
+    console.info(format_summary(report))
     _emit(args, {
-        "backend": summary.backend, "workers": summary.workers,
-        "wall_time": summary.wall_time,
-        **summary.counts,
-        "n_items": summary.n_items,
-        "phase_seconds": summary.phase_seconds,
+        "backend": report.backend, "workers": report.workers,
+        "wall_time": report.wall_time,
+        **report.counts,
+        "n_items": report.n_items,
         "stages": [{"stage": row.stage, "total": row.total,
                     "executed": row.executed, "cached": row.cached,
                     "failed": row.failed, "skipped": row.skipped,
                     "items": row.items,
                     "execute_seconds": row.execute_seconds,
                     "mean_queue_wait": row.mean_queue_wait}
-                   for row in summary.stages],
+                   for row in report.stages],
         "workers_table": [{"worker": row.worker, "tasks": row.tasks,
                            "busy_seconds": row.busy_seconds,
                            "utilization":
-                               row.utilization(summary.wall_time)}
-                          for row in summary.worker_rows],
-        "critical_path": summary.critical_path,
-        "critical_path_seconds": summary.critical_path_seconds})
+                               row.utilization(report.wall_time)}
+                          for row in report.worker_rows],
+        "critical_path": report.critical_path,
+        "critical_path_seconds": report.critical_path_seconds})
     return 0
 
 
@@ -777,8 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     summarize = trace_sub.add_parser(
         "summarize",
-        help="critical path, per-stage/per-worker utilization and "
-             "queue-wait breakdown of a trace")
+        help="the run's report folded from its trace: counts, "
+             "per-stage and per-worker rows and the critical path")
     summarize.add_argument("trace_file",
                            help="JSONL trace written by --trace")
     summarize.add_argument("--json", dest="json_path", default=None,

@@ -2,8 +2,9 @@
 
 :class:`CampaignEngine` takes a :class:`~repro.engine.task.TaskGraph` and a
 *worker* callable and produces one result per task plus a
-:class:`CampaignReport` of timing/progress instrumentation.  Every run goes
-through one topological scheduler:
+:class:`~repro.engine.trace.CampaignReport`, the fold of the telemetry
+events the run emits (:func:`~repro.engine.trace.summarize_trace`).  Every
+run goes through one topological scheduler:
 
 1. derive one ``np.random.SeedSequence`` child per task (by task index, from
    the engine root seed) -- identical seeds whatever backend runs the task;
@@ -47,7 +48,8 @@ from ..circuit.errors import EngineError, TaskExecutionError
 from .backends import ExecutionBackend, SerialBackend
 from .cache import MISS, ResultCache
 from .task import Task, TaskGraph
-from .telemetry import TaskSpan, TelemetryBus
+from .telemetry import TaskSpan, TelemetryBus, TelemetryEvent
+from .trace import CampaignReport, summarize_trace
 
 #: Per-task terminal states recorded in :attr:`EngineRun.statuses`.
 STATUS_EXECUTED = "executed"
@@ -71,93 +73,6 @@ IDENTITY_CODEC = ResultCodec(encode=lambda value: value,
 #: A codec argument: one codec for every task, or a per-task resolver
 #: (used by pipelines whose stages store different result shapes).
 CodecArg = Optional[Union[ResultCodec, Callable[[Task], ResultCodec]]]
-
-
-@dataclass
-class CampaignReport:
-    """Timing and progress instrumentation of one engine run."""
-
-    backend: str
-    workers: int
-    n_tasks: int
-    n_executed: int
-    n_cache_hits: int
-    wall_time: float
-    task_durations: Dict[str, float] = field(default_factory=dict)
-    #: Execution time per pipeline stage (only when the run was given a
-    #: ``stage_of`` mapping; pipelines pass theirs automatically).
-    stage_durations: Dict[str, float] = field(default_factory=dict)
-    #: Completed-task count per pipeline stage (same conditions).
-    stage_counts: Dict[str, int] = field(default_factory=dict)
-    #: Tasks whose worker raised.
-    n_failed: int = 0
-    #: Tasks never dispatched because an ancestor failed.
-    n_skipped: int = 0
-    #: Failed-task count per pipeline stage (same conditions as
-    #: :attr:`stage_counts`).
-    stage_failed: Dict[str, int] = field(default_factory=dict)
-    #: Skipped-task count per pipeline stage.
-    stage_skipped: Dict[str, int] = field(default_factory=dict)
-    #: Completed work items per pipeline stage: the sum of the completed
-    #: tasks' :attr:`~repro.engine.task.Task.weight`, so a batched campaign
-    #: stage still reports its per-defect total.  Equals
-    #: :attr:`stage_counts` when every task has weight 1.
-    stage_items: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.n_cache_hits / self.n_tasks if self.n_tasks else 0.0
-
-    @property
-    def tasks_per_second(self) -> float:
-        """Executed-task throughput: cache hits are lookups, not work, so
-        they are excluded (a warm-cache run reports ~0 tasks/s instead of
-        an absurd replay rate)."""
-        return self.n_executed / self.wall_time if self.wall_time > 0 else 0.0
-
-    def summary(self) -> str:
-        """One-line digest of the task counts for logs and CLIs.
-
-        It holds no measured time, so the study JSON that embeds it is
-        byte-identical across runs; callers that show the wall time print
-        :attr:`wall_time` next to it.
-        """
-        parts = [f"{self.n_tasks} tasks via {self.backend}"
-                 f" ({self.workers} worker{'s' if self.workers != 1 else ''})",
-                 f"{self.n_executed} executed",
-                 f"{self.n_cache_hits} cached"
-                 f" ({100.0 * self.cache_hit_rate:.0f}%)"]
-        if self.n_failed or self.n_skipped:
-            parts.append(f"{self.n_failed} failed")
-            parts.append(f"{self.n_skipped} skipped")
-        return ", ".join(parts)
-
-    def stage_summary(self) -> str:
-        """One-line per-stage breakdown (empty without stage tagging).
-
-        Stages whose every task failed or was skipped have no recorded
-        durations, so the iteration spans all per-stage tables -- a failing
-        stage stays visible with its failed/skipped counts.
-        """
-        stages = list(self.stage_durations)
-        for table in (self.stage_counts, self.stage_failed,
-                      self.stage_skipped):
-            stages.extend(stage for stage in table if stage not in stages)
-        parts = []
-        for stage in stages:
-            part = (f"{stage} {self.stage_counts.get(stage, 0)} tasks/"
-                    f"{self.stage_durations.get(stage, 0.0):.2f}s")
-            items = self.stage_items.get(stage, 0)
-            if items != self.stage_counts.get(stage, 0):
-                # Batched stages: the per-item (e.g. per-defect) total
-                # differs from the task count, so report both.
-                part += f" [{items} items]"
-            failed = self.stage_failed.get(stage, 0)
-            skipped = self.stage_skipped.get(stage, 0)
-            if failed or skipped:
-                part += f" ({failed} failed, {skipped} skipped)"
-            parts.append(part)
-        return ", ".join(parts)
 
 
 @dataclass
@@ -241,12 +156,14 @@ def _run_task(worker: Callable[[Any, Task, np.random.Generator,
 
 
 class _RunTelemetry:
-    """Per-run emission helper: stage bookkeeping and span arithmetic.
+    """Per-run emission helper: the run's event record, stage bookkeeping
+    and span arithmetic.
 
-    Instantiated only when the run has a :class:`TelemetryBus`, so the
-    no-telemetry path stays a single ``is None`` check per completion.
-    Tracks per-stage terminal counts (emitting ``stage_completed`` when a
-    stage's last task resolves) and combines worker-side spans with the
+    Every event goes out through the bus to its sinks and onto
+    :attr:`events`, the in-memory record the run's
+    :class:`~repro.engine.trace.CampaignReport` is folded from.  Tracks
+    per-stage terminal counts (emitting ``stage_completed`` when a stage's
+    last task resolves) and combines worker-side spans with the
     parent-side submit/receive clocks into the queue-wait / deserialize /
     execute / ship phases.
     """
@@ -255,7 +172,9 @@ class _RunTelemetry:
                  stage_of: Optional[Mapping[str, str]],
                  backend: ExecutionBackend) -> None:
         self.bus = bus
+        self.events: List[TelemetryEvent] = []
         self.graph = graph
+        self.backend = backend
         self.stage_of = dict(stage_of) if stage_of else {}
         self.started = time.monotonic()
         self.submitted_at: Dict[str, float] = {}
@@ -268,9 +187,12 @@ class _RunTelemetry:
         self.stage_state: Dict[str, Dict[str, int]] = {
             stage: {"executed": 0, "cached": 0, "failed": 0, "skipped": 0}
             for stage in self.stage_totals}
-        bus.emit("run_started", t=self.started, n_tasks=len(graph),
-                 backend=backend.name, workers=backend.workers,
-                 stages=dict(self.stage_totals))
+        self.emit("run_started", t=self.started, n_tasks=len(graph),
+                  backend=backend.name, workers=backend.workers,
+                  stages=dict(self.stage_totals))
+
+    def emit(self, event_type: str, **fields: Any) -> None:
+        self.events.append(self.bus.emit(event_type, **fields))
 
     def _stage(self, task: Task) -> Optional[str]:
         return self.stage_of.get(task.task_id)
@@ -288,21 +210,21 @@ class _RunTelemetry:
         state = self.stage_state[stage]
         state[kind] += 1
         if sum(state.values()) == self.stage_totals[stage]:
-            self.bus.emit("stage_completed", stage=stage,
-                          total=self.stage_totals[stage],
-                          elapsed=time.monotonic() - self.started, **state)
+            self.emit("stage_completed", stage=stage,
+                      total=self.stage_totals[stage],
+                      elapsed=time.monotonic() - self.started, **state)
 
-    def submitted(self, task: Task, deps: Sequence[str] = ()) -> None:
+    def submitted(self, task: Task) -> None:
         t = time.monotonic()
         self.submitted_at[task.task_id] = t
-        self.bus.emit("task_submitted", t=t, task_id=task.task_id,
-                      stage=self._stage(task), group=task.group,
-                      deps=list(deps), **self._items(task))
+        self.emit("task_submitted", t=t, task_id=task.task_id,
+                  stage=self._stage(task), group=task.group,
+                  deps=list(task.depends_on), **self._items(task))
 
-    def cache_hit(self, task: Task, deps: Sequence[str] = ()) -> None:
-        self.bus.emit("cache_hit", task_id=task.task_id,
-                      stage=self._stage(task), group=task.group,
-                      deps=list(deps), **self._items(task))
+    def cache_hit(self, task: Task) -> None:
+        self.emit("cache_hit", task_id=task.task_id,
+                  stage=self._stage(task), group=task.group,
+                  deps=list(task.depends_on), **self._items(task))
         self._terminal(task, "cached")
 
     def executed(self, task: Task, duration: float, span: TaskSpan) -> None:
@@ -312,41 +234,46 @@ class _RunTelemetry:
         queue_wait = max(0.0, span.started_at - submitted)
         ship = max(0.0, received - span.finished_at)
         worker_seconds = max(0.0, span.finished_at - span.started_at)
-        self.bus.emit("task_started", t=span.started_at,
-                      task_id=task.task_id, stage=stage, group=task.group,
-                      worker=span.worker)
-        self.bus.emit("task_completed", t=received, task_id=task.task_id,
-                      stage=stage, group=task.group, worker=span.worker,
-                      queue_wait=queue_wait, deserialize=span.deserialize,
-                      execute=duration, ship=ship,
-                      worker_seconds=worker_seconds, duration=duration,
-                      **self._items(task))
+        self.emit("task_started", t=span.started_at,
+                  task_id=task.task_id, stage=stage, group=task.group,
+                  worker=span.worker)
+        self.emit("task_completed", t=received, task_id=task.task_id,
+                  stage=stage, group=task.group, worker=span.worker,
+                  queue_wait=queue_wait, deserialize=span.deserialize,
+                  execute=duration, ship=ship,
+                  worker_seconds=worker_seconds, duration=duration,
+                  **self._items(task))
         self._terminal(task, "executed")
 
     def failed(self, task: Task, error: BaseException) -> None:
-        self.bus.emit("task_failed", task_id=task.task_id,
-                      stage=self._stage(task), group=task.group,
-                      error=str(error))
+        self.emit("task_failed", task_id=task.task_id,
+                  stage=self._stage(task), group=task.group,
+                  error=str(error))
         self._terminal(task, "failed")
 
     def skipped(self, task_id: str) -> None:
         task = self.graph[self.graph.index_of(task_id)]
-        self.bus.emit("task_skipped", task_id=task_id,
-                      stage=self._stage(task), group=task.group)
+        self.emit("task_skipped", task_id=task_id,
+                  stage=self._stage(task), group=task.group)
         self._terminal(task, "skipped")
 
-    def finished(self, report: CampaignReport,
-                 backend: ExecutionBackend) -> None:
-        data: Dict[str, Any] = {
-            "n_tasks": report.n_tasks, "n_executed": report.n_executed,
-            "n_cache_hits": report.n_cache_hits,
-            "n_failed": report.n_failed, "n_skipped": report.n_skipped,
-            "wall_time": report.wall_time}
-        payload = getattr(backend, "last_payload", None)
+    def finished(self, started: float) -> CampaignReport:
+        """Fold the run's events into its report and emit ``run_finished``.
+
+        ``run_finished`` adds only the wall time to the fold of the events
+        before it, so the returned report equals
+        ``summarize_trace(self.events)`` once the event is out.
+        """
+        report = summarize_trace(self.events)
+        report.wall_time = time.perf_counter() - started
+        data: Dict[str, Any] = dict(report.counts,
+                                    wall_time=report.wall_time)
+        payload = getattr(self.backend, "last_payload", None)
         if payload is not None:
             data["task_bytes"] = payload.task_bytes
             data["context_bytes"] = payload.context_bytes
-        self.bus.emit("run_finished", **data)
+        self.emit("run_finished", **data)
+        return report
 
 
 def _resolve_codec(codec: CodecArg) -> Callable[[Task], ResultCodec]:
@@ -442,15 +369,15 @@ class CampaignEngine:
             :attr:`EngineRun.statuses` / :attr:`EngineRun.errors` and
             ``None`` results.
         stage_of:
-            Optional ``task_id -> stage`` mapping; when given, the report
-            additionally aggregates completed-task durations and counts per
-            stage (:attr:`CampaignReport.stage_durations` /
-            :attr:`CampaignReport.stage_counts`), independently of the
-            per-task ``group`` labels (which e.g. campaign stages override
-            with block paths).  Compiled studies pass theirs.
+            Optional ``task_id -> stage`` mapping; when given, the events
+            carry each task's stage and the report has one row per stage
+            (:attr:`CampaignReport.stages`), independently of the per-task
+            ``group`` labels (which e.g. campaign stages override with
+            block paths).  Compiled studies pass theirs.
         telemetry:
             Optional :class:`~repro.engine.telemetry.TelemetryBus` for this
-            run, overriding the engine default.
+            run, overriding the engine default.  Its sinks see the events
+            the run's report is folded from.
         cancel:
             Optional zero-argument probe polled between completions.  Once
             it returns True the scheduler stops dispatching, drains the
@@ -465,15 +392,13 @@ class CampaignEngine:
             raise EngineError(
                 f"on_failure must be 'raise' or 'skip', got {on_failure!r}")
         codec_for = _resolve_codec(codec)
-        bus = telemetry if telemetry is not None else self.telemetry
+        bus = telemetry or self.telemetry or TelemetryBus()
         n_tasks = len(graph)
         started = time.perf_counter()
         seeds = self._task_seeds(graph)
-        tele = None if bus is None else \
-            _RunTelemetry(bus, graph, stage_of, self.backend)
+        tele = _RunTelemetry(bus, graph, stage_of, self.backend)
 
         results: List[Any] = [None] * n_tasks
-        durations: Dict[str, float] = {}
         statuses: Dict[str, str] = {}
         errors: Dict[str, str] = {}
         keys: List[Optional[str]] = [None] * n_tasks
@@ -481,16 +406,12 @@ class CampaignEngine:
         remaining = [len(task.depends_on) for task in graph]
         ready: deque = deque(i for i, task in enumerate(graph)
                              if not task.depends_on)
-        n_cache_hits = 0
-        n_executed = 0
         in_flight = 0
 
-        def complete(index: int, result: Any, duration: float,
-                     from_cache: bool) -> None:
+        def complete(index: int, result: Any, from_cache: bool) -> None:
             """Record a finished task and release its children."""
             task = graph[index]
             results[index] = result
-            durations[task.task_id] = duration
             statuses[task.task_id] = STATUS_CACHED if from_cache \
                 else STATUS_EXECUTED
             for child_id in graph.dependents(task.task_id):
@@ -505,13 +426,11 @@ class CampaignEngine:
             task = graph[index]
             statuses[task.task_id] = STATUS_FAILED
             errors[task.task_id] = str(exc)
-            if tele is not None:
-                tele.failed(task, exc)
+            tele.failed(task, exc)
             for desc_id in graph.descendants(task.task_id):
                 if desc_id not in statuses:
                     statuses[desc_id] = STATUS_SKIPPED
-                    if tele is not None:
-                        tele.skipped(desc_id)
+                    tele.skipped(desc_id)
 
         fn = functools.partial(_run_task, worker, context)
         cancelled = False
@@ -534,17 +453,14 @@ class CampaignEngine:
                     if keys[index] is not None:
                         stored = self.cache.get(keys[index])
                         if stored is not MISS:
-                            n_cache_hits += 1
-                            if tele is not None:
-                                tele.cache_hit(task, deps=task.depends_on)
+                            tele.cache_hit(task)
                             complete(index, codec_for(task).decode(stored),
-                                     0.0, from_cache=True)
+                                     from_cache=True)
                             continue
                     inputs = {dep: results[graph.index_of(dep)]
                               for dep in task.depends_on}
                     stream.submit((index, task, seeds[index], inputs))
-                    if tele is not None:
-                        tele.submitted(task, deps=task.depends_on)
+                    tele.submitted(task)
                     in_flight += 1
                 if not in_flight:
                     continue
@@ -553,15 +469,13 @@ class CampaignEngine:
                 index = item[0]
                 if ok:
                     _, result, duration, span = value
-                    n_executed += 1
                     task = graph[index]
-                    if self.cache is not None and keys[index] is not None:
-                        codec = codec_for(task)
-                        self.cache.put(keys[index], codec.encode(result),
+                    if keys[index] is not None:
+                        self.cache.put(keys[index],
+                                       codec_for(task).encode(result),
                                        task_id=task.task_id, spec=task.spec)
-                    if tele is not None:
-                        tele.executed(task, duration, span)
-                    complete(index, result, duration, from_cache=False)
+                    tele.executed(task, duration, span)
+                    complete(index, result, from_cache=False)
                 else:
                     fail(index, value)
 
@@ -569,76 +483,20 @@ class CampaignEngine:
             for task in graph:
                 if task.task_id not in statuses:
                     statuses[task.task_id] = STATUS_SKIPPED
-                    if tele is not None:
-                        tele.skipped(task.task_id)
+                    tele.skipped(task.task_id)
 
-        n_skipped = sum(1 for status in statuses.values()
-                        if status == STATUS_SKIPPED)
-        report = self._build_report(graph, durations, n_tasks,
-                                    n_executed=n_executed,
-                                    n_cache_hits=n_cache_hits,
-                                    started=started,
-                                    n_failed=len(errors),
-                                    n_skipped=n_skipped,
-                                    stage_of=stage_of,
-                                    statuses=statuses)
-        # Emitted before a potential on_failure="raise" so the trace of a
+        # Folded before a potential on_failure="raise", so the trace of a
         # failing run still reconciles with its report.
-        if tele is not None:
-            tele.finished(report, self.backend)
+        report = tele.finished(started)
         run = EngineRun(results=results, report=report, task_ids=graph.ids(),
                         statuses=statuses, errors=errors,
                         cancelled=cancelled)
         if errors and on_failure == "raise":
             first_id = run.failed_tasks()[0]
             error = TaskExecutionError(
-                f"{len(errors)} task(s) failed and {n_skipped} dependent "
-                f"task(s) were skipped; first failure: {first_id!r}: "
-                f"{errors[first_id]}")
+                f"{len(errors)} task(s) failed and {report.n_skipped} "
+                f"dependent task(s) were skipped; first failure: "
+                f"{first_id!r}: {errors[first_id]}")
             error.run = run
             raise error
         return run
-
-    # ------------------------------------------------------------ report
-    def _build_report(self, graph: TaskGraph, durations: Dict[str, float],
-                      n_tasks: int, n_executed: int, n_cache_hits: int,
-                      started: float, n_failed: int = 0,
-                      n_skipped: int = 0,
-                      stage_of: Optional[Mapping[str, str]] = None,
-                      statuses: Optional[Mapping[str, str]] = None
-                      ) -> CampaignReport:
-        stage_durations: Dict[str, float] = {}
-        stage_counts: Dict[str, int] = {}
-        stage_failed: Dict[str, int] = {}
-        stage_skipped: Dict[str, int] = {}
-        stage_items: Dict[str, int] = {}
-        for task in graph:
-            stage = stage_of.get(task.task_id) if stage_of else None
-            if stage is not None and statuses is not None:
-                status = statuses.get(task.task_id)
-                if status == STATUS_FAILED:
-                    stage_failed[stage] = stage_failed.get(stage, 0) + 1
-                elif status == STATUS_SKIPPED:
-                    stage_skipped[stage] = stage_skipped.get(stage, 0) + 1
-            if task.task_id not in durations:
-                continue
-            if stage is not None:
-                stage_durations[stage] = stage_durations.get(stage, 0.0) \
-                    + durations[task.task_id]
-                stage_counts[stage] = stage_counts.get(stage, 0) + 1
-                stage_items[stage] = stage_items.get(stage, 0) + task.weight
-        return CampaignReport(
-            backend=self.backend.name,
-            workers=self.backend.workers,
-            n_tasks=n_tasks,
-            n_executed=n_executed,
-            n_cache_hits=n_cache_hits,
-            wall_time=time.perf_counter() - started,
-            task_durations=durations,
-            stage_durations=stage_durations,
-            stage_counts=stage_counts,
-            n_failed=n_failed,
-            n_skipped=n_skipped,
-            stage_failed=stage_failed,
-            stage_skipped=stage_skipped,
-            stage_items=stage_items)

@@ -433,17 +433,6 @@ def _expand_yield(plan: Any, name: str, params: Dict[str, Any]) -> None:
 
     plan.require(name, "calibrate")
     k_values = params["k_values"]
-    # Each Monte Carlo instance contributes one SymBIST run of residuals,
-    # so the checker invocations per run are the device's stimulus length
-    # -- what empirical_yield_loss derives from the pools (pool size over
-    # instance count).  It stays in the cache key so existing artifacts
-    # keep replaying.
-    n_cycles = plan.stimulus.n_cycles
-    if params["n_cycles"] not in (None, n_cycles):
-        raise EngineError(
-            f"yield.n_cycles = {params['n_cycles']} conflicts with the "
-            f"device's {n_cycles} SymBIST cycles per run; drop the "
-            f"parameter to use the device's value")
     if not k_values:
         raise EngineError("k_values must name at least one k")
     plan.pipeline.add_stage(
@@ -457,10 +446,12 @@ def _expand_yield(plan: Any, name: str, params: Dict[str, Any]) -> None:
         if plan.cacheable:
             # Everything an empirical point depends on: the residual pools
             # (determined by the calibration spec + per-sample seeds) and
-            # the point's own parameters.
+            # the point's own parameters.  n_cycles is the device's stimulus
+            # length (each Monte Carlo instance is one SymBIST run); it
+            # stays in the key so existing artifacts keep replaying.
             spec = plan.annotate(
                 {"driver": "symbist-study-yield", "k": float(k_value),
-                 "n_cycles": n_cycles,
+                 "n_cycles": plan.stimulus.n_cycles,
                  "calibration": plan.calib_spec,
                  "seeds": plan.seeds_token})
         task = Task(task_id=f"{name}/{index}/k={k_value:g}",
@@ -592,10 +583,6 @@ register_stage(StageDefinition(
         StageParam("k_values", "float_list",
                    default=(2.0, 3.0, 4.0, 5.0, 6.0),
                    doc="window multipliers of the yield-loss sweep"),
-        StageParam("n_cycles", "int", default=None, nullable=True,
-                   doc="checker invocations per SymBIST run assumed by the "
-                       "analytic yield model (default: the device's "
-                       "stimulus length; any other value is rejected)"),
     )))
 
 register_stage(StageDefinition(

@@ -60,11 +60,11 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 from ..circuit.errors import DutSpecError, EngineError
 from .backends import ExecutionBackend
 from .cache import ResultCache
-from .executor import (CampaignReport, EngineRun, STATUS_CACHED,
-                       STATUS_EXECUTED)
+from .executor import EngineRun, STATUS_CACHED, STATUS_EXECUTED
 from .pipeline import Pipeline
 from .registry import coerce_param, stage_definition
 from .telemetry import TelemetryBus
+from .trace import CampaignReport
 
 __all__ = [
     "BLOCK_STUDY", "CALIBRATE_THEN_CAMPAIGN", "CANNED_STUDIES", "StageSpec",

@@ -69,7 +69,7 @@ class Task:
         Number of logical work items this task evaluates (e.g. the member
         count of a batched defect task).  Reports and telemetry count tasks
         for throughput but sum weights for per-item totals
-        (:attr:`~repro.engine.executor.CampaignReport.stage_items`).
+        (the ``items`` of :class:`~repro.engine.trace.StageRow`).
     """
 
     task_id: str

@@ -33,8 +33,9 @@ def adc() -> SarAdc:
 @pytest.fixture(scope="session")
 def cli_backend():
     """Factory for the backend ``repro-campaign --backend NAME --workers 2``
-    runs on: ``serial``, or the process pool under either of its names
-    (``shm`` and its alias ``multiprocess``)."""
+    runs on: ``serial``, or ``shm``, the process pool.  The name check is
+    the CLI parser's, so any other name (the ``multiprocess`` cases are
+    named after a former alias of ``shm``) also builds the pool."""
     from repro.engine.cli import _build_backend
     return lambda name: _build_backend(
         argparse.Namespace(backend=name, workers=2))

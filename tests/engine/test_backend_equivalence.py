@@ -7,9 +7,9 @@ pinning a handful of hand-picked workloads, this suite draws ~20 randomized
 campaign specs from one seeded generator (so every run of the suite sees the
 same cases) spanning five study shapes -- single-block defect campaigns,
 window calibrations, yield-loss sweeps, the calibrate->campaign graph and
-the per-block study graph -- and checks the process pool, under both of its
-CLI names (``shm`` and its alias ``multiprocess``), against a memoized
-serial baseline.
+the per-block study graph -- and checks the process pool against a memoized
+serial baseline.  The ``multiprocess`` cases are named after a former CLI
+alias of ``shm``; ``cli_backend`` builds the same pool for them.
 """
 
 import numpy as np

@@ -79,7 +79,7 @@ class TestSerialBackend:
 
 
 class TestMultiprocessBackend:
-    """The process-pool backend (``--backend shm``, alias ``multiprocess``)."""
+    """The process-pool backend (``--backend shm``)."""
 
     def test_matches_serial_results(self):
         serial = CampaignEngine(backend=SerialBackend()).run(

@@ -79,8 +79,9 @@ class TestParser:
         args = build_parser().parse_args(RUN + ["--backend", "shm"])
         assert args.backend == "shm"
         assert build_parser().parse_args(RUN).backend is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(RUN + ["--backend", "bogus"])
+        for name in ("bogus", "multiprocess"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(RUN + ["--backend", name])
 
     def test_backend_resolution(self):
         from repro.engine.cli import _build_backend
@@ -95,10 +96,6 @@ class TestParser:
         # an explicit pool backend with --workers 1 still runs a 1-wide pool
         assert _build_backend(build_parser().parse_args(
             RUN + ["--backend", "shm"])).name == "shm"
-        # "multiprocess" is an alias of the one pool backend
-        alias = _build_backend(build_parser().parse_args(
-            RUN + ["--workers", "3", "--backend", "multiprocess"]))
-        assert (alias.name, alias.workers) == ("shm", 3)
 
     def test_yield_study_defaults(self):
         args = build_parser().parse_args(["run", "yield-loss-study"])

@@ -65,3 +65,12 @@ def test_cli_exit_status(diff_tool, payload, tmp_path, capsys):
     assert diff_tool.main([str(same), str(same)]) == 0
     assert diff_tool.main([str(same), str(edited)]) == 1
     assert "escapes.n_benign differs" in capsys.readouterr().err
+
+
+def test_flags_a_changed_block_timing(diff_tool, payload):
+    edited = copy.deepcopy(payload)
+    block = edited["blocks"][0]
+    block["timing"]["modeled_sim_time"] *= 2
+    problems = diff_tool.diff(payload, edited, "a", "b")
+    assert len(problems) == 1
+    assert problems[0].startswith(f"block {block['block']}: timing differs")

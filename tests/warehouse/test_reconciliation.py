@@ -1,8 +1,9 @@
 """Warehouse rows must reconcile with the engine's own reporting.
 
 Randomized block-study specs (same seeded-generator discipline as the
-backend-equivalence suite) run under every ``--backend`` choice (serial, and the process pool as
-``shm`` and as its alias ``multiprocess``) with a
+backend-equivalence suite) run under every ``--backend`` choice (serial, and the process pool
+``shm``; the ``multiprocess`` cases, named after a former alias of
+``shm``, run the same pool) with a
 live :class:`WarehouseSink`; the indexed rows are then checked against the
 :class:`CampaignReport` counts, the per-block JSON payload the CLI emits
 (``_block_json``) and the stored block-summary artifacts.  A second, warm
@@ -109,7 +110,7 @@ def test_warehouse_reconciles_with_report_and_block_json(
                          for result in outcome.results.values())
     assert n_simulated == total_records
     assert n_detected == total_detected
-    assert n_rows == report.stage_counts["campaign"]
+    assert n_rows == report.stage("campaign").completed
 
     # Every artifact of the run is indexed: one row per cache entry, and
     # every executed task's row carries its telemetry span.

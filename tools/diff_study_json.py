@@ -10,11 +10,11 @@ be bit-identical: serial against a process pool, batch sizes, a cache
 replay, or a parent checkout against a change.  The ``engine`` summary and
 ``workers`` describe how a run executed (backend, executed and cached task
 counts), so they legitimately differ between such runs and are not
-compared.  Per-block ``timing`` is not compared either: it holds only the
-deterministic ``modeled_sim_time`` now, but payloads written by older
-releases also carry a measured wall time there.  Two runs of one study on
-the same backend from equally warm caches write byte-identical JSON, so
-``cmp`` is the stricter check for them.
+compared.  Per-block ``timing`` is compared: it holds only the deterministic
+``modeled_sim_time``, so payloads written before measured time left the
+study JSON (they also carry a ``wall_time`` there) no longer match.  Two
+runs of one study on the same backend from equally warm caches write
+byte-identical JSON, so ``cmp`` is the stricter check for them.
 
 Exits non-zero with one line per mismatch.
 """
@@ -34,7 +34,7 @@ DETERMINISTIC_KEYS = [
 #: Per-block keys whose values are deterministic under a fixed root seed.
 DETERMINISTIC_BLOCK_KEYS = [
     "block", "n_defects", "n_simulated", "n_detected", "n_escaped",
-    "coverage", "ci_half_width", "dut_fingerprint", "variant",
+    "coverage", "ci_half_width", "dut_fingerprint", "variant", "timing",
 ]
 
 
