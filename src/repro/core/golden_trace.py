@@ -3,10 +3,12 @@
 The full SymBIST run (:class:`~repro.core.controller.SymBistController`)
 evaluates the whole ADC once per clock cycle through
 :meth:`~repro.adc.sar_adc.SarAdc.evaluate_test_cycle`.  The golden trace
-computes the same settled signals *staged*: the operating point and the Vcm
-level once, then one block ``sweep`` per stage over the distinct counter
-codes (sub-DACs, SC array, pre-amplifier, comparator latch), and the RS
-latch -- the only stateful element -- replayed per cycle from reset.
+computes the same settled signals *staged*.  The pipeline is declared once,
+in :data:`STAGES`: the operating point and the Vcm level once per trace,
+one block ``sweep`` per stage over the distinct counter codes (sub-DACs, SC
+array, pre-amplifier, comparator latch), and the RS latch -- the only
+stateful element -- replayed per cycle from reset.  :func:`stage_output`
+evaluates one stage and :func:`sweep_stages` walks the table.
 
 Every observed signal is then one float64 column over all cycles, and each
 invariance is evaluated once per trace on those columns (the residual
@@ -17,14 +19,17 @@ the per-cycle run, so the trace is the one residual kernel of the repository:
 * Monte Carlo window calibration (:mod:`repro.core.calibration`) takes each
   defect-free instance's residuals from :func:`build_golden_trace`;
 * batched defect evaluation (:mod:`repro.defects.batching`) keeps the trace
-  of the clean ADC and recomputes, per defect, only the stages downstream of
-  the defective block, then re-assembles the changed columns.
+  of the clean ADC, evaluates the defective block's stage on its golden
+  inputs with :func:`stage_output`, and walks the stages downstream of it
+  with :func:`sweep_stages`, re-evaluating only the codes whose inputs
+  changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -33,28 +38,56 @@ from ..adc.sc_array import ScArrayInputs
 from .invariance import Invariance, build_invariances
 from .stimulus import SymBistStimulus
 
-#: Signal columns of each per-code stage output: ``(signal, output field)``.
-CODE_STAGE_SIGNALS: Dict[str, Tuple[Tuple[str, str], ...]] = {
-    "sub1": (("M+", "out_p"), ("M-", "out_n")),
-    "sub2": (("L+", "out_p"), ("L-", "out_n")),
-    "sc": (("DAC+", "dac_p"), ("DAC-", "dac_m")),
-    "pre": (("LIN+", "lin_p"), ("LIN-", "lin_m")),
-    "ql": (("QL+", "q_p"), ("QL-", "q_m")),
+
+class Stage(NamedTuple):
+    """One pipeline stage: one output ``per`` ``"trace"``, ``"code"``
+    (counter code) or ``"cycle"`` (clock cycle); the stages it reads
+    (``inputs``); the analog ``blocks`` local to it, whose defects change
+    only this stage and the stages that read it, directly or not; and the
+    ``(signal, output field)`` columns of a per-code or per-cycle stage
+    (the per-trace stages give the :func:`operating_columns`)."""
+
+    per: str
+    inputs: Tuple[str, ...]
+    blocks: Tuple[str, ...]
+    signals: Tuple[Tuple[str, str], ...] = ()
+
+
+#: The staged pipeline in evaluation order; each name is also the
+#: :class:`GoldenTrace` field that holds the stage's output.
+STAGES: Dict[str, Stage] = {
+    "op": Stage("trace", (), ("bandgap", "reference_buffer")),
+    "vcm": Stage("trace", ("op",), ("vcm_generator",)),
+    "sub1": Stage("code", ("op",), ("subdac1",),
+                  (("M+", "out_p"), ("M-", "out_n"))),
+    "sub2": Stage("code", ("op",), ("subdac2",),
+                  (("L+", "out_p"), ("L-", "out_n"))),
+    "sc": Stage("code", ("op", "vcm", "sub1", "sub2"), ("sc_array",),
+                (("DAC+", "dac_p"), ("DAC-", "dac_m"))),
+    "pre": Stage("code", ("op", "sc"),
+                 ("preamplifier", "offset_compensation"),
+                 (("LIN+", "lin_p"), ("LIN-", "lin_m"))),
+    "ql": Stage("code", ("pre",), ("comparator_latch",),
+                (("QL+", "q_p"), ("QL-", "q_m"))),
+    "q": Stage("cycle", ("ql",), ("rs_latch",),
+               (("Q+", "q_p"), ("Q-", "q_m"))),
 }
 
-#: Signal columns of the per-cycle RS-latch replay.
-RS_SIGNALS: Tuple[Tuple[str, str], ...] = (("Q+", "q_p"), ("Q-", "q_m"))
+#: The stage each analog block is local to.
+LOCAL_STAGE: Dict[str, str] = {block: name for name, stage in STAGES.items()
+                               for block in stage.blocks}
 
 
 @dataclass
 class GoldenTrace:
     """Settled staged trace of one (ADC state, stimulus) pair.
 
-    Per-*code* lists hold one block output per distinct counter code; ``q``
-    holds one RS-latch output per clock cycle, and ``cycle_codes`` maps each
-    cycle to its code (they differ when the stimulus replays the counter,
-    ``repeats > 1``).  ``columns`` holds every observed signal and
-    ``residuals`` every invariance as one float64 array over the cycles.
+    One field per stage of :data:`STAGES`: per-*code* lists hold one block
+    output per distinct counter code; ``q`` holds one RS-latch output per
+    clock cycle, and ``cycle_codes`` maps each cycle to its code (they
+    differ when the stimulus replays the counter, ``repeats > 1``).
+    ``columns`` holds every observed signal and ``residuals`` every
+    invariance as one float64 array over the cycles.
     """
 
     op: OperatingPoint
@@ -69,15 +102,114 @@ class GoldenTrace:
     columns: Dict[str, np.ndarray]
     residuals: Dict[str, np.ndarray]
 
+    def outputs(self) -> Dict[str, Any]:
+        """Every stage's output, by stage name."""
+        return {name: getattr(self, name) for name in STAGES}
 
-def sc_array_inputs(dut, op: OperatingPoint, vcm: float, sub1, sub2,
-                    codes: Sequence[int]) -> List[ScArrayInputs]:
-    """The SC-array inputs of each counter code in ``codes``."""
-    vref_mid = op.vref[dut.mid_tap]
-    return [ScArrayInputs(in_p=op.in_p, in_m=op.in_m,
+
+def _cycle_codes(stimulus: SymBistStimulus) -> np.ndarray:
+    return np.arange(stimulus.n_cycles) % stimulus.n_codes
+
+
+def stage_output(stage: str, adc: SarAdc, stimulus: SymBistStimulus,
+                 inputs: Mapping[str, Any],
+                 codes: Optional[Sequence[int]] = None) -> Any:
+    """The output of ``stage`` in ``adc``'s current state, through its
+    blocks' own ``evaluate``/``sweep``/``replay``.
+
+    ``inputs`` holds the outputs of the stage's input stages, by stage
+    name.  A per-code stage is evaluated at ``codes`` (every counter code
+    when ``None``) and returns one output per code in that order; the RS
+    latch is replayed from reset over every cycle.
+    """
+    cell = adc.sarcell
+    if codes is None:
+        codes = range(stimulus.n_codes)
+    if stage == "op":
+        return adc.operating_point(input_diff=stimulus.input_diff,
+                                   input_cm=stimulus.input_cm)
+    if stage == "vcm":
+        return cell.vcm_generator.evaluate(inputs["op"].vbg)
+    if stage in ("sub1", "sub2"):
+        subdac = cell.dac.subdac1 if stage == "sub1" else cell.dac.subdac2
+        return subdac.sweep(codes, inputs["op"].vref)
+    if stage == "sc":
+        op, sub1, sub2 = inputs["op"], inputs["sub1"], inputs["sub2"]
+        vref_mid = op.vref[adc.dut.mid_tap]
+        return cell.dac.sc_array.sweep([
+            ScArrayInputs(in_p=op.in_p, in_m=op.in_m,
                           m_p=sub1[c].out_p, m_m=sub1[c].out_n,
                           l_p=sub2[c].out_p, l_m=sub2[c].out_n,
-                          vcm=vcm, vref_mid=vref_mid) for c in codes]
+                          vcm=inputs["vcm"], vref_mid=vref_mid)
+            for c in codes])
+    if stage == "pre":
+        sc = inputs["sc"]
+        return cell.comparator.preamplifier.sweep(
+            [(sc[c].dac_p, sc[c].dac_m) for c in codes], inputs["op"].ibias,
+            cell.comparator.offset_compensation)
+    if stage == "ql":
+        pre = inputs["pre"]
+        return cell.comparator.latch.sweep(
+            [(pre[c].lin_p, pre[c].lin_m) for c in codes])
+    ql = inputs["ql"]
+    return cell.comparator.rs_latch.replay(
+        [ql[c] for c in _cycle_codes(stimulus).tolist()])
+
+
+def sweep_stages(adc: SarAdc, stimulus: SymBistStimulus,
+                 base: Optional[GoldenTrace] = None,
+                 stage: Optional[str] = None, output: Any = None
+                 ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """Walk :data:`STAGES` in order; return every stage's output and every
+    signal column.
+
+    Without ``base``, every stage is evaluated on every code.  With
+    ``base``, ``stage`` takes ``output`` and every other stage keeps its
+    ``base`` output except where its inputs differ from ``base`` (float
+    ``==``): a per-code stage is re-evaluated at those codes only, any
+    other stage whole.  Only the changed stages' columns replace the
+    ``base`` ones.  Every block is a pure function of its inputs and its own
+    netlist, so with clean netlists downstream of ``stage`` this equals the
+    full sweep of the ADC, bit for bit.
+    """
+    every_code = range(stimulus.n_codes)
+    index = _cycle_codes(stimulus)
+    outputs: Dict[str, Any] = {}
+    # The codes of each stage whose output differs from ``base``.
+    changed: Dict[str, Sequence[int]] = {}
+    columns = {} if base is None else dict(base.columns)
+    for name, (per, inputs, _, signals) in STAGES.items():
+        old = None if base is None else getattr(base, name)
+        codes: Sequence[int] = every_code
+        if name == stage:
+            value = output
+        elif base is None:
+            value = stage_output(name, adc, stimulus, outputs)
+        else:
+            codes = sorted(set().union(*(changed[i] for i in inputs)))
+            if not codes:
+                value = old
+            elif per == "code":
+                value = list(old)
+                for code, out in zip(codes, stage_output(
+                        name, adc, stimulus, outputs, codes)):
+                    value[code] = out
+            else:
+                value = stage_output(name, adc, stimulus, outputs)
+        outputs[name] = value
+        if base is None:
+            changed[name] = every_code
+        elif per == "code":
+            changed[name] = [c for c in codes if value[c] != old[c]]
+        else:
+            changed[name] = every_code if value != old else ()
+        if signals and changed[name]:
+            columns.update(output_columns(
+                value, signals, index if per == "code" else None))
+    if changed["op"] or changed["vcm"]:
+        columns.update(operating_columns(adc.dut, outputs["op"],
+                                         outputs["vcm"], stimulus.n_cycles))
+    return outputs, columns
 
 
 def operating_columns(dut, op: OperatingPoint, vcm: float,
@@ -120,35 +252,14 @@ def build_golden_trace(adc: SarAdc, stimulus: SymBistStimulus,
                        ) -> GoldenTrace:
     """Simulate ``adc`` in its current state once, staged, and record it.
 
-    Each block's ``evaluate``/``sweep`` runs once per distinct counter code
-    and the RS latch is replayed per cycle from reset, so every column and
-    residual is bit-identical to a full
+    :func:`sweep_stages` runs each block's ``evaluate``/``sweep`` once per
+    distinct counter code and replays the RS latch per cycle from reset, so
+    every column and residual is bit-identical to a full
     :class:`~repro.core.controller.SymBistController` run of the same state.
     """
-    cell = adc.sarcell
-    op = adc.operating_point(input_diff=stimulus.input_diff,
-                             input_cm=stimulus.input_cm)
-    vcm = cell.vcm_generator.evaluate(op.vbg)
-    codes = range(stimulus.n_codes)
-    sub1 = cell.dac.subdac1.sweep(codes, op.vref)
-    sub2 = cell.dac.subdac2.sweep(codes, op.vref)
-    sc = cell.dac.sc_array.sweep(
-        sc_array_inputs(adc.dut, op, vcm, sub1, sub2, codes))
-    pre = cell.comparator.preamplifier.sweep(
-        [(out.dac_p, out.dac_m) for out in sc], op.ibias,
-        cell.comparator.offset_compensation)
-    ql = cell.comparator.latch.sweep([(out.lin_p, out.lin_m) for out in pre])
-    cycle_codes = np.arange(stimulus.n_cycles) % stimulus.n_codes
-    q = cell.comparator.rs_latch.replay([ql[c] for c in cycle_codes.tolist()])
-
-    columns = operating_columns(adc.dut, op, vcm, stimulus.n_cycles)
-    for stage, outputs in (("sub1", sub1), ("sub2", sub2), ("sc", sc),
-                           ("pre", pre), ("ql", ql)):
-        columns.update(output_columns(outputs, CODE_STAGE_SIGNALS[stage],
-                                      cycle_codes))
-    columns.update(output_columns(q, RS_SIGNALS))
-    return GoldenTrace(op=op, vcm=vcm, sub1=sub1, sub2=sub2, sc=sc, pre=pre,
-                       ql=ql, q=q, cycle_codes=cycle_codes, columns=columns,
+    outputs, columns = sweep_stages(adc, stimulus)
+    return GoldenTrace(**outputs, cycle_codes=_cycle_codes(stimulus),
+                       columns=columns,
                        residuals=residual_columns(
                            invariances if invariances is not None
                            else build_invariances(), columns))

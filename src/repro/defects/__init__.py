@@ -15,7 +15,7 @@ from .coverage import (CoverageEstimate, Z_95, combine_detected_likelihood,
 from .injection import DefectInjector
 from .likelihood import DEFAULT_TYPE_PRIORS, LikelihoodModel
 from .model import Defect, DefectKind, enumerate_device_defects
-from .batching import BatchedDefectEvaluator, LOCAL_STAGE, STAGE_DOWNSTREAM
+from .batching import BatchedDefectEvaluator, LOCAL_STAGE
 from .sampling import (SamplingPlan, batch_spans, block_seed_sequence,
                        lwrs_sample, per_block_selection, select_defects,
                        variant_seed)
@@ -30,7 +30,7 @@ __all__ = [
     "DEFAULT_TYPE_PRIORS", "Defect", "DefectCampaign", "DefectInjector",
     "DefectKind", "DefectSimulationRecord", "DefectUniverse",
     "LOCAL_STAGE", "LikelihoodModel", "MODEL_SECONDS_PER_CYCLE",
-    "RECORD_CODEC", "STAGE_DOWNSTREAM",
+    "RECORD_CODEC",
     "SamplingPlan", "Z_95",
     "BlockScore", "DiagnosisReport", "diagnose", "diagnosis_accuracy",
     "batch_spans",

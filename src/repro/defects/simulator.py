@@ -36,7 +36,7 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -203,7 +203,6 @@ def _worker_campaign(context: Mapping[str, Any],
             adc=context["adc"], deltas=dict(deltas),
             stimulus=context["stimulus"], mode=context["mode"],
             stop_on_detection=context["stop_on_detection"],
-            likelihood_model=context["likelihood_model"],
             seconds_per_cycle=context["seconds_per_cycle"])
         _WORKER_STATE.clear()
         _WORKER_STATE[token] = campaign
@@ -355,9 +354,11 @@ class DefectCampaign:
         self.hierarchy = self.adc.build_hierarchy()
         self.likelihood_model = likelihood_model
         self.injector = DefectInjector(self.hierarchy)
-        #: Batched-evaluation state, keyed by ADC fingerprint so a golden
-        #: trace is never reused across different IP states.
-        self._batch_evaluators: Dict[str, BatchedDefectEvaluator] = {}
+        #: The batched evaluator of the last clean-ADC fingerprint, as
+        #: ``(fingerprint, evaluator)``, so a golden trace is never reused
+        #: across different IP states.
+        self._batch_evaluator_slot: Optional[
+            Tuple[str, BatchedDefectEvaluator]] = None
 
     @cached_property
     def universe(self) -> DefectUniverse:
@@ -378,14 +379,15 @@ class DefectCampaign:
         """
         if fingerprint is None:
             fingerprint = self._adc_fingerprint()
-        evaluator = self._batch_evaluators.get(fingerprint)
-        if evaluator is None:
-            evaluator = BatchedDefectEvaluator(
-                adc=self.adc, stimulus=self.stimulus, deltas=self.deltas,
-                mode=self.mode, stop_on_detection=self.stop_on_detection)
-            self._batch_evaluators.clear()
-            self._batch_evaluators[fingerprint] = evaluator
-        elif evaluator.deltas != self.deltas:
+        slot = self._batch_evaluator_slot
+        if slot is None or slot[0] != fingerprint:
+            slot = self._batch_evaluator_slot = (
+                fingerprint, BatchedDefectEvaluator(
+                    adc=self.adc, stimulus=self.stimulus, deltas=self.deltas,
+                    mode=self.mode,
+                    stop_on_detection=self.stop_on_detection))
+        evaluator = slot[1]
+        if evaluator.deltas != self.deltas:
             # Block-study graphs refresh the campaign's delta table per task
             # (per-block k overrides); the golden trace is window-independent.
             evaluator.set_deltas(self.deltas)
@@ -402,9 +404,8 @@ class DefectCampaign:
     def simulate_defect(self, defect: Defect) -> DefectSimulationRecord:
         """Inject one defect, run the full SymBIST test, record the outcome.
 
-        The full re-simulation: the fallback of :meth:`simulate_defect_batch`
-        for defects that are not local to one block, and the oracle the
-        batched evaluation is tested against.
+        The full re-simulation, cycle by cycle: the oracle the batched
+        evaluation of :meth:`simulate_defect_batch` is tested against.
         """
         with self.injector.injected(defect):
             result = self._build_controller().run()
@@ -424,22 +425,20 @@ class DefectCampaign:
                               ) -> List[DefectSimulationRecord]:
         """Evaluate a batch of defects against the shared golden trace.
 
-        Per-defect results are bit-identical to :meth:`simulate_defect`: a
-        defect local to one block re-evaluates only that block's stage and
-        its downstream cone against the cached defect-free trace
-        (:mod:`repro.defects.batching`); a non-local defect falls back to
-        the full re-simulation.  ``fingerprint`` is the clean ADC's
-        :func:`adc_fingerprint`, when the caller already has it.
+        Per-defect results are bit-identical to :meth:`simulate_defect`:
+        each defect re-evaluates only its block's stage and the codes of
+        the stages downstream of it against the cached defect-free trace
+        (:mod:`repro.defects.batching`).  A defect whose block has no stage
+        raises :class:`~repro.circuit.errors.DefectError`.
+        ``fingerprint`` is the clean ADC's :func:`adc_fingerprint`, when
+        the caller already has it.
         """
         evaluator = self._batch_evaluator(fingerprint)
         records: List[DefectSimulationRecord] = []
         for defect in defects:
-            if not evaluator.is_local(defect):
-                records.append(self.simulate_defect(defect))
-                continue
             with self.injector.injected(defect):
-                outcome = evaluator.evaluate(defect)
-            detected, detecting, detection_cycle, cycles_run = outcome
+                detected, detecting, detection_cycle, cycles_run = \
+                    evaluator.evaluate(defect)
             records.append(DefectSimulationRecord(
                 defect=defect,
                 detected=detected,

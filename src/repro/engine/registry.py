@@ -357,7 +357,6 @@ def _expand_campaign(plan: Any, name: str, params: Dict[str, Any]) -> None:
                  "fingerprint": fingerprint,
                  "stimulus": plan.stimulus, "mode": plan.mode,
                  "stop_on_detection": plan.stop_on_detection,
-                 "likelihood_model": None,
                  "seconds_per_cycle": MODEL_SECONDS_PER_CYCLE,
                  "invariance_names": list(plan.invariance_names)})
     plan.campaign_stage = name

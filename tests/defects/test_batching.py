@@ -1,6 +1,6 @@
-"""Batched defect evaluation: batch spans, golden trace, locality fallback.
+"""Batched defect evaluation: batch spans, golden trace, stage locality.
 
-Three pillars of the batching equivalence guarantee:
+The pillars of the batching equivalence guarantee:
 
 * batch spans partition a block's defect list exactly once, in order, for
   *any* batch size (property-based, so the partition law is exercised
@@ -9,8 +9,8 @@ Three pillars of the batching equivalence guarantee:
   re-simulation for every stimulus kind the campaigns use, on every device
   variant -- and so is every batched defect record (the
   ``simulate_defect`` oracle);
-* a defect that is not provably local to one pipeline stage falls back to
-  the full simulation and produces the exact same record;
+* a defect whose block has no stage in the stage table is an error that
+  names the block, never a silent detour;
 * every block of the IP is local to its mapped stage (the locality
   oracle), and the residual memo keyed by the defective stage's output
   (:func:`~repro.defects.batching.stage_key`) covers every bit of that
@@ -26,15 +26,15 @@ from hypothesis import strategies as st
 
 from repro.adc import SarAdc
 from repro.adc.sar_adc import DutAdcFactory
-from repro.circuit.errors import CoverageError
+from repro.circuit.errors import CoverageError, DefectError
 from repro.core import (build_golden_trace, build_invariances,
                         calibrate_windows, run_symbist)
+from repro.core.golden_trace import STAGES
 from repro.core.stimulus import SymBistStimulus
 from repro.core.test_time import CheckingMode
 from repro.defects import (DefectCampaign, DefectInjector, LOCAL_STAGE,
-                           STAGE_DOWNSTREAM, batch_spans,
-                           build_defect_universe)
-from repro.defects.batching import STAGE_TRACE_FIELD, stage_key
+                           batch_spans, build_defect_universe)
+from repro.defects.batching import stage_key
 from repro.dut import default_dut
 
 
@@ -140,30 +140,25 @@ class TestGoldenTrace:
             {name: [signals[name] for signals in full] for name in full[0]}
 
     def test_every_universe_block_is_in_the_locality_map(self, deltas):
-        """No silent full-simulation fallback for the shipped ADC: every
-        block of the real defect universe is provably local to a stage."""
+        """Every block of the real defect universe is local to a stage,
+        and every stage is local to some block."""
         campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
         assert set(campaign.universe.block_paths()) <= set(LOCAL_STAGE)
-        assert set(LOCAL_STAGE.values()) <= set(STAGE_DOWNSTREAM)
+        assert set(LOCAL_STAGE.values()) == set(STAGES)
 
 
-class TestNonLocalFallback:
-    def test_non_local_defect_falls_back_to_full_simulation(
+class TestMissingStage:
+    def test_block_without_a_stage_is_an_error_naming_it(
             self, deltas, monkeypatch):
-        """A block missing from the locality map is evaluated by the exact
-        unbatched path -- same record, just without the golden shortcut."""
+        """A block missing from the locality map fails the batch loudly,
+        with the block's name, and leaves no defect injected."""
         campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
         defects = [d for d in campaign.universe.defects
                    if d.block_path == "sc_array"][:4]
-        expected = [campaign.simulate_defect(d) for d in defects]
-
-        from repro.defects import batching
-        monkeypatch.delitem(batching.LOCAL_STAGE, "sc_array")
-        evaluator = campaign._batch_evaluator()
-        assert all(not evaluator.is_local(d) for d in defects)
-        assert all(evaluator.evaluate(d) is None for d in defects)
-
-        assert campaign.simulate_defect_batch(defects) == expected
+        monkeypatch.delitem(LOCAL_STAGE, "sc_array")
+        with pytest.raises(DefectError, match="'sc_array'"):
+            campaign.simulate_defect_batch(defects)
+        assert not any(blk.has_defect for blk in campaign.adc.analog_blocks)
 
 
 # ------------------------------------------------------------------ oracles
@@ -224,12 +219,13 @@ class TestWholeUniverseOracle:
 
 # --------------------------------------------------------- locality oracle
 def _defect_cone(defect):
-    """The stages a defect may change: its block's stage, that stage's
-    downstream closure and the RS latch, which is downstream of every
-    stage (:data:`STAGE_DOWNSTREAM` leaves it out because it is always
-    replayed)."""
-    stage = LOCAL_STAGE[defect.block_path]
-    return {stage, "rs"} | STAGE_DOWNSTREAM[stage]
+    """The stages a defect may change: its block's stage and every stage
+    that reads it, directly or not, by the stage table's inputs."""
+    cone = {LOCAL_STAGE[defect.block_path]}
+    for name, stage in STAGES.items():
+        if cone.intersection(stage.inputs):
+            cone.add(name)
+    return cone
 
 
 def _stages_outside_cone_changed(defects):
@@ -245,10 +241,10 @@ def _stages_outside_cone_changed(defects):
     for defect in defects:
         with injector.injected(defect):
             trace = build_golden_trace(adc, stimulus)
-        for stage, name in STAGE_TRACE_FIELD.items():
+        for stage in STAGES:
             if stage not in _defect_cone(defect) and \
-                    stage_key(stage, getattr(trace, name)) != \
-                    stage_key(stage, getattr(clean, name)):
+                    stage_key(stage, getattr(trace, stage)) != \
+                    stage_key(stage, getattr(clean, stage)):
                 changed.append((defect.defect_id, stage))
     return changed
 
@@ -260,15 +256,17 @@ def _default_universe():
 class TestLocalityOracle:
     def test_every_ams_block_is_in_the_locality_map(self):
         """Every analog block of the IP's hierarchy -- not only those the
-        defect universe happens to hold -- is mapped to its stage."""
-        blocks = [entry.path
-                  for entry in SarAdc().build_hierarchy().blocks("ams")]
-        assert blocks
-        assert set(blocks) <= set(LOCAL_STAGE)
+        defect universe happens to hold -- is mapped to its stage, on every
+        device variant."""
+        for dut in DUTS.values():
+            blocks = [entry.path for entry in
+                      SarAdc(dut=dut).build_hierarchy().blocks("ams")]
+            assert blocks
+            assert set(blocks) <= set(LOCAL_STAGE)
 
     def test_every_tenth_defect_changes_only_its_cone(self):
-        """Injecting a defect leaves every stage outside its block's stage
-        and downstream closure bit-equal to the clean golden trace."""
+        """Injecting a defect leaves every stage outside its cone
+        (:func:`_defect_cone`) bit-equal to the clean golden trace."""
         assert _stages_outside_cone_changed(
             _default_universe().defects[::10]) == []
 
@@ -332,7 +330,7 @@ class TestResidualMemo:
             fresh_campaign = DefectCampaign(adc=SarAdc(), deltas=table)
             fresh = []
             for defect in defects:
-                fresh_campaign._batch_evaluators.clear()
+                fresh_campaign._batch_evaluator_slot = None
                 fresh += fresh_campaign.simulate_defect_batch([defect])
             assert warm == fresh
             per_table.append(warm)
@@ -364,13 +362,13 @@ class TestResidualMemo:
         with pytest.raises(ValueError):
             next(iter(memo.values()))[0, 0] = 0.0
 
-    @pytest.mark.parametrize("stage", sorted(STAGE_TRACE_FIELD))
+    @pytest.mark.parametrize("stage", sorted(STAGES))
     def test_key_holds_every_field_bit_for_bit(self, stage):
         """Each float of the stage output -- every dataclass field, every
         code or cycle, in order -- is one float64 word of the key, so a
         one-ulp move of any of them changes exactly that word."""
         golden = build_golden_trace(SarAdc(), SymBistStimulus())
-        output = getattr(golden, STAGE_TRACE_FIELD[stage])
+        output = getattr(golden, stage)
         name, key = stage_key(stage, output)
         assert name == stage
         variants = _one_ulp_variants(output)

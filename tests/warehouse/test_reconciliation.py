@@ -1,16 +1,14 @@
 """Warehouse rows must reconcile with the engine's own reporting.
 
 Randomized block-study specs (same seeded-generator discipline as the
-backend-equivalence suite) run under every ``--backend`` choice (serial, and the process pool
-``shm``; the ``multiprocess`` cases, named after a former alias of
-``shm``, run the same pool) with a
-live :class:`WarehouseSink`; the indexed rows are then checked against the
-:class:`CampaignReport` counts, the per-block JSON payload the CLI emits
-(``_block_json``) and the stored block-summary artifacts.  A second, warm
-run of each case replays every artifact through the cache -- calibrate
-residual pools included, each stored inline in its one JSON file -- and
-must produce bit-identical summaries, which pins the JSON round-trip in
-vivo.
+backend-equivalence suite) run under every ``--backend`` choice (``serial``
+and the process pool ``shm``) with a live :class:`WarehouseSink`; the
+indexed rows are then checked against the :class:`CampaignReport` counts,
+the per-block JSON payload the CLI emits (``_block_json``) and the stored
+block-summary artifacts.  A second, warm run of each case replays every
+artifact through the cache -- calibrate residual pools included, each
+stored inline in its one JSON file -- and must produce bit-identical
+summaries, which pins the JSON round-trip in vivo.
 """
 
 import os
@@ -67,7 +65,7 @@ def _run_case(case, backend, cache, warehouse_db, study):
         bus.close()
 
 
-@pytest.mark.parametrize("backend_name", ["multiprocess", "serial", "shm"])
+@pytest.mark.parametrize("backend_name", ["serial", "shm"])
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
 def test_warehouse_reconciles_with_report_and_block_json(
         case, backend_name, tmp_path, cli_backend):

@@ -11,13 +11,18 @@ Checks, over ``README.md`` and ``docs/*.md``:
    matches the real output of ``repro-campaign ARGS``.  The comparison is
    token-based (whitespace-insensitive), so argparse line-wrapping
    differences between Python versions do not produce false alarms while
-   any added/removed/renamed option still fails the check.
+   any added/removed/renamed option still fails the check;
+4. every ``repro.``-dotted name in backticks, such as
+   ``repro.defects.LOCAL_STAGE``, resolves: its longest importable module
+   prefix is imported and the rest of the name is looked up on it,
+   attribute by attribute.
 
 Exits non-zero with one line per problem.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
@@ -37,6 +42,7 @@ REQUIRED_FILES = [
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HELP_MARKER_RE = re.compile(r"<!--\s*verify-help:\s*(.*?)\s*-->")
 FENCE_RE = re.compile(r"^```")
+DOTTED_NAME_RE = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
 
 
 def _doc_files() -> List[str]:
@@ -129,6 +135,32 @@ def check_help_snippets(rel_path: str, text: str) -> List[str]:
     return problems
 
 
+def _resolves(name: str) -> bool:
+    """Whether ``name`` is a module, or an attribute path on one."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def check_dotted_names(rel_path: str, text: str) -> List[str]:
+    src = os.path.join(REPO_ROOT, "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    return [f"{rel_path}:{lineno}: `{name}` does not resolve by import"
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            for name in DOTTED_NAME_RE.findall(line)
+            if not _resolves(name)]
+
+
 def main() -> int:
     problems = check_required_files()
     for rel_path in _doc_files():
@@ -137,6 +169,7 @@ def main() -> int:
             text = handle.read()
         problems.extend(check_links(rel_path, text))
         problems.extend(check_help_snippets(rel_path, text))
+        problems.extend(check_dotted_names(rel_path, text))
     for problem in problems:
         print(f"docs-lint: {problem}", file=sys.stderr)
     if not problems:
