@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -146,18 +146,12 @@ class Preamplifier(AnalogBlock):
     # ------------------------------------------------------------------ model
     def evaluate(self, dac_p: float, dac_m: float, ibias: float,
                  offset_comp: OffsetCompensation) -> PreampOutput:
-        """Amplify the DAC differential voltage into ``LIN+`` / ``LIN-``."""
-        return self.sweep(((dac_p, dac_m),), ibias, offset_comp)[0]
-
-    def sweep(self, pairs: "Sequence[Tuple[float, float]]", ibias: float,
-              offset_comp: OffsetCompensation) -> "List[PreampOutput]":
-        """Amplify many ``(dac_p, dac_m)`` pairs against one defect state:
-        :meth:`columns` over the pairs."""
-        dac = np.array(pairs, dtype=float).reshape(-1, 2)
+        """Amplify the DAC differential voltage into ``LIN+`` / ``LIN-``:
+        :meth:`columns` of one pair."""
         lin_p, lin_m = self.columns(self.resolve(ibias, offset_comp),
-                                    dac[:, 0], dac[:, 1])
-        return [PreampOutput(lin_p=p, lin_m=m)
-                for p, m in zip(lin_p.tolist(), lin_m.tolist())]
+                                    np.array([dac_p], dtype=float),
+                                    np.array([dac_m], dtype=float))
+        return PreampOutput(lin_p=lin_p.item(), lin_m=lin_m.item())
 
     def resolve(self, ibias: float, offset_comp: OffsetCompensation
                 ) -> Tuple[float, float, float, Optional[float],
@@ -285,16 +279,12 @@ class ComparatorLatch(AnalogBlock):
         self.declare_parameter("latch_offset", 0.0, sigma=1.5e-3)
 
     def evaluate(self, lin_p: float, lin_m: float) -> LatchOutput:
-        """Resolve the pre-amplifier differential into complementary rails."""
-        return self.sweep(((lin_p, lin_m),))[0]
-
-    def sweep(self, pairs: Sequence[Tuple[float, float]]) -> List[LatchOutput]:
-        """Resolve many ``(lin_p, lin_m)`` pairs against one defect state:
-        :meth:`columns` over the pairs."""
-        lin = np.array(pairs, dtype=float).reshape(-1, 2)
-        q_p, q_m = self.columns(self.resolve(), lin[:, 0], lin[:, 1])
-        return [LatchOutput(q_p=p, q_m=m)
-                for p, m in zip(q_p.tolist(), q_m.tolist())]
+        """Resolve the pre-amplifier differential into complementary rails:
+        :meth:`columns` of one pair."""
+        q_p, q_m = self.columns(self.resolve(),
+                                np.array([lin_p], dtype=float),
+                                np.array([lin_m], dtype=float))
+        return LatchOutput(q_p=q_p.item(), q_m=q_m.item())
 
     def resolve(self) -> tuple:
         """Input-independent state of the latch, the argument of
@@ -391,29 +381,28 @@ class RsLatch(AnalogBlock):
             self.resolve_defect_actions())
         return LatchOutput(q_p=q_p.item(), q_m=q_m.item())
 
-    def replay(self, latches: Sequence[LatchOutput]) -> List[LatchOutput]:
-        """Reset, then evaluate every input in order.
+    def replay(self, q_p: np.ndarray, q_m: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Reset, then latch every input ``(q_p[i], q_m[i])`` in order;
+        return the ``Q+`` / ``Q-`` columns.
 
         Bit-identical to :meth:`reset_state` followed by :meth:`evaluate`
         per input: the state each input is latched from is the last
         decision set or reset before it (0 from reset), so the whole replay
-        is one :meth:`step_columns` call.  This is the RS-latch hot path of
-        the batched defect evaluator.
+        is one :meth:`step_columns` call.  This is the RS-latch stage of the
+        golden trace.
         """
         self.reset_state()
-        q_p = np.array([latch.q_p for latch in latches], dtype=float)
-        q_m = np.array([latch.q_m for latch in latches], dtype=float)
         set_high, reset_high = self._set_reset(q_p, q_m)
         # Index of the last input up to each position that set or reset the
         # latch (-1: none).
         last = np.maximum.accumulate(
-            np.where(set_high != reset_high, np.arange(len(latches)), -1))
+            np.where(set_high != reset_high, np.arange(len(q_p)), -1))
         after = np.where(last >= 0, set_high[last], self._state)
-        prior = np.concatenate(([self._state], after))[:len(latches)]
+        prior = np.concatenate(([self._state], after))[:len(q_p)]
         _, out_p, out_m = self.step_columns(q_p, q_m, prior,
                                             self.resolve_defect_actions())
-        return [LatchOutput(q_p=p, q_m=m)
-                for p, m in zip(out_p.tolist(), out_m.tolist())]
+        return out_p, out_m
 
     def _set_reset(self, q_p: np.ndarray, q_m: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:

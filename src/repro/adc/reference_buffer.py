@@ -20,14 +20,19 @@ up very low even though many ladder defects are detected.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from ..circuit.errors import SolverError
-from ..circuit.solver import LinearNetwork
+import numpy as np
+
+from ..circuit.solver import _MAX_CONDUCTANCE, _MIN_CONDUCTANCE
 from ..dut import DutSpec, default_dut
 from .behavioral import (PassiveState, combine_effects, diff_stage_effect,
                          passive_state)
 from .block import AnalogBlock
+
+#: Conductance of the weak pull that discharges the top of the ladder when
+#: the buffer's output resistor is open (a 10 MOhm resistor to tap 0).
+_OPEN_PULL = 1.0 / 1e7
 
 
 class ReferenceBuffer(AnalogBlock):
@@ -60,6 +65,16 @@ class ReferenceBuffer(AnalogBlock):
         for seg in range(top):
             nl.add_resistor(f"rlad_{seg:02d}", p=f"tap_{seg + 1}",
                             n=f"tap_{seg}", value=self.dut.r_ladder)
+        #: The ladder segments, bottom up.
+        self._ladder = [nl.device(f"rlad_{seg:02d}") for seg in range(top)]
+        #: Flat positions in the ``top x top`` nodal matrix of the
+        #: :meth:`evaluate` stamp: the diagonal of taps ``1 .. top - 1``,
+        #: the segments between them below and above it, then the segment
+        #: to the top tap (row and column 0) and the top tap's diagonal.
+        taps = np.arange(1, top)
+        self._stamp_index = np.concatenate((
+            taps * top + taps, taps[1:] * top + taps[:-1],
+            taps[:-1] * top + taps[1:], (top - 1, (top - 1) * top, 0)))
 
         self.declare_parameter("buffer_gain", 1.0, sigma=0.001)
         self.declare_parameter("buffer_offset", 0.0, sigma=1e-3)
@@ -105,35 +120,46 @@ class ReferenceBuffer(AnalogBlock):
 
         The ladder is solved by nodal analysis so that segment defects (10 ohm
         shorts, opens with weak pulls, +-50 % deviations) redistribute the tap
-        voltages physically.
+        voltages physically.  The nodal matrix is stamped from one
+        conductance vector, bit-identical to the element-by-element stamp of
+        :class:`~repro.circuit.solver.LinearNetwork`: the unknowns are the top
+        tap, then taps ``1 .. top - 1``; every sum adds its edges in the
+        network's order (the output resistor, the weak pull of an open one,
+        then the segments bottom up); a conductance is capped at the short
+        conductance and dropped below the open floor.
         """
-        v_top = self._buffer_output(vbg)
-
+        v_top = float(self._buffer_output(vbg))
+        vss = float(self.dut.vss)
         top = self.n_levels - 1
-        net = LinearNetwork()
-        net.set_voltage("tap_0", self.dut.vss)
-        net.set_voltage("vdrive", v_top)
-        # The buffer drives the top tap through its (possibly defective)
-        # output resistance.
         rout_state, rout_value = passive_state(self.netlist.device("r_out"))
+        g = _conductances([rout_value] + [passive_state(device)[1]
+                                          for device in self._ladder])
+        # Row 0 is the top tap, row j (1 <= j < top) tap j; segment j joins
+        # taps j and j + 1, and its conductance is g[j + 1] (g[0] is the
+        # output resistor's).  The buffer drives the top tap through its
+        # (possibly defective) output resistance; an open one leaves a weak
+        # pull to tap 0.
+        g_out, g_first, g_last = g[0], g[1], g[top]
+        diag_top = 0.0 + g_out
+        rhs = np.zeros(top)
+        rhs[0] += g_out * v_top
         if rout_state is PassiveState.OPEN:
-            # Ladder top floats: a weak pull to ground discharges it.
-            net.add_resistor("vdrive", f"tap_{top}", rout_value)
-            net.add_resistor(f"tap_{top}", "tap_0", 1e7)
-        else:
-            net.add_resistor("vdrive", f"tap_{top}", rout_value)
-
-        for seg in range(top):
-            state, value = passive_state(self.netlist.device(f"rlad_{seg:02d}"))
-            net.add_resistor(f"tap_{seg + 1}", f"tap_{seg}", value)
-
+            diag_top += _OPEN_PULL
+            rhs[0] += _OPEN_PULL * vss
+        rhs[1] += g_first * vss
+        off = 0.0 - g[2:top]
+        g_matrix = np.zeros(top * top)
+        g_matrix[self._stamp_index] = np.concatenate((
+            g[1:top] + g[2:], off, off,
+            (0.0 - g_last, 0.0 - g_last, diag_top + g_last)))
+        g_matrix.shape = (top, top)
         try:
-            solution = net.solve()
-        except SolverError:
+            solution = np.linalg.solve(g_matrix, rhs).tolist()
+        except np.linalg.LinAlgError:
             # A pathological defect combination left a tap floating; report
             # every tap at ground, which any downstream invariance will see.
             return [self.dut.vss] * self.n_levels
-        return [solution[f"tap_{j}"] for j in range(self.n_levels)]
+        return [vss] + solution[1:] + solution[:1]
 
     # -------------------------------------------------------------- observers
     def observables(self, vbg: float) -> Dict[str, float]:
@@ -143,3 +169,17 @@ class ReferenceBuffer(AnalogBlock):
         # three taps (not literal indexes).
         return {"VREF0": vref[0], "VREF16": vref[self.dut.mid_tap],
                 "VREF32": vref[-1]}
+
+
+def _conductances(resistances: Sequence[float]) -> np.ndarray:
+    """Conductances of resistors, as
+    :meth:`~repro.circuit.solver.LinearNetwork.add_resistor` stamps them: a
+    (near-)zero resistance is the short conductance, a conductance below the
+    open floor is no edge (``0.0``, which adds nothing to a sum that starts
+    at zero), and every conductance is capped at the short one (Python
+    ``min``'s choice, as :func:`~repro.adc.behavioral.clamp_column`)."""
+    r = np.array(resistances, dtype=float)
+    g = np.divide(1.0, r, out=np.full(r.shape, _MAX_CONDUCTANCE),
+                  where=~(r <= 1.0 / _MAX_CONDUCTANCE))
+    g = np.where(g < _MIN_CONDUCTANCE, 0.0, g)
+    return np.where(_MAX_CONDUCTANCE < g, _MAX_CONDUCTANCE, g)

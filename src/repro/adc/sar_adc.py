@@ -247,15 +247,12 @@ class SarAdc:
         dac, comparator = cell.dac, cell.comparator
         half = self.dut.half_bits
         lsb_mask = self.dut.counter_codes - 1
-        counter_codes = range(self.dut.counter_codes)
+        counter_codes = np.arange(self.dut.counter_codes)
         vcm = cell.vcm_generator.evaluate(op.vbg)
         vref_mid = op.vref[self.dut.mid_tap]
-        sub1 = dac.subdac1.sweep(counter_codes, op.vref)
-        sub2 = dac.subdac2.sweep(counter_codes, op.vref)
-        m_p = np.array([out.out_p for out in sub1])
-        m_m = np.array([out.out_n for out in sub1])
-        l_p = np.array([out.out_p for out in sub2])
-        l_m = np.array([out.out_n for out in sub2])
+        subdac1, subdac2 = dac.subdac1, dac.subdac2
+        m_p, m_m = subdac1.columns(subdac1.resolve(), counter_codes, op.vref)
+        l_p, l_m = subdac2.columns(subdac2.resolve(), counter_codes, op.vref)
         sc_array, preamplifier = dac.sc_array, comparator.preamplifier
         latch, rs_latch = comparator.latch, comparator.rs_latch
         sc_state = sc_array.resolve()

@@ -40,10 +40,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..circuit.components import Device
 from ..circuit.errors import SimulationError
 from ..dut import DutSpec, default_dut
-from .behavioral import MosState, mos_state, switch_state
+from .behavioral import MosState, clamp_column, mos_state, switch_state
 from .block import AnalogBlock
 
 #: Nominal on-resistance of a tap switch.
@@ -265,7 +267,7 @@ class SubDac(AnalogBlock):
     def _apply_buffer(self, raw: float, offset: float, sf_state: MosState,
                       bias_state: MosState) -> float:
         """The (possibly defective) output buffer of one side, for device
-        states resolved once per sweep."""
+        states from :meth:`_buffer_states`."""
         value = raw + offset
         if sf_state is MosState.STUCK_OFF:
             value = self._float_level
@@ -282,6 +284,13 @@ class SubDac(AnalogBlock):
     def evaluate(self, code: int, vref: Sequence[float]) -> SubDacOutput:
         """Convert a half-resolution ``code`` into the complementary outputs.
 
+        Defect-free, exactly one switch per output is closed, so the mux
+        output is the selected tap and the buffer only adds its
+        (process-variation) offset.  Otherwise the per-tap mux behaviour and
+        the buffer device states are resolved and the code is evaluated
+        against the tables.  :meth:`columns` is the same arithmetic over
+        many codes.
+
         Parameters
         ----------
         code:
@@ -289,52 +298,143 @@ class SubDac(AnalogBlock):
         vref:
             The reference levels ``VREF[0] .. VREF[2**half_bits]``.
         """
-        return self.sweep((code,), vref)[0]
+        self._check_vref(vref)
+        if not 0 <= code <= self._code_max:
+            raise SimulationError(
+                f"sub-DAC code must be in [0, {self._code_max}], got {code}")
+        offset_p = self.parameter("buffer_offset_p")
+        offset_n = self.parameter("buffer_offset_n")
+        defective = self.netlist.defective_devices()
+        if not defective:
+            return SubDacOutput(
+                out_p=self._clamp(vref[code] + offset_p),
+                out_n=self._clamp(vref[self._top - code] + offset_n))
+        sf_p, bias_p, sf_n, bias_n = self._buffer_states()
+        return SubDacOutput(
+            out_p=self._apply_buffer(
+                self._mux_from_table(self._mux_table("p", defective), code,
+                                     vref),
+                offset_p, sf_p, bias_p),
+            out_n=self._apply_buffer(
+                self._mux_from_table(self._mux_table("n", defective),
+                                     self._top - code, vref),
+                offset_n, sf_n, bias_n))
 
-    def sweep(self, codes: Sequence[int],
-              vref: Sequence[float]) -> List[SubDacOutput]:
-        """Evaluate many codes against one defect state of the netlist.
+    def resolve(self) -> tuple:
+        """Code-independent state of the sub-DAC, the argument of
+        :meth:`columns`: ``(offset_p, offset_n, tables)``, where ``tables``
+        is ``None`` defect-free and otherwise the two :meth:`_mux_table`
+        tables and the four buffer device states of
+        :meth:`_buffer_states`."""
+        offsets = (self.parameter("buffer_offset_p"),
+                   self.parameter("buffer_offset_n"))
+        defective = self.netlist.defective_devices()
+        if not defective:
+            return offsets + (None,)
+        return offsets + ((self._mux_table("p", defective),
+                           self._mux_table("n", defective))
+                          + self._buffer_states(),)
 
-        One ``netlist.defective_devices()`` scan per sweep decides the path.
-        Defect-free, exactly one switch per output is closed, so the mux
-        output is the selected tap and the buffer only adds its
-        (process-variation) offset.  Otherwise the per-tap mux behaviour and
-        the buffer device states are resolved once and each code is
-        evaluated against the tables.  This is the sub-DAC hot path of the
-        batched defect evaluator.
+    def columns(self, resolved: tuple, codes: np.ndarray,
+                vref: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+        """``OUT+`` / ``OUT-`` columns of many ``codes`` (an int64 column)
+        against one state from :meth:`resolve`: :meth:`evaluate`'s
+        arithmetic, bit for bit.
+
+        Each code's mux sums its conducting taps in ascending tap order,
+        the selected tap at its own place among the anomalous ones, and a
+        tap a code does not visit is masked out (never added as ``0.0``).
+        Every ``max``/``min`` is the ``np.where`` that makes Python's
+        choice (see :func:`~repro.adc.behavioral.clamp_column`).
         """
+        self._check_vref(vref)
+        if len(codes) and (codes.min() < 0 or codes.max() > self._code_max):
+            raise SimulationError(
+                f"sub-DAC codes must be in [0, {self._code_max}], got "
+                f"{codes.min()} .. {codes.max()}")
+        vref = np.asarray(vref, dtype=float)
+        offset_p, offset_n, tables = resolved
+        if tables is None:
+            vss, vdd = self.dut.vss, self.dut.vdd
+            return (clamp_column(vref[codes] + offset_p, vss, vdd),
+                    clamp_column(vref[self._top - codes] + offset_n, vss,
+                                 vdd))
+        table_p, table_n, sf_p, bias_p, sf_n, bias_n = tables
+        return (self._buffer_column(self._mux_column(table_p, codes, vref),
+                                    offset_p, sf_p, bias_p),
+                self._buffer_column(
+                    self._mux_column(table_n, self._top - codes, vref),
+                    offset_n, sf_n, bias_n))
+
+    def _mux_column(self, table: tuple, sel: np.ndarray,
+                    vref: np.ndarray) -> np.ndarray:
+        """:meth:`_mux_from_table` of every selected tap in ``sel``."""
+        g, con_on, con_off, forced, anomalous = table
+        n = len(sel)
+        total_g, weighted = np.zeros(n), np.zeros(n)
+
+        def visit(mask, conductance, current):
+            # Masked in-place adds: an element outside ``mask`` is left
+            # as it is, never added ``0.0``.
+            np.add(total_g, conductance, out=total_g, where=mask)
+            np.add(weighted, current, out=weighted, where=mask)
+
+        # A selected tap that is not anomalous conducts (it is clean and
+        # enabled); it is visited just before the first anomalous tap above
+        # it, or last.  ``pending`` marks the codes whose selected tap is
+        # still to visit.
+        g_sel = np.asarray(g)[sel]
+        current_sel = g_sel * vref[sel]
+        pending = np.ones(n, dtype=bool)
+        for tap in anomalous:
+            before = pending & (sel < tap)
+            visit(before, g_sel, current_sel)
+            selected = sel == tap
+            pending &= ~(before | selected)
+            enable = forced[tap]
+            if enable is None:
+                conducts = np.where(selected, con_on[tap], con_off[tap])
+            elif con_on[tap] if enable else con_off[tap]:
+                conducts = True
+            else:
+                continue
+            visit(conducts, g[tap], g[tap] * vref[tap])
+        visit(pending, g_sel, current_sel)
+        return np.divide(weighted, total_g,
+                         out=np.full(n, self._float_level),
+                         where=~(total_g <= 0.0))
+
+    def _buffer_states(self) -> Tuple[MosState, ...]:
+        """``(sf_p, bias_p, sf_n, bias_n)``: the output buffers' device
+        states."""
+        return tuple(mos_state(self.netlist.device(name))
+                     for name in ("bufp_sf", "bufp_bias", "bufn_sf",
+                                  "bufn_bias"))
+
+    def _buffer_column(self, raw: np.ndarray, offset: float,
+                       sf_state: MosState,
+                       bias_state: MosState) -> np.ndarray:
+        """:meth:`_apply_buffer` of every element of ``raw``."""
+        vss, vdd = self.dut.vss, self.dut.vdd
+        value = raw + offset
+        if sf_state is MosState.STUCK_OFF:
+            value = np.full(raw.shape, self._float_level)
+        elif sf_state is MosState.STUCK_ON:
+            value = raw * 0.9
+        elif sf_state is MosState.DEGRADED:
+            value = raw + offset - 0.02
+        if bias_state is MosState.STUCK_ON:
+            value = value - 0.1
+            value = np.where(vss > value, vss, value)
+        elif bias_state is MosState.STUCK_OFF:
+            value = value + 0.05
+            value = np.where(vdd < value, vdd, value)
+        return clamp_column(value, vss, vdd)
+
+    def _check_vref(self, vref: Sequence[float]) -> None:
         if len(vref) != self.n_levels:
             raise SimulationError(
                 f"expected {self.n_levels} reference levels, got {len(vref)}")
-        defective = self.netlist.defective_devices()
-        offset_p = self.parameter("buffer_offset_p")
-        offset_n = self.parameter("buffer_offset_n")
-        outputs: List[SubDacOutput] = []
-        if defective:
-            table_p = self._mux_table("p", defective)
-            table_n = self._mux_table("n", defective)
-            sf_p = mos_state(self.netlist.device("bufp_sf"))
-            bias_p = mos_state(self.netlist.device("bufp_bias"))
-            sf_n = mos_state(self.netlist.device("bufn_sf"))
-            bias_n = mos_state(self.netlist.device("bufn_bias"))
-        for code in codes:
-            if not 0 <= code <= self._code_max:
-                raise SimulationError(
-                    f"sub-DAC code must be in [0, {self._code_max}], "
-                    f"got {code}")
-            if not defective:
-                outputs.append(SubDacOutput(
-                    out_p=self._clamp(vref[code] + offset_p),
-                    out_n=self._clamp(vref[self._top - code] + offset_n)))
-                continue
-            outputs.append(SubDacOutput(
-                out_p=self._apply_buffer(
-                    self._mux_from_table(table_p, code, vref),
-                    offset_p, sf_p, bias_p),
-                out_n=self._apply_buffer(
-                    self._mux_from_table(table_n, self._top - code, vref),
-                    offset_n, sf_n, bias_n)))
-        return outputs
 
     def _clamp(self, value: float) -> float:
         return min(max(value, self.dut.vss), self.dut.vdd)

@@ -8,9 +8,9 @@ one staged residual kernel instead, the golden trace
 for every defect-free instance too:
 
 * the evaluator keeps the golden trace of the clean ADC per stimulus: the
-  settled output of every pipeline stage per counter code, the per-cycle
-  RS-latch outputs, every signal as one float64 column and every invariance
-  residual as one column;
+  settled output of every pipeline stage (one float64 array per per-code or
+  per-cycle stage, one row per signal), every signal as one float64 column
+  and every invariance residual as one column;
 * a defect re-evaluates its block's stage
   (:data:`~repro.core.golden_trace.LOCAL_STAGE`) on the golden inputs and
   walks the stages downstream of it
@@ -34,11 +34,12 @@ therefore indistinguishable from a full re-simulation.
 The residual memo is exact for the same reason.  Every stage downstream of
 the defective block has a clean netlist, so the residual matrix is a pure
 function of the defective stage's output.  Keys are the raw float64 bytes
-of every field of that output, never float equality: two defects share an
-entry only when their stage outputs are bit-equal, and ``-0.0`` against
-``0.0`` only costs a miss.  Entries hold residuals, not outcomes, so they
-survive :meth:`BatchedDefectEvaluator.set_deltas`; the window check runs
-per defect.  The memo lives on the evaluator, that is per clean-ADC
+of that output (an array output's own ``tobytes()``), never float
+equality: two defects share an entry only when their stage outputs are
+bit-equal, and ``-0.0`` against ``0.0`` only costs a miss.  Entries hold
+residuals, not outcomes, so they survive
+:meth:`BatchedDefectEvaluator.set_deltas`; the window check runs per
+defect.  The memo lives on the evaluator, that is per clean-ADC
 fingerprint and per process, and is dropped with it.  It holds at most one
 entry per defect evaluated, each one read-only invariance x cycle matrix
 plus its key (about 2.2 kB on the paper's device).  Many defects perturb
@@ -49,17 +50,16 @@ far fewer than defects: the 2775 defects of the paper's device collapse to
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from ..adc.sar_adc import SarAdc
+from ..adc.sar_adc import OperatingPoint, SarAdc
 from ..circuit.errors import DefectError
 from ..core.controller import resolve_detection
 from ..core.golden_trace import (LOCAL_STAGE, build_golden_trace,
-                                 residual_columns, stage_output,
-                                 sweep_stages)
+                                 output_differs, residual_columns,
+                                 stage_output, sweep_stages)
 from ..core.invariance import Invariance, build_invariances
 from ..core.stimulus import SymBistStimulus
 from ..core.test_time import CheckingMode
@@ -157,7 +157,7 @@ class BatchedDefectEvaluator:
         golden = self.golden
         output = stage_output(stage, self.adc, self.stimulus,
                               golden.outputs())
-        if output == getattr(golden, stage):
+        if not output_differs(output, getattr(golden, stage)):
             return self._golden_residuals
         key = stage_key(stage, output)
         residuals = self.memo.get(key)
@@ -172,32 +172,17 @@ class BatchedDefectEvaluator:
         return residuals
 
 
-def _float_values(output) -> List:
-    """Every value of a stage output, in order: each field of a dataclass
-    (:func:`dataclasses.fields`; a stage's per-code or per-cycle outputs
-    share one type) and each item of a list, flattened."""
-    if is_dataclass(output):
-        output = [output]
-    elif not isinstance(output, list):
-        return [output]
-    if output and is_dataclass(output[0]):
-        names = [f.name for f in fields(output[0])]
-        output = [getattr(item, name) for item in output for name in names]
-    values: List = []
-    for value in output:
-        if isinstance(value, list):
-            values.extend(_float_values(value))
-        else:
-            values.append(value)
-    return values
-
-
 def stage_key(stage: str, output) -> Tuple[str, bytes]:
     """Memo key of one stage output: the stage name and the float64 bytes
-    of every value of the output (:func:`_float_values`).
+    of the output -- an array output's own bytes (row by row), the Vcm
+    level, or every field of the operating point in order (``vref`` tap by
+    tap).
 
     Two outputs get the same key only when they are bit-equal, so ``-0.0``
     and ``0.0`` -- equal as floats -- get different keys and cost at most a
     memo miss, never a wrong hit.
     """
-    return stage, np.array(_float_values(output), dtype=np.float64).tobytes()
+    if isinstance(output, OperatingPoint):
+        output = [output.vbg, output.ibias, *output.vref, output.in_p,
+                  output.in_m]
+    return stage, np.asarray(output, dtype=np.float64).tobytes()

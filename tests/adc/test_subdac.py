@@ -189,3 +189,62 @@ class TestMuxTables:
         dac = make_subdac1()
         assert dac._mux_table("p", []) == reference_mux_table(dac, "p")
         assert dac._mux_table("n", [])[4] == []
+
+
+def _column_bytes(dac, vref):
+    """The column kernel's outputs of every code, as float64 bytes."""
+    codes = np.arange(dac.dut.counter_codes)
+    return np.array(dac.columns(dac.resolve(), codes, vref)).tobytes()
+
+
+def _scalar_bytes(dac, vref):
+    """:meth:`SubDac.evaluate` of every code, as float64 bytes, laid out
+    like :func:`_column_bytes` (one row per output)."""
+    outputs = [dac.evaluate(code, vref)
+               for code in range(dac.dut.counter_codes)]
+    return np.array([[out.out_p for out in outputs],
+                     [out.out_n for out in outputs]]).tobytes()
+
+
+def _kernel_param(bits):
+    marks = [pytest.mark.slow] if bits == 12 else []
+    return pytest.param(bits, id=f"{bits}bit", marks=marks)
+
+
+class TestColumnKernel:
+    @pytest.mark.parametrize("bits", [_kernel_param(b) for b in (8, 10, 12)])
+    def test_columns_equal_scalar_evaluate_for_every_defect(self, bits):
+        """``SubDac.columns`` equals ``SubDac.evaluate`` bit for bit (the
+        sign of zero included) on every code: for every sub-DAC defect of
+        the device (injected into the nominal instance, as campaigns do),
+        and defect-free on the nominal and on a Monte Carlo-varied instance
+        (drawn buffer offsets and reference ladder, as calibration does)."""
+        adc = SarAdc(default_dut().merged({"resolution_bits": bits}))
+        hierarchy = adc.build_hierarchy()
+        injector = DefectInjector(hierarchy)
+        defects = build_defect_universe(
+            hierarchy, blocks=["subdac1", "subdac2"]).defects
+        assert defects
+        vref = adc.operating_point().vref
+        for defect in defects:
+            dac = adc.block(defect.block_path)
+            with injector.injected(defect):
+                assert _column_bytes(dac, vref) == _scalar_bytes(dac, vref), \
+                    defect.defect_id
+        for varied in (False, True):
+            if varied:
+                adc.sample_variation(np.random.default_rng(11))
+                assert adc.sarcell.dac.subdac1.parameter(
+                    "buffer_offset_p") != 0.0
+            vref = adc.operating_point().vref
+            for dac in (adc.sarcell.dac.subdac1, adc.sarcell.dac.subdac2):
+                assert dac.resolve()[2] is None
+                assert _column_bytes(dac, vref) == _scalar_bytes(dac, vref)
+
+    def test_codes_out_of_range_rejected(self, vref):
+        dac = make_subdac1()
+        with pytest.raises(SimulationError):
+            dac.columns(dac.resolve(), np.array([0, 32]), vref)
+        with pytest.raises(SimulationError):
+            dac.columns(dac.resolve(), np.array([0], dtype=np.int64),
+                        [0.0, 1.0])

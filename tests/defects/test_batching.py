@@ -162,14 +162,15 @@ class TestMissingStage:
 
 
 # ------------------------------------------------------------------ oracles
-def _dut_campaign(dut, mode=CheckingMode.SEQUENTIAL):
+def _dut_campaign(dut, mode=CheckingMode.SEQUENTIAL, stop_on_detection=True):
     """A campaign on ``dut`` with its own stimulus and calibrated windows."""
     stimulus = _dut_stimulus(dut)
     calibration = calibrate_windows(
         adc_factory=DutAdcFactory(dut), stimulus=stimulus, n_monte_carlo=5,
         rng=np.random.default_rng(7), variation_spec=dut.variation_spec())
     return DefectCampaign(adc=SarAdc(dut=dut), deltas=calibration.deltas,
-                          stimulus=stimulus, mode=mode)
+                          stimulus=stimulus, mode=mode,
+                          stop_on_detection=stop_on_detection)
 
 
 def _oracle_param(dut, mode):
@@ -199,6 +200,15 @@ class TestBatchedOracle:
         assert not all(r.detected for r in full)
 
 
+def _universe_mismatches(campaign):
+    """Ids of the defects whose record in one batch of the whole universe
+    differs from the full re-simulation of the defect."""
+    defects = campaign.universe.defects
+    batched = campaign.simulate_defect_batch(defects)
+    return [defect.defect_id for defect, record in zip(defects, batched)
+            if record != campaign.simulate_defect(defect)]
+
+
 @pytest.mark.slow
 class TestWholeUniverseOracle:
     @pytest.mark.parametrize("stop_on_detection", [True, False])
@@ -208,13 +218,18 @@ class TestWholeUniverseOracle:
         the full re-simulation of each."""
         campaign = DefectCampaign(adc=SarAdc(), deltas=deltas,
                                   stop_on_detection=stop_on_detection)
-        defects = campaign.universe.defects
-        assert len(defects) == 2775
-        batched = campaign.simulate_defect_batch(defects)
-        mismatches = [defect.defect_id
-                      for defect, record in zip(defects, batched)
-                      if record != campaign.simulate_defect(defect)]
-        assert mismatches == []
+        assert len(campaign.universe) == 2775
+        assert _universe_mismatches(campaign) == []
+
+    @pytest.mark.parametrize("stop_on_detection", [True, False])
+    def test_every_8bit_defect_matches_simulate_defect(self,
+                                                       stop_on_detection):
+        """All 1671 defects of the 8-bit device, whose ladder, counter and
+        sub-DAC tables are shorter than the paper's."""
+        campaign = _dut_campaign(DUTS["8bit"],
+                                 stop_on_detection=stop_on_detection)
+        assert len(campaign.universe) == 1671
+        assert _universe_mismatches(campaign) == []
 
 
 # --------------------------------------------------------- locality oracle
@@ -298,8 +313,16 @@ def _block_memo_keys(deltas, block):
 
 def _one_ulp_variants(output):
     """Every copy of a stage output with exactly one float moved up by one
-    ulp, in field order, enumerated through :func:`dataclasses.fields`
-    independently of :func:`stage_key`."""
+    ulp, in order -- an array output element by element, row by row, the
+    operating point field by field through :func:`dataclasses.fields` --
+    enumerated independently of :func:`stage_key`."""
+    if isinstance(output, np.ndarray):
+        variants = []
+        for i in range(output.size):
+            variant = output.copy()
+            variant.flat[i] = np.nextafter(variant.flat[i], np.inf)
+            variants.append(variant)
+        return variants
     if isinstance(output, float):
         return [float(np.nextafter(output, np.inf))]
     if isinstance(output, list):
@@ -364,9 +387,10 @@ class TestResidualMemo:
 
     @pytest.mark.parametrize("stage", sorted(STAGES))
     def test_key_holds_every_field_bit_for_bit(self, stage):
-        """Each float of the stage output -- every dataclass field, every
-        code or cycle, in order -- is one float64 word of the key, so a
-        one-ulp move of any of them changes exactly that word."""
+        """Each float of the stage output -- every row and every code or
+        cycle of an array output, every field of the operating point, in
+        order -- is one float64 word of the key, so a one-ulp move of any
+        of them changes exactly that word."""
         golden = build_golden_trace(SarAdc(), SymBistStimulus())
         output = getattr(golden, stage)
         name, key = stage_key(stage, output)
