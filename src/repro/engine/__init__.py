@@ -12,8 +12,8 @@ executes such workloads:
 * :mod:`repro.engine.backends` -- pluggable executors behind one
   incremental ``stream`` interface: :class:`SerialBackend` (default,
   bit-identical to the historical loops) and :class:`SharedMemoryBackend`
-  (the process pool, whose campaign context is pickled once into a
-  shared-memory segment instead of re-shipped per task);
+  (the process pool, whose campaign context is pickled once and handed to
+  the pool initializer instead of re-shipped per task);
 * :mod:`repro.engine.executor` -- :class:`CampaignEngine`, which adds
   deterministic per-task seeding (``SeedSequence`` children by task index;
   results do not depend on worker count or completion order),

@@ -13,10 +13,10 @@ Two local backends are provided:
 * :class:`SharedMemoryBackend` -- the process-pool backend: one
   :class:`concurrent.futures.ProcessPoolExecutor` future per item.  The work
   function -- with the campaign context it closes over (the behavioral ADC,
-  the calibrated windows, ...) -- is pickled **once** into a
-  ``multiprocessing.shared_memory`` segment when the pool starts; each
-  worker rehydrates it read-only in the pool initializer, so submissions
-  carry only the bare work items (task id, seed material, small spec dict).
+  the calibrated windows, ...) -- is pickled **once** when the pool starts
+  and handed to the pool initializer as its argument; each worker unpickles
+  it there, so submissions carry only the bare work items (task id, seed
+  material, small spec dict).
 
 Because every task carries its own seed material (see
 :mod:`repro.engine.executor`) the pool backend produces results identical to
@@ -29,13 +29,9 @@ only work with the serial backend.
 
 from __future__ import annotations
 
-import atexit
 import os
 import pickle
-import signal
-import struct
 import sys
-import threading
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
@@ -43,9 +39,9 @@ from typing import Any, Callable, Optional, Tuple
 
 from ..circuit.errors import EngineError
 
-#: Pickle protocol of every payload shipped to pool workers (the shared
-#: segment, and the opt-in payload measurements -- one protocol so measured
-#: bytes match shipped bytes).
+#: Pickle protocol of every payload shipped to pool workers (the pickled
+#: work function, and the opt-in payload measurements -- one protocol so
+#: measured bytes match shipped bytes).
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: An item handed to a backend; the engine submits
@@ -124,8 +120,8 @@ class PayloadReport:
     submission, so it is meant for benchmarks, not production runs.
 
     ``task_bytes`` counts the per-submission payloads (the bare work items);
-    ``context_bytes`` counts the one-time shared segment holding the work
-    function and the campaign context it closes over.
+    ``context_bytes`` counts the one-time pickle of the work function and
+    the campaign context it closes over, handed to the pool initializer.
     """
 
     n_items: int = 0
@@ -134,19 +130,19 @@ class PayloadReport:
 
     @property
     def per_task_bytes(self) -> float:
-        """Average bytes shipped per work item, excluding the shared segment."""
+        """Average bytes shipped per work item, excluding the context."""
         return self.task_bytes / self.n_items if self.n_items else 0.0
 
 
 # Per-process slot for the pool work function, installed once per worker by
-# the pool initializer from the shared segment, so submissions only pickle
-# the (small) items instead of re-shipping the function + campaign context.
+# the pool initializer, so submissions only pickle the (small) items instead
+# of re-shipping the function + campaign context.
 _WORKER_FN: Optional[WorkFn] = None
 
 
-def _install_shared_fn(segment_name: str) -> None:
+def _install_fn(body: bytes) -> None:
     global _WORKER_FN
-    _WORKER_FN = _SharedObject.load(segment_name)
+    _WORKER_FN = pickle.loads(body)
 
 
 def _run_installed_item(item: WorkItem) -> Tuple[bool, Any]:
@@ -156,154 +152,24 @@ def _run_installed_item(item: WorkItem) -> Tuple[bool, Any]:
         return False, exc
 
 
-# Live shared-memory segments owned by this process, so an asynchronous
-# death (SIGTERM on a daemon, atexit on an interpreter teardown that never
-# reached the stream's close()) still unlinks every /dev/shm entry.  The
-# normal KeyboardInterrupt/close paths already destroy segments; this is
-# the backstop for the paths that never return to them.
-_LIVE_SEGMENTS: set = set()
-_SEGMENTS_LOCK = threading.Lock()
-_ATEXIT_INSTALLED = False
-_SIGTERM_INSTALLED = False
-_PREVIOUS_SIGTERM: Any = None
-
-
-def _destroy_live_segments() -> None:
-    """Unlink every segment this process still owns (idempotent).
-
-    Guarded by owner pid: a forked child inherits the registry (and the
-    SIGTERM handler) but must never unlink its parent's live segments.
-    """
-    with _SEGMENTS_LOCK:
-        segments = list(_LIVE_SEGMENTS)
-    for segment in segments:
-        if segment._owner_pid != os.getpid():
-            continue
-        try:
-            segment.destroy()
-        except Exception:
-            pass  # dying anyway; best effort on the remaining segments
-
-
-def _sigterm_cleanup(signum: int, frame: Any) -> None:
-    _destroy_live_segments()
-    previous = _PREVIOUS_SIGTERM
-    if callable(previous):
-        previous(signum, frame)
-    else:
-        # Preserve die-by-SIGTERM semantics (exit status, waitpid) instead
-        # of swallowing the signal: re-deliver it with the default action.
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.kill(os.getpid(), signum)
-
-
-def _install_segment_cleanup() -> None:
-    """Register the atexit + chained-SIGTERM segment reapers (once each).
-
-    The SIGTERM hook only installs from the main thread (the interpreter
-    rejects it elsewhere); until a main-thread segment creation comes
-    along, atexit still covers normal teardown.
-    """
-    global _ATEXIT_INSTALLED, _SIGTERM_INSTALLED, _PREVIOUS_SIGTERM
-    if not _ATEXIT_INSTALLED:
-        _ATEXIT_INSTALLED = True
-        atexit.register(_destroy_live_segments)
-    if _SIGTERM_INSTALLED or \
-            threading.current_thread() is not threading.main_thread():
-        return
-    try:
-        previous = signal.signal(signal.SIGTERM, _sigterm_cleanup)
-    except (ValueError, OSError):  # pragma: no cover (exotic embeddings)
-        return
-    _SIGTERM_INSTALLED = True
-    if previous not in (signal.SIG_DFL, signal.SIG_IGN, None):
-        _PREVIOUS_SIGTERM = previous
-
-
-class _SharedObject:
-    """One pickled object living in a ``multiprocessing.shared_memory`` segment.
-
-    The creating process owns the segment and must call :meth:`destroy`
-    exactly once (idempotent) when the pool is done; worker processes attach
-    by name through :meth:`load`, copy the bytes out and detach immediately,
-    so the segment disappears from ``/dev/shm`` the moment the owner unlinks
-    it.  The payload is length-prefixed because the kernel may round the
-    segment up to a whole page.  Segments register in a process-wide
-    reaper (atexit + chained SIGTERM) so even a killed owner leaves no
-    ``/dev/shm`` entry behind.
-    """
-
-    _HEADER = struct.Struct("<Q")
-
-    def __init__(self, obj: Any) -> None:
-        from multiprocessing import shared_memory
-        body = pickle.dumps(obj, protocol=_PICKLE_PROTOCOL)
-        self.nbytes = len(body)
-        self._owner_pid = os.getpid()
-        self._segment = shared_memory.SharedMemory(
-            create=True, size=self._HEADER.size + len(body))
-        self._segment.buf[:self._HEADER.size] = self._HEADER.pack(len(body))
-        self._segment.buf[self._HEADER.size:self._HEADER.size + len(body)] = \
-            body
-        self.name = self._segment.name
-        _install_segment_cleanup()
-        with _SEGMENTS_LOCK:
-            _LIVE_SEGMENTS.add(self)
-
-    @classmethod
-    def load(cls, name: str) -> Any:
-        """Attach to a segment by name, unpickle its object, detach."""
-        from multiprocessing import shared_memory
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            (size,) = cls._HEADER.unpack(
-                bytes(segment.buf[:cls._HEADER.size]))
-            return pickle.loads(
-                bytes(segment.buf[cls._HEADER.size:cls._HEADER.size + size]))
-        finally:
-            segment.close()
-
-    def destroy(self) -> None:
-        """Close and unlink the segment; safe to call more than once."""
-        if self._segment is None:
-            return
-        segment, self._segment = self._segment, None
-        with _SEGMENTS_LOCK:
-            _LIVE_SEGMENTS.discard(self)
-        try:
-            segment.close()
-        finally:
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-
-
 class _PoolWorkStream(WorkStream):
     """Stream over a :class:`ProcessPoolExecutor`, one future per item.
 
-    The work function reaches the workers through a shared segment that the
-    pool initializer rehydrates; submissions pickle only the item.  Closing
-    the stream shuts the pool down and unlinks the segment.
+    The work function is pickled once and reaches the workers as the pool
+    initializer's argument; submissions pickle only the item.  Closing the
+    stream shuts the pool down.
     """
 
     def __init__(self, fn: WorkFn, max_workers: int,
                  report: Optional[PayloadReport] = None,
                  mp_context: Any = None) -> None:
         from concurrent.futures import ProcessPoolExecutor
-        self._segment = _SharedObject(fn)
+        body = pickle.dumps(fn, protocol=_PICKLE_PROTOCOL)
         if report is not None:
-            report.context_bytes = self._segment.nbytes
-        try:
-            self._pool = ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=mp_context,
-                initializer=_install_shared_fn,
-                initargs=(self._segment.name,))
-        except BaseException:
-            # Pool construction failed; nobody will ever call close(), so
-            # the segment must be unlinked here or it outlives the engine.
-            self._segment.destroy()
-            raise
+            report.context_bytes = len(body)
+        self._pool = ProcessPoolExecutor(
+            max_workers=max_workers, mp_context=mp_context,
+            initializer=_install_fn, initargs=(body,))
         self._report = report
         self._items: dict = {}
         self._pending: set = set()
@@ -346,28 +212,21 @@ class _PoolWorkStream(WorkStream):
 
     def close(self) -> None:
         try:
-            try:
-                for future in self._pending:
-                    future.cancel()
-                self._pool.shutdown(wait=True)
-            except BaseException:
-                # A consumer-side interrupt (e.g. a KeyboardInterrupt
-                # delivered while the pool drains, or a second Ctrl-C during
-                # the graceful shutdown above) must not leave the pool -- or
-                # the shared segment unlinked below -- behind:
-                # give up on the workers without blocking and re-raise.
-                # cancel_futures only exists on Python >= 3.9; the explicit
-                # cancel loop above already covered the pending futures.
-                if sys.version_info >= (3, 9):
-                    self._pool.shutdown(wait=False, cancel_futures=True)
-                else:  # pragma: no cover (requires-python allows 3.8)
-                    self._pool.shutdown(wait=False)
-                raise
-        finally:
-            # Covers every exit path, including consumer-side interrupts:
-            # the /dev/shm segment is unlinked exactly once (destroy is
-            # idempotent), after the pool no longer reads it.
-            self._segment.destroy()
+            for future in self._pending:
+                future.cancel()
+            self._pool.shutdown(wait=True)
+        except BaseException:
+            # A consumer-side interrupt (e.g. a KeyboardInterrupt delivered
+            # while the pool drains, or a second Ctrl-C during the graceful
+            # shutdown above) must not leave the pool behind: give up on
+            # the workers without blocking and re-raise.  cancel_futures
+            # only exists on Python >= 3.9; the explicit cancel loop above
+            # already covered the pending futures.
+            if sys.version_info >= (3, 9):
+                self._pool.shutdown(wait=False, cancel_futures=True)
+            else:  # pragma: no cover (requires-python allows 3.8)
+                self._pool.shutdown(wait=False)
+            raise
 
 
 class ExecutionBackend(ABC):
@@ -395,18 +254,17 @@ class SerialBackend(ExecutionBackend):
 
 
 class SharedMemoryBackend(ExecutionBackend):
-    """The process-pool backend, with the campaign context shared, not shipped.
+    """The process-pool backend; the campaign context ships once per pool.
 
     Each :meth:`stream` starts a :class:`ProcessPoolExecutor`.  The work
     function -- together with the campaign context it closes over (the
     behavioral ADC spec, calibration windows, defect universe, ...) -- is
-    pickled **once** into a ``multiprocessing.shared_memory`` segment, and
-    every worker rehydrates it read-only in its pool initializer.
-    Submissions then carry only the bare work items.  The segment is
-    unlinked when the stream closes, so no ``/dev/shm`` entries outlive the
-    engine.  Results are bit-identical to the serial backend under the same
-    seed: the transport never touches seeding or completion-order
-    bookkeeping.
+    pickled **once** and passed to the pool initializer, which unpickles it
+    in every worker: under ``fork`` the workers inherit the bytes, under
+    ``spawn``/``forkserver`` each receives them once at start-up.
+    Submissions then carry only the bare work items.  Results are
+    bit-identical to the serial backend under the same seed: the transport
+    never touches seeding or completion-order bookkeeping.
 
     Parameters
     ----------

@@ -33,9 +33,9 @@ report of the run under the top-level ``engine`` key.
 ``--workers 1`` (the default) executes serially; any higher count runs the
 work on the process pool (``--backend shm``) with
 byte-identical results.  The pool ships the campaign context (the
-behavioral ADC, windows, universe) to the workers once through a
-shared-memory segment; ``--mp-context`` picks the worker start method (fork,
-spawn or forkserver).  ``--cache-dir`` makes repeated runs near-free: every
+behavioral ADC, windows, universe) to the workers once, through the pool
+initializer; ``--mp-context`` picks the worker start method (fork, spawn or
+forkserver).  ``--cache-dir`` makes repeated runs near-free: every
 defect batch's records and every per-sample residual set is stored as a
 content-addressed JSON artifact, optionally bounded by
 ``--cache-max-bytes`` / ``--cache-max-age`` LRU eviction.
@@ -80,7 +80,7 @@ def _build_backend(args: argparse.Namespace):
     choice = getattr(args, "backend", None)
     if choice == "serial" or (choice is None and args.workers <= 1):
         return SerialBackend()
-    return SharedMemoryBackend(max_workers=max(args.workers, 1),
+    return SharedMemoryBackend(max_workers=args.workers,
                                mp_context=getattr(args, "mp_context", None))
 
 
@@ -101,14 +101,14 @@ def _add_engine_arguments(parser: argparse.ArgumentParser,
     ``--monte-carlo``, ``--k``) that the `run` subcommand takes as spec
     entries / ``--set`` overrides.
     """
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes (1 = serial; results are "
                              "identical for any value)")
     parser.add_argument("--backend", choices=("serial", "shm"), default=None,
                         help="execution backend (default: serial when "
                              "--workers 1, shm otherwise); shm is the process "
-                             "pool, which ships the campaign context once via "
-                             "shared memory")
+                             "pool, which ships the campaign context once per "
+                             "worker")
     parser.add_argument("--mp-context",
                         choices=("fork", "spawn", "forkserver"), default=None,
                         help="worker start method of the pool backend "

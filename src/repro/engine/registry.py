@@ -43,13 +43,12 @@ from __future__ import annotations
 import hashlib
 import uuid
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from ..circuit.errors import CalibrationError, EngineError
 from .cache import canonical_json, factory_token
-from .executor import IDENTITY_CODEC, ResultCodec
 from .task import Task
 
 # --------------------------------------------------------------------- params
@@ -156,21 +155,12 @@ StageExpander = Callable[[Any, str, Dict[str, Any]], None]
 
 @dataclass(frozen=True)
 class StageDefinition:
-    """One registered stage kind: name, parameter schema, expander, codec."""
+    """One registered stage kind: name, parameter schema, expander."""
 
     name: str
     doc: str
     expand: StageExpander
     params: Tuple[StageParam, ...] = ()
-    #: Lazy factory of the stage kind's result codec -- how this kind's
-    #: results serialize into the artifact store.  Lazy so registering a
-    #: stage does not import its workload modules; ``None`` means the
-    #: results are natively JSON (identity codec).
-    codec: Optional[Callable[[], ResultCodec]] = None
-
-    def make_codec(self) -> ResultCodec:
-        """The stage kind's declared result codec (identity by default)."""
-        return self.codec() if self.codec is not None else IDENTITY_CODEC
 
     def param(self, name: str) -> StageParam:
         for param in self.params:
@@ -252,7 +242,6 @@ def _expand_calibrate(plan: Any, name: str,
             plan.invariance_names))
     plan.pipeline.add_stage(
         name, _calibration_stage_worker,
-        codec=stage_definition("calibrate").make_codec(),
         context={"adc_factory": plan.adc_factory,
                  "invariances": plan.invariances,
                  "stimulus": plan.stimulus,
@@ -339,7 +328,7 @@ def _expand_campaign(plan: Any, name: str, params: Dict[str, Any]) -> None:
     """Batches of sampled same-block defects; the stage worker is the
     campaign's own :func:`repro.defects.simulator._defect_worker`, which
     takes each batch's windows from its windows parent."""
-    from ..defects.simulator import (MODEL_SECONDS_PER_CYCLE,
+    from ..defects.simulator import (MODEL_SECONDS_PER_CYCLE, RECORD_CODEC,
                                      _defect_worker, defect_batch_tasks)
 
     plan.require(name, "windows")
@@ -352,7 +341,7 @@ def _expand_campaign(plan: Any, name: str, params: Dict[str, Any]) -> None:
     plan.worker_token = uuid.uuid4().hex
     plan.pipeline.add_stage(
         name, _defect_worker,
-        codec=stage_definition("campaign").make_codec(),
+        codec=RECORD_CODEC,
         context={"token": plan.worker_token, "adc": adc,
                  "fingerprint": fingerprint,
                  "stimulus": plan.stimulus, "mode": plan.mode,
@@ -428,6 +417,7 @@ def _expand_block_summary(plan: Any, name: str,
 
 
 def _expand_yield(plan: Any, name: str, params: Dict[str, Any]) -> None:
+    from ..analysis.yield_loss import POINT_CODEC
     from .pipeline import _yield_stage_worker
 
     plan.require(name, "calibrate")
@@ -436,7 +426,7 @@ def _expand_yield(plan: Any, name: str, params: Dict[str, Any]) -> None:
         raise EngineError("k_values must name at least one k")
     plan.pipeline.add_stage(
         name, _yield_stage_worker,
-        codec=stage_definition("yield").make_codec(),
+        codec=POINT_CODEC,
         context={"invariance_names": plan.invariance_names})
     plan.yield_stage = name
     plan.k_values = [float(value) for value in k_values]
@@ -461,6 +451,7 @@ def _expand_yield(plan: Any, name: str, params: Dict[str, Any]) -> None:
 
 
 def _expand_escape(plan: Any, name: str, params: Dict[str, Any]) -> None:
+    from ..analysis.escape_analysis import ESCAPE_CODEC
     from .pipeline import _escape_stage_worker
 
     plan.require(name, "campaign")
@@ -479,7 +470,7 @@ def _expand_escape(plan: Any, name: str, params: Dict[str, Any]) -> None:
             "factory": factory_token(plan.adc_factory)})
     plan.pipeline.add_stage(
         name, _escape_stage_worker,
-        codec=stage_definition("escape").make_codec(),
+        codec=ESCAPE_CODEC,
         context={"adc_factory": plan.adc_factory,
                  "stop_on_detection": plan.stop_on_detection,
                  "max_escape_defects": max_defects})
@@ -491,27 +482,6 @@ def _expand_escape(plan: Any, name: str, params: Dict[str, Any]) -> None:
 
 
 # ------------------------------------------------------------ registrations
-#
-# The codec factories are the per-stage-kind payload declarations: how each
-# kind's results serialize into the artifact store.  They live here (not in
-# the expanders) so tooling over the registry -- the warehouse indexer, a
-# future artifact migrator -- can resolve a kind's storage shape without
-# compiling a study.
-
-def _campaign_codec() -> ResultCodec:
-    from ..defects.simulator import RECORD_CODEC
-    return RECORD_CODEC
-
-
-def _yield_codec() -> ResultCodec:
-    from ..analysis.yield_loss import POINT_CODEC
-    return POINT_CODEC
-
-
-def _escape_codec() -> ResultCodec:
-    from ..analysis.escape_analysis import ESCAPE_CODEC
-    return ESCAPE_CODEC
-
 
 register_stage(StageDefinition(
     name="calibrate",
@@ -549,7 +519,6 @@ register_stage(StageDefinition(
         "batches against a golden trace; per-block LWRS draws derive from "
         "block_seed_sequence(root seed, block path)",
     expand=_expand_campaign,
-    codec=_campaign_codec,
     params=(
         StageParam("samples", "int", default=60,
                    doc="LWRS budget for blocks too large to exhaust"),
@@ -577,7 +546,6 @@ register_stage(StageDefinition(
     doc="one empirical yield-loss point per k_values entry, fed directly "
         "by the calibration samples",
     expand=_expand_yield,
-    codec=_yield_codec,
     params=(
         StageParam("k_values", "float_list",
                    default=(2.0, 3.0, 4.0, 5.0, 6.0),
@@ -588,7 +556,6 @@ register_stage(StageDefinition(
     name="escape",
     doc="functional escape analysis over the campaign's undetected defects",
     expand=_expand_escape,
-    codec=_escape_codec,
     params=(
         StageParam("max_escape_defects", "int", default=20, nullable=True,
                    doc="functional-test budget: analyse at most this many "

@@ -4,9 +4,7 @@ Two channels, two encodings:
 
 * the **worker channel** carries pickled engine objects (work items, task
   results, the shipped campaign context) as length-prefixed frames --
-  an 8-byte little-endian payload length followed by the pickle bytes,
-  mirroring the header layout of
-  :class:`repro.engine.backends._SharedObject`;
+  an 8-byte little-endian payload length followed by the pickle bytes;
 * the **control channel** carries newline-delimited JSON: one request
   object per line from the client, one (or, for ``attach``, many)
   response objects per line from the daemon.  JSON keeps the control

@@ -11,8 +11,8 @@ Transport design mirrors the pool backend of :mod:`repro.engine.backends`:
 
 * the work function -- with the whole campaign context it closes over --
   is pickled **once per stream** into a context frame, and shipped **once
-  per (worker connection, stream)**, like the pool's one-time shared
-  segment;
+  per (worker connection, stream)**, like the pool's one-time initializer
+  argument;
 * task submissions then carry only the bare work item, tagged with the
   context id and a sequence number.
 

@@ -2,10 +2,9 @@
 
 Every completed result the engine caches is one JSON entry whose
 ``spec.driver`` string names the workload that produced it.  The indexer
-maps each driver to its registry stage kind (:data:`DRIVER_KINDS` -- the
-same kinds whose payload codecs the stage registry declares, see
-``StageDefinition.codec``) and runs the kind's column extractor over the
-stored payload.  Extraction only reads the *scalar* summary columns.
+maps each driver to its registry stage kind (:data:`DRIVER_KINDS`) and
+runs the kind's column extractor over the stored payload.  Extraction
+only reads the *scalar* summary columns.
 
 Two feeding paths share :func:`index_cache`:
 
@@ -183,7 +182,8 @@ def _escape_columns(result: Any) -> Dict[str, Any]:
 
 
 #: Per-stage-kind payload column extractors.  These read the shapes the
-#: registry's codec declarations serialize (see ``registry.py``); kinds
+#: stages' result codecs serialize (the ``codec=`` each expander in
+#: ``registry.py`` passes to its stage); kinds
 #: without scalar summary columns (calibrate residual pools, windows
 #: deltas) contribute identity/footprint columns only.
 _EXTRACTORS = {

@@ -9,14 +9,17 @@ same cases) spanning five study shapes -- single-block defect campaigns,
 window calibrations, yield-loss sweeps, the calibrate->campaign graph and
 the per-block study graph -- and checks the process pool against a memoized
 serial baseline.  The ``multiprocess`` cases are named after a former CLI
-alias of ``shm``; ``cli_backend`` builds the same pool for them.
+alias of ``shm``; ``cli_backend`` builds the same pool for them.  The
+batched cases also run on a ``spawn`` pool, whose workers receive the
+campaign context by pickle through the pool initializer instead of
+inheriting it by ``fork``.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN, SerialBackend,
-                          StageSpec, StudySpec, run_study)
+                          SharedMemoryBackend, StageSpec, StudySpec, run_study)
 
 #: Entropy of the case generator: fixed so the ~20 cases are stable across
 #: runs (reproducible failures) while still randomly covering the spec space.
@@ -189,7 +192,7 @@ def _strip_counts(signature):
     return {key: value for key, value in signature.items() if key != "counts"}
 
 
-@pytest.mark.parametrize("backend_name", ["serial", "multiprocess", "shm"])
+@pytest.mark.parametrize("backend_name", ["serial", "spawn", "shm"])
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("case", BATCH_CASES,
                          ids=[c["id"] for c in BATCH_CASES])
@@ -199,7 +202,10 @@ def test_batched_run_matches_unbatched_serial(case, batch_size, backend_name,
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
             case, SerialBackend())
-    backend = cli_backend(backend_name)
+    if backend_name == "spawn":
+        backend = SharedMemoryBackend(max_workers=2, mp_context="spawn")
+    else:
+        backend = cli_backend(backend_name)
     batched = _run_case(case, backend, batch_size=batch_size)
     assert _strip_counts(batched) == \
         _strip_counts(_SERIAL_BASELINE[case["id"]])

@@ -75,6 +75,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(RUN + ["--mp-context", "threads"])
 
+    def test_workers_must_be_positive(self, capsys):
+        """`--workers` takes a positive integer: 0 and negative counts are
+        usage errors, not a study JSON recording the bad count."""
+        for value in ("0", "-1"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(
+                    RUN + ["--workers", value, "--backend", "shm"])
+            assert excinfo.value.code == 2
+            assert "must be a positive integer" in capsys.readouterr().err
+
     def test_backend_choices(self):
         args = build_parser().parse_args(RUN + ["--backend", "shm"])
         assert args.backend == "shm"

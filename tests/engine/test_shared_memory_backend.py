@@ -1,12 +1,16 @@
 """Resource hygiene and payload accounting of :class:`SharedMemoryBackend`.
 
-The process-pool backend must leave no ``/dev/shm`` segments outliving the
-engine, whatever path shut it down, and must ship the campaign context once
+The process-pool backend hands the pickled campaign context to the pool
+initializer: it must create no ``/dev/shm`` segment and install no signal
+handler, whatever path shut the pool down, and must ship the context once
 per pool rather than with every task.  Its failure semantics are covered by
 the backend matrix in ``test_failure_semantics.py``.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -31,7 +35,8 @@ def tasks_of(n):
 
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    """Every test must leave /dev/shm exactly as it found it."""
+    """Every test must leave /dev/shm exactly as it found it: the pool
+    transport creates no shared-memory segment."""
     if not os.path.isdir("/dev/shm"):
         yield  # non-Linux: nothing to observe
         return
@@ -54,24 +59,12 @@ class TestSegmentLifecycle:
             CampaignEngine(backend=SharedMemoryBackend(max_workers=2)).run(
                 tasks_of(5), failing_worker)
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                        reason="needs a POSIX shared-memory mount")
-    def test_stream_owns_one_segment_until_closed(self):
-        before = set(os.listdir("/dev/shm"))
-        backend = SharedMemoryBackend(max_workers=1)
-        stream = backend.stream(_echo_item)
-        created = {name for name in set(os.listdir("/dev/shm")) - before
-                   if name.startswith("psm_")}
-        assert len(created) == 1
-        stream.close()
-        assert not (created & set(os.listdir("/dev/shm")))
-
     def test_stream_close_with_pending_items_unlinks(self):
         backend = SharedMemoryBackend(max_workers=1)
         with backend.stream(_echo_item) as stream:
             for i in range(3):
                 stream.submit((i,))
-            # close() without draining: futures cancelled, segment unlinked
+            # close() without draining: futures cancelled, pool shut down
 
     def test_stream_close_is_idempotent(self):
         backend = SharedMemoryBackend(max_workers=1)
@@ -83,8 +76,8 @@ class TestSegmentLifecycle:
 
     def test_consumer_interrupt_mid_iteration_unlinks(self):
         """A KeyboardInterrupt delivered while the consumer drains the
-        stream (the realistic Ctrl-C during a long campaign) must not leak
-        the /dev/shm segment."""
+        stream (the realistic Ctrl-C during a long campaign) must propagate
+        and leave nothing in /dev/shm."""
         backend = SharedMemoryBackend(max_workers=1)
         with pytest.raises(KeyboardInterrupt):
             with backend.stream(_echo_item) as stream:
@@ -96,8 +89,8 @@ class TestSegmentLifecycle:
 
     def test_interrupt_during_close_still_unlinks(self, monkeypatch):
         """A second Ctrl-C landing inside the graceful close() (while it
-        waits for in-flight work) must still unlink the segment and
-        propagate -- close must not hang or leak."""
+        waits for in-flight work) must fall back to a non-blocking shutdown
+        and propagate -- close must not hang or leak."""
         from repro.engine import backends as backends_module
 
         shutdowns = []
@@ -132,11 +125,11 @@ class TestSegmentLifecycle:
         # The interrupt path fell back to a non-blocking shutdown ...
         assert [wait for wait, _ in shutdowns] == [True, False]
         assert shutdowns[1][1].get("cancel_futures") is True
-        # ... and the autouse fixture asserts the segment was unlinked.
+        # ... and the autouse fixture asserts /dev/shm is clean.
 
     def test_pool_construction_failure_unlinks_segment(self, monkeypatch):
         """If the worker pool cannot even be built, nobody will call
-        close(); the segment must still be unlinked."""
+        close(); the error propagates and nothing is left behind."""
         import concurrent.futures
 
         def broken_pool(*args, **kwargs):
@@ -154,6 +147,48 @@ def _echo_item(item):
     return item
 
 
+#: A pool run in a fresh interpreter's main thread; exits non-zero if the
+#: run changed the SIGTERM handler or registered an exit hook.  A script
+#: file rather than ``-c`` so its worker unpickles under any start method.
+_POOL_RUN_SCRIPT = textwrap.dedent("""
+    import atexit
+    import concurrent.futures.process  # registers multiprocessing's hook
+    import signal
+
+    from repro.engine import CampaignEngine, SharedMemoryBackend, Task
+    from repro.engine import TaskGraph
+
+
+    def worker(context, task, rng, inputs):
+        return task.payload
+
+
+    if __name__ == "__main__":
+        before = signal.getsignal(signal.SIGTERM)
+        hooks = atexit._ncallbacks()
+        engine = CampaignEngine(backend=SharedMemoryBackend(max_workers=2))
+        run = engine.run(TaskGraph([Task(task_id="t", payload=7)]), worker)
+        assert run.results == [7]
+        after = signal.getsignal(signal.SIGTERM)
+        assert after == before, f"SIGTERM handler changed to {after!r}"
+        assert atexit._ncallbacks() == hooks, "the pool added an exit hook"
+""")
+
+
+def test_pool_run_installs_no_sigterm_handler_or_exit_hook(tmp_path):
+    """Running a pool in the main thread leaves the SIGTERM handler as it
+    was and registers no exit hook.  Checked in a fresh interpreter, so no
+    earlier pool in this test process can have installed either first."""
+    script = tmp_path / "pool_run.py"
+    script.write_text(_POOL_RUN_SCRIPT)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    completed = subprocess.run([sys.executable, str(script)], env=env,
+                               capture_output=True, text=True)
+    assert completed.returncode == 0, completed.stderr
+
+
 class TestPayloadReport:
     def test_shared_context_shrinks_per_task_payload(self):
         big_context = {"blob": list(range(20000))}
@@ -163,13 +198,13 @@ class TestPayloadReport:
         assert run.results == [i + 20000 for i in range(8)]
         payload = backend.last_payload
         assert payload.n_items == 8
-        assert payload.context_bytes > 0  # the one-time shared segment
+        assert payload.context_bytes > 0  # the one-time initializer pickle
         # The whole point of the backend: per-task payloads no longer carry
         # the campaign context.
         assert payload.per_task_bytes < 0.1 * payload.context_bytes
 
     def test_stream_mode_counts_initializer_context(self):
-        """The segment is pickled once per pool, not once per worker: its
+        """The context is pickled once per pool, not once per worker: its
         bytes are the pickled work function, whatever the worker count."""
         graph = TaskGraph(
             [Task(task_id="root", payload=1)]
