@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .components import (Device, DeviceKind, capacitor, nmos, pmos, pnp,
-                         resistor, switch)
+from .components import (Device, capacitor, nmos, pmos, pnp, resistor,
+                         switch)
 from .errors import NetlistError
 
 
@@ -92,11 +92,6 @@ class Netlist:
     def devices(self) -> List[Device]:
         """Devices in insertion order."""
         return list(self._devices.values())
-
-    def devices_of_kind(self, *kinds: DeviceKind) -> List[Device]:
-        """Devices whose kind is one of ``kinds``, in insertion order."""
-        wanted = set(kinds)
-        return [d for d in self._devices.values() if d.kind in wanted]
 
     @property
     def nets(self) -> List[str]:

@@ -76,17 +76,6 @@ class Trace:
         self._require_samples()
         return float(np.std(self.values))
 
-    def peak_deviation(self, reference: float) -> float:
-        """Largest absolute deviation of the trace from ``reference``."""
-        self._require_samples()
-        return float(np.max(np.abs(np.asarray(self.values) - reference)))
-
-    def excursions_outside(self, low: float, high: float) -> int:
-        """Number of samples falling outside the closed window [low, high]."""
-        self._require_samples()
-        vals = np.asarray(self.values)
-        return int(np.count_nonzero((vals < low) | (vals > high)))
-
     def _require_samples(self) -> None:
         if not self.values:
             raise SimulationError(f"trace {self.name!r} is empty")

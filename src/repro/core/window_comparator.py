@@ -116,15 +116,6 @@ class WindowComparator:
                                  residuals=residual_list,
                                  violations=violations)
 
-    # ------------------------------------------------------------------- bounds
-    @property
-    def lower_bound(self) -> float:
-        return self.center + self.offset - self.delta
-
-    @property
-    def upper_bound(self) -> float:
-        return self.center + self.offset + self.delta
-
 
 def build_checkers(deltas: dict, offsets: Optional[dict] = None,
                    hysteresis: float = 0.0) -> List[WindowComparator]:

@@ -65,19 +65,6 @@ class DefectUniverse:
             counts[defect.block_path] = counts.get(defect.block_path, 0) + 1
         return counts
 
-    def counts_by_kind(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for defect in self.defects:
-            counts[defect.kind.value] = counts.get(defect.kind.value, 0) + 1
-        return counts
-
-    def likelihood_by_block(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for defect in self.defects:
-            totals[defect.block_path] = totals.get(defect.block_path, 0.0) \
-                + defect.likelihood
-        return totals
-
     # --------------------------------------------------------------- sampling
     def probabilities(self) -> np.ndarray:
         """Per-defect selection probabilities proportional to likelihood."""

@@ -27,8 +27,8 @@ the window calibration alone, as a ``calibrate`` + ``windows`` study;
 SQLite index of the completed results (``--warehouse DB`` on any workload
 subcommand keeps it up to date as runs finish).
 
-Every study emits the same per-block JSON schema, with the single engine
-report of the run under the top-level ``engine`` key.
+Every study emits the same per-block JSON schema; the run's engine report
+is the console ``engine:`` line, never part of the JSON.
 
 ``--workers 1`` (the default) executes serially; any higher count runs the
 work on the process pool (``--backend shm``) with
@@ -232,8 +232,8 @@ def _block_json(block: str, result: Any, variant: Optional[str] = None,
     Every row names the device it ran against (``dut_fingerprint``,
     defaulting to the paper's device) and the study variant it belongs to
     (``variant``, None outside multi-variant studies), mirroring the
-    warehouse columns.  Engine numbers are graph-wide, not per-block, and
-    are reported once at the top level (the ``engine`` key).
+    warehouse columns.  How the run executed is not part of it: the
+    console ``engine:`` line, the trace and ``CampaignReport`` carry that.
     """
     from ..dut import default_dut
     report = result.block_report(block)
@@ -313,22 +313,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     stage_line = outcome.report.stage_summary()
     if stage_line:
         console.info(f"stages: {stage_line}")
-    _emit(args, study_payload(spec, plan, outcome, workers=args.workers))
+    _emit(args, study_payload(spec, plan, outcome))
     return 0
 
 
 def study_payload(spec: Any, plan: Any, outcome: Any,
-                  workers: int) -> Dict[str, Any]:
+                  workers: Optional[int] = None) -> Dict[str, Any]:
     """The machine-readable result of one compiled study run -- exactly
     the JSON ``repro-campaign run --json`` writes.
 
-    Pure (no console output) so the campaign daemon can persist the same
-    payload for a submitted study; daemon results and CLI results are
-    compared with ``tools/diff_study_json.py``, which pins the key schema,
-    so the two paths must never drift apart.
+    A function of the spec, the seed and the code only: it records
+    nothing of how the run executed (backend, workers, cache hits), so
+    serial, pool, warm-replay and daemon runs of one spec write the same
+    bytes.  Pure (no console output) so the campaign daemon can persist
+    the same payload for a submitted study.
     """
-    payload: Dict[str, Any] = {"workers": workers, "k": plan.k,
-                               "seed": spec.seed,
+    # ``workers`` is ignored; ``perfbench/study.py`` is its last caller.
+    payload: Dict[str, Any] = {"k": plan.k, "seed": spec.seed,
                                "dut": plan.dut_fingerprint}
     if plan.variants:
         payload["variants"] = [
@@ -337,7 +338,6 @@ def study_payload(spec: Any, plan: Any, outcome: Any,
             for name, vplan in plan.variants.items()]
     else:
         payload.update(_stage_payload(plan, outcome))
-    payload["engine"] = outcome.report.summary()
     return payload
 
 

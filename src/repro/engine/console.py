@@ -90,12 +90,6 @@ def debug(message: Any = "") -> None:
     logger.debug("%s", message)
 
 
-def warn(message: Any = "") -> None:
-    """A warning (stderr; survives ``--quiet``)."""
-    _ensure_configured()
-    logger.warning("%s", message)
-
-
 def error(message: Any = "") -> None:
     """An error line (stderr; survives ``--quiet``)."""
     _ensure_configured()

@@ -135,8 +135,7 @@ class CampaignReport:
     def summary(self) -> str:
         """One-line digest of the task counts for logs and CLIs.
 
-        It holds no measured time, so the study JSON that embeds it is
-        byte-identical across runs; callers that show the wall time print
+        It holds no measured time; callers that show the wall time print
         :attr:`wall_time` next to it.
         """
         parts = [f"{self.n_tasks} tasks via {self.backend}"

@@ -378,8 +378,7 @@ class CampaignDaemon:
             self._finish(record, STATE_CANCELLED)
             return
         self._write_json(self.result_path(record.study_id),
-                         study_payload(spec, plan, outcome,
-                                       workers=self.backend.workers))
+                         study_payload(spec, plan, outcome))
         self._finish(record, STATE_DONE)
 
     def _conclude_failed(self, record: StudyRecord, error: str) -> None:

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.circuit import (DeviceKind, Netlist, NetlistError, NetlistHierarchy,
-                           resistor)
+from repro.circuit import Netlist, NetlistError, NetlistHierarchy, resistor
 
 
 def make_small_netlist(name="blk"):
@@ -40,11 +39,6 @@ class TestNetlist:
     def test_devices_preserve_insertion_order(self):
         nl = make_small_netlist()
         assert [d.name for d in nl.devices] == ["r1", "c1", "m1", "s1"]
-
-    def test_devices_of_kind(self):
-        nl = make_small_netlist()
-        passives = nl.devices_of_kind(DeviceKind.RESISTOR, DeviceKind.CAPACITOR)
-        assert {d.name for d in passives} == {"r1", "c1"}
 
     def test_nets_are_sorted_and_unique(self):
         nl = make_small_netlist()

@@ -52,12 +52,6 @@ class TestTrace:
         assert trace.min() == -3.0
         assert trace.max() == 2.0
         assert trace.mean() == pytest.approx(0.0)
-        assert trace.peak_deviation(0.0) == pytest.approx(3.0)
-
-    def test_excursions_outside_window(self):
-        trace = Trace("x")
-        trace.extend(range(5), [0.0, 0.5, -0.6, 0.2, 1.5])
-        assert trace.excursions_outside(-0.5, 0.5) == 2
 
     def test_empty_trace_statistics_raise(self):
         trace = Trace("x")

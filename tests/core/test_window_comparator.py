@@ -19,11 +19,6 @@ class TestConstruction:
         with pytest.raises(BistConfigurationError):
             WindowComparator(name="x", delta=1.0, hysteresis=-0.1)
 
-    def test_bounds(self):
-        checker = WindowComparator(name="x", delta=0.2, center=1.0, offset=0.1)
-        assert checker.lower_bound == pytest.approx(0.9)
-        assert checker.upper_bound == pytest.approx(1.3)
-
     def test_build_checkers_from_delta_table(self):
         checkers = build_checkers({"a": 0.1, "b": 0.2}, offsets={"b": 0.05})
         assert len(checkers) == 2

@@ -1,5 +1,7 @@
 """Tests for defect-universe extraction, injection, and LWRS sampling."""
 
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ class TestUniverseExtraction:
         assert session_universe.total_likelihood > 0
 
     def test_kind_mix(self, session_universe):
-        kinds = session_universe.counts_by_kind()
+        kinds = Counter(d.kind.value for d in session_universe.defects)
         assert kinds["short"] > kinds["passive_high"]
         assert set(kinds) == {"short", "open", "passive_high", "passive_low"}
 
@@ -158,7 +160,9 @@ class TestLwrsSampling:
 
     def test_sampling_favours_high_likelihood_blocks(self, session_universe, rng):
         sample = lwrs_sample(session_universe, 400, rng)
-        likelihood = session_universe.likelihood_by_block()
+        likelihood = defaultdict(float)
+        for defect in session_universe.defects:
+            likelihood[defect.block_path] += defect.likelihood
         heaviest = max(likelihood, key=likelihood.get)
         lightest = min(likelihood, key=likelihood.get)
         counts = {}

@@ -17,6 +17,15 @@ SMALL_STUDY = ["--set", "calibrate.n_monte_carlo=3", "--set", "seed=1",
                "--set", "campaign.blocks=vcm_generator"]
 
 
+def _engine_line(capsys):
+    """The console ``engine:`` line of the last ``main()`` run since the
+    previous read: the run's execution account, which its JSON omits."""
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("engine: ")]
+    assert lines, "the run printed no engine: line"
+    return lines[-1]
+
+
 def _stage_params(spec, stage="campaign"):
     """The resolved parameters of one stage of a study spec."""
     entry = next(entry for entry in spec.stages if entry.stage == stage)
@@ -214,21 +223,23 @@ class TestCampaignCommand:
         assert cold["blocks"][0]["n_simulated"] == \
             cold["blocks"][0]["n_defects"]
         assert 0.0 <= cold["blocks"][0]["coverage"] <= 1.0
-        assert "L-W defect coverage" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "L-W defect coverage" in printed
 
-        # One engine report spans the sweep: graph-wide numbers live at the
-        # top level only, never inside the per-block payloads.
-        assert "engine" in cold
-        assert "engine" not in cold["blocks"][0]
+        # One engine report spans the sweep, on the console only: the JSON
+        # records nothing of how the run executed, at any level.
+        assert "via shm (2 workers)" in printed
+        assert not {"engine", "workers"} & set(cold)
+        assert not {"engine", "workers"} & set(cold["blocks"][0])
         assert list(cold["blocks"][0]["timing"]) == ["modeled_sim_time"]
 
         # Warm rerun: same coverage, everything replayed from the cache.
         assert main(argv) == 0
         warm = json.loads(out.read_text())
         assert warm["blocks"][0]["coverage"] == cold["blocks"][0]["coverage"]
-        assert "(100%)" in warm["engine"]
+        assert "(100%)" in _engine_line(capsys)
 
-    def test_bare_blocks_flag_means_every_block(self, tmp_path):
+    def test_bare_blocks_flag_means_every_block(self, tmp_path, capsys):
         """An empty `campaign.blocks=` runs all blocks, exactly like
         omitting the entry."""
         out = tmp_path / "out.json"
@@ -238,7 +249,7 @@ class TestCampaignCommand:
                            "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["blocks"]) == 10  # every A/M-S block
-        assert "engine" in payload
+        assert "0 cached (0%)" in _engine_line(capsys)
 
     def test_block_subset_is_order_invariant(self, tmp_path):
         """campaign.blocks=A,B and campaign.blocks=B,A simulate the same
@@ -301,7 +312,7 @@ class TestPipelineCommand:
         for w, c in zip(warm["blocks"], cold["blocks"]):
             assert w["n_detected"] == c["n_detected"]
             assert w["coverage"] == c["coverage"]
-        assert "(100%)" in warm["engine"]
+        assert "(100%)" in _engine_line(capsys)
 
 class TestBlockStudyCommand:
     def test_matches_sequential_campaign_flow(self, tmp_path, capsys):
@@ -364,7 +375,7 @@ class TestBlockStudyCommand:
                         "n_escaped", "coverage", "ci_half_width"):
                 assert b[key] == u[key], key
 
-    def test_warm_rerun_is_fully_cached(self, tmp_path):
+    def test_warm_rerun_is_fully_cached(self, tmp_path, capsys):
         argv = ["run", "block-study",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--json", str(tmp_path / "out.json")] + SMALL_STUDY
@@ -376,13 +387,13 @@ class TestBlockStudyCommand:
         for w, c in zip(warm["blocks"], cold["blocks"]):
             assert w["n_detected"] == c["n_detected"]
             assert w["coverage"] == c["coverage"]
-        assert "(100%)" in warm["engine"]
+        assert "(100%)" in _engine_line(capsys)
 
 
 class TestPerBlockJsonSchema:
-    def test_identical_keys_across_subcommands(self, tmp_path):
+    def test_identical_keys_across_subcommands(self, tmp_path, capsys):
         """`run` over every canned study emits the same per-block keys,
-        with the engine report at the top level only."""
+        with the engine report on the console only."""
         payloads = {}
         for name, extra in [("calibrate-then-campaign", []),
                             ("block-study", []),
@@ -393,12 +404,13 @@ class TestPerBlockJsonSchema:
             assert main(["run", name, "--json", str(out)]
                         + SMALL_STUDY + extra) == 0
             payloads[name] = json.loads(out.read_text())
+            assert "0 cached (0%)" in _engine_line(capsys), name
 
         block_keys = {name: frozenset(payload["blocks"][0])
                       for name, payload in payloads.items()}
         assert len(set(block_keys.values())) == 1, block_keys
         for name, payload in payloads.items():
-            assert "engine" in payload, name
+            assert "engine" not in payload, name
             block = payload["blocks"][0]
             assert "engine" not in block, name
             assert list(block["timing"]) == ["modeled_sim_time"], name
@@ -425,8 +437,9 @@ class TestRunCommand:
         assert payload["seed"] == 1
         assert [b["block"] for b in payload["blocks"]] == ["vcm_generator"]
         assert payload["blocks"][0]["n_simulated"] == 10  # samples override
-        assert "engine" in payload
-        assert "calibrate-then-campaign stage 1" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "calibrate-then-campaign stage 1" in printed
+        assert "\nengine: " in printed
 
     def test_bad_set_assignment_is_actionable(self, capsys):
         assert main(["run", "block-study", "--set", "bogus"]) == 1
@@ -467,7 +480,7 @@ class TestYieldStudyCommand:
         assert warm["yield_loss"] == cold["yield_loss"]
         assert warm["escapes"] == cold["escapes"]
         assert warm["deltas"] == cold["deltas"]
-        assert "(100%)" in warm["engine"]
+        assert "(100%)" in _engine_line(capsys)
 
 
 class TestYieldWithoutWindows:
@@ -577,7 +590,8 @@ class TestCacheCommand:
 
 
 class TestPipelineCacheSharing:
-    def test_calibrate_artifacts_are_shared_with_pipeline(self, tmp_path):
+    def test_calibrate_artifacts_are_shared_with_pipeline(self, tmp_path,
+                                                          capsys):
         """`calibrate --cache-dir X` warms the pipeline's calibrate and
         windows stages."""
         cache = str(tmp_path / "cache")
@@ -586,7 +600,7 @@ class TestPipelineCacheSharing:
         out = tmp_path / "out.json"
         assert main(["run", "calibrate-then-campaign", "--cache-dir", cache,
                      "--json", str(out)] + SMALL_STUDY) == 0
-        engine = json.loads(out.read_text())["engine"]
+        engine = _engine_line(capsys)
         # 3 Monte Carlo parents and the windows reduction replayed from the
         # standalone calibrate run.
         assert "4 cached" in engine

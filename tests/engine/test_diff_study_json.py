@@ -34,10 +34,22 @@ def payload(tmp_path_factory):
 
 
 def test_identical_payloads_pass(diff_tool, payload):
-    other = copy.deepcopy(payload)
-    other["engine"] = "a different run"
-    other["workers"] = 2
-    assert diff_tool.diff(payload, other, "a", "b") == []
+    assert diff_tool.diff(payload, copy.deepcopy(payload), "a", "b") == []
+    # A payload written before the JSON dropped its execution account
+    # still reads as equal, on either side.
+    legacy = copy.deepcopy(payload)
+    legacy["engine"] = "12 tasks via shm (2 workers), 12 executed, 0 cached"
+    legacy["workers"] = 2
+    assert diff_tool.diff(legacy, payload, "a", "b") == []
+    assert diff_tool.diff(payload, legacy, "a", "b") == []
+
+
+def test_unknown_top_level_key_fails(diff_tool, payload):
+    extra = copy.deepcopy(payload)
+    extra["backend"] = "shm"
+    problems = diff_tool.diff(payload, extra, "a", "b")
+    assert problems == ["top-level keys differ: a has [] extra, "
+                        "b has ['backend'] extra"]
 
 
 @pytest.mark.parametrize("path, edit", [

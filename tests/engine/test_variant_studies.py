@@ -92,7 +92,7 @@ class TestVariantFanOut:
         assert [vplan.k for vplan in plan.variants.values()] == [3.0] * 3
         assert plan.k == 3.0
         assert plan.n_monte_carlo == 3
-        payload = study_payload(spec, plan, plan.run(), workers=1)
+        payload = study_payload(spec, plan, plan.run())
         assert payload["k"] == 3.0
 
     def test_variant_seed_is_stable_and_label_sensitive(self):

@@ -69,14 +69,16 @@ class TestControl:
         response = client.submit(daemon.control_address,
                                  spec.to_jsonable(), wait=True)
         plan = build_study(spec)
-        expected = study_payload(spec, plan, plan.run(), workers=1)
-        got = response["result"]
-        # The daemon runs on its own backend, so only the engine summary
-        # (backend name and task counts) differs; the payloads carry no
-        # measured time and everything else is bit-identical.
-        for payload in (expected, got):
-            payload.pop("engine")
-        assert got == expected
+        expected = study_payload(spec, plan, plan.run())
+        # The result records nothing of how it ran (the daemon's backend,
+        # its cache hits), so the stored file is byte-identical to the
+        # in-process payload dumped the way `run --json` writes it.
+        assert not {"engine", "workers"} & set(response["result"])
+        assert response["result"] == expected
+        with open(daemon.result_path(response["id"]),
+                  encoding="utf-8") as handle:
+            assert handle.read() == json.dumps(expected, indent=2,
+                                               sort_keys=True)
 
     def test_status_lists_studies(self, daemon):
         first = client.submit(daemon.control_address,
@@ -104,14 +106,12 @@ class TestControl:
                   for study_id in ids
                   for _ in (daemon.wait(study_id, timeout=120.0),)]
         assert all(entry["state"] == STATE_DONE for entry in finals)
-        # identical specs through the shared cache: everything but the
-        # engine summary (which tasks ran and which replayed) must agree
+        # identical specs through the shared cache: whichever tasks ran
+        # and whichever replayed, the stored results are the same bytes
         with open(finals[0]["result_path"]) as handle:
-            first = json.load(handle)
+            first = handle.read()
         with open(finals[-1]["result_path"]) as handle:
-            last = json.load(handle)
-        for payload in (first, last):
-            payload.pop("engine")
+            last = handle.read()
         assert first == last
 
 
@@ -175,7 +175,7 @@ class TestResume:
             with open(second.result_path(study_id)) as handle:
                 result = json.load(handle)
         plan = build_study(spec)
-        expected = study_payload(spec, plan, plan.run(), workers=1)
+        expected = study_payload(spec, plan, plan.run())
         assert [b["block"] for b in result["blocks"]] == \
             [b["block"] for b in expected["blocks"]]
         assert result["seed"] == expected["seed"]

@@ -1,20 +1,16 @@
 #!/usr/bin/env python3
 """Diff two campaign-JSON payloads: ``diff_study_json.py A.json B.json``.
 
-Checks that two ``repro-campaign run <study> --json`` payloads of the same
-study under one root seed agree: the same top-level and per-block schema,
-and exactly the same deterministic values -- the root seed and ``k``, the
-window deltas, the yield-loss points, the escape analysis and the per-block
-numbers, per variant for a variant sweep.  Use it to compare runs that must
-be bit-identical: serial against a process pool, batch sizes, a cache
-replay, or a parent checkout against a change.  The ``engine`` summary and
-``workers`` describe how a run executed (backend, executed and cached task
-counts), so they legitimately differ between such runs and are not
-compared.  Per-block ``timing`` is compared: it holds only the deterministic
-``modeled_sim_time``, so payloads written before measured time left the
-study JSON (they also carry a ``wall_time`` there) no longer match.  Two
-runs of one study on the same backend from equally warm caches write
-byte-identical JSON, so ``cmp`` is the stricter check for them.
+The study JSON is a function of the spec, the root seed and the code
+only, so ``cmp`` is the check for any two current runs of one study:
+serial against a process pool, cold against a cache replay, a daemon
+result against an in-process run.  This tool stays for what ``cmp``
+cannot do: it prints one line per differing leaf (``escapes.n_benign``,
+``yield_loss[2].empirical``, a block's ``coverage``), per variant for a
+variant sweep, and it reads payloads written before the JSON dropped its
+execution account.  Those carry a top-level ``engine`` summary and
+``workers`` count (:data:`LEGACY_EXECUTION_KEYS`), which it leaves out of
+the key-set check on either side; every other key must match.
 
 Exits non-zero with one line per mismatch.
 """
@@ -24,6 +20,10 @@ from __future__ import annotations
 import json
 import sys
 from typing import Any, Dict, List
+
+#: Top-level keys of payloads written before the study JSON dropped its
+#: execution account; ignored on either side of the key-set check.
+LEGACY_EXECUTION_KEYS = {"engine", "workers"}
 
 #: Payload (or per-variant fragment) keys whose values are deterministic
 #: under a fixed root seed.
@@ -55,10 +55,12 @@ def value_diffs(path: str, a: Any, b: Any) -> List[str]:
 def diff(a: Dict[str, Any], b: Dict[str, Any],
          a_name: str, b_name: str) -> List[str]:
     problems = []
-    if set(a) != set(b):
+    keys_a = set(a) - LEGACY_EXECUTION_KEYS
+    keys_b = set(b) - LEGACY_EXECUTION_KEYS
+    if keys_a != keys_b:
         problems.append(
-            f"top-level keys differ: {a_name} has {sorted(set(a) - set(b))} "
-            f"extra, {b_name} has {sorted(set(b) - set(a))} extra")
+            f"top-level keys differ: {a_name} has {sorted(keys_a - keys_b)} "
+            f"extra, {b_name} has {sorted(keys_b - keys_a)} extra")
     for key in DETERMINISTIC_KEYS:
         problems.extend(value_diffs(key, a.get(key), b.get(key)))
     # Multi-variant payloads: the per-variant fragments carry the same
