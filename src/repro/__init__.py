@@ -73,13 +73,11 @@ the shell as ``repro-campaign run`` (see :mod:`repro.engine.cli`), e.g.::
     repro-campaign run block-study --workers 4 --cache-dir .repro-cache
 """
 
-import importlib
-
 from . import adc, circuit, core, defects, engine
+from ._lazy import lazy_exports
 from .adc import SarAdc
 from .circuit import ReproError
-from .core import (SymBistController, SymBistResult, SymBistStimulus,
-                   WindowCalibration, calibrate_windows, run_symbist)
+from .core import SymBistStimulus, WindowCalibration, calibrate_windows
 from .defects import DefectCampaign, SamplingPlan, build_defect_universe
 from .engine import (CampaignEngine, CampaignReport, ResultCache,
                      SerialBackend, SharedMemoryBackend, Task, TaskGraph)
@@ -96,16 +94,10 @@ __all__ = [
     "functional_test", "run_symbist",
 ]
 
-# Loaded on first attribute access (PEP 562): a study imports what it needs
-# of these inside the stages that use them.
-_LAZY_SUBPACKAGES = frozenset({"analysis", "digital", "functional_test"})
-
-
-def __getattr__(name):
-    if name in _LAZY_SUBPACKAGES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _LAZY_SUBPACKAGES)
+# Loaded on first attribute access: a study imports what it needs of these
+# subpackages inside the stages that use them, and never runs the per-cycle
+# controller.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis": ("analysis",), ".digital": ("digital",),
+    ".functional_test": ("functional_test",),
+    ".core": ("SymBistController", "SymBistResult", "run_symbist")})

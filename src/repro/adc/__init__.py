@@ -9,6 +9,7 @@ and the SAR logic.  Every analog block couples a structural netlist (the
 defect surface) with a behavioral evaluation.
 """
 
+from .._lazy import lazy_exports
 from .bandgap import Bandgap, BandgapOutput
 from .behavioral import (MosState, PassiveState, StageEffect, combine_effects,
                          diff_stage_effect, effective_capacitance,
@@ -27,7 +28,6 @@ from .sar_control import N_PULSES, SarControl
 from .sar_logic import SarLogic
 from .sarcell import SarCell, SarCellOutputs
 from .sc_array import ScArray, ScArrayInputs, ScArrayOutput
-from .spec import AdcSpecification, MeasuredPerformance, check_specification
 from .subdac import SubDac, SubDacOutput, make_subdac1, make_subdac2
 from .vcm_generator import VcmGenerator
 
@@ -46,3 +46,9 @@ __all__ = [
     "make_subdac1", "make_subdac2", "mos_state", "passive_state",
     "split_code", "switch_state",
 ]
+
+# The functional specification is read only by the escape analysis and the
+# functional baseline: loaded on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".spec": ("AdcSpecification", "MeasuredPerformance",
+              "check_specification")})

@@ -262,12 +262,6 @@ class StageEffect:
             bias_scale=self.bias_scale * other.bias_scale,
         )
 
-    @property
-    def is_nominal(self) -> bool:
-        return (self.gain_scale == 1.0 and self.offset == 0.0
-                and self.cm_shift == 0.0 and self.stuck_positive is None
-                and self.stuck_negative is None and self.bias_scale == 1.0)
-
 
 #: Roles a MOS transistor can play inside a differential amplifier stage.
 #: Used by :func:`diff_stage_effect` to translate a device defect into a

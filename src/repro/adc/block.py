@@ -14,9 +14,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..circuit.components import Device
 from ..circuit.netlist import Netlist
 from ..circuit.variation import (GaussianParameter, VariationSpec,
-                                 reset_variation, vary_netlist)
+                                 reset_variation, vary_passives)
 
 
 class AnalogBlock:
@@ -34,6 +35,9 @@ class AnalogBlock:
         self.netlist = Netlist(name)
         self._parameters: Dict[str, GaussianParameter] = {}
         self._sampled: Dict[str, float] = {}
+        #: The netlist's passive devices, found on the first Monte Carlo
+        #: draw (subclasses fill the netlist after this constructor).
+        self._passives: Optional[List[Device]] = None
 
     # ----------------------------------------------------------- parameters
     def declare_parameter(self, name: str, nominal: float,
@@ -90,7 +94,10 @@ class AnalogBlock:
         Passive devices of the structural netlist get value-scale draws and
         every declared behavioral parameter is re-sampled from its Gaussian.
         """
-        vary_netlist(self.netlist, rng, spec)
+        if self._passives is None:
+            self._passives = [device for device in self.netlist
+                              if device.kind.is_passive]
+        vary_passives(self._passives, rng, spec)
         for name, param in self._parameters.items():
             self._sampled[name] = param.sample(rng)
 

@@ -52,17 +52,6 @@ class PhaseGenerator:
             return Phase.CONVERT
         return Phase.CAPTURE
 
-    def bit_index_of_cycle(self, cycle: int) -> int:
-        """Bit resolved during ``cycle`` (MSB = n_bits - 1 .. 0 = LSB), or -1.
-
-        Returns -1 for sampling and capture cycles, during which no bit is
-        decided.
-        """
-        position = cycle % self.cycles_per_conversion
-        if 1 <= position <= self.n_bits:
-            return self.n_bits - position
-        return -1
-
     def schedule(self, n_conversions: int = 1) -> List[Phase]:
         """Phase of every cycle across ``n_conversions`` conversions."""
         total = n_conversions * self.cycles_per_conversion

@@ -38,17 +38,6 @@ class AdcSpecification:
         """Specification limits bound to an ADC instance's resolution."""
         return replace(cls(), resolution_bits=adc.dut.resolution_bits)
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "resolution_bits": self.resolution_bits,
-            "max_dnl_lsb": self.max_dnl_lsb,
-            "max_inl_lsb": self.max_inl_lsb,
-            "min_enob_bits": self.min_enob_bits,
-            "max_offset_lsb": self.max_offset_lsb,
-            "max_gain_error_percent": self.max_gain_error_percent,
-            "max_missing_codes": self.max_missing_codes,
-        }
-
 
 @dataclass
 class MeasuredPerformance:

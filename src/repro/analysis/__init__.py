@@ -1,7 +1,6 @@
 """Analysis utilities: statistics, yield-loss modelling, escape analysis."""
 
-from .escape_analysis import (EscapeAnalysisResult, EscapeRecord,
-                              analyze_escapes)
+from .._lazy import lazy_exports
 from .statistics import (StatisticsError, SummaryStatistics, Z_95,
                          gaussian_exceedance_probability, per_test_to_per_run,
                          percentile, proportion_ci, summarize)
@@ -15,3 +14,9 @@ __all__ = [
     "per_test_to_per_run", "percentile", "proportion_ci", "summarize",
     "yield_loss_sweep",
 ]
+
+# Only a study with an escape stage runs the escape analysis: loaded on first
+# use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".escape_analysis": ("EscapeAnalysisResult", "EscapeRecord",
+                         "analyze_escapes")})

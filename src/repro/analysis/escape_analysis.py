@@ -18,19 +18,21 @@ test suite measures the converter against its datasheet.  Escapes split into
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..adc.sar_adc import SarAdc
-from ..adc.spec import AdcSpecification
 from ..circuit.errors import CoverageError
 from ..defects.injection import DefectInjector
 from ..defects.model import Defect
 from ..defects.simulator import (CampaignResult, defect_from_jsonable,
                                  defect_to_jsonable)
 from ..engine import ResultCodec
-from ..functional_test.baseline_bist import FunctionalBistBaseline
+
+if TYPE_CHECKING:
+    from ..adc.spec import AdcSpecification
+    from ..functional_test.baseline_bist import FunctionalBistBaseline
 
 
 @dataclass
@@ -144,6 +146,11 @@ def analyze_escapes(campaign_result: CampaignResult,
         adc = SarAdc()
     if injector is None:
         injector = DefectInjector(adc.build_hierarchy())
+    # The functional suite is this function's own cost: a study that only
+    # compiles or replays its escape stage never imports it.
+    from ..adc.spec import AdcSpecification
+    from ..functional_test.baseline_bist import FunctionalBistBaseline
+
     baseline = baseline or FunctionalBistBaseline(
         linearity_span_codes=48, samples_per_code=4, sine_samples=128,
         spec=spec or AdcSpecification())

@@ -8,6 +8,7 @@ traces, a cycle-based transient engine with a glitch model, and process-
 variation utilities for Monte Carlo analysis.
 """
 
+from .._lazy import lazy_exports
 from .components import (DefectState, Device, DeviceKind, PullDirection,
                          TERMINALS, capacitor, diode, nmos, npn, pmos, pnp,
                          resistor, switch)
@@ -17,9 +18,6 @@ from .errors import (BistConfigurationError, CalibrationError, ComponentError,
                      NetlistError, ReproError, SimulationError, SolverError,
                      TaskExecutionError)
 from .netlist import HierarchyEntry, Netlist, NetlistHierarchy
-from .signals import Trace, WaveformSet
-from .simulator import (ClockedStimulus, GlitchModel, SequenceStimulus,
-                        SimulationResult, TransientSimulator)
 from .solver import LinearNetwork, solve_resistor_string
 from .units import (ADC_BITS, F_CLK, N_REF_LEVELS, OPEN_RESISTANCE,
                     PASSIVE_DEVIATION, SHORT_RESISTANCE, VCM2_NOMINAL,
@@ -46,3 +44,10 @@ __all__ = [
     "parallel", "pmos", "pnp", "reset_variation", "resistor",
     "solve_resistor_string", "switch", "vary_netlist",
 ]
+
+# Waveform traces and the cycle-based transient engine serve the per-cycle
+# controller and Fig. 5, never a study: loaded on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".signals": ("Trace", "WaveformSet"),
+    ".simulator": ("ClockedStimulus", "GlitchModel", "SequenceStimulus",
+                   "SimulationResult", "TransientSimulator")})

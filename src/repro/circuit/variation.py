@@ -8,8 +8,9 @@ used by that analysis:
 
 * :class:`VariationSpec` -- relative sigmas for each device family plus the
   mismatch sigma applied per-device on top of a correlated "global" shift.
-* :func:`vary_netlist` -- apply one Monte Carlo draw to all passive devices of
-  a structural netlist (ladders, dividers, SC array capacitors).
+* :func:`vary_netlist` / :func:`vary_passives` -- apply one Monte Carlo draw
+  to all passive devices of a structural netlist (ladders, dividers, SC array
+  capacitors).
 * :class:`GaussianParameter` -- a scalar behavioural parameter (amplifier
   offset, comparator offset, buffer gain error, ...) with a nominal value and
   a sigma, sampled per Monte Carlo iteration.
@@ -22,11 +23,11 @@ whole-IP Monte Carlo runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .components import DeviceKind
+from .components import Device, DeviceKind
 from .errors import SimulationError
 from .netlist import Netlist
 
@@ -81,12 +82,23 @@ class GaussianParameter:
 
 def vary_netlist(netlist: Netlist, rng: np.random.Generator,
                  spec: Optional[VariationSpec] = None) -> Dict[str, float]:
-    """Apply one process-variation draw to the passives of ``netlist``.
+    """Apply one process-variation draw to the passives of ``netlist``
+    (see :func:`vary_passives`)."""
+    return vary_passives([device for device in netlist
+                          if device.kind.is_passive], rng, spec)
+
+
+def vary_passives(passives: Sequence[Device], rng: np.random.Generator,
+                  spec: Optional[VariationSpec] = None) -> Dict[str, float]:
+    """Apply one process-variation draw to ``passives``, the passive
+    devices of one netlist in netlist order.
 
     The draw is expressed through each device's ``defect.value_scale`` *only
     when the device is defect-free*; an injected defect takes precedence so
     that defect simulation and Monte Carlo can coexist (defect simulation is
-    normally run at the nominal process corner, like in the paper).
+    normally run at the nominal process corner, like in the paper).  Both
+    global shifts are drawn even when ``passives`` is empty, so the
+    generator's stream does not depend on the netlist's content.
 
     Returns the mapping from device name to the applied scale factor, which is
     convenient for tests and for reproducibility checks.
@@ -95,9 +107,7 @@ def vary_netlist(netlist: Netlist, rng: np.random.Generator,
     scales: Dict[str, float] = {}
     global_r = 1.0 + spec.resistor_global_sigma * float(rng.standard_normal())
     global_c = 1.0 + spec.capacitor_global_sigma * float(rng.standard_normal())
-    for device in netlist:
-        if not device.kind.is_passive:
-            continue
+    for device in passives:
         if device.has_defect:
             continue
         if device.kind is DeviceKind.RESISTOR:

@@ -7,21 +7,15 @@ staged golden-trace residual kernel, the Monte Carlo ``delta = k * sigma``
 window calibration, and the test-time and area-overhead models.
 """
 
-from .area import (AreaReport, DEFAULT_DIGITAL_GATES, area_overhead,
-                   ip_analog_area, symbist_infrastructure_area)
+from .._lazy import lazy_exports
 from .calibration import (DEFAULT_DELTA_FLOORS, GENERIC_DELTA_FLOOR,
                           WindowCalibration, calibrate_windows,
                           calibration_from_windows,
                           collect_defect_free_residuals)
-from .controller import SymBistController, SymBistResult, run_symbist
 from .golden_trace import GoldenTrace, build_golden_trace
 from .invariance import (Invariance, SIGN_DEADBAND, SIGN_VIOLATION_MAGNITUDE,
                          build_invariances, evaluate_all, invariance_by_name)
-from .report import (format_confidence, format_percent, format_table,
-                     summarize_symbist_result, waveform_csv)
 from .stimulus import SymBistStimulus
-from .tam import (INSTRUCTION_BITS, RESPONSE_BITS, SymBistTam, TamInstruction,
-                  TamSession)
 from .test_time import CheckingMode, TestTimeModel
 from .window_comparator import (WindowCheckResult, WindowComparator,
                                 build_checkers)
@@ -42,3 +36,14 @@ __all__ = [
     "TamSession", "INSTRUCTION_BITS", "RESPONSE_BITS", "symbist_infrastructure_area",
     "waveform_csv",
 ]
+
+# The per-cycle controller (with the transient simulator behind it), the
+# TAM, and the area and report models run in no study: loaded on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".area": ("AreaReport", "DEFAULT_DIGITAL_GATES", "area_overhead",
+              "ip_analog_area", "symbist_infrastructure_area"),
+    ".controller": ("SymBistController", "SymBistResult", "run_symbist"),
+    ".report": ("format_confidence", "format_percent", "format_table",
+                "summarize_symbist_result", "waveform_csv"),
+    ".tam": ("INSTRUCTION_BITS", "RESPONSE_BITS", "SymBistTam",
+             "TamInstruction", "TamSession")})

@@ -27,7 +27,7 @@ from ..circuit.simulator import GlitchModel, TransientSimulator
 from ..circuit.units import F_CLK
 from .invariance import Invariance, build_invariances
 from .stimulus import SymBistStimulus
-from .test_time import CheckingMode, TestTimeModel
+from .test_time import CheckingMode, TestTimeModel, resolve_detection
 from .window_comparator import WindowCheckResult, WindowComparator
 
 
@@ -84,36 +84,6 @@ class SymBistResult:
     def worst_residuals(self) -> Dict[str, float]:
         return {name: res.worst_residual
                 for name, res in self.check_results.items()}
-
-
-def resolve_detection(mode: CheckingMode, outside: np.ndarray,
-                      stop_on_detection: bool
-                      ) -> Tuple[bool, Optional[Tuple[int, int]], int, int]:
-    """Walk the checking schedule and resolve the pass/fail accounting.
-
-    ``outside`` is the boolean ``invariance x cycle`` matrix of settled
-    samples that left their window.  Returns ``(passed, first_detection,
-    cycles_scheduled, cycles_run)`` for the given checking mode, exactly as
-    the on-chip controller would compute them, where ``first_detection`` is
-    the ``(invariance row, cycle)`` of the earliest detection in the
-    schedule: sequential mode walks one invariance at a time (row-major
-    order), parallel mode checks every invariance within each counter cycle
-    (cycle-major order).  This is the one schedule policy of the full
-    :class:`SymBistController` run and of the batched defect evaluator.
-    """
-    n_rows, n_cycles = outside.shape
-    sequential = mode is CheckingMode.SEQUENTIAL
-    cycles_scheduled = n_rows * n_cycles if sequential else n_cycles
-    if not outside.any():
-        return True, None, cycles_scheduled, cycles_scheduled
-    if sequential:
-        row, cycle = divmod(int(np.argmax(outside)), n_cycles)
-        steps = row * n_cycles + cycle + 1
-    else:
-        cycle, row = divmod(int(np.argmax(outside.T)), n_rows)
-        steps = cycle + 1
-    cycles_run = steps if stop_on_detection else cycles_scheduled
-    return False, (row, cycle), cycles_scheduled, cycles_run
 
 
 class SymBistController:

@@ -7,9 +7,11 @@ series.  The helpers here keep that formatting in one place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
+                    Sequence)
 
-from .controller import SymBistResult
+if TYPE_CHECKING:
+    from .controller import SymBistResult
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],

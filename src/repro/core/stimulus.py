@@ -17,12 +17,14 @@ the cycle-based simulator and the BIST controller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping
 
 from ..circuit.errors import BistConfigurationError
-from ..circuit.simulator import SequenceStimulus
 from ..circuit.units import VCM_NOMINAL
 from ..adc.sar_adc import DEFAULT_TEST_INPUT_DIFF
+
+if TYPE_CHECKING:
+    from ..circuit.simulator import SequenceStimulus
 
 
 @dataclass(frozen=True)
@@ -95,4 +97,5 @@ class SymBistStimulus:
 
     def as_sequence_stimulus(self) -> SequenceStimulus:
         """Adapter for :class:`repro.circuit.simulator.TransientSimulator`."""
+        from ..circuit.simulator import SequenceStimulus
         return SequenceStimulus(self.bundles())

@@ -8,13 +8,18 @@ conversion takes the 12 clock cycles paced by the control pulses ``P<0:11>``).
 This module provides that arithmetic for both checker-sharing strategies
 (sequential: one shared window comparator re-run per invariance; parallel: one
 comparator per invariance, single pass) plus the comparison against the
-conversion time and against the functional-test baseline.
+conversion time and against the functional-test baseline, and the checking
+schedule itself (:func:`resolve_detection`), which the per-cycle controller
+and the batched defect evaluator share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional, Tuple
+
+import numpy as np
 
 from ..circuit.errors import BistConfigurationError
 from ..circuit.units import F_CLK
@@ -26,6 +31,37 @@ class CheckingMode(str, Enum):
 
     SEQUENTIAL = "sequential"  # one shared window comparator, one pass per invariance
     PARALLEL = "parallel"      # one window comparator per invariance, single pass
+
+
+def resolve_detection(mode: CheckingMode, outside: np.ndarray,
+                      stop_on_detection: bool
+                      ) -> Tuple[bool, Optional[Tuple[int, int]], int, int]:
+    """Walk the checking schedule and resolve the pass/fail accounting.
+
+    ``outside`` is the boolean ``invariance x cycle`` matrix of settled
+    samples that left their window.  Returns ``(passed, first_detection,
+    cycles_scheduled, cycles_run)`` for the given checking mode, exactly as
+    the on-chip controller would compute them, where ``first_detection`` is
+    the ``(invariance row, cycle)`` of the earliest detection in the
+    schedule: sequential mode walks one invariance at a time (row-major
+    order), parallel mode checks every invariance within each counter cycle
+    (cycle-major order).  This is the one schedule policy of the full
+    :class:`~repro.core.controller.SymBistController` run and of the
+    batched defect evaluator.
+    """
+    n_rows, n_cycles = outside.shape
+    sequential = mode is CheckingMode.SEQUENTIAL
+    cycles_scheduled = n_rows * n_cycles if sequential else n_cycles
+    if not outside.any():
+        return True, None, cycles_scheduled, cycles_scheduled
+    if sequential:
+        row, cycle = divmod(int(np.argmax(outside)), n_cycles)
+        steps = row * n_cycles + cycle + 1
+    else:
+        cycle, row = divmod(int(np.argmax(outside.T)), n_rows)
+        steps = cycle + 1
+    cycles_run = steps if stop_on_detection else cycles_scheduled
+    return False, (row, cycle), cycles_scheduled, cycles_run
 
 
 @dataclass(frozen=True)

@@ -87,11 +87,6 @@ class WindowComparator:
                 f"checker {self.name!r}: hysteresis must be non-negative")
 
     # ------------------------------------------------------------------ checks
-    def is_within_window(self, value: float) -> bool:
-        """Single settled-sample check against the comparison window."""
-        deviation = abs(value - self.center - self.offset)
-        return deviation <= self.delta
-
     def check_samples(self, residuals: Iterable[float]) -> WindowCheckResult:
         """Check a sequence of settled samples (one per clock cycle).
 

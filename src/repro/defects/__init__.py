@@ -8,8 +8,7 @@ Random Sampling, defect injection, stop-on-detection campaign execution, and
 likelihood-weighted coverage with 95 % confidence intervals.
 """
 
-from .diagnosis import (BlockScore, DiagnosisReport, diagnose,
-                        diagnosis_accuracy)
+from .._lazy import lazy_exports
 from .coverage import (CoverageEstimate, Z_95, combine_detected_likelihood,
                        exhaustive_coverage, lwrs_coverage, wilson_interval)
 from .injection import DefectInjector
@@ -40,3 +39,9 @@ __all__ = [
     "per_block_selection", "select_defects", "variant_seed",
     "wilson_interval",
 ]
+
+# Diagnosis reads per-cycle controller results and runs in no study: loaded
+# on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".diagnosis": ("BlockScore", "DiagnosisReport", "diagnose",
+                   "diagnosis_accuracy")})

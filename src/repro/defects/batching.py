@@ -22,7 +22,7 @@ for every defect-free instance too:
   (:func:`stage_key`) and a defect whose stage output was seen before
   skips the downstream walk;
 * all window checks are one array comparison over the invariance x cycle
-  residual matrix, and :func:`~repro.core.controller.resolve_detection`
+  residual matrix, and :func:`~repro.core.test_time.resolve_detection`
   reads the first detection of the checking schedule from it.
 
 Bit-identity holds because every block model is a pure function of its inputs
@@ -56,13 +56,12 @@ import numpy as np
 
 from ..adc.sar_adc import OperatingPoint, SarAdc
 from ..circuit.errors import DefectError
-from ..core.controller import resolve_detection
 from ..core.golden_trace import (LOCAL_STAGE, build_golden_trace,
                                  output_differs, residual_columns,
                                  stage_output, sweep_stages)
 from ..core.invariance import Invariance, build_invariances
 from ..core.stimulus import SymBistStimulus
-from ..core.test_time import CheckingMode
+from ..core.test_time import CheckingMode, resolve_detection
 from ..core.window_comparator import WindowComparator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (simulator imports us)

@@ -73,10 +73,6 @@ class DefectInjector:
         device.clear_defect()
         self._active = None
 
-    @property
-    def active_defect(self) -> Optional[Defect]:
-        return self._active
-
     @contextmanager
     def injected(self, defect: Defect) -> Iterator[Device]:
         """Context manager: inject on entry, always remove on exit."""

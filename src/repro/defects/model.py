@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..circuit.components import Device, DeviceKind, PullDirection, TERMINALS
 from ..circuit.errors import DefectError
@@ -100,7 +100,7 @@ class Defect:
                       likelihood=likelihood)
 
 
-def _default_pull(device: Device, terminal: str) -> PullDirection:
+def _default_pull(kind: DeviceKind, terminal: str) -> PullDirection:
     """Deterministic weak-pull assignment for an open defect.
 
     Gate opens of NMOS devices and P-type terminals default to a pull-down,
@@ -108,11 +108,53 @@ def _default_pull(device: Device, terminal: str) -> PullDirection:
     normally connect to, approximated by the device kind.  The choice is
     deterministic so that the defect universe is reproducible.
     """
-    if device.kind is DeviceKind.PMOS:
+    if kind is DeviceKind.PMOS:
         return PullDirection.UP
-    if device.kind is DeviceKind.NMOS:
+    if kind is DeviceKind.NMOS:
         return PullDirection.DOWN
     return PullDirection.DOWN
+
+
+@dataclass(frozen=True)
+class DefectTemplate:
+    """One defect of the standard model on a device of some kind, with the
+    device left open: the defect id is ``<block>/<device>:<suffix>``."""
+
+    suffix: str
+    kind: DefectKind
+    terminals: Tuple[str, ...] = ()
+    pull: Optional[PullDirection] = None
+
+    def build(self, block_path: str, device_name: str,
+              likelihood: float) -> Defect:
+        """The defect on device ``device_name`` of block ``block_path``."""
+        return Defect(defect_id=f"{block_path}/{device_name}:{self.suffix}",
+                      block_path=block_path, device_name=device_name,
+                      kind=self.kind, terminals=self.terminals,
+                      pull=self.pull, likelihood=likelihood)
+
+
+def _device_templates(kind: DeviceKind) -> Tuple[DefectTemplate, ...]:
+    terminals = TERMINALS[kind]
+    templates = [DefectTemplate(f"short:{term_a}-{term_b}", DefectKind.SHORT,
+                                (term_a, term_b))
+                 for term_a, term_b in itertools.combinations(terminals, 2)]
+    templates += [DefectTemplate(f"open:{term}", DefectKind.OPEN, (term,),
+                                 _default_pull(kind, term))
+                  for term in terminals]
+    if kind.is_passive:
+        # For a two-terminal passive the short and the two opens are kept
+        # (short, open at either end behaves identically in the model, but
+        # the physical defect sites differ, as in layout-aware defect
+        # extraction).
+        templates += [DefectTemplate("passive_high", DefectKind.PASSIVE_HIGH),
+                      DefectTemplate("passive_low", DefectKind.PASSIVE_LOW)]
+    return tuple(templates)
+
+
+#: The defects of every device kind, in enumeration order.
+DEVICE_TEMPLATES: Dict[DeviceKind, Tuple[DefectTemplate, ...]] = {
+    kind: _device_templates(kind) for kind in DeviceKind}
 
 
 def enumerate_device_defects(
@@ -134,36 +176,6 @@ def enumerate_device_defects(
     resistor / capacitor    1 short + 1 open + value +/-50 %
     ======================  ==========================================
     """
-    defects: List[Defect] = []
-    prefix = f"{block_path}/{device.name}"
-    terminals = TERMINALS[device.kind]
     weight = likelihood if likelihood is not None else (lambda kind: 1.0)
-
-    for term_a, term_b in itertools.combinations(terminals, 2):
-        defects.append(Defect(
-            defect_id=f"{prefix}:short:{term_a}-{term_b}",
-            block_path=block_path, device_name=device.name,
-            kind=DefectKind.SHORT, terminals=(term_a, term_b),
-            likelihood=weight(DefectKind.SHORT)))
-    for term in terminals:
-        defects.append(Defect(
-            defect_id=f"{prefix}:open:{term}",
-            block_path=block_path, device_name=device.name,
-            kind=DefectKind.OPEN, terminals=(term,),
-            pull=_default_pull(device, term),
-            likelihood=weight(DefectKind.OPEN)))
-    if device.kind.is_passive:
-        defects.append(Defect(
-            defect_id=f"{prefix}:passive_high",
-            block_path=block_path, device_name=device.name,
-            kind=DefectKind.PASSIVE_HIGH,
-            likelihood=weight(DefectKind.PASSIVE_HIGH)))
-        defects.append(Defect(
-            defect_id=f"{prefix}:passive_low",
-            block_path=block_path, device_name=device.name,
-            kind=DefectKind.PASSIVE_LOW,
-            likelihood=weight(DefectKind.PASSIVE_LOW)))
-        # For a two-terminal passive the short and the two opens are kept
-        # (short, open at either end behaves identically in the model, but the
-        # physical defect sites differ, as in layout-aware defect extraction).
-    return defects
+    return [template.build(block_path, device.name, weight(template.kind))
+            for template in DEVICE_TEMPLATES[device.kind]]

@@ -60,7 +60,7 @@ def lwrs_sample(universe: DefectUniverse, n_samples: int,
         n_samples = len(universe)
     indices = rng.choice(len(universe), size=n_samples,
                          replace=with_replacement, p=probabilities)
-    return [universe.defects[int(i)] for i in indices]
+    return [universe.defect(int(i)) for i in indices]
 
 
 def select_defects(universe: DefectUniverse, plan: SamplingPlan,

@@ -36,14 +36,14 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from ..adc.sar_adc import SarAdc
 from ..circuit.components import PullDirection
 from ..circuit.errors import CoverageError
-from ..core.controller import SymBistController
 from ..core.stimulus import SymBistStimulus
 from ..core.test_time import CheckingMode
 from ..core.window_comparator import WindowComparator
@@ -56,6 +56,9 @@ from .model import Defect, DefectKind
 from .sampling import (SamplingPlan, batch_spans, per_block_selection,
                        select_defects)
 from .universe import DefectUniverse, build_defect_universe
+
+if TYPE_CHECKING:
+    from ..core.controller import SymBistController
 
 #: Modelled transistor-level simulation cost of one test clock cycle, in
 #: seconds.  Calibrated so that a campaign of ~100 defects on the whole A/M-S
@@ -395,6 +398,9 @@ class DefectCampaign:
 
     # ------------------------------------------------------------------- runs
     def _build_controller(self) -> SymBistController:
+        # The per-cycle controller is the full-simulation oracle only; a
+        # campaign run never builds it.
+        from ..core.controller import SymBistController
         checkers = [WindowComparator(name=name, delta=delta)
                     for name, delta in self.deltas.items()]
         return SymBistController(self.adc, checkers, stimulus=self.stimulus,
@@ -466,8 +472,7 @@ class DefectCampaign:
         plan = plan or SamplingPlan(exhaustive=True)
         universe = self.universe
         if blocks is not None:
-            selected = [d for d in universe.defects if d.block_path in set(blocks)]
-            universe = DefectUniverse(selected)
+            universe = universe.by_blocks(blocks)
         if len(universe) == 0:
             raise CoverageError("no defects to simulate for the requested blocks")
         defects = select_defects(universe, plan, rng)

@@ -229,16 +229,6 @@ class DutSpec:
             return None
         return VariationSpec(**dict(self.variation))
 
-    def parameter_info(self, name: str) -> ParamInfo:
-        """Declaration metadata (unit, range, tolerance guess) of a field."""
-        for spec_field in dataclasses.fields(self):
-            if spec_field.name == name:
-                info = spec_field.metadata.get(PARAM_METADATA_KEY)
-                if isinstance(info, ParamInfo):
-                    return info
-                break
-        raise DutSpecError(f"DutSpec has no typed parameter {name!r}")
-
     # -------------------------------------------------------- serialization
     def to_jsonable(self) -> Dict[str, Any]:
         """Minimal JSON-ready mapping: fields at their default are dropped,

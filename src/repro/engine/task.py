@@ -112,7 +112,6 @@ class TaskGraph:
         self._tasks: List[Task] = []
         self._by_id: Dict[str, int] = {}
         self._dependents: Dict[str, List[str]] = {}
-        self._n_edges = 0
         for task in tasks:
             self.add(task)
 
@@ -130,7 +129,6 @@ class TaskGraph:
         self._tasks.append(task)
         for dep in task.depends_on:
             self._dependents.setdefault(dep, []).append(task.task_id)
-        self._n_edges += len(task.depends_on)
 
     # ------------------------------------------------------------------ access
     def __len__(self) -> int:
@@ -164,11 +162,6 @@ class TaskGraph:
         return list(seen.keys())
 
     # ------------------------------------------------------------------- edges
-    @property
-    def has_edges(self) -> bool:
-        """True when at least one task declares a dependency."""
-        return self._n_edges > 0
-
     def dependencies(self, task_id: str) -> Tuple[str, ...]:
         """Parent ids of ``task_id`` (declaration order)."""
         return self.get(task_id).depends_on
@@ -177,10 +170,6 @@ class TaskGraph:
         """Ids of the tasks that directly consume ``task_id``'s result."""
         self.index_of(task_id)  # raise for unknown ids
         return list(self._dependents.get(task_id, ()))
-
-    def roots(self) -> List[str]:
-        """Ids of the tasks with no dependencies, in insertion order."""
-        return [t.task_id for t in self._tasks if not t.depends_on]
 
     def descendants(self, task_id: str) -> List[str]:
         """Every task reachable from ``task_id`` through dependency edges.

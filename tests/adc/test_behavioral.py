@@ -137,7 +137,9 @@ class TestPassiveState:
 
 class TestStageEffect:
     def test_nominal_effect_is_identity(self):
-        assert StageEffect().is_nominal
+        effect = StageEffect(gain_scale=0.5, offset=0.1, stuck_negative=0.2)
+        assert StageEffect().combine(effect) == effect
+        assert effect.combine(StageEffect()) == effect
 
     def test_combine_multiplies_gains_and_adds_offsets(self):
         total = StageEffect(gain_scale=0.5, offset=0.1).combine(
@@ -164,7 +166,7 @@ class TestDiffStageEffect:
 
     def test_clean_device_has_no_effect(self):
         effect = diff_stage_effect("tail", nmos("m", "d", "g", "s"))
-        assert effect.is_nominal
+        assert effect == StageEffect()
 
     def test_tail_stuck_off_rails_both_outputs(self):
         dev = nmos("m", "d", "g", "s")
@@ -190,7 +192,7 @@ class TestDiffStageEffect:
     def test_source_bulk_short_on_load_is_benign(self):
         dev = pmos("m", "d", "g", "s")
         dev.defect.shorted_terminals = ("s", "b")
-        assert diff_stage_effect("load_pos", dev).is_nominal
+        assert diff_stage_effect("load_pos", dev) == StageEffect()
 
     def test_severity_scales_offsets(self):
         dev = nmos("m", "d", "g", "s")

@@ -11,12 +11,6 @@ class TestSpecification:
         assert spec.resolution_bits == 10
         assert spec.max_dnl_lsb <= spec.max_inl_lsb
 
-    def test_as_dict_round_trip(self):
-        spec = AdcSpecification()
-        data = spec.as_dict()
-        assert data["min_enob_bits"] == spec.min_enob_bits
-        assert len(data) == 7
-
 
 class TestComplianceCheck:
     def test_compliant_measurement(self):

@@ -66,11 +66,6 @@ class TestPhaseGenerator:
         assert pg.phase_of_cycle(12) is Phase.SAMPLE
         assert pg.phase_of_cycle(23) is Phase.CAPTURE
 
-    def test_bit_index_marches_msb_to_lsb(self):
-        pg = PhaseGenerator()
-        indices = [pg.bit_index_of_cycle(c) for c in range(12)]
-        assert indices == [-1, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, -1]
-
     def test_schedule_length(self):
         assert len(PhaseGenerator().schedule(3)) == 3 * CYCLES_PER_CONVERSION
 

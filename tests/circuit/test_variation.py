@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuit import (GaussianParameter, Netlist, SimulationError,
                            VariationSpec, reset_variation, vary_netlist)
+from repro.circuit.variation import vary_passives
 
 
 def passive_netlist():
@@ -97,3 +98,15 @@ class TestVaryNetlist:
         scales = vary_netlist(nl, np.random.default_rng(6), spec)
         r_scales = [v for k, v in scales.items() if k.startswith("r")]
         assert max(r_scales) - min(r_scales) < 0.01
+
+    def test_netlist_without_passives_still_draws_both_global_shifts(self):
+        """A draw consumes the same generator stream whether a netlist
+        holds passives or not, so later draws stay where they were."""
+        nl = Netlist("actives")
+        nl.add_nmos("m0", "d", "g", "s")
+        rng = np.random.default_rng(12)
+        assert vary_passives([], rng) == {}
+        assert vary_netlist(nl, rng) == {}
+        reference = np.random.default_rng(12)
+        reference.standard_normal(4)
+        assert rng.standard_normal() == reference.standard_normal()

@@ -29,18 +29,18 @@ class TestConstruction:
 class TestSingleSample:
     def test_inside_window_passes(self):
         checker = WindowComparator(name="x", delta=0.1)
-        assert checker.is_within_window(0.05)
-        assert checker.is_within_window(-0.1)
+        assert checker.check_samples([0.05]).passed
+        assert checker.check_samples([-0.1]).passed
 
     def test_outside_window_fails(self):
         checker = WindowComparator(name="x", delta=0.1)
-        assert not checker.is_within_window(0.11)
-        assert not checker.is_within_window(-0.5)
+        assert not checker.check_samples([0.11]).passed
+        assert not checker.check_samples([-0.5]).passed
 
     def test_offset_shifts_the_window(self):
         checker = WindowComparator(name="x", delta=0.1, offset=0.2)
-        assert checker.is_within_window(0.25)
-        assert not checker.is_within_window(0.0)
+        assert checker.check_samples([0.25]).passed
+        assert not checker.check_samples([0.0]).passed
 
 
 class TestSampleSequences:

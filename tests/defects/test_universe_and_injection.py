@@ -9,8 +9,10 @@ from repro.adc import SarAdc
 from repro.circuit import CoverageError, DefectError
 from repro.defects import (DefectInjector, DefectKind, DefectUniverse,
                            LikelihoodModel, SamplingPlan,
-                           build_defect_universe, enumerate_device_defects,
-                           lwrs_sample, select_defects)
+                           block_seed_sequence, build_defect_universe,
+                           enumerate_device_defects, lwrs_sample,
+                           per_block_selection, select_defects)
+from repro.dut import default_dut
 
 
 class TestUniverseExtraction:
@@ -25,7 +27,7 @@ class TestUniverseExtraction:
         assert 2000 <= len(session_universe) <= 4000
 
     def test_subdacs_dominate_the_defect_count(self, session_universe):
-        counts = session_universe.counts_by_block()
+        counts = Counter(d.block_path for d in session_universe)
         assert counts["subdac1"] == counts["subdac2"]
         assert counts["subdac1"] > 0.25 * len(session_universe)
 
@@ -42,8 +44,7 @@ class TestUniverseExtraction:
         sc = session_universe.by_block("sc_array")
         assert len(sc) > 0
         assert all(d.block_path == "sc_array" for d in sc)
-        shorts = session_universe.by_kind(DefectKind.SHORT)
-        assert all(d.kind is DefectKind.SHORT for d in shorts)
+        assert len(session_universe.by_block("not_a_block")) == 0
 
     def test_find_by_id(self, session_universe):
         some = session_universe.defects[10]
@@ -86,6 +87,65 @@ class TestUniverseExtraction:
             DefectUniverse([]).probabilities()
 
 
+def _walked_defects(hierarchy, model):
+    """The universe as a plain per-device walk (the reference)."""
+    return [defect
+            for block_path, device in hierarchy.iter_devices(group="ams")
+            for defect in enumerate_device_defects(
+                block_path, device,
+                lambda kind: model.kind_likelihood(kind, block_path, device))]
+
+
+def _walked_selection(defects, seed, n_samples, threshold):
+    """Per-block LWRS selection drawn from plain defect lists."""
+    selection = {}
+    for block in dict.fromkeys(d.block_path for d in defects):
+        members = [d for d in defects if d.block_path == block]
+        if len(members) <= threshold:
+            selection[block] = members
+            continue
+        weights = np.asarray([d.likelihood for d in members], dtype=float)
+        rng = np.random.default_rng(block_seed_sequence(seed, block))
+        indices = rng.choice(len(members), size=n_samples, replace=True,
+                             p=weights / weights.sum())
+        selection[block] = [members[int(i)] for i in indices]
+    return selection
+
+
+class TestBlockColumns:
+    @pytest.mark.parametrize("bits", [8, 10, 12])
+    @pytest.mark.parametrize("model", [
+        LikelihoodModel(),
+        LikelihoodModel(block_scale={"bandgap": 3.0, "subdac1": 0.7})],
+        ids=["default-model", "scaled-model"])
+    def test_columns_equal_a_plain_device_walk(self, bits, model):
+        """Defects, size, likelihood bits, probabilities and every block's
+        LWRS selection equal those of the plain enumeration."""
+        dut = default_dut().merged({"resolution_bits": bits})
+        hierarchy = SarAdc(dut=dut).build_hierarchy()
+        universe = build_defect_universe(hierarchy, model)
+        walked = _walked_defects(hierarchy, model)
+
+        assert len(universe) == len(walked)
+        assert universe.defects == walked
+        assert universe.total_likelihood.hex() == \
+            float(sum(d.likelihood for d in walked)).hex()
+        weights = np.asarray([d.likelihood for d in walked], dtype=float)
+        assert np.array_equal(universe.probabilities(),
+                              weights / weights.sum())
+        for block in universe.block_paths():
+            members = [d for d in walked if d.block_path == block]
+            sub = universe.by_block(block)
+            assert len(sub) == len(members)
+            assert sub.total_likelihood.hex() == \
+                float(sum(d.likelihood for d in members)).hex()
+
+        fresh = build_defect_universe(hierarchy, model)
+        selection = per_block_selection(fresh, 7, 64)
+        assert {block: defects for block, (_, defects) in selection.items()} \
+            == _walked_selection(walked, 7, 64, threshold=64)
+
+
 class TestInjection:
     def test_inject_and_remove_short(self):
         adc = SarAdc()
@@ -96,10 +156,8 @@ class TestInjection:
                       and d.block_path == "sc_array")
         device = injector.inject(defect)
         assert device.has_defect
-        assert injector.active_defect is defect
         injector.remove()
         assert not device.has_defect
-        assert injector.active_defect is None
 
     def test_single_defect_assumption_enforced(self):
         adc = SarAdc()

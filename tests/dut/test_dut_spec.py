@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import DutSpecError
-from repro.dut import DutSpec, Range, default_dut
+from repro.dut import DutSpec, default_dut
 
 #: The content hash of the paper's (all-defaults) device; pinned because it
 #: feeds cache keys -- changing it invalidates every existing cache.
@@ -210,10 +210,3 @@ class TestGeometry:
         assert DutSpec(vcm=0.5).common_mode == 0.5
         assert DutSpec(vdd=1.0).common_mode == pytest.approx(0.5)
 
-    def test_parameter_info_exposes_declaration(self):
-        info = DutSpec().parameter_info("vdd")
-        assert info.units == "V"
-        assert isinstance(info.soft_set, Range)
-        assert 1.2 in info.soft_set
-        with pytest.raises(DutSpecError, match="no typed parameter"):
-            DutSpec().parameter_info("nonsense")

@@ -81,18 +81,17 @@ class TestTaskGraphEdges:
 
     def test_edge_accessors(self):
         graph = _diamond()
-        assert graph.has_edges
+        assert graph.dependencies("a") == ()
         assert graph.dependencies("d") == ("b", "c")
         assert graph.dependents("a") == ["b", "c"]
-        assert graph.roots() == ["a"]
         assert graph.descendants("a") == ["b", "c", "d"]
         assert graph.descendants("b") == ["d"]
         assert graph.topological_order() == ["a", "b", "c", "d"]
 
     def test_flat_graph_has_no_edges(self):
         graph = TaskGraph([Task(task_id="x"), Task(task_id="y")])
-        assert not graph.has_edges
-        assert graph.roots() == ["x", "y"]
+        assert graph.dependencies("x") == graph.dependencies("y") == ()
+        assert graph.dependents("x") == graph.dependents("y") == []
 
 
 class TestGraphExecution:
@@ -330,7 +329,6 @@ class TestCalibrateThenCampaign:
     def test_graph_shape(self):
         plan = build_study(_campaign_spec())
         graph = plan.pipeline.graph
-        assert graph.has_edges
         assert graph.dependencies("windows") == tuple(
             f"calib/{i}" for i in range(MC))
         for task_id in plan.block_task_ids[BLOCK]:

@@ -125,3 +125,95 @@ def test_lazy_subpackages_load_on_first_access():
         "assert set(repro.__all__) <= set(dir(repro))")
     assert {"repro.digital", "repro.functional_test"} <= set(loaded)
     assert "repro.analysis" not in loaded
+
+
+#: What a study process imports before it compiles its study (the import
+#: line of ``perfbench/study.py``).
+STUDY_IMPORTS = ("from repro.engine import (JsonlTraceSink, ResultCache, "
+                 "SerialBackend, SharedMemoryBackend, TelemetryBus, "
+                 "build_study, load_study)\n"
+                 "from repro.engine.cli import study_payload")
+
+#: The ``repro`` modules that import line loads.  The per-cycle controller,
+#: the TAM, the transient simulator, waveform signals, the area and report
+#: models, diagnosis and the functional specification are not among them:
+#: no study runs them.
+STUDY_MODULES = {
+    "repro", "repro._lazy",
+    "repro.adc", "repro.adc.bandgap", "repro.adc.behavioral",
+    "repro.adc.block", "repro.adc.comparator", "repro.adc.dac",
+    "repro.adc.phase_generator", "repro.adc.reference_buffer",
+    "repro.adc.sar_adc", "repro.adc.sar_control", "repro.adc.sar_logic",
+    "repro.adc.sarcell", "repro.adc.sc_array", "repro.adc.subdac",
+    "repro.adc.vcm_generator",
+    "repro.circuit", "repro.circuit.components", "repro.circuit.errors",
+    "repro.circuit.netlist", "repro.circuit.solver", "repro.circuit.units",
+    "repro.circuit.variation",
+    "repro.core", "repro.core.calibration", "repro.core.golden_trace",
+    "repro.core.invariance", "repro.core.stimulus", "repro.core.test_time",
+    "repro.core.window_comparator",
+    "repro.defects", "repro.defects.batching", "repro.defects.coverage",
+    "repro.defects.injection", "repro.defects.likelihood",
+    "repro.defects.model", "repro.defects.sampling",
+    "repro.defects.simulator", "repro.defects.universe",
+    "repro.dut", "repro.dut.params", "repro.dut.spec",
+    "repro.engine", "repro.engine.backends", "repro.engine.cache",
+    "repro.engine.cli", "repro.engine.console", "repro.engine.executor",
+    "repro.engine.pipeline", "repro.engine.registry", "repro.engine.spec",
+    "repro.engine.task", "repro.engine.telemetry", "repro.engine.trace",
+}
+
+
+def _repro_modules(loaded):
+    return {name for name in loaded
+            if name == "repro" or name.startswith("repro.")}
+
+
+def test_study_import_line_loads_the_pinned_module_set():
+    assert _repro_modules(_modules_loaded_by(STUDY_IMPORTS)) == STUDY_MODULES
+
+
+def test_yield_study_compile_and_replay_load_no_functional_test(tmp_path):
+    """The escape stage imports the functional baseline when it runs, not
+    when it is compiled or replayed from the cache."""
+    spec = ("load_study('yield-loss-study').override({"
+            "'calibrate.n_monte_carlo': 3, "
+            "'campaign.blocks': ['vcm_generator'], "
+            "'escape.max_escape_defects': 1})")
+    cache = f"ResultCache({str(tmp_path)!r}, namespace='calibration')"
+    compiled = _modules_loaded_by(
+        f"{STUDY_IMPORTS}\nplan = build_study({spec})")
+    cold = _modules_loaded_by(
+        f"{STUDY_IMPORTS}\nbuild_study({spec}).run(cache={cache})")
+    replayed = _modules_loaded_by(
+        f"{STUDY_IMPORTS}\nrun = build_study({spec}).run(cache={cache})\n"
+        f"assert run.report.n_executed == 0, run.report")
+    assert "repro.analysis.escape_analysis" in compiled
+    assert "repro.functional_test" in cold
+    for loaded in (compiled, replayed):
+        assert [name for name in loaded
+                if name.startswith("repro.functional_test")] == []
+        assert "repro.adc.spec" not in loaded
+
+
+def test_lazy_exports_resolve_on_first_access():
+    loaded = _modules_loaded_by(
+        "import importlib\n"
+        "from repro.core import SymBistController\n"
+        "assert SymBistController.__module__ == 'repro.core.controller'\n"
+        "for name in ('repro', 'repro.core', 'repro.circuit', "
+        "'repro.defects', 'repro.adc', 'repro.analysis'):\n"
+        "    package = importlib.import_module(name)\n"
+        "    assert set(package.__all__) <= set(dir(package)), name\n"
+        "    for export in package.__all__:\n"
+        "        getattr(package, export)\n"
+        "import repro.core as core\n"
+        "try:\n"
+        "    core.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown names must raise')")
+    assert {"repro.core.controller", "repro.core.tam",
+            "repro.circuit.simulator", "repro.defects.diagnosis",
+            "repro.adc.spec", "repro.analysis.escape_analysis"} <= set(loaded)
